@@ -41,7 +41,12 @@ from .damping import (
     certificate_row,
     certificate_to_dict,
 )
-from .errors import ChannelCompletenessError, ParameterError, ToolkitError
+from .errors import (
+    ChannelCompletenessError,
+    InvalidOperatorError,
+    ParameterError,
+    ToolkitError,
+)
 from .jsonio import csv_cell, dumps_fixed, format_real
 from .measures import fef, fstar_upper_bound, negativity
 from .states import (
@@ -82,6 +87,17 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
+def _restarts(text: str) -> int:
+    """argparse type for --restarts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _write_text(text: str, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -99,8 +115,11 @@ def _load_channel_file(path):
 def _load_state_file(path) -> PureBipartiteState:
     with open(path) as fh:
         data = json.load(fh)
-    d = int(data["d"])
-    amps = np.array([complex(float(a[0]), float(a[1])) for a in data["amplitudes"]])
+    try:
+        d = int(data["d"])
+        amps = np.array([complex(float(a[0]), float(a[1])) for a in data["amplitudes"]])
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise InvalidOperatorError(f"malformed state file: {exc!r}") from exc
     return PureBipartiteState(d, amps)
 
 
@@ -448,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="phiplus",
                    help="'phiplus', 'psi_prime', or a state JSON file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_restarts, default=32)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_measures)
 
@@ -456,14 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", required=True, help="comma-separated x_1,...,x_{d-1}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_restarts, default=32)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("sweep", help="certificate grid sweep from a spec file")
     p.add_argument("spec", help="sweep spec JSON file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_restarts, default=32)
     p.add_argument("--out", default=None, help="override the spec's output path")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.set_defaults(fn=cmd_sweep)
@@ -472,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="number of channels")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_restarts, default=8)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_audit)
 

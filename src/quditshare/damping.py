@@ -64,6 +64,8 @@ class DampingParams:
             raise ParameterError(
                 f"length violated: x must have d-1 = {self.d - 1} entries, got {x.size}"
             )
+        if not np.all(np.isfinite(x)):
+            raise ParameterError(f"finiteness violated: x_i must be finite, got {x.tolist()}")
         if self.relaxed:
             if np.any(x < 0.0) or np.any(x > 1.0):
                 raise ParameterError("range violated: relaxed x_i must lie in [0, 1]")

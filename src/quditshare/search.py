@@ -3,10 +3,17 @@
 The best input for the Phi+ overlap of the channel output is exact: it is the
 top eigenvector of the dual-map Choi state, with value equal to that state's
 largest eigenvalue. Negativity maximization over pure inputs has no such
-shortcut; it runs a seeded multi-start coordinate ascent on the real
-parameterization of the input amplitudes (gradient-free, since the negativity
-is not smooth at partial-transpose eigenvalue crossings) and reports a lower
-bound, never a claimed optimum.
+shortcut. By trace-norm duality the output negativity is
+
+    N(psi) = max over 0 <= P <= I of -tr(P rho_psi^Gamma)
+           = max over P of <psi| -(I (x) Lambda^dag)(P^Gamma) |psi>,
+
+so a seeded multi-start ascent alternates two exact maximizations: P is the
+projector onto the negative eigenspace of rho_psi^Gamma, and psi is the top
+eigenvector of -(I (x) Lambda^dag)(P^Gamma). Neither step lowers N, for any
+Kraus map, trace preserving or not; ascending ||rho^Gamma||_1 = tr(rho) + 2N
+with sign(rho^Gamma) instead would track N only when tr(rho) is fixed. The
+result is reported as a lower bound, never a claimed optimum.
 """
 
 from __future__ import annotations
@@ -18,12 +25,11 @@ import numpy as np
 from .channels import KrausChannel, choi_state, dual, top_choi_eigenpair
 from .errors import DimensionError
 from .measures import negativity, negativity_of_matrix
-from .states import PureBipartiteState, max_entangled
+from .states import PureBipartiteState, max_entangled, partial_transpose_matrix
 
 NEG_DEFAULT_RESTARTS = 64
 NEG_DEFAULT_MAX_ITER = 2000
 NEG_DEFAULT_TOL = 1e-9
-_MIN_STEP = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,60 +71,39 @@ def qubit_optimal_fidelity(ch: KrausChannel) -> float:
     return (1.0 + 2.0 * negativity(choi_state(ch).rho)) / 2.0
 
 
-def _output_negativity(ops, d, theta):
-    """Negativity of the channel output for the state encoded by theta."""
-    v = theta[: d * d] + 1j * theta[d * d :]
-    v = v / np.linalg.norm(v)
-    m = v.reshape(d, d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for k in ops:
-        w = (m @ k.T).reshape(-1)
-        out += np.outer(w, w.conj())
-    return negativity_of_matrix(out, d, d)
+def _negative_part(lifted, d, psi):
+    """N(psi) and the projector onto the negative eigenspace of rho_psi^Gamma."""
+    v = lifted @ psi
+    eigs, vecs = np.linalg.eigh(partial_transpose_matrix(v.T @ v.conj(), d, d))
+    neg = eigs < 0.0
+    return float(-eigs[neg].sum()), vecs[:, neg] @ vecs[:, neg].conj().T
 
 
-def _coordinate_ascent(objective, theta0, max_iter, tol):
-    """Coordinate-wise quadratic probes with step annealing.
+def _projector_ascent(lifted, d, psi, max_iter, tol):
+    """Monotone ascent of -tr(P rho_psi^Gamma) over (psi, P).
 
-    For each coordinate, evaluates the objective at +-h, fits a parabola, and
-    moves to the best of {vertex, +h, -h} when it improves. The step shrinks
-    when a full sweep stalls; convergence means stalling at the smallest step.
+    One iteration sets psi to the top eigenvector of -(I (x) Lambda^dag)(P^Gamma)
+    and P to the negative-eigenspace projector of the new rho_psi^Gamma; each
+    step maximizes the form exactly in one argument, so neither lowers N.
     """
-    theta = np.array(theta0, dtype=float)
-    theta /= np.linalg.norm(theta)
-    f = objective(theta)
-    h = 0.25
-    history = [(0, f)]
+    adjoint = lifted.conj().transpose(0, 2, 1)
+    val, proj = _negative_part(lifted, d, psi)
+    history = [(0, val)]
     converged = False
-    for sweep in range(1, max_iter + 1):
-        f_start = f
-        for j in range(theta.size):
-            base = theta[j]
-            theta[j] = base + h
-            f_plus = objective(theta)
-            theta[j] = base - h
-            f_minus = objective(theta)
-            theta[j] = base
-            candidates = [(f_plus, base + h), (f_minus, base - h)]
-            curv = f_plus + f_minus - 2.0 * f
-            if curv < 0.0:
-                step = -h * (f_plus - f_minus) / (2.0 * curv)
-                if abs(step) <= 2.0 * h:
-                    theta[j] = base + step
-                    candidates.append((objective(theta), base + step))
-                    theta[j] = base
-            f_best, x_best = max(candidates, key=lambda c: c[0])
-            if f_best > f:
-                theta[j] = x_best
-                f = f_best
-                theta /= np.linalg.norm(theta)
-        history.append((sweep, f))
-        if f - f_start < tol:
-            if h <= _MIN_STEP:
-                converged = True
-                break
-            h /= 5.0
-    return theta / np.linalg.norm(theta), f, converged, history
+    for it in range(1, max_iter + 1):
+        form = -(adjoint @ partial_transpose_matrix(proj, d, d) @ lifted).sum(axis=0)
+        psi_new = np.linalg.eigh(form)[1][:, -1]
+        val_new, proj_new = _negative_part(lifted, d, psi_new)
+        if val_new > val:
+            gain = val_new - val
+            psi, val, proj = psi_new, val_new, proj_new
+        else:
+            gain = 0.0
+        history.append((it, val))
+        if gain < tol:
+            converged = True
+            break
+    return psi, val, converged, history
 
 
 def maximize_negativity_input(
@@ -134,39 +119,33 @@ def maximize_negativity_input(
     Restart states are Phi+, the exact best-fidelity input, and Haar-random
     kets with counter-derived seeds, so the reported value is monotone in the
     restart count for a fixed seed and never below the Phi+ baseline.
+    ``max_iter`` caps the projector iterations of each restart, and ``trace``
+    holds (iteration, negativity) pairs of the winning restart.
     """
     d = ch.dim
-    ops = ch.kraus_ops
     if restarts < 1:
         raise ValueError("need at least one restart")
+    # I (x) K_i for every Kraus operator, shape (r, d*d, d*d)
+    lifted = np.stack([np.kron(np.eye(d), k) for k in ch.kraus_ops])
 
-    def objective(theta):
-        return _output_negativity(ops, d, theta)
-
-    def encode(state):
-        v = state.amplitudes
-        return np.concatenate([v.real, v.imag])
-
-    starts = [encode(max_entangled(d)), encode(best_phiplus_fidelity_input(ch).best_state)]
-    for k in range(max(0, restarts - 2)):
-        rng = np.random.default_rng([seed, k])
-        v = rng.standard_normal(2 * d * d)
+    starts = [max_entangled(d).amplitudes, best_phiplus_fidelity_input(ch).best_state.amplitudes]
+    for k in range(restarts - 2):
+        v = np.random.default_rng([seed, k]).standard_normal(2 * d * d)
+        v = v[: d * d] + 1j * v[d * d :]
         starts.append(v / np.linalg.norm(v))
-    starts = starts[:restarts]
 
     best = None
-    for theta0 in starts:
-        theta, val, conv, history = _coordinate_ascent(objective, theta0, max_iter, tol)
+    for psi0 in starts[:restarts]:
+        psi, val, conv, history = _projector_ascent(lifted, d, psi0, max_iter, tol)
         if best is None or val > best[1]:
-            best = (theta, val, conv, history)
+            best = (psi, val, conv, history)
 
-    theta, val, conv, history = best
-    v = theta[: d * d] + 1j * theta[d * d :]
-    v = v / np.linalg.norm(v)
-    state = PureBipartiteState(d, v)
+    psi, _, conv, history = best
+    state = PureBipartiteState(d, psi / np.linalg.norm(psi))
+    v = lifted @ state.amplitudes
     return SearchResult(
         best_state=state,
-        best_value=val,
+        best_value=negativity_of_matrix(v.T @ v.conj(), d, d),
         restarts=restarts,
         seed=seed,
         converged=conv,

@@ -45,7 +45,7 @@ class PureBipartiteState:
                 f"amplitude vector has length {amps.size}, expected {self.dim ** 2}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN/inf amplitudes
             raise InvalidOperatorError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 

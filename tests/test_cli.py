@@ -121,6 +121,25 @@ def test_measures_dimension_mismatch(omega_file, tmp_path, capsys):
     assert main(["measures", omega_file, "--input", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"d": 3},
+        {"d": 3, "amplitudes": [["a", 0.0]] * 9},
+        {"d": 3, "amplitudes": [[1.0]] * 9},
+        {"d": 3, "amplitudes": 5},
+        [1, 2],
+        {"d": 3, "amplitudes": [["nan", 0.0]] + [[0.0, 0.0]] * 8},
+    ],
+)
+def test_measures_malformed_state_file(omega_file, tmp_path, capsys, data):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(data))
+    assert main(["measures", omega_file, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_certify_reference_point(capsys):
     assert main(["certify", "--d", "3", "--x", "0.5,0.9", "--restarts", "8"]) == 0
     cert = json.loads(capsys.readouterr().out)
@@ -138,6 +157,30 @@ def test_certify_distinctness_violation(capsys):
 
 def test_certify_wrong_x_length(capsys):
     assert main(["certify", "--d", "4", "--x", "0.5,0.9"]) == 2
+
+
+def test_certify_rejects_non_finite_x(capsys):
+    for x in ("0.5,nan", "inf,0.5"):
+        assert main(["certify", "--d", "3", "--x", x]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: finiteness violated") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measures", "channel.json"],
+        ["certify", "--d", "3", "--x", "0.5,0.9"],
+        ["sweep", "spec.json"],
+        ["audit", "--d", "3", "--n", "2"],
+    ],
+)
+def test_restarts_below_one_is_usage_error(argv, capsys):
+    for value in ("0", "-3"):
+        assert main([*argv, "--restarts", value]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --restarts: must be >= 1, got {int(value)}" in err
+        assert "Traceback" not in err
 
 
 def test_certify_d6(capsys):

@@ -59,6 +59,14 @@ def test_params_reject_wrong_length_and_dim():
         DampingParams(2, [0.5])
 
 
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_params_reject_non_finite(relaxed):
+    # NaN fails every range comparison, so it needs its own clause
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="finiteness"):
+            DampingParams(3, [0.5, bad], relaxed=relaxed)
+
+
 def test_relaxed_params_accept_cube():
     p = DampingParams(3, [1.0, 1.0], relaxed=True)
     assert abs(damping_lambda_max(p) - 1.0) < 1e-15

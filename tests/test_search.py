@@ -12,12 +12,14 @@ from quditshare import (
     best_phiplus_fidelity_input,
     damping_channel,
     damping_negativity,
+    dual,
     fidelity_with,
     kraus_validate,
     max_entangled,
     maximize_negativity_input,
     negativity,
     qubit_optimal_fidelity,
+    random_channel,
     top_choi_eigenpair,
 )
 
@@ -51,8 +53,6 @@ def test_best_input_amplitude_damping():
 
 def test_best_input_value_equals_primal_lambda_max():
     rng = np.random.default_rng(71)
-    from quditshare import random_channel
-
     for d in (2, 3, 4):
         ch = random_channel(d, 2, rng)
         res = best_phiplus_fidelity_input(ch)
@@ -176,3 +176,38 @@ def test_negativity_search_trace_recording():
     assert res.trace is not None
     values = [v for _, v in res.trace]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _trace_channels():
+    rng = np.random.default_rng(83)
+    cases = [
+        pytest.param(damping_channel(DampingParams(3, [0.5, 0.9])), id="damping-3"),
+        pytest.param(damping_channel(DampingParams(4, [0.2, 0.6, 0.95])), id="damping-4"),
+        pytest.param(damping_channel(DampingParams(5, [0.1, 0.4, 0.7, 0.9])), id="damping-5"),
+    ]
+    cases += [pytest.param(random_channel(d, d, rng), id=f"random-{d}") for d in (2, 3, 4)]
+    cases.append(pytest.param(dual(damping_channel(DampingParams(3, [0.5, 0.9]))), id="dual"))
+    return cases
+
+
+@pytest.mark.parametrize("ch", _trace_channels())
+def test_negativity_search_trace_monotone(ch):
+    res = maximize_negativity_input(ch, restarts=4, seed=2, record_trace=True)
+    iterations = [i for i, _ in res.trace]
+    values = [v for _, v in res.trace]
+    assert iterations == list(range(len(iterations)))
+    assert all(b >= a for a, b in zip(values, values[1:]))
+    assert res.converged
+    assert abs(values[-1] - res.best_value) < 1e-10
+
+
+def test_negativity_search_on_non_trace_preserving_dual():
+    # dual of a nonunital channel: output traces vary with the input, so the
+    # ascent must climb N itself and not the trace norm of rho^Gamma;
+    # 0.519248828643636 is what the earlier coordinate ascent found
+    ch = dual(damping_channel(DampingParams(3, [0.5, 0.9])))
+    assert not ch.trace_preserving
+    res = maximize_negativity_input(ch, restarts=8, seed=3)
+    assert abs(res.best_value - 0.519248828643636) < 1e-8
+    floor = negativity(apply_one_sided(ch, max_entangled(3)))
+    assert res.best_value > floor

@@ -59,6 +59,8 @@ class KrausChannel:
                 raise DimensionError(
                     f"Kraus operator shape {a.shape} does not match dim {self.dim}"
                 )
+            if not np.isfinite(a).all():
+                raise InvalidOperatorError("Kraus operator has a non-finite entry")
             a.setflags(write=False)
         if self.trace_preserving:
             residual, pos = completeness_residual(ops)
@@ -87,15 +89,12 @@ class TopChoiEigenpair(NamedTuple):
 
 
 def kraus_validate(ops) -> KrausChannel:
-    """Validate a raw Kraus list into a channel, or raise with the residual."""
+    """Validate a raw Kraus list into a channel whose dimension is read from
+    the first operator, or raise with the residual."""
     arrs = [np.asarray(a, dtype=complex) for a in ops]
     if not arrs:
         raise InvalidOperatorError("empty Kraus list")
-    d = arrs[0].shape[0]
-    for a in arrs:
-        if a.ndim != 2 or a.shape != (d, d):
-            raise DimensionError("all Kraus operators must be square and same-dimension")
-    return KrausChannel(dim=d, kraus_ops=tuple(arrs))
+    return KrausChannel(dim=arrs[0].shape[0], kraus_ops=tuple(arrs))
 
 
 def is_unital(ch: KrausChannel) -> bool:
@@ -204,18 +203,13 @@ def channel_from_dict(data: dict) -> KrausChannel:
     """Parse and validate the channel JSON schema (completeness enforced)."""
     try:
         d = int(data["d"])
-        raw = data["kraus"]
-        ops = []
-        for mat in raw:
-            arr = np.array(
-                [[complex(float(e[0]), float(e[1])) for e in row] for row in mat]
-            )
-            ops.append(arr)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        ops = tuple(
+            np.array([[complex(float(e[0]), float(e[1])) for e in row] for row in mat])
+            for mat in data["kraus"]
+        )
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise InvalidOperatorError(f"malformed channel data: {exc}") from exc
-    if any(a.shape != (d, d) for a in ops):
-        raise DimensionError("Kraus matrices do not match the declared dimension")
-    return kraus_validate(ops)
+    return KrausChannel(dim=d, kraus_ops=ops)
 
 
 def save_channel(ch: KrausChannel, path) -> None:

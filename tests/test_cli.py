@@ -29,11 +29,9 @@ def identity_file(tmp_path):
     return str(path)
 
 
-def _run_cli(args, env_extra=None):
+def _run_cli(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "quditshare", *args],
         capture_output=True,
@@ -72,6 +70,18 @@ def test_validate_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "measures"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_kraus_entry_is_usage_error(tmp_path, capsys, command, bad):
+    # NaN makes the completeness residual NaN, which no tolerance check rejects
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps({"d": 2, "kraus": [[[[bad, 0], [0, 0]], [[0, 0], [1, 0]]]]}))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Kraus operator has a non-finite entry\n"
 
 
 def test_measures_phiplus(omega_file, capsys):
@@ -237,34 +247,50 @@ def test_sweep_single_point_matches_certify(tmp_path, capsys):
     assert rows[0]["fstar_bound"] == cert["fstar_bound_phiplus"]
 
 
-def test_sweep_empty_axes(tmp_path, capsys):
+def _assert_sweep_usage_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(dumps_fixed({"d": 3, "axes": {}, "output_path": "x.csv"}))
-    assert main(["sweep", str(spec_path)]) == 2
+    spec_path.write_text(json.dumps(spec))
+    assert main(["sweep", str(spec_path), "--restarts", "2"]) == 2, spec
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_sweep_empty_axes(tmp_path, capsys):
+    for fields in (
+        {"axes": {}},
+        {"axes": ["x1"]},
+        {"axes": {"x1": {"start": 0.5, "stop": 0.5, "steps": 1}}, "fixed": None},
+    ):
+        _assert_sweep_usage_error(tmp_path, capsys, {"d": 3, "output_path": "x.csv", **fields})
 
 
 def test_sweep_rejects_out_of_range_grid(tmp_path, capsys):
-    spec = {
-        "d": 3,
-        "axes": {"x1": {"start": 0.5, "stop": 1.2, "steps": 4}},
-        "fixed": {"x2": 0.9},
-        "output_path": str(tmp_path / "x.csv"),
-    }
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(dumps_fixed(spec))
-    assert main(["sweep", str(spec_path)]) == 2
+    for axis, fixed in (
+        ({"start": 0.5, "stop": 1.2, "steps": 4}, 0.9),
+        ({"start": 0.5, "stop": float("nan"), "steps": 4}, 0.9),
+        ({"start": float("-inf"), "stop": 0.5, "steps": 4}, 0.9),
+        ({"start": 0.5, "stop": 0.5, "steps": 1}, "abc"),
+        ({"start": 0.5, "stop": 0.5, "steps": 1}, float("nan")),
+    ):
+        spec = {
+            "d": 3,
+            "axes": {"x1": axis},
+            "fixed": {"x2": fixed},
+            "output_path": str(tmp_path / "x.csv"),
+        }
+        _assert_sweep_usage_error(tmp_path, capsys, spec)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_unwritable_output(tmp_path, capsys):
-    spec = {
-        "d": 3,
-        "axes": {"x1": {"start": 0.3, "stop": 0.3, "steps": 1}},
-        "fixed": {"x2": 0.9},
-        "output_path": str(tmp_path / "missing_dir" / "x.csv"),
-    }
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(dumps_fixed(spec))
-    assert main(["sweep", str(spec_path), "--restarts", "2"]) == 2
+    for output_path in (str(tmp_path / "missing_dir" / "x.csv"), 1.5, 987654, ["x.csv"]):
+        spec = {
+            "d": 3,
+            "axes": {"x1": {"start": 0.3, "stop": 0.3, "steps": 1}},
+            "fixed": {"x2": 0.9},
+            "output_path": output_path,
+        }
+        _assert_sweep_usage_error(tmp_path, capsys, spec)
 
 
 def test_audit_passes(capsys):
@@ -301,7 +327,7 @@ def test_certify_subprocess_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_subprocess_byte_identical_across_threads(tmp_path):
+def test_sweep_subprocess_byte_identical(tmp_path):
     spec = {
         "d": 3,
         "axes": {
@@ -312,15 +338,12 @@ def test_sweep_subprocess_byte_identical_across_threads(tmp_path):
         "format": "csv",
     }
     outputs = []
-    for tag, threads in (("a", "1"), ("b", "4")):
+    for tag in ("a", "b"):
         out = tmp_path / f"grid_{tag}.csv"
         spec["output_path"] = str(out)
         spec_path = tmp_path / f"spec_{tag}.json"
         spec_path.write_text(dumps_fixed(spec))
-        res = _run_cli(
-            ["sweep", str(spec_path), "--restarts", "4", "--seed", "5"],
-            env_extra={"TOOLKIT_THREADS": threads},
-        )
+        res = _run_cli(["sweep", str(spec_path), "--restarts", "4", "--seed", "5"])
         assert res.returncode == 0, res.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

@@ -20,13 +20,14 @@ from quditshare import (
     advantage_certificate,
     apply_one_sided,
     damping_channel,
+    fef_by_ascent,
     fidelity_with,
     max_entangled,
     schmidt,
 )
 
 params = DampingParams(3, [0.5, 0.9])
-cert = advantage_certificate(params, restarts=16, seed=0)
+cert = advantage_certificate(params)
 
 print("=" * 70)
 print(f"Certificate for d={params.d}, x={tuple(params.x)}")
@@ -53,9 +54,10 @@ print("  maximally entangled?", dec.is_maximally_entangled())
 
 print("\nits output through the channel:")
 out = apply_one_sided(damping_channel(params), cert.psi_prime)
-print("  Phi+ overlap        :", fidelity_with(out, max_entangled(3)))
-print("  FEF (optimizer)     :", cert.fef_psi_prime)
-print("  negativity          :", cert.negativity_psi_prime)
+print("  Phi+ overlap         :", fidelity_with(out, max_entangled(3)))
+print("  FEF (exact, = Phi+)  :", cert.fef_psi_prime)
+print("  FEF (unitary ascent) :", fef_by_ascent(cert))
+print("  negativity           :", cert.negativity_psi_prime)
 
 print("\nverdicts:")
 print("  ceiling exceeded            :", cert.verdict_ceiling)

@@ -26,7 +26,7 @@ spec = parse_sweep_spec(
 )
 assert isinstance(spec, SweepSpec)
 
-rows = run_sweep(spec, restarts=8, seed=0)
+rows = run_sweep(spec)
 counts = collections.Counter(r["status"] for r in rows)
 print(f"grid points: {len(rows)}  ok: {counts['ok']}  skipped: {counts['skipped']}")
 
@@ -44,4 +44,4 @@ from quditshare.cli import _rows_to_csv
 
 out.write_text(_rows_to_csv(rows))
 print(f"\nfull table written to {out}")
-print("equivalent CLI run: quditshare sweep SPEC.json --restarts 8")
+print("equivalent CLI run: quditshare sweep SPEC.json")

@@ -43,6 +43,7 @@ from .damping import (
     damping_lambda_max,
     damping_negativity,
     damping_pt_spectrum,
+    fef_by_ascent,
 )
 from .errors import (
     ChannelCompletenessError,
@@ -111,6 +112,7 @@ __all__ = [
     "damping_pt_spectrum",
     "dual",
     "fef",
+    "fef_by_ascent",
     "fef_channel_output",
     "fidelity_with",
     "fstar_upper_bound",

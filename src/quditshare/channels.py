@@ -10,14 +10,13 @@ be applied one-sided, which is needed for the dual Choi state.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ChannelCompletenessError, DimensionError, InvalidOperatorError
-from .jsonio import dumps_fixed
+from .jsonio import dumps_fixed, load_json
 from .states import DensityOperator, PureBipartiteState, max_entangled, partial_trace
 
 COMPLETENESS_TOL = 1e-10
@@ -125,7 +124,8 @@ def apply_one_sided(ch: KrausChannel, psi: PureBipartiteState) -> DensityOperato
         v = (m @ k.T).reshape(-1)
         out += np.outer(v, v.conj())
     out = 0.5 * (out + out.conj().T)
-    return DensityOperator(d, d, out, unit_trace=ch.trace_preserving)
+    # Hermitian and PSD by construction from a validated channel and state
+    return DensityOperator._trusted(d, d, out, unit_trace=ch.trace_preserving)
 
 
 def channel_hash(ch: KrausChannel) -> str:
@@ -218,6 +218,4 @@ def save_channel(ch: KrausChannel, path) -> None:
 
 
 def load_channel(path) -> KrausChannel:
-    with open(path) as fh:
-        data = json.load(fh)
-    return channel_from_dict(data)
+    return channel_from_dict(load_json(path))

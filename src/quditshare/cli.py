@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
+import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .errors import (
     ParameterError,
     ToolkitError,
 )
-from .jsonio import csv_cell, dumps_fixed, format_real
+from .jsonio import csv_cell, dumps_fixed, format_real, load_json
 from .measures import fef, fstar_upper_bound, negativity
 from .states import (
     PureBipartiteState,
@@ -60,6 +61,8 @@ AUDIT_TOLERANCES = {
     "fef_ceiling": 1e-9,
     "qubit_pauli_equality": 1e-10,
 }
+
+MAX_SWEEP_POINTS = 10**6
 
 
 def _restarts(text: str) -> int:
@@ -82,8 +85,7 @@ def _write_text(text: str, out_path):
 
 
 def _load_state_file(path) -> PureBipartiteState:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = load_json(path)
     try:
         d = int(data["d"])
         amps = np.array([complex(float(a[0]), float(a[1])) for a in data["amplitudes"]])
@@ -97,8 +99,7 @@ def _load_state_file(path) -> PureBipartiteState:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    with open(args.channel) as fh:
-        data = json.load(fh)
+    data = load_json(args.channel)
     try:
         ch = channel_from_dict(data)
     except ChannelCompletenessError as exc:
@@ -160,7 +161,7 @@ def _parse_x(text: str, d: int) -> np.ndarray:
 
 def cmd_certify(args) -> int:
     params = DampingParams(d=args.d, x=_parse_x(args.x, args.d))
-    cert = advantage_certificate(params, restarts=args.restarts, seed=args.seed)
+    cert = advantage_certificate(params)
     _write_text(dumps_fixed(certificate_to_dict(cert)), args.out)
     return 0 if cert.all_verdicts_true else 1
 
@@ -200,6 +201,13 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
         fixed = {str(k): float(v) for k, v in fixed_raw.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"fixed components must be numbers: {exc}") from exc
+    covered = set(axes_raw) | set(fixed)
+    # stops after a few misses, and finds none only when the spec itself names
+    # all d - 1 components, so a huge d costs nothing before it is rejected
+    missing = list(islice((f"x{i}" for i in range(1, d) if f"x{i}" not in covered), 4))
+    if missing:
+        more = " and more" if len(missing) > 3 else ""
+        raise ParameterError(f"components {missing[:3]}{more} neither swept nor fixed")
     names = [f"x{i}" for i in range(1, d)]
     axes = []
     for name, desc in axes_raw.items():
@@ -211,10 +219,6 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"axis {name!r} needs start/stop/steps: {exc}") from exc
-    covered = {a[0] for a in axes} | set(fixed)
-    missing = [n for n in names if n not in covered]
-    if missing:
-        raise ParameterError(f"components {missing} neither swept nor fixed")
     extra = sorted(set(fixed) - set(names))
     if extra:
         raise ParameterError(f"fixed components {extra} do not exist for d={d}")
@@ -225,6 +229,8 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
             raise ParameterError(f"axis {name!r} needs steps >= 1")
         if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
             raise ParameterError(f"axis {name!r} leaves the admissible range [0, 1]")
+    if math.prod(steps for *_, steps in axes) > MAX_SWEEP_POINTS:
+        raise ParameterError(f"sweep grid has more than {MAX_SWEEP_POINTS} points")
     for name, value in fixed.items():
         if not 0.0 <= value <= 1.0:
             raise ParameterError(f"fixed component {name!r} leaves the range [0, 1]")
@@ -254,7 +260,7 @@ def _sweep_points(spec: SweepSpec):
         yield np.array([values[f"x{i}"] for i in range(1, spec.d)])
 
 
-def run_sweep(spec: SweepSpec, restarts: int, seed: int) -> list[dict]:
+def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row per grid point, deterministic lexicographic order."""
     rows = []
     for x in _sweep_points(spec):
@@ -267,7 +273,7 @@ def run_sweep(spec: SweepSpec, restarts: int, seed: int) -> list[dict]:
             row["status"] = "skipped"
             row.update({col: None for col in CERT_CSV_COLUMNS})
         else:
-            cert = advantage_certificate(params, restarts=restarts, seed=seed)
+            cert = advantage_certificate(params)
             row["status"] = "ok"
             row.update(certificate_row(cert))
         rows.append(row)
@@ -285,14 +291,12 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.spec) as fh:
-        data = json.load(fh)
-    spec = parse_sweep_spec(data)
+    spec = parse_sweep_spec(load_json(args.spec))
     out_path = args.out or spec.output_path
     fmt = args.format or spec.format
     if not out_path:
         raise ParameterError("no output path: set 'output_path' in the spec or pass --out")
-    rows = run_sweep(spec, restarts=args.restarts, seed=args.seed)
+    rows = run_sweep(spec)
     if fmt == "csv":
         text = _rows_to_csv(rows)
     else:
@@ -437,15 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="advantage certificate for one parameter point")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", required=True, help="comma-separated x_1,...,x_{d-1}")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=_restarts, default=32)
+    p.add_argument("--seed", type=int, default=0, help="accepted but unused")
+    p.add_argument("--restarts", type=_restarts, default=32, help="accepted but unused")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("sweep", help="certificate grid sweep from a spec file")
     p.add_argument("spec", help="sweep spec JSON file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=_restarts, default=32)
+    p.add_argument("--seed", type=int, default=0, help="accepted but unused")
+    p.add_argument("--restarts", type=_restarts, default=32, help="accepted but unused")
     p.add_argument("--out", default=None, help="override the spec's output path")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.set_defaults(fn=cmd_sweep)
@@ -478,7 +482,7 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

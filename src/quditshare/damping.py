@@ -12,6 +12,12 @@ machine-checkable witness that the best transmitted input can strictly beat
 every maximally entangled input even after trace-preserving local
 post-processing. The certificate assembles that inequality chain for one
 parameter point and cross-checks every closed form against dense numerics.
+The best input's output fidelity needs no optimizer: for psi' the top
+eigenvector of the dual Choi state sigma, every maximally entangled Phi_W has
+<Phi_W| rho_out |Phi_W> = <psi'| (W (x) I) sigma (W^dag (x) I) |psi'> <=
+lambda_max(sigma), and W = I attains the bound, so the fully entangled
+fraction of rho_out is its Phi+ overlap (acceptance criterion 04).
+``fef_by_ascent`` recomputes it with the unitary ascent as an independent check.
 
 Strict parameters (each 0 < x_i < 1, not all equal) are required for the
 certificate; the closed-form evaluators also accept the closed cube
@@ -28,14 +34,8 @@ import numpy as np
 from .channels import KrausChannel, apply_one_sided, dual, top_choi_eigenpair
 from .errors import ParameterError
 from .jsonio import format_real
-from .measures import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_RESTARTS,
-    DEFAULT_TOL,
-    fef,
-    negativity,
-)
-from .states import PureBipartiteState, max_entangled, schmidt
+from .measures import DEFAULT_RESTARTS, fef, negativity
+from .states import PureBipartiteState, fidelity_with, max_entangled, schmidt
 
 DISTINCTNESS_TOL = 1e-12
 CLOSED_NUMERIC_TOL = 1e-10
@@ -169,18 +169,13 @@ class AdvantageCertificate:
         )
 
 
-def advantage_certificate(
-    p: DampingParams,
-    restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> AdvantageCertificate:
+def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
     """Assemble the certificate for one strict parameter point.
 
     Closed forms are cross-checked against dense eigensolves (within 1e-10);
-    the best input psi_prime is the top eigenvector of the dual Choi state, and
-    its output is scored by the FEF optimizer and by negativity.
+    the best input psi_prime is the top eigenvector of the dual Choi state.
+    Its output is scored by negativity and by its fully entangled fraction,
+    the exact Phi+ overlap (module docstring), so no unitary ascent is run.
     """
     ch = damping_channel(p)
     d = p.d
@@ -205,7 +200,7 @@ def advantage_certificate(
     spread = schmidt(psi_prime).spread
 
     rho_out = apply_one_sided(ch, psi_prime)
-    fef_res = fef(rho_out, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
+    fef_psi_prime = fidelity_with(rho_out, max_entangled(d))
     neg_psi_prime = negativity(rho_out)
 
     return AdvantageCertificate(
@@ -218,12 +213,21 @@ def advantage_certificate(
         gap=gap,
         psi_prime=psi_prime,
         psi_prime_schmidt_spread=spread,
-        fef_psi_prime=fef_res.value,
+        fef_psi_prime=fef_psi_prime,
         negativity_psi_prime=neg_psi_prime,
         verdict_ceiling=lam_closed > fstar_bound,
-        verdict_advantage=(fef_res.value > fstar_bound) and (spread > SPREAD_TOL),
+        verdict_advantage=(fef_psi_prime > fstar_bound) and (spread > SPREAD_TOL),
         verdict_negativity_advantage=neg_psi_prime > neg_closed,
     )
+
+
+def fef_by_ascent(
+    cert: AdvantageCertificate, restarts: int = DEFAULT_RESTARTS, seed: int = 0
+) -> float:
+    """``cert.fef_psi_prime`` recomputed by the seeded unitary ascent: an
+    independent numerical check of the identity in the module docstring."""
+    rho_out = apply_one_sided(damping_channel(cert.params), cert.psi_prime)
+    return fef(rho_out, restarts=restarts, seed=seed).value
 
 
 def certificate_to_dict(cert: AdvantageCertificate) -> dict:
@@ -264,18 +268,13 @@ CERT_CSV_COLUMNS = (
 
 
 def certificate_row(cert: AdvantageCertificate) -> dict:
-    """Flat row (no state vector) for sweep tables."""
-    return {
-        "lambda_max": cert.lambda_max_closed,
-        "negativity_phiplus": cert.negativity_phiplus_closed,
-        "fstar_bound": cert.fstar_bound_phiplus,
-        "gap": cert.gap,
-        "fef_psi_prime": cert.fef_psi_prime,
-        "negativity_psi_prime": cert.negativity_psi_prime,
-        "verdict_ceiling": cert.verdict_ceiling,
-        "verdict_advantage": cert.verdict_advantage,
-        "verdict_negativity_advantage": cert.verdict_negativity_advantage,
-    }
+    """Flat row (no state vector) for sweep tables, keyed by CERT_CSV_COLUMNS."""
+    values = (
+        cert.lambda_max_closed, cert.negativity_phiplus_closed, cert.fstar_bound_phiplus,
+        cert.gap, cert.fef_psi_prime, cert.negativity_psi_prime, cert.verdict_ceiling,
+        cert.verdict_advantage, cert.verdict_negativity_advantage,
+    )
+    return dict(zip(CERT_CSV_COLUMNS, values))
 
 
 def describe_point(p: DampingParams) -> str:

@@ -7,6 +7,8 @@ emitted in insertion order.
 
 import json
 
+from .errors import ToolkitError
+
 
 def format_real(x) -> str:
     """17-significant-digit decimal form of a float, always a JSON float."""
@@ -59,3 +61,17 @@ def csv_cell(value) -> str:
     if isinstance(value, float):
         return format_real(value)
     return str(value)
+
+
+def load_json(path):
+    """Parse a JSON file, raising ToolkitError for text that is not valid JSON.
+
+    ``json.load`` signals bad text with ``ValueError`` (``JSONDecodeError``,
+    undecodable bytes, integer literals beyond the interpreter's digit limit)
+    and too-deep nesting with ``RecursionError``.
+    """
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ToolkitError(f"malformed JSON in {path}: {exc}") from exc

@@ -81,6 +81,20 @@ class DensityOperator:
             raise InvalidOperatorError(f"minimum eigenvalue {eigs[0]} below PSD floor")
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def _trusted(cls, dim_a: int, dim_b: int, matrix: np.ndarray, unit_trace: bool = True):
+        """Build without the Hermitian, trace and PSD checks.
+
+        Only for operators the library assembles from already-validated
+        inputs, which are Hermitian and PSD by construction.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "dim_a", dim_a)
+        object.__setattr__(rho, "dim_b", dim_b)
+        object.__setattr__(rho, "matrix", _readonly(matrix))
+        object.__setattr__(rho, "unit_trace", unit_trace)
+        return rho
+
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
@@ -137,7 +151,7 @@ def mes_from_unitary(w: np.ndarray) -> PureBipartiteState:
 def pure_density(state: PureBipartiteState) -> DensityOperator:
     """|psi><psi| as a DensityOperator."""
     v = state.amplitudes
-    return DensityOperator(state.dim, state.dim, np.outer(v, v.conj()))
+    return DensityOperator._trusted(state.dim, state.dim, np.outer(v, v.conj()))
 
 
 def random_pure_state(d: int, rng: np.random.Generator) -> PureBipartiteState:

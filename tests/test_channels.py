@@ -11,6 +11,7 @@ from helpers import (
 )
 from quditshare import (
     ChannelCompletenessError,
+    DensityOperator,
     DimensionError,
     InvalidOperatorError,
     KrausChannel,
@@ -248,3 +249,23 @@ def test_channel_rejects_non_finite_entries(bad, trace_preserving):
     op[1, 0] = bad
     with pytest.raises(InvalidOperatorError, match="non-finite"):
         KrausChannel(dim=2, kraus_ops=(op,), trace_preserving=trace_preserving)
+
+
+def test_apply_one_sided_within_completeness_tolerance():
+    # residual 4e-11 passes the channel's 1e-10 completeness check, so the
+    # output trace 1 + 2e-11 must not be rejected downstream
+    op = [[[1, 0], [0, 0]], [[0, 0], [np.sqrt(1 + 4e-11), 0]]]
+    ch = channel_from_dict({"d": 2, "kraus": [op]})
+    rho = apply_one_sided(ch, max_entangled(2))
+    assert abs(rho.matrix.trace().real - 1.0) < 1e-10
+    assert rho.unit_trace
+
+
+def test_apply_one_sided_output_is_readonly_and_valid():
+    rng = np.random.default_rng(29)
+    for d in (2, 3, 4):
+        ch = random_channel(d, 3, rng)
+        for c in (ch, dual(ch)):
+            rho = apply_one_sided(c, random_pure_state(d, rng))
+            assert not rho.matrix.flags.writeable
+            DensityOperator(d, d, rho.matrix, unit_trace=c.trace_preserving)

@@ -8,8 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from quditshare import DampingParams, damping_channel, kraus_validate, save_channel
-from quditshare.cli import main
+from quditshare import (
+    DampingParams,
+    ParameterError,
+    damping_channel,
+    kraus_validate,
+    save_channel,
+)
+from quditshare.cli import main, parse_sweep_spec
 from quditshare.jsonio import dumps_fixed
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -70,6 +76,36 @@ def test_validate_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["validate", str(path)]) == 2
+
+
+def test_completeness_within_tolerance_validates_and_measures(tmp_path, capsys):
+    # residual 4e-11 is inside the 1e-10 completeness tolerance but its output
+    # trace deviates from 1 by more than the density-operator trace tolerance
+    path = tmp_path / "ch.json"
+    op = [[[1, 0], [0, 0]], [[0, 0], [float(np.sqrt(1 + 4e-11)), 0]]]
+    path.write_text(json.dumps({"d": 2, "kraus": [op]}))
+    assert main(["validate", str(path)]) == 0
+    assert "valid, unital" in capsys.readouterr().out
+    for which in ("phiplus", "psi_prime"):
+        assert main(["measures", str(path), "--input", which, "--restarts", "2"]) == 0
+        capsys.readouterr()
+
+
+def test_oversized_json_integer_is_usage_error(omega_file, tmp_path, capsys):
+    # json.load raises a plain ValueError for integer literals above 4300 digits
+    huge = "1" * 5000
+    channel = tmp_path / "ch.json"
+    channel.write_text('{"d": %s, "kraus": []}' % huge)
+    state = tmp_path / "state.json"
+    state.write_text('{"d": %s, "amplitudes": []}' % huge)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"d": %s, "axes": {}, "output_path": "x.csv"}' % huge)
+    for argv in (["validate", str(channel)],
+                 ["measures", omega_file, "--input", str(state)],
+                 ["sweep", str(spec)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSON") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["validate", "measures"])
@@ -282,6 +318,24 @@ def test_sweep_rejects_out_of_range_grid(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_sweep_rejects_oversized_grid(tmp_path, capsys):
+    axis = {"start": 0.1, "stop": 0.9, "steps": 10**9}
+    _assert_sweep_usage_error(
+        tmp_path, capsys, {"d": 3, "axes": {"x1": axis}, "fixed": {"x2": 0.5}})
+    # two axes of 1001 points: each is small, the grid is above the cap
+    axis = {"start": 0.1, "stop": 0.9, "steps": 1001}
+    _assert_sweep_usage_error(tmp_path, capsys, {"d": 3, "axes": {"x1": axis, "x2": axis}})
+
+
+def test_sweep_huge_dimension_fails_fast(tmp_path, capsys):
+    spec = {"d": 10**7, "axes": {"x1": {"start": 0.1, "stop": 0.9, "steps": 3}}}
+    _assert_sweep_usage_error(tmp_path, capsys, spec)
+    # an eager scan would list ~10^7 missing names
+    with pytest.raises(ParameterError) as info:
+        parse_sweep_spec(spec)
+    assert str(info.value) == "components ['x2', 'x3', 'x4'] and more neither swept nor fixed"
+
+
 def test_sweep_unwritable_output(tmp_path, capsys):
     for output_path in (str(tmp_path / "missing_dir" / "x.csv"), 1.5, 987654, ["x.csv"]):
         spec = {
@@ -325,6 +379,15 @@ def test_certify_subprocess_byte_identical(tmp_path):
         )
         assert res.returncode == 0, res.stderr
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_certify_ignores_seed_and_restarts(capsys):
+    outputs = []
+    for seed, restarts in (("0", "1"), ("9", "32")):
+        argv = ["certify", "--d", "3", "--x", "0.5,0.9", "--seed", seed, "--restarts", restarts]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_subprocess_byte_identical(tmp_path):

@@ -14,11 +14,15 @@ from quditshare import (
     DampingParams,
     ParameterError,
     advantage_certificate,
+    apply_one_sided,
     damping_channel,
     damping_gap,
     damping_lambda_max,
     damping_negativity,
     damping_pt_spectrum,
+    fef_by_ascent,
+    fidelity_with,
+    max_entangled,
     schmidt,
 )
 
@@ -173,7 +177,7 @@ def test_monotone_limit_toward_identity():
 
 
 def test_certificate_reference_point():
-    cert = advantage_certificate(DampingParams(3, [0.5, 0.9]), restarts=8)
+    cert = advantage_certificate(DampingParams(3, [0.5, 0.9]))
     assert abs(cert.lambda_max_closed - 0.6866666666666666) < 1e-12
     assert abs(cert.fstar_bound_phiplus - 0.6688888888888889) < 1e-12
     assert abs(cert.gap - 0.16) < 1e-12
@@ -192,13 +196,13 @@ def test_certificate_reference_point():
 def test_certificate_closed_numeric_agreement():
     rng = np.random.default_rng(67)
     for d in (3, 5):
-        cert = advantage_certificate(random_strict_params(d, rng), restarts=4)
+        cert = advantage_certificate(random_strict_params(d, rng))
         assert abs(cert.lambda_max_closed - cert.lambda_max_numeric) < 1e-10
         assert abs(cert.negativity_phiplus_closed - cert.negativity_phiplus_numeric) < 1e-10
 
 
 def test_certificate_d5_sample():
-    cert = advantage_certificate(DampingParams(5, [0.2, 0.4, 0.6, 0.8]), restarts=8)
+    cert = advantage_certificate(DampingParams(5, [0.2, 0.4, 0.6, 0.8]))
     assert abs(cert.gap - 0.8) < 1e-12
     assert cert.all_verdicts_true
 
@@ -206,7 +210,29 @@ def test_certificate_d5_sample():
 def test_psi_prime_not_maximally_entangled():
     rng = np.random.default_rng(69)
     for d in (3, 4):
-        cert = advantage_certificate(random_strict_params(d, rng), restarts=4)
+        cert = advantage_certificate(random_strict_params(d, rng))
         dec = schmidt(cert.psi_prime)
         assert not dec.is_maximally_entangled()
         assert dec.spread > 1e-8
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_certificate_fef_is_exact_phiplus_overlap(d):
+    # fef_psi_prime is the Phi+ overlap of the best input's output, which the
+    # dual-Choi identity makes equal to lambda_max (acceptance criterion 04)
+    rng = np.random.default_rng(1000 + d)
+    for _ in range(5):
+        p = random_strict_params(d, rng)
+        cert = advantage_certificate(p)
+        rho_out = apply_one_sided(damping_channel(p), cert.psi_prime)
+        assert cert.fef_psi_prime == fidelity_with(rho_out, max_entangled(d))
+        assert abs(cert.fef_psi_prime - cert.lambda_max_closed) < 1e-12
+
+
+def test_fef_by_ascent_confirms_certificate():
+    # the optimizer, started from the identity and from random unitaries,
+    # finds no maximally entangled state beating the theorem's value
+    rng = np.random.default_rng(71)
+    for d in (3, 4, 5):
+        cert = advantage_certificate(random_strict_params(d, rng))
+        assert abs(fef_by_ascent(cert, restarts=4, seed=d) - cert.fef_psi_prime) < 1e-12

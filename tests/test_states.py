@@ -215,3 +215,14 @@ def test_density_operator_invariants_enforced():
         DensityOperator(2, 2, np.eye(4))  # trace 4
     with pytest.raises(InvalidOperatorError):
         DensityOperator(2, 2, np.diag([1.5, -0.5, 0.0, 0.0]))  # negative eigenvalue
+
+
+def test_library_built_operators_meet_public_invariants():
+    # pure_density and apply_one_sided skip the checks; their outputs must
+    # still pass the public constructor
+    rng = np.random.default_rng(23)
+    for d in (2, 3, 4):
+        rho = pure_density(random_pure_state(d, rng))
+        again = DensityOperator(d, d, rho.matrix)
+        assert np.array_equal(again.matrix, rho.matrix)
+        assert not rho.matrix.flags.writeable

@@ -12,13 +12,12 @@ import numpy as np
 
 from quditshare import (
     DampingParams,
-    apply_one_sided,
+    choi_state,
     damping_channel,
     damping_gap,
     damping_lambda_max,
     damping_negativity,
     damping_pt_spectrum,
-    max_entangled,
     negativity,
     partial_transpose,
 )
@@ -29,7 +28,7 @@ print("=" * 70)
 print("Reference point d=3, x=(0.5, 0.9)")
 print("=" * 70)
 p = DampingParams(3, [0.5, 0.9])
-rho = apply_one_sided(damping_channel(p), max_entangled(3))
+rho = choi_state(damping_channel(p))
 print("lambda_max closed:", damping_lambda_max(p))
 print("lambda_max eig   :", np.linalg.eigvalsh(rho.matrix)[-1])
 print("negativity closed:", damping_negativity(p))
@@ -50,7 +49,7 @@ for d in (3, 4, 5, 6):
         if x.max() - x.min() < 1e-6:
             continue
         params = DampingParams(d, x)
-        choi = apply_one_sided(damping_channel(params), max_entangled(d))
+        choi = choi_state(damping_channel(params))
         lam = np.linalg.eigvalsh(choi.matrix)[-1]
         worst_lam = max(worst_lam, abs(lam - damping_lambda_max(params)))
         worst_neg = max(worst_neg, abs(negativity(choi) - damping_negativity(params)))

@@ -4,10 +4,11 @@ Library layers:
 
 * :mod:`quditshare.states` -- bipartite state algebra (Schmidt, partial
   transpose/trace, fidelity).
-* :mod:`quditshare.channels` -- Kraus channels, duals, Choi states, random
-  channel generation, channel file IO.
-* :mod:`quditshare.measures` -- negativity, fully entangled fraction, and the
-  (1 + 2N)/d fidelity ceiling.
+* :mod:`quditshare.channels` -- Kraus channels, duals, Choi states of channels
+  and of their dual maps (``choi_state``), random channel generation, channel
+  file IO.
+* :mod:`quditshare.measures` -- negativity, fully entangled fraction (one
+  seeded unitary ascent, ``fef``), and the (1 + 2N)/d fidelity ceiling.
 * :mod:`quditshare.damping` -- the level-damping channel family, its closed
   forms, and the advantage certificate.
 * :mod:`quditshare.search` -- input-state optimization (exact best-fidelity
@@ -16,7 +17,6 @@ Library layers:
 """
 
 from .channels import (
-    ChoiState,
     KrausChannel,
     TopChoiEigenpair,
     apply_one_sided,
@@ -55,7 +55,6 @@ from .errors import (
 from .measures import (
     FefResult,
     fef,
-    fef_channel_output,
     fstar_upper_bound,
     negativity,
 )
@@ -84,7 +83,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdvantageCertificate",
     "ChannelCompletenessError",
-    "ChoiState",
     "DampingParams",
     "DensityOperator",
     "DimensionError",
@@ -113,7 +111,6 @@ __all__ = [
     "dual",
     "fef",
     "fef_by_ascent",
-    "fef_channel_output",
     "fidelity_with",
     "fstar_upper_bound",
     "haar_unitary",

@@ -23,6 +23,7 @@ from .channels import (
     KrausChannel,
     apply_one_sided,
     channel_from_dict,
+    choi_state,
     completeness_residual,
     dual,
     haar_unitary,
@@ -37,6 +38,7 @@ from .damping import (
     advantage_certificate,
     certificate_row,
     certificate_to_dict,
+    family_dimension,
 )
 from .errors import (
     ChannelCompletenessError,
@@ -44,7 +46,7 @@ from .errors import (
     ParameterError,
     ToolkitError,
 )
-from .jsonio import csv_cell, dumps_fixed, format_real, load_json
+from .jsonio import csv_cell, dumps_fixed, format_real, json_int, load_json
 from .measures import fef, fstar_upper_bound, negativity
 from .states import (
     PureBipartiteState,
@@ -87,7 +89,7 @@ def _write_text(text: str, out_path):
 def _load_state_file(path) -> PureBipartiteState:
     data = load_json(path)
     try:
-        d = int(data["d"])
+        d = json_int(data["d"], "d")
         amps = np.array([complex(float(a[0]), float(a[1])) for a in data["amplitudes"]])
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise InvalidOperatorError(f"malformed state file: {exc!r}") from exc
@@ -114,7 +116,7 @@ def cmd_validate(args) -> int:
                    "valid, unital" if unital else "valid, nonunital"]
         code = 0
     # channel_from_dict has parsed the file, so these keys are well formed
-    print("\n".join([f"dimension: {int(data['d'])}", f"kraus_count: {len(data['kraus'])}",
+    print("\n".join([f"dimension: {data['d']}", f"kraus_count: {len(data['kraus'])}",
                      f"completeness_residual: {residual}", *verdict]))
     return code
 
@@ -188,9 +190,9 @@ class SweepSpec:
 
 def parse_sweep_spec(data: dict) -> SweepSpec:
     try:
-        d = int(data["d"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"sweep spec needs an integer 'd': {exc}") from exc
+        d = family_dimension(json_int(data["d"], "d"))
+    except (KeyError, TypeError) as exc:
+        raise ParameterError(f"malformed sweep spec: {exc}") from exc
     axes_raw = data.get("axes", {})
     fixed_raw = data.get("fixed", {})
     if not (isinstance(axes_raw, dict) and isinstance(fixed_raw, dict)):
@@ -215,7 +217,8 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
             raise ParameterError(f"unknown axis component {name!r} for d={d}")
         try:
             axes.append(
-                (str(name), float(desc["start"]), float(desc["stop"]), int(desc["steps"]))
+                (str(name), float(desc["start"]), float(desc["stop"]),
+                 json_int(desc["steps"], "steps"))
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"axis {name!r} needs start/stop/steps: {exc}") from exc
@@ -359,7 +362,7 @@ def _audit_pauli(seed: int, index: int) -> float:
     ]
     ops = tuple(np.sqrt(p) * s for p, s in zip(weights, paulis))
     ch = KrausChannel(dim=2, kraus_ops=ops)
-    rho = apply_one_sided(ch, max_entangled(2))
+    rho = choi_state(ch)
     lam = float(np.linalg.eigvalsh(rho.matrix)[-1])
     if lam < 0.5:
         return 0.0

@@ -31,15 +31,21 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import KrausChannel, apply_one_sided, dual, top_choi_eigenpair
+from .channels import KrausChannel, apply_one_sided, choi_state, dual, top_choi_eigenpair
 from .errors import ParameterError
-from .jsonio import format_real
 from .measures import DEFAULT_RESTARTS, fef, negativity
 from .states import PureBipartiteState, fidelity_with, max_entangled, schmidt
 
 DISTINCTNESS_TOL = 1e-12
 CLOSED_NUMERIC_TOL = 1e-10
 SPREAD_TOL = 1e-8
+
+
+def family_dimension(d) -> int:
+    """d as an int, or ParameterError unless it is an integer >= 3."""
+    if int(d) != d or d < 3:
+        raise ParameterError(f"dimension violated: d must be an integer >= 3, got {d}")
+    return int(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +62,7 @@ class DampingParams:
     relaxed: bool = False
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 3:
-            raise ParameterError(f"dimension violated: d must be an integer >= 3, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", family_dimension(self.d))
         x = np.array(self.x, dtype=float).reshape(-1)
         if x.size != self.d - 1:
             raise ParameterError(
@@ -181,7 +185,7 @@ def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
     d = p.d
 
     lam_closed = damping_lambda_max(p)
-    choi = apply_one_sided(ch, max_entangled(d))
+    choi = choi_state(ch)
     lam_numeric = float(np.linalg.eigvalsh(choi.matrix)[-1])
 
     neg_closed = damping_negativity(p)
@@ -275,9 +279,3 @@ def certificate_row(cert: AdvantageCertificate) -> dict:
         cert.verdict_advantage, cert.verdict_negativity_advantage,
     )
     return dict(zip(CERT_CSV_COLUMNS, values))
-
-
-def describe_point(p: DampingParams) -> str:
-    """One-line human-readable tag, e.g. 'd=3 x=(0.5, 0.9)'."""
-    xs = ", ".join(format_real(v) for v in p.x)
-    return f"d={p.d} x=({xs})"

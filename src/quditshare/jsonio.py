@@ -63,6 +63,17 @@ def csv_cell(value) -> str:
     return str(value)
 
 
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer (an int, not a bool), else TypeError.
+
+    Input files must spell counts and dimensions as integers: ``int()`` would
+    truncate 3.7 to 3 and read "3" or true as valid.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name!r} must be an integer, got {value!r}")
+    return value
+
+
 def load_json(path):
     """Parse a JSON file, raising ToolkitError for text that is not valid JSON.
 

@@ -16,14 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_one_sided, dual, haar_unitary
+from .channels import haar_unitary
 from .errors import DimensionError
 from .states import (
     EIG_CLAMP,
     DensityOperator,
-    PureBipartiteState,
     fidelity_with,
-    max_entangled,
     mes_from_unitary,
     partial_transpose_matrix,
 )
@@ -39,7 +37,6 @@ class FefResult:
 
     value: float
     maximizer_unitary: np.ndarray
-    restarts_used: int
     converged: bool
 
 
@@ -67,7 +64,7 @@ def fstar_upper_bound(rho: DensityOperator) -> float:
     return (1.0 + 2.0 * negativity(rho)) / rho.dim_a
 
 
-def _ascend_unitary(r: np.ndarray, d: int, w0: np.ndarray, max_iter: int, tol: float):
+def _ascend_unitary(r: np.ndarray, d: int, w0: np.ndarray):
     """Monotone ascent of w -> Re(w^dag R w) over unitary-reshaped w.
 
     One power step followed by polar projection per iteration; for PSD R each
@@ -77,7 +74,7 @@ def _ascend_unitary(r: np.ndarray, d: int, w0: np.ndarray, max_iter: int, tol: f
     y = r @ w
     val = float(np.vdot(w, y).real)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         u, _, vh = np.linalg.svd(y.reshape(d, d))
         w_new = (u @ vh).reshape(-1)
         y_new = r @ w_new
@@ -87,74 +84,35 @@ def _ascend_unitary(r: np.ndarray, d: int, w0: np.ndarray, max_iter: int, tol: f
             w, y, val = w_new, y_new, val_new
         else:
             gain = 0.0
-        if gain < tol:
+        if gain < DEFAULT_TOL:
             converged = True
             break
     return val, w.reshape(d, d), converged
 
 
-def _maximize_mes_form(r, d, restarts, max_iter, tol, seed):
-    """Best restart of the ascent; restart 0 is the identity, the rest are
-    Haar unitaries with counter-derived seeds."""
+def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> FefResult:
+    """Fully entangled fraction of rho: max over maximally entangled |Phi> of
+    <Phi|rho|Phi>, reported as the best value over seeded restarts.
+
+    Restart 0 starts from the identity, the rest from Haar unitaries with
+    counter-derived seeds. Deterministic for fixed (seed, restarts). The
+    identity restart guarantees value >= <Phi+|rho|Phi+>.
+    """
+    if rho.dim_a != rho.dim_b:
+        raise DimensionError("FEF requires equal subsystem dimensions")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    d = rho.dim_a
+    r = rho.matrix / d
     best = None
     for k in range(restarts):
         if k == 0:
             w0 = np.eye(d, dtype=complex)
         else:
             w0 = haar_unitary(d, np.random.default_rng([seed, k]))
-        val, w, conv = _ascend_unitary(r, d, w0, max_iter, tol)
+        val, w, conv = _ascend_unitary(r, d, w0)
         if best is None or val > best[0]:
             best = (val, w, conv)
-    return best
-
-
-def fef(
-    rho: DensityOperator,
-    restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> FefResult:
-    """Fully entangled fraction of rho: max over maximally entangled |Phi> of
-    <Phi|rho|Phi>, reported as the best value over seeded restarts.
-
-    Deterministic for fixed (seed, restarts). The identity restart guarantees
-    value >= <Phi+|rho|Phi+>.
-    """
-    if rho.dim_a != rho.dim_b:
-        raise DimensionError("FEF requires equal subsystem dimensions")
-    d = rho.dim_a
-    val, w, conv = _maximize_mes_form(rho.matrix / d, d, restarts, max_iter, tol, seed)
+    _, w, conv = best
     value = fidelity_with(rho, mes_from_unitary(w))
-    return FefResult(value=value, maximizer_unitary=w, restarts_used=restarts, converged=conv)
-
-
-def fef_channel_output(
-    psi: PureBipartiteState,
-    ch: KrausChannel,
-    restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> FefResult:
-    """FEF of the channel output via the dual route.
-
-    <Phi_W|rho_{psi,ch}|Phi_W> equals <psi|(W (x) I) sigma (W^dag (x) I)|psi>
-    with sigma the dual-map Choi state, so the same unitary ascent applies to
-    the regrouped quadratic form. Agrees with fef(apply_one_sided(ch, psi)) up
-    to optimizer tolerance.
-    """
-    if ch.dim != psi.dim:
-        raise DimensionError(f"channel dim {ch.dim} does not match state dim {psi.dim}")
-    d = psi.dim
-    sigma = apply_one_sided(dual(ch), max_entangled(d))
-    s = sigma.matrix.reshape(d, d, d, d)
-    p = psi.coefficient_matrix()
-    r = np.einsum("je,abce,ib->jcia", p, s, p.conj(), optimize=True)
-    r = r.reshape(d * d, d * d)
-    r = 0.5 * (r + r.conj().T)
-    val, w, conv = _maximize_mes_form(r, d, restarts, max_iter, tol, seed)
-    value = float(min(1.0, max(0.0, val)))
-    return FefResult(value=value, maximizer_unitary=w, restarts_used=restarts, converged=conv)
+    return FefResult(value=value, maximizer_unitary=w, converged=conv)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, choi_state, dual, top_choi_eigenpair
-from .errors import DimensionError
+from .errors import DimensionError, InvalidOperatorError
 from .measures import negativity, negativity_of_matrix
 from .states import PureBipartiteState, max_entangled, partial_transpose_matrix
 
@@ -38,8 +38,6 @@ class SearchResult:
 
     best_state: PureBipartiteState
     best_value: float
-    restarts: int
-    seed: int
     converged: bool = True
     trace: tuple | None = None
 
@@ -54,8 +52,6 @@ def best_phiplus_fidelity_input(ch: KrausChannel) -> SearchResult:
     return SearchResult(
         best_state=top.state,
         best_value=top.value,
-        restarts=0,
-        seed=0,
         converged=True,
     )
 
@@ -64,11 +60,14 @@ def qubit_optimal_fidelity(ch: KrausChannel) -> float:
     """(1 + 2 * negativity(Choi)) / 2, exact for qubit channels only.
 
     The identity behind it is specific to d = 2; higher dimensions are
-    rejected because the analogue fails there.
+    rejected because the analogue fails there, and so are maps that are not
+    trace preserving (duals of nonunital channels).
     """
     if ch.dim != 2:
         raise DimensionError(f"exact formula applies to qubit channels only, got d={ch.dim}")
-    return (1.0 + 2.0 * negativity(choi_state(ch).rho)) / 2.0
+    if not ch.trace_preserving:
+        raise InvalidOperatorError("exact formula applies to trace-preserving channels only")
+    return (1.0 + 2.0 * negativity(choi_state(ch))) / 2.0
 
 
 def _negative_part(lifted, d, psi):
@@ -79,7 +78,7 @@ def _negative_part(lifted, d, psi):
     return float(-eigs[neg].sum()), vecs[:, neg] @ vecs[:, neg].conj().T
 
 
-def _projector_ascent(lifted, d, psi, max_iter, tol):
+def _projector_ascent(lifted, d, psi, max_iter):
     """Monotone ascent of -tr(P rho_psi^Gamma) over (psi, P).
 
     One iteration sets psi to the top eigenvector of -(I (x) Lambda^dag)(P^Gamma)
@@ -100,7 +99,7 @@ def _projector_ascent(lifted, d, psi, max_iter, tol):
         else:
             gain = 0.0
         history.append((it, val))
-        if gain < tol:
+        if gain < NEG_DEFAULT_TOL:
             converged = True
             break
     return psi, val, converged, history
@@ -110,7 +109,6 @@ def maximize_negativity_input(
     ch: KrausChannel,
     restarts: int = NEG_DEFAULT_RESTARTS,
     max_iter: int = NEG_DEFAULT_MAX_ITER,
-    tol: float = NEG_DEFAULT_TOL,
     seed: int = 0,
     record_trace: bool = False,
 ) -> SearchResult:
@@ -136,7 +134,7 @@ def maximize_negativity_input(
 
     best = None
     for psi0 in starts[:restarts]:
-        psi, val, conv, history = _projector_ascent(lifted, d, psi0, max_iter, tol)
+        psi, val, conv, history = _projector_ascent(lifted, d, psi0, max_iter)
         if best is None or val > best[1]:
             best = (psi, val, conv, history)
 
@@ -146,8 +144,6 @@ def maximize_negativity_input(
     return SearchResult(
         best_state=state,
         best_value=negativity_of_matrix(v.T @ v.conj(), d, d),
-        restarts=restarts,
-        seed=seed,
         converged=conv,
         trace=tuple(history) if record_trace else None,
     )

@@ -153,12 +153,18 @@ def test_local_unitary_covariance():
 
 
 def test_choi_state_marginal_and_hash():
-    ch = kraus_validate(damping_kraus_oracle(3, [0.5, 0.9]))
+    # the first marginal of a channel's Choi state is I/d; the dual of a
+    # nonunital channel is not trace preserving, and its Choi state still has
+    # trace one with marginal (sum K K^dag)^T / d
+    ops = damping_kraus_oracle(3, [0.5, 0.9])
+    ch = kraus_validate(ops)
     choi = choi_state(ch)
-    red = partial_trace(choi.rho, keep="first")
-    assert np.abs(red - np.eye(3) / 3).max() < 1e-10
-    assert len(choi.channel_hash) == 16
-    assert choi.channel_hash == choi_state(ch).channel_hash
+    assert isinstance(choi, DensityOperator)
+    assert np.abs(partial_trace(choi, keep="first") - np.eye(3) / 3).max() < 1e-10
+    sigma = choi_state(dual(ch))
+    assert abs(sigma.matrix.trace().real - 1.0) < 1e-12
+    expected = sum(k @ k.conj().T for k in ops).T / 3
+    assert np.abs(partial_trace(sigma, keep="first") - expected).max() < 1e-12
 
 
 def test_top_choi_eigenpair_identity():

@@ -74,8 +74,14 @@ def test_validate_truncated_kraus(tmp_path, capsys):
 
 def test_validate_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["validate", str(path)]) == 2
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    # "d" must be a JSON integer: no truncation of 2.9, no "2", no true
+    for text in ["{not json"] + [json.dumps({"d": d, "kraus": [eye]}) for d in (2.9, "2", True)]:
+        path.write_text(text)
+        for argv in (["validate", str(path)], ["measures", str(path)]):
+            assert main(argv) == 2, (argv, text)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_completeness_within_tolerance_validates_and_measures(tmp_path, capsys):
@@ -176,6 +182,9 @@ def test_measures_dimension_mismatch(omega_file, tmp_path, capsys):
         {"d": 3, "amplitudes": 5},
         [1, 2],
         {"d": 3, "amplitudes": [["nan", 0.0]] + [[0.0, 0.0]] * 8},
+        {"d": 3.9, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 8},
+        {"d": "3", "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 8},
+        {"d": True, "amplitudes": [[1.0, 0.0]]},
     ],
 )
 def test_measures_malformed_state_file(omega_file, tmp_path, capsys, data):
@@ -289,15 +298,28 @@ def _assert_sweep_usage_error(tmp_path, capsys, spec):
     assert main(["sweep", str(spec_path), "--restarts", "2"]) == 2, spec
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_sweep_empty_axes(tmp_path, capsys):
+    axis = {"x1": {"start": 0.1, "stop": 0.9, "steps": 3}}
     for fields in (
         {"axes": {}},
         {"axes": ["x1"]},
         {"axes": {"x1": {"start": 0.5, "stop": 0.5, "steps": 1}}, "fixed": None},
+        {"d": 2, "axes": axis},
+        # "d" and "steps" must be JSON integers: no truncation, no "3", no true
+        {"d": 3.7, "axes": axis, "fixed": {"x2": 0.5}},
+        {"d": "3", "axes": axis, "fixed": {"x2": 0.5}},
+        {"d": True, "axes": axis},
+        {"axes": {"x1": {"start": 0.1, "stop": 0.9, "steps": 2.9}}, "fixed": {"x2": 0.5}},
     ):
-        _assert_sweep_usage_error(tmp_path, capsys, {"d": 3, "output_path": "x.csv", **fields})
+        spec = {"d": 3, "output_path": str(tmp_path / "x.csv"), **fields}
+        err = _assert_sweep_usage_error(tmp_path, capsys, spec)
+        if fields.get("d") == 2:
+            # the same message as certify --d 2
+            assert err == "error: dimension violated: d must be an integer >= 3, got 2\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_rejects_out_of_range_grid(tmp_path, capsys):

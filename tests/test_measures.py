@@ -13,9 +13,9 @@ from quditshare import (
     DimensionError,
     PureBipartiteState,
     apply_one_sided,
+    choi_state,
     dual,
     fef,
-    fef_channel_output,
     fidelity_with,
     fstar_upper_bound,
     kraus_validate,
@@ -73,12 +73,17 @@ def test_negativity_local_unitary_invariant():
 
 
 def test_fef_pure_mes():
-    res = fef(pure_density(max_entangled(3)), restarts=4)
-    assert abs(res.value - 1.0) < 1e-10
-    # maximizer equals the identity up to a global phase
-    w = res.maximizer_unitary
-    phase = w[0, 0] / abs(w[0, 0])
-    assert np.abs(w / phase - np.eye(3)).max() < 1e-6
+    # Phi+ itself, and Phi+ sent through the identity channel
+    for rho in (
+        pure_density(max_entangled(3)),
+        apply_one_sided(kraus_validate([np.eye(3)]), max_entangled(3)),
+    ):
+        res = fef(rho, restarts=4)
+        assert abs(res.value - 1.0) < 1e-10
+        # maximizer equals the identity up to a global phase
+        w = res.maximizer_unitary
+        phase = w[0, 0] / abs(w[0, 0])
+        assert np.abs(w / phase - np.eye(3)).max() < 1e-6
 
 
 def test_fef_rotated_mes_recovers_one():
@@ -143,56 +148,27 @@ def test_fef_requires_square_bipartition():
         fef(rho)
 
 
-def test_fef_channel_output_identity():
-    res = fef_channel_output(max_entangled(3), kraus_validate([np.eye(3)]), restarts=4)
-    assert abs(res.value - 1.0) < 1e-10
-
-
-def test_fef_channel_output_best_input_reaches_lambda_max():
-    ch = kraus_validate(REF)
-    psi = top_choi_eigenpair(dual(ch)).state
-    res = fef_channel_output(psi, ch, restarts=8)
-    assert abs(res.value - 2.06 / 3) < 1e-7
-
-
-def test_fef_channel_output_agrees_with_direct_route():
-    rng = np.random.default_rng(45)
-    for d in (2, 3):
-        ch = random_channel(d, 2, rng)
-        psi = random_pure_state(d, rng)
-        via_dual = fef_channel_output(psi, ch, restarts=16).value
-        via_output = fef(apply_one_sided(ch, psi), restarts=16).value
-        assert abs(via_dual - via_output) < 1e-7
-
-
-def test_fef_channel_output_separable_input():
-    rng = np.random.default_rng(47)
-    v = np.zeros(9, dtype=complex)
-    v[0] = 1.0
-    psi = PureBipartiteState(3, v)
-    ch = random_channel(3, 3, rng)
-    res = fef_channel_output(psi, ch, restarts=8)
-    assert res.value <= 1 / 3 + 1e-9
-
-
 def test_phi_plus_overlap_equals_dual_expectation():
-    # <Phi+| rho_out |Phi+> == <psi| rho_{Phi+,dual} |psi> exactly, and the
-    # FEF can only improve on it; the observed slack is logged, not assumed zero.
+    # <Phi_W| rho_out |Phi_W> == <psi| (W (x) I) sigma (W^dag (x) I) |psi> exactly,
+    # with sigma the dual-map Choi state, for W = I and for Haar W; the FEF can
+    # only improve on the W = I value, and the observed slack is logged, not
+    # assumed zero.
     rng = np.random.default_rng(49)
     max_slack = 0.0
     for _ in range(10):
         d = int(rng.integers(2, 5))
         ch = random_channel(d, 2, rng)
         psi = random_pure_state(d, rng)
-        lower = float(
-            np.vdot(
-                psi.amplitudes,
-                apply_one_sided(dual(ch), max_entangled(d)).matrix @ psi.amplitudes,
-            ).real
-        )
+        sigma = choi_state(dual(ch)).matrix
         rho_out = apply_one_sided(ch, psi)
-        direct = fidelity_with(rho_out, max_entangled(d))
-        assert abs(lower - direct) < 1e-12
+        for w in (np.eye(d), random_unitary_oracle(d, rng)):
+            wi = np.kron(w, np.eye(d))
+            dual_side = float(
+                np.vdot(psi.amplitudes, wi @ sigma @ wi.conj().T @ psi.amplitudes).real
+            )
+            direct = fidelity_with(rho_out, mes_from_unitary(w))
+            assert abs(dual_side - direct) < 1e-12
+        lower = fidelity_with(rho_out, max_entangled(d))
         best = fef(rho_out, restarts=8).value
         assert best >= lower - 1e-12
         max_slack = max(max_slack, best - lower)
@@ -217,13 +193,20 @@ def test_fef_sandwich():
             lam = float(np.linalg.eigvalsh(rho.matrix)[-1])
             assert fidelity_with(rho, max_entangled(d)) - 1e-12 <= val
             assert val <= min(lam, fstar_upper_bound(rho)) + 1e-9
+    # a product input stays separable through the channel, so FEF <= 1/d
+    rng = np.random.default_rng(47)
+    v = np.zeros(9, dtype=complex)
+    v[0] = 1.0
+    rho = apply_one_sided(random_channel(3, 3, rng), PureBipartiteState(3, v))
+    assert fef(rho, restarts=8).value <= 1 / 3 + 1e-9
 
 
 def test_best_input_fef_equals_lambda_max():
     rng = np.random.default_rng(53)
-    for d in (2, 3):
-        ch = random_channel(d, 2, rng)
+    channels = [kraus_validate(REF)] + [random_channel(d, 2, rng) for d in (2, 3)]
+    for ch in channels:
         psi = top_choi_eigenpair(dual(ch)).state
         lam = top_choi_eigenpair(ch).value
         val = fef(apply_one_sided(ch, psi), restarts=8).value
         assert abs(val - lam) < 1e-6
+    assert abs(top_choi_eigenpair(channels[0]).value - 2.06 / 3) < 1e-12

@@ -8,6 +8,7 @@ from helpers import negativity_oracle
 from quditshare import (
     DampingParams,
     DimensionError,
+    InvalidOperatorError,
     apply_one_sided,
     best_phiplus_fidelity_input,
     damping_channel,
@@ -75,6 +76,9 @@ def test_qubit_formula_rejects_qutrits():
     ch = damping_channel(DampingParams(3, [0.5, 0.9]))
     with pytest.raises(DimensionError):
         qubit_optimal_fidelity(ch)
+    # the dual of a nonunital qubit channel is not a channel
+    with pytest.raises(InvalidOperatorError):
+        qubit_optimal_fidelity(dual(_amplitude_damping(0.36)))
 
 
 def test_amplitude_damping_equality_with_lambda_max():

@@ -69,7 +69,7 @@ print("Output negativity over inputs (gamma = 0.36)")
 print("=" * 70)
 ch = amplitude_damping(0.36)
 phi_neg = negativity(apply_one_sided(ch, max_entangled(2)))
-search = maximize_negativity_input(ch, restarts=8, max_iter=80, seed=1)
-print("negativity from Phi+        :", phi_neg)
-print("best found over pure inputs :", search.best_value)
-print("(a lower bound on the channel's optimal negativity, not a claimed optimum)")
+search = maximize_negativity_input(ch)
+print("negativity from Phi+             :", phi_neg)
+print("optimum over pure inputs lies in :", [search.best_value, search.upper])
+print("(best_value is reached by search.best_state; upper is a proved bound)")

@@ -48,6 +48,8 @@ class KrausChannel:
     trace_preserving: bool = True
 
     def __post_init__(self):
+        if self.dim < 2:
+            raise DimensionError(f"channel dimension must be >= 2, got {self.dim}")
         ops = tuple(np.array(a, dtype=complex) for a in self.kraus_ops)
         if not ops:
             raise InvalidOperatorError("channel needs at least one Kraus operator")

@@ -92,7 +92,7 @@ def _load_state_file(path) -> PureBipartiteState:
         d = json_int(data["d"], "d")
         amps = np.array([complex(float(a[0]), float(a[1])) for a in data["amplitudes"]])
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise InvalidOperatorError(f"malformed state file: {exc!r}") from exc
+        raise InvalidOperatorError(f"malformed state file: {exc}") from exc
     return PureBipartiteState(d, amps)
 
 
@@ -476,12 +476,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ChannelCompletenessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,19 +1,33 @@
 """Optimization over transmitted input states.
 
-The best input for the Phi+ overlap of the channel output is exact: it is the
-top eigenvector of the dual-map Choi state, with value equal to that state's
-largest eigenvalue. Negativity maximization over pure inputs has no such
-shortcut. By trace-norm duality the output negativity is
+The best input for the Phi+ overlap of the channel output is exact: the top
+eigenvector of the dual-map Choi state, with value its largest eigenvalue.
 
-    N(psi) = max over 0 <= P <= I of -tr(P rho_psi^Gamma)
-           = max over P of <psi| -(I (x) Lambda^dag)(P^Gamma) |psi>,
+The best output negativity over pure inputs (Vidal & Werner, PRA 65, 032314
+(2002)) is concave with a proved bracket. Write psi = vec(A), sigma = A^dag A,
+J the Choi state and M = -d J^Gamma. Then rho_psi^Gamma = -(A (x) I) M
+(A (x) I)^dag is unitarily equivalent to -K, K = (sqrt(sigma) (x) I) M
+(sqrt(sigma) (x) I), so N* = max over density matrices sigma of
+g(sigma) = tr K_+, attained by vec(sqrt(sigma)); g(sigma) = max tr(QM) over
+0 <= Q <= sigma (x) I is concave, so every local maximum is global.
 
-so a seeded multi-start ascent alternates two exact maximizations: P is the
-projector onto the negative eigenspace of rho_psi^Gamma, and psi is the top
-eigenvector of -(I (x) Lambda^dag)(P^Gamma). Neither step lowers N, for any
-Kraus map, trace preserving or not; ascending ||rho^Gamma||_1 = tr(rho) + 2N
-with sign(rho^Gamma) instead would track N only when tr(rho) is fixed. The
-result is reported as a lower bound, never a claimed optimum.
+Dual point: by SDP weak duality (Watrous, The Theory of Quantum Information,
+sec. 1.2), N* <= lambda_max(tr_B Y) for every Y >= M with Y >= 0. A full-rank
+sigma gives Y = (sigma^-1/2 (x) I) K_+ (sigma^-1/2 (x) I), with
+tr(sigma tr_B Y) = g(sigma). Float correction: for
+eps = max(0, -lambda_min(Y - M), -lambda_min(Y)), Y + eps I is exactly
+feasible, so upper = lambda_max(tr_B Y) + d eps bounds N* for any computed Y.
+
+Iteration: from sigma = I/d, the plain step goes to tr_B K_+ / tr K_+, a
+Blahut-Arimoto style update that converges linearly at a rate set by the
+channel. So steps are taken on x = log sigma and Anderson-mixed (Walker & Ni,
+SIAM J. Numer. Anal. 49, 1715 (2011)) with real coefficients; exp(x) / tr is a
+density matrix for any mixture. g need not rise at every step, so the best
+iterate is kept. No restarts, no seed; maps that are not trace preserving work
+too. If g(I/d) = 0, concavity gives g = 0 everywhere. An eigenvalue of sigma
+near 0 grows back only geometrically, so at a rank-deficient optimum the
+iterate can settle on a wrong face: ``converged`` is then False, the bracket
+loose.
 """
 
 from __future__ import annotations
@@ -22,22 +36,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, choi_state, dual, top_choi_eigenpair
+from .channels import KrausChannel, apply_one_sided, choi_state, dual, top_choi_eigenpair
 from .errors import DimensionError, InvalidOperatorError
-from .measures import negativity, negativity_of_matrix
-from .states import PureBipartiteState, max_entangled, partial_transpose_matrix
+from .measures import negativity
+from .states import PureBipartiteState, partial_transpose_matrix
 
-NEG_DEFAULT_RESTARTS = 64
 NEG_DEFAULT_MAX_ITER = 2000
 NEG_DEFAULT_TOL = 1e-9
+SIGMA_FLOOR = 1e-12  # on sigma's eigenvalues (inverse root) and the step target's (log)
+ANDERSON_DEPTH = 8  # iterates kept for Anderson mixing, at most d^2 - 1
 
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    """Outcome of an input-state search."""
+    """Outcome of an input-state search: ``best_state`` reaches ``best_value``,
+    ``upper`` is a proved bound on the optimum, and ``trace`` holds the
+    negativity solver's (iteration, lower, upper), one per iteration."""
 
     best_state: PureBipartiteState
     best_value: float
+    upper: float
     converged: bool = True
     trace: tuple | None = None
 
@@ -49,11 +67,7 @@ def best_phiplus_fidelity_input(ch: KrausChannel) -> SearchResult:
     dual-Choi eigenpair; no heuristics involved.
     """
     top = top_choi_eigenpair(dual(ch))
-    return SearchResult(
-        best_state=top.state,
-        best_value=top.value,
-        converged=True,
-    )
+    return SearchResult(best_state=top.state, best_value=top.value, upper=top.value)
 
 
 def qubit_optimal_fidelity(ch: KrausChannel) -> float:
@@ -70,80 +84,64 @@ def qubit_optimal_fidelity(ch: KrausChannel) -> float:
     return (1.0 + 2.0 * negativity(choi_state(ch))) / 2.0
 
 
-def _negative_part(lifted, d, psi):
-    """N(psi) and the projector onto the negative eigenspace of rho_psi^Gamma."""
-    v = lifted @ psi
-    eigs, vecs = np.linalg.eigh(partial_transpose_matrix(v.T @ v.conj(), d, d))
-    neg = eigs < 0.0
-    return float(-eigs[neg].sum()), vecs[:, neg] @ vecs[:, neg].conj().T
-
-
-def _projector_ascent(lifted, d, psi, max_iter):
-    """Monotone ascent of -tr(P rho_psi^Gamma) over (psi, P).
-
-    One iteration sets psi to the top eigenvector of -(I (x) Lambda^dag)(P^Gamma)
-    and P to the negative-eigenspace projector of the new rho_psi^Gamma; each
-    step maximizes the form exactly in one argument, so neither lowers N.
-    """
-    adjoint = lifted.conj().transpose(0, 2, 1)
-    val, proj = _negative_part(lifted, d, psi)
-    history = [(0, val)]
-    converged = False
-    for it in range(1, max_iter + 1):
-        form = -(adjoint @ partial_transpose_matrix(proj, d, d) @ lifted).sum(axis=0)
-        psi_new = np.linalg.eigh(form)[1][:, -1]
-        val_new, proj_new = _negative_part(lifted, d, psi_new)
-        if val_new > val:
-            gain = val_new - val
-            psi, val, proj = psi_new, val_new, proj_new
-        else:
-            gain = 0.0
-        history.append((it, val))
-        if gain < NEG_DEFAULT_TOL:
-            converged = True
-            break
-    return psi, val, converged, history
-
-
 def maximize_negativity_input(
-    ch: KrausChannel,
-    restarts: int = NEG_DEFAULT_RESTARTS,
-    max_iter: int = NEG_DEFAULT_MAX_ITER,
-    seed: int = 0,
-    record_trace: bool = False,
+    ch: KrausChannel, restarts: int | None = None, seed: int | None = None
 ) -> SearchResult:
-    """Heuristic lower bound on the best output negativity over pure inputs.
+    """Best output negativity over pure inputs, with a proved bracket.
 
-    Restart states are Phi+, the exact best-fidelity input, and Haar-random
-    kets with counter-derived seeds, so the reported value is monotone in the
-    restart count for a fixed seed and never below the Phi+ baseline.
-    ``max_iter`` caps the projector iterations of each restart, and ``trace``
-    holds (iteration, negativity) pairs of the winning restart.
+    Runs the fixed point of the module docstring until [best lower, best upper]
+    is within ``NEG_DEFAULT_TOL``, or an iterate has g = 0 (at I/d that is the
+    optimum: an entanglement-breaking channel stops at [0, 0]), or for
+    ``NEG_DEFAULT_MAX_ITER`` iterations.
+    ``best_state`` is vec(sqrt(sigma)) at the best iterate, as ``lower`` is not
+    monotone. ``restarts`` and ``seed`` are accepted and ignored.
     """
     d = ch.dim
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    # I (x) K_i for every Kraus operator, shape (r, d*d, d*d)
-    lifted = np.stack([np.kron(np.eye(d), k) for k in ch.kraus_ops])
-
-    starts = [max_entangled(d).amplitudes, best_phiplus_fidelity_input(ch).best_state.amplitudes]
-    for k in range(restarts - 2):
-        v = np.random.default_rng([seed, k]).standard_normal(2 * d * d)
-        v = v[: d * d] + 1j * v[d * d :]
-        starts.append(v / np.linalg.norm(v))
-
-    best = None
-    for psi0 in starts[:restarts]:
-        psi, val, conv, history = _projector_ascent(lifted, d, psi0, max_iter)
-        if best is None or val > best[1]:
-            best = (psi, val, conv, history)
-
-    psi, _, conv, history = best
-    state = PureBipartiteState(d, psi / np.linalg.norm(psi))
-    v = lifted @ state.amplitudes
+    m = -d * partial_transpose_matrix(choi_state(ch).matrix, d, d)
+    eye = np.eye(d)
+    x = -np.log(d) * eye + 0j  # log sigma, sigma = I/d
+    w, u = np.full(d, 1.0 / d), eye  # eigenpairs of sigma
+    best_lower, best_upper = -np.inf, np.inf
+    history, xs, fs = [], [], []  # fs: the steps taken from the iterates xs
+    depth = min(ANDERSON_DEPTH, d * d - 1)
+    for it in range(NEG_DEFAULT_MAX_ITER):
+        root = (u * np.sqrt(w)) @ u.conj().T
+        inv_root = (u / np.sqrt(np.maximum(w, SIGMA_FLOOR))) @ u.conj().T
+        lifted = np.kron(root, eye)
+        lam, vec = np.linalg.eigh(lifted @ m @ lifted)
+        k_plus = (vec * np.maximum(lam, 0.0)) @ vec.conj().T
+        t = np.einsum("ijkj->ik", k_plus.reshape(d, d, d, d))
+        lower = float(np.trace(t).real)
+        lifted_inv = np.kron(inv_root, eye)
+        y = lifted_inv @ k_plus @ lifted_inv
+        # one batched call: lambda_min of Y - M and of Y
+        eps = max(0.0, -float(np.linalg.eigvalsh(np.stack((y - m, y)))[:, 0].min()))
+        # and one eigh for tr_B Y and for the step's target t / lower
+        tw, tu = np.linalg.eigh(np.stack((inv_root @ t @ inv_root, t)))
+        upper = float(tw[0, -1]) + d * eps
+        history.append((it, lower, upper))
+        if lower > best_lower:
+            best_lower, best_root = lower, root
+        best_upper = min(best_upper, upper)
+        if best_upper - best_lower <= NEG_DEFAULT_TOL or lower <= 0.0:
+            break
+        log_target = (tu[1] * np.log(np.maximum(tw[1] / lower, SIGMA_FLOOR))) @ tu[1].conj().T
+        xs, fs = (xs + [x])[-depth:], (fs + [log_target - x])[-depth:]
+        x = log_target
+        if len(xs) > 1:
+            # Anderson mixing; real coefficients keep x Hermitian
+            dx, df = np.diff(xs, axis=0), np.diff(fs, axis=0)
+            coef = np.linalg.lstsq(df.reshape(len(df), -1).view(float).T,
+                                   fs[-1].reshape(-1).view(float), rcond=None)[0]
+            x = x - np.tensordot(coef, dx + df, axes=1)
+        wx, u = np.linalg.eigh(x)
+        shift = wx.max() + np.log(np.exp(wx - wx.max()).sum())  # so that tr exp(x) = 1
+        x, w = x - shift * eye, np.exp(wx - shift)
+    state = PureBipartiteState(d, best_root.reshape(-1))
     return SearchResult(
         best_state=state,
-        best_value=negativity_of_matrix(v.T @ v.conj(), d, d),
-        converged=conv,
-        trace=tuple(history) if record_trace else None,
+        best_value=negativity(apply_one_sided(ch, state)),
+        upper=best_upper,
+        converged=best_upper - best_lower <= NEG_DEFAULT_TOL,
+        trace=tuple(history),
     )

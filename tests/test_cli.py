@@ -70,13 +70,21 @@ def test_validate_truncated_kraus(tmp_path, capsys):
     out = capsys.readouterr().out
     residual = float(out.split("completeness_residual: ")[1].split("\n")[0])
     assert abs(residual - 0.36) < 1e-12
+    # only validate's verdict is "verified false"; measures rejects the file
+    assert main(["measures", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Kraus operators are not trace preserving")
+    assert err.count("\n") == 1, err
 
 
 def test_validate_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
-    # "d" must be a JSON integer: no truncation of 2.9, no "2", no true
-    for text in ["{not json"] + [json.dumps({"d": d, "kraus": [eye]}) for d in (2.9, "2", True)]:
+    # "d" must be a JSON integer: no truncation of 2.9, no "2", no true;
+    # and a channel needs d >= 2
+    texts = ["{not json", json.dumps({"d": 1, "kraus": [[[[1, 0]]]]})]
+    texts += [json.dumps({"d": d, "kraus": [eye]}) for d in (2.9, "2", True)]
+    for text in texts:
         path.write_text(text)
         for argv in (["validate", str(path)], ["measures", str(path)]):
             assert main(argv) == 2, (argv, text)
@@ -193,6 +201,7 @@ def test_measures_malformed_state_file(omega_file, tmp_path, capsys, data):
     assert main(["measures", omega_file, "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Error(" not in err, err
 
 
 def test_certify_reference_point(capsys):

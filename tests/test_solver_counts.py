@@ -1,8 +1,8 @@
-"""Dense-solver budget of the certificate path.
+"""Dense-solver budget of the certificate path and the negativity solver.
 
 Counts calls into numpy's SVD and Hermitian eigensolvers, so a change that
-brings an optimizer or a repeated validation back into the certificate fails
-here rather than only showing up as a slower benchmark.
+brings an optimizer, restarts or a repeated validation back into these paths
+fails here rather than only showing up as a slower benchmark.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from quditshare import (
     apply_one_sided,
     damping_channel,
     max_entangled,
+    maximize_negativity_input,
     random_channel,
     random_pure_state,
 )
@@ -48,3 +49,14 @@ def test_apply_one_sided_makes_no_solver_calls(solver_calls):
     apply_one_sided(ch, max_entangled(4))
     apply_one_sided(random_channel(3, 2, rng), random_pure_state(3, rng))
     assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 0}
+
+
+def test_negativity_solver_budget(solver_calls):
+    # one fixed point, no restarts: per iteration one eigh of K, one batched
+    # eigvalsh for lambda_min of Y - M and of Y, one batched eigh of tr_B Y
+    # and the step target, and the eigh of the next log sigma; the final
+    # negativity check makes one more
+    res = maximize_negativity_input(damping_channel(DampingParams(3, [0.5, 0.9])))
+    assert res.converged
+    assert solver_calls["svd"] == 0
+    assert solver_calls["eigh"] + solver_calls["eigvalsh"] <= 4 * len(res.trace)

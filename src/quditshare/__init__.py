@@ -3,12 +3,13 @@
 Library layers:
 
 * :mod:`quditshare.states` -- bipartite state algebra (Schmidt, partial
-  transpose/trace, fidelity).
+  transpose/trace, fidelity), state file IO.
 * :mod:`quditshare.channels` -- Kraus channels, duals, Choi states of channels
   and of their dual maps (``choi_state``), random channel generation, channel
   file IO.
-* :mod:`quditshare.measures` -- negativity, fully entangled fraction (one
-  seeded unitary ascent, ``fef``), and the (1 + 2N)/d fidelity ceiling.
+* :mod:`quditshare.measures` -- negativity, fully entangled fraction (a
+  seeded unitary ascent whose restarts climb as one stack, ``fef``), and the
+  (1 + 2N)/d fidelity ceiling.
 * :mod:`quditshare.damping` -- the level-damping channel family, its closed
   forms, and the advantage certificate.
 * :mod:`quditshare.search` -- input-state optimization (exact best-fidelity
@@ -69,6 +70,7 @@ from .states import (
     PureBipartiteState,
     SchmidtDecomposition,
     fidelity_with,
+    load_state,
     max_entangled,
     mes_from_unitary,
     partial_trace,
@@ -76,6 +78,7 @@ from .states import (
     pure_density,
     random_pure_state,
     schmidt,
+    state_from_dict,
 )
 
 __version__ = "0.1.0"
@@ -117,6 +120,7 @@ __all__ = [
     "is_unital",
     "kraus_validate",
     "load_channel",
+    "load_state",
     "max_entangled",
     "maximize_negativity_input",
     "mes_from_unitary",
@@ -129,5 +133,6 @@ __all__ = [
     "random_pure_state",
     "save_channel",
     "schmidt",
+    "state_from_dict",
     "top_choi_eigenpair",
 ]

@@ -151,13 +151,23 @@ def top_choi_eigenpair(ch: KrausChannel) -> TopChoiEigenpair:
     return TopChoiEigenpair(lam, PureBipartiteState(ch.dim, v), degenerate)
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian with phase-fixed R diagonal."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+def complex_gaussian(d: int, rng: np.random.Generator) -> np.ndarray:
+    """d x d matrix of i.i.d. standard complex Gaussians (the Ginibre ensemble)."""
+    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+
+
+def haar_from_gaussian(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack (..., d, d) of complex Gaussian matrices:
+    QR with the phases of R's diagonal moved into Q, one batched QR call."""
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
-    return q * phases
+    return q * phases[..., None, :]
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed d x d unitary drawn from rng."""
+    return haar_from_gaussian(complex_gaussian(d, rng))
 
 
 def random_channel(d: int, n_kraus: int, rng: np.random.Generator) -> KrausChannel:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -42,7 +43,6 @@ from .damping import (
 )
 from .errors import (
     ChannelCompletenessError,
-    InvalidOperatorError,
     ParameterError,
     ToolkitError,
 )
@@ -51,6 +51,7 @@ from .measures import fef, fstar_upper_bound, negativity
 from .states import (
     PureBipartiteState,
     fidelity_with,
+    load_state,
     max_entangled,
     random_pure_state,
 )
@@ -84,16 +85,6 @@ def _write_text(text: str, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_state_file(path) -> PureBipartiteState:
-    data = load_json(path)
-    try:
-        d = json_int(data["d"], "d")
-        amps = np.array([complex(float(a[0]), float(a[1])) for a in data["amplitudes"]])
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise InvalidOperatorError(f"malformed state file: {exc}") from exc
-    return PureBipartiteState(d, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +123,7 @@ def cmd_measures(args) -> int:
     elif args.input == "psi_prime":
         psi = top_choi_eigenpair(dual(ch)).state
     else:
-        psi = _load_state_file(args.input)
+        psi = load_state(args.input)
     rho = apply_one_sided(ch, psi)
     fef_res = fef(rho, restarts=args.restarts, seed=args.seed)
     report = {
@@ -468,10 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once; parse_args fills a fresh Namespace per call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -5,7 +5,11 @@ fraction (FEF) is maximized over the manifold of maximally entangled states by
 a projected power iteration: every maximally entangled state is (W (x) I)|Phi+>
 for a unitary W, the overlap is a positive-semidefinite quadratic form in the
 entries of W, and alternating a power step with polar projection to the nearest
-unitary ascends that form monotonically. The result is reported as a heuristic
+unitary ascends that form monotonically. ``fef`` runs its seeded starts as one
+stack: each iteration makes a single stacked SVD over the starts still
+climbing, and a start drops out when its own gain falls below DEFAULT_TOL. So
+every start takes the steps it would take alone, and the result is bit-for-bit
+the one a start-by-start loop gives. The result is reported as a heuristic
 lower bound together with the certified ceiling min(lambda_max, (1 + 2N)/d);
 no fixed-point scheme certifies global optimality on its own.
 """
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import haar_unitary
+from .channels import complex_gaussian, haar_from_gaussian
 from .errors import DimensionError
 from .states import (
     EIG_CLAMP,
@@ -64,55 +68,62 @@ def fstar_upper_bound(rho: DensityOperator) -> float:
     return (1.0 + 2.0 * negativity(rho)) / rho.dim_a
 
 
-def _ascend_unitary(r: np.ndarray, d: int, w0: np.ndarray):
-    """Monotone ascent of w -> Re(w^dag R w) over unitary-reshaped w.
+def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
+    """Monotone ascent of w -> Re(w^dag R w) over unitary-reshaped w, for a
+    stack of starts w0 of shape (n, d, d).
 
-    One power step followed by polar projection per iteration; for PSD R each
-    step cannot decrease the form.
+    Each iteration polar-projects the power steps of the starts still
+    climbing with one stacked SVD; a start leaves at the first step whose gain
+    is below DEFAULT_TOL. matmul against w[..., None] and vecdot round as the
+    start-by-start r @ w and np.vdot do (einsum and a GEMM do not), so every
+    start ends bit-identical to a run on its own. Returns the per-start
+    values, unitaries and converged flags.
     """
-    w = np.asarray(w0, dtype=complex).reshape(-1)
-    y = r @ w
-    val = float(np.vdot(w, y).real)
-    converged = False
+    n = w0.shape[0]
+    w = w0.reshape(n, d * d).astype(complex)
+    y = np.matmul(r, w[..., None])[..., 0]
+    val = np.vecdot(w, y).real
+    converged = np.zeros(n, dtype=bool)
+    active = np.arange(n)
     for _ in range(DEFAULT_MAX_ITER):
-        u, _, vh = np.linalg.svd(y.reshape(d, d))
-        w_new = (u @ vh).reshape(-1)
-        y_new = r @ w_new
-        val_new = float(np.vdot(w_new, y_new).real)
-        if val_new > val:
-            gain = val_new - val
-            w, y, val = w_new, y_new, val_new
-        else:
-            gain = 0.0
-        if gain < DEFAULT_TOL:
-            converged = True
+        u, _, vh = np.linalg.svd(y[active].reshape(-1, d, d))
+        w_new = (u @ vh).reshape(-1, d * d)
+        y_new = np.matmul(r, w_new[..., None])[..., 0]
+        val_new = np.vecdot(w_new, y_new).real
+        old = val[active]
+        up = val_new > old
+        kept = active[up]
+        w[kept], y[kept], val[kept] = w_new[up], y_new[up], val_new[up]
+        done = ~up | (val_new - old < DEFAULT_TOL)
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
             break
-    return val, w.reshape(d, d), converged
+    return val, w.reshape(n, d, d), converged
 
 
 def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> FefResult:
     """Fully entangled fraction of rho: max over maximally entangled |Phi> of
     <Phi|rho|Phi>, reported as the best value over seeded restarts.
 
-    Restart 0 starts from the identity, the rest from Haar unitaries with
-    counter-derived seeds. Deterministic for fixed (seed, restarts). The
-    identity restart guarantees value >= <Phi+|rho|Phi+>.
+    Start 0 is the identity, start k >= 1 a Haar unitary drawn from
+    default_rng([seed, k]); all starts ascend together as one stack, and the
+    first start with the highest value wins. Deterministic for fixed (seed,
+    restarts). The identity start guarantees value >= <Phi+|rho|Phi+>.
     """
     if rho.dim_a != rho.dim_b:
         raise DimensionError("FEF requires equal subsystem dimensions")
     if restarts < 1:
         raise ValueError("need at least one restart")
     d = rho.dim_a
-    r = rho.matrix / d
-    best = None
-    for k in range(restarts):
-        if k == 0:
-            w0 = np.eye(d, dtype=complex)
-        else:
-            w0 = haar_unitary(d, np.random.default_rng([seed, k]))
-        val, w, conv = _ascend_unitary(r, d, w0)
-        if best is None or val > best[0]:
-            best = (val, w, conv)
-    _, w, conv = best
+    starts = np.empty((restarts, d, d), dtype=complex)
+    starts[0] = np.eye(d)
+    if restarts > 1:
+        gaussians = [complex_gaussian(d, np.random.default_rng([seed, k]))
+                     for k in range(1, restarts)]
+        starts[1:] = haar_from_gaussian(np.stack(gaussians))
+    vals, ws, converged = _ascend_unitaries(rho.matrix / d, d, starts)
+    best = int(np.argmax(vals))
+    w = ws[best]
     value = fidelity_with(rho, mes_from_unitary(w))
-    return FefResult(value=value, maximizer_unitary=w, converged=conv)
+    return FefResult(value=value, maximizer_unitary=w, converged=bool(converged[best]))

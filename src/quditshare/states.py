@@ -1,5 +1,5 @@
 """Bipartite state algebra: pure/mixed state containers, Schmidt decomposition,
-partial transpose, partial trace, and fidelity overlaps.
+partial transpose, partial trace, fidelity overlaps, and state JSON files.
 
 Index convention used everywhere in this package: a bipartite basis label
 (i, j), with i on the first (retained) subsystem and j on the second
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidOperatorError
+from .jsonio import json_int, load_json
 
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
@@ -158,6 +159,20 @@ def random_pure_state(d: int, rng: np.random.Generator) -> PureBipartiteState:
     """Haar-random pure state on C^d (x) C^d (normalized complex Gaussian)."""
     v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     return PureBipartiteState(d, v / np.linalg.norm(v))
+
+
+def state_from_dict(data: dict) -> PureBipartiteState:
+    """Parse the state JSON schema: {"d": int, "amplitudes": [[re, im], ...]}."""
+    try:
+        d = json_int(data["d"], "d")
+        amps = np.array([complex(float(a[0]), float(a[1])) for a in data["amplitudes"]])
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+        raise InvalidOperatorError(f"malformed state file: {exc}") from exc
+    return PureBipartiteState(d, amps)
+
+
+def load_state(path) -> PureBipartiteState:
+    return state_from_dict(load_json(path))
 
 
 def schmidt(state: PureBipartiteState) -> SchmidtDecomposition:

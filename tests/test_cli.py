@@ -15,6 +15,7 @@ from quditshare import (
     kraus_validate,
     save_channel,
 )
+from quditshare import cli
 from quditshare.cli import main, parse_sweep_spec
 from quditshare.jsonio import dumps_fixed
 
@@ -172,6 +173,19 @@ def test_measures_state_file(omega_file, tmp_path, capsys):
     assert main(["measures", omega_file, "--input", str(path), "--restarts", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["negativity"] < 1e-10
+
+
+def test_main_reuses_parser_without_leaking_defaults(omega_file, capsys, monkeypatch):
+    # main() builds its parser once; an option given in one call must not
+    # become the default of the next
+    seen = []
+    real_fef = cli.fef
+    monkeypatch.setattr(cli, "fef", lambda rho, **kw: seen.append(kw) or real_fef(rho, **kw))
+    assert main(["measures", omega_file, "--restarts", "2", "--seed", "5"]) == 0
+    assert main(["measures", omega_file]) == 0
+    capsys.readouterr()
+    assert seen == [{"restarts": 2, "seed": 5}, {"restarts": 32, "seed": 0}]
+    assert cli._parser() is cli._parser()
 
 
 def test_measures_dimension_mismatch(omega_file, tmp_path, capsys):

@@ -27,6 +27,7 @@ from quditshare import (
     random_pure_state,
     top_choi_eigenpair,
 )
+from quditshare.measures import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 REF = damping_kraus_oracle(3, [0.5, 0.9])
 
@@ -210,3 +211,77 @@ def test_best_input_fef_equals_lambda_max():
         val = fef(apply_one_sided(ch, psi), restarts=8).value
         assert abs(val - lam) < 1e-6
     assert abs(top_choi_eigenpair(channels[0]).value - 2.06 / 3) < 1e-12
+
+
+def _serial_starts(rho, restarts, seed):
+    """The start-by-start FEF ascent that fef's stacked ascent replaced, kept
+    as written: per start (value, unitary, converged), np.vdot for the value."""
+    d = rho.dim_a
+    r = rho.matrix / d
+    out = []
+    for k in range(restarts):
+        if k == 0:
+            w = np.eye(d, dtype=complex).reshape(-1)
+        else:
+            rng = np.random.default_rng([seed, k])
+            z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+            q, t = np.linalg.qr(z)
+            diag = np.diagonal(t)
+            w = (q * np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)).reshape(-1)
+        y = r @ w
+        val = float(np.vdot(w, y).real)
+        converged = False
+        for _ in range(DEFAULT_MAX_ITER):
+            u, _, vh = np.linalg.svd(y.reshape(d, d))
+            w_new = (u @ vh).reshape(-1)
+            y_new = r @ w_new
+            val_new = float(np.vdot(w_new, y_new).real)
+            if val_new > val:
+                gain = val_new - val
+                w, y, val = w_new, y_new, val_new
+            else:
+                gain = 0.0
+            if gain < DEFAULT_TOL:
+                converged = True
+                break
+        out.append((val, w.reshape(d, d), converged))
+    return out
+
+
+def _serial_fef(rho, starts):
+    """(value, maximizer bytes, converged) of the first strictly best start."""
+    best = None
+    for val, w, conv in starts:
+        if best is None or val > best[0]:
+            best = (val, w, conv)
+    return fidelity_with(rho, mes_from_unitary(best[1])), best[1].tobytes(), best[2]
+
+
+def _fef_bytes(rho, restarts, seed):
+    res = fef(rho, restarts=restarts, seed=seed)
+    return res.value, res.maximizer_unitary.tobytes(), res.converged
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_fef_stacked_matches_serial_loop(d):
+    # 60 channel outputs per d: enough that an inner product rounding one ulp
+    # differently (einsum in place of vecdot) changes some result here, through
+    # a different step or stop decision or a different winner among near ties
+    rng = np.random.default_rng(600 + d)
+    for case in range(60):
+        ch = random_channel(d, int(rng.integers(1, d + 2)), rng)
+        rho = apply_one_sided(ch, random_pure_state(d, rng))
+        starts = _serial_starts(rho, 32, seed=case)
+        for restarts in (1, 2, 8, 32):
+            assert _fef_bytes(rho, restarts, case) == _serial_fef(rho, starts[:restarts]), (
+                d, case, restarts)
+
+
+def test_fef_stacked_matches_serial_loop_at_iteration_cap():
+    # the identity start of this state is still climbing after DEFAULT_MAX_ITER
+    # steps; with 2 and 8 starts it sits in the stack beside converged starts
+    rho = _random_mixed(3, np.random.default_rng(1728), rank=4)
+    starts = _serial_starts(rho, 8, seed=0)
+    assert not starts[0][2]
+    for restarts in (1, 2, 8):
+        assert _fef_bytes(rho, restarts, 0) == _serial_fef(rho, starts[:restarts])

@@ -7,9 +7,10 @@ Library layers:
 * :mod:`quditshare.channels` -- Kraus channels, duals, Choi states of channels
   and of their dual maps (``choi_state``), random channel generation, channel
   file IO.
-* :mod:`quditshare.measures` -- negativity, fully entangled fraction (a
-  seeded unitary ascent whose restarts climb as one stack, ``fef``), and the
-  (1 + 2N)/d fidelity ceiling.
+* :mod:`quditshare.measures` -- negativity, fully entangled fraction
+  (``fef``: exact at d = 2 from the magic basis, a seeded unitary ascent whose
+  restarts climb as one stack at d >= 3), and the (1 + 2N)/d fidelity
+  ceiling.
 * :mod:`quditshare.damping` -- the level-damping channel family, its closed
   forms, and the advantage certificate.
 * :mod:`quditshare.search` -- input-state optimization (exact best-fidelity

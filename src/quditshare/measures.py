@@ -1,7 +1,15 @@
 """Entanglement figures of merit for channel outputs.
 
 Negativity is computed from the partial-transpose spectrum. The fully entangled
-fraction (FEF) is maximized over the manifold of maximally entangled states by
+fraction (FEF), the largest overlap of rho with a maximally entangled state, is
+exact at d = 2 and a seeded ascent at d >= 3.
+
+At d = 2 the real unit combinations of the magic basis are exactly the
+maximally entangled states up to a global phase (Hill & Wootters, PRL 78, 5022
+(1997)), so the FEF is lambda_max of the real part of rho in that basis
+(Verstraete & Verschelde, PRA 66, 022307 (2002)): one real 4 x 4 eigensolve.
+
+At d >= 3 it is maximized over the manifold of maximally entangled states by
 a projected power iteration: every maximally entangled state is (W (x) I)|Phi+>
 for a unitary W, the overlap is a positive-semidefinite quadratic form in the
 entries of W, and alternating a power step with polar projection to the nearest
@@ -33,6 +41,12 @@ from .states import (
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 500
 DEFAULT_TOL = 1e-9
+
+# Hill & Wootters' magic basis, scaled by sqrt(2), as columns over |00>, |01>,
+# |10>, |11>. For a real unit x, reshape(_MAGIC x) is the unitary
+# W = x_1 I + i x_2 Z + i x_3 X + x_4 iY, built without rounding, and (W (x) I)
+# |Phi+> runs over every two-qubit maximally entangled state.
+_MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,27 +116,44 @@ def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
     return val, w.reshape(n, d, d), converged
 
 
-def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> FefResult:
-    """Fully entangled fraction of rho: max over maximally entangled |Phi> of
-    <Phi|rho|Phi>, reported as the best value over seeded restarts.
-
-    Start 0 is the identity, start k >= 1 a Haar unitary drawn from
-    default_rng([seed, k]); all starts ascend together as one stack, and the
-    first start with the highest value wins. Deterministic for fixed (seed,
-    restarts). The identity start guarantees value >= <Phi+|rho|Phi+>.
-    """
-    if rho.dim_a != rho.dim_b:
-        raise DimensionError("FEF requires equal subsystem dimensions")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    d = rho.dim_a
+def _seeded_starts(d: int, restarts: int, seed: int) -> np.ndarray:
+    """The ascent's starts, shape (restarts, d, d): the identity, then a Haar
+    unitary from default_rng([seed, k]) for each k >= 1, with one batched QR."""
     starts = np.empty((restarts, d, d), dtype=complex)
     starts[0] = np.eye(d)
     if restarts > 1:
         gaussians = [complex_gaussian(d, np.random.default_rng([seed, k]))
                      for k in range(1, restarts)]
         starts[1:] = haar_from_gaussian(np.stack(gaussians))
-    vals, ws, converged = _ascend_unitaries(rho.matrix / d, d, starts)
+    return starts
+
+
+def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> FefResult:
+    """Fully entangled fraction of rho: max over maximally entangled |Phi> of
+    <Phi|rho|Phi>.
+
+    At d = 2 the value is exact: the top eigenvector x of Re(M^dag rho M) in
+    the magic basis M gives the maximizer W = sqrt(2) reshape(M x), with no
+    ascent, so ``converged`` is true and ``restarts``/``seed`` are not used;
+    the value is the overlap of that maximizer, equal to the top eigenvalue up
+    to rounding.
+    At d >= 3 it is the best value over seeded restarts: start 0 is the
+    identity, start k >= 1 a Haar unitary drawn from default_rng([seed, k]);
+    all starts ascend together as one stack, and the first start with the
+    highest value wins. Deterministic for fixed (seed, restarts). Either way
+    value >= <Phi+|rho|Phi+>, and ``restarts`` must be at least 1.
+    """
+    if rho.dim_a != rho.dim_b:
+        raise DimensionError("FEF requires equal subsystem dimensions")
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    d = rho.dim_a
+    if d == 2:
+        _, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho.matrix @ _MAGIC).real)
+        w = (_MAGIC @ vecs[:, -1]).reshape(2, 2)
+        return FefResult(value=fidelity_with(rho, mes_from_unitary(w)),
+                         maximizer_unitary=w, converged=True)
+    vals, ws, converged = _ascend_unitaries(rho.matrix / d, d, _seeded_starts(d, restarts, seed))
     best = int(np.argmax(vals))
     w = ws[best]
     value = fidelity_with(rho, mes_from_unitary(w))

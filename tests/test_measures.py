@@ -27,7 +27,12 @@ from quditshare import (
     random_pure_state,
     top_choi_eigenpair,
 )
-from quditshare.measures import DEFAULT_MAX_ITER, DEFAULT_TOL
+from quditshare.measures import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    _ascend_unitaries,
+    _seeded_starts,
+)
 
 REF = damping_kraus_oracle(3, [0.5, 0.9])
 
@@ -202,6 +207,59 @@ def test_fef_sandwich():
     assert fef(rho, restarts=8).value <= 1 / 3 + 1e-9
 
 
+def _two_qubit_operators(n, rng):
+    """Seeded two-qubit inputs in turn: a mixed state of rank 1..4, a channel
+    output, and a dual-map output (unit_trace is False for a nonunital
+    channel's dual)."""
+    for case in range(n):
+        if case % 3 == 0:
+            yield _random_mixed(2, rng, rank=1 + (case // 3) % 4)
+            continue
+        ch = random_channel(2, int(rng.integers(1, 4)), rng)
+        yield apply_one_sided(ch if case % 3 == 1 else dual(ch), random_pure_state(2, rng))
+
+
+def test_fef_qubit_closed_form():
+    # at d = 2 fef is lambda_max(Re rho) in the magic basis: between the Phi+
+    # overlap and the ceiling min(lambda_max, (tr rho + 2N)/2), and reached by
+    # its own maximizer; the ceiling scales with the trace, which is 1 except
+    # for dual-map outputs
+    seen_dual = 0
+    for rho in _two_qubit_operators(240, np.random.default_rng(2)):
+        res = fef(rho)
+        lam = float(np.linalg.eigvalsh(rho.matrix)[-1])
+        ceiling = (rho.matrix.trace().real + 2.0 * negativity(rho)) / 2.0
+        assert res.converged
+        assert res.value >= fidelity_with(rho, max_entangled(2)) - 1e-15
+        assert res.value <= min(lam, ceiling) + 1e-12
+        assert res.value == fidelity_with(rho, mes_from_unitary(res.maximizer_unitary))
+        seen_dual += not rho.unit_trace
+    assert seen_dual > 40
+    # Phi+ through an identity-dominant Pauli channel: Phi+ is optimal, so the
+    # closed form meets the Phi+ overlap itself
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1, -1])]
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        w = np.sort(rng.dirichlet(np.ones(4)))[::-1]
+        rho = apply_one_sided(kraus_validate([np.sqrt(q) * p for q, p in zip(w, paulis)]),
+                              max_entangled(2))
+        phip = fidelity_with(rho, max_entangled(2))
+        assert phip - 1e-15 <= fef(rho).value <= phip + 1e-15
+
+
+def test_fef_qubit_ascent_matches_closed_form():
+    # the 32-start stacked ascent, which fef runs only at d >= 3, stays
+    # checked at d = 2: it never beats the closed form by more than a few
+    # ulps of rounding in the two overlaps, and falls short by less than 1e-7
+    rounding = 16 * np.finfo(float).eps
+    for seed, rho in enumerate(_two_qubit_operators(120, np.random.default_rng(3))):
+        exact = fef(rho).value
+        ascent = _stacked_ascent_bytes(rho, 32, seed)[0]
+        assert ascent <= exact + rounding, (seed, ascent - exact)
+        assert exact - ascent < 1e-7, (seed, exact - ascent)
+
+
 def test_best_input_fef_equals_lambda_max():
     rng = np.random.default_rng(53)
     channels = [kraus_validate(REF)] + [random_channel(d, 2, rng) for d in (2, 3)]
@@ -262,18 +320,29 @@ def _fef_bytes(rho, restarts, seed):
     return res.value, res.maximizer_unitary.tobytes(), res.converged
 
 
+def _stacked_ascent_bytes(rho, restarts, seed):
+    """(value, maximizer bytes, converged) of the stacked ascent from fef's
+    starts, run directly: at d = 2 fef takes the closed form instead."""
+    d = rho.dim_a
+    vals, ws, converged = _ascend_unitaries(rho.matrix / d, d, _seeded_starts(d, restarts, seed))
+    best = int(np.argmax(vals))
+    return fidelity_with(rho, mes_from_unitary(ws[best])), ws[best].tobytes(), bool(converged[best])
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_fef_stacked_matches_serial_loop(d):
     # 60 channel outputs per d: enough that an inner product rounding one ulp
     # differently (einsum in place of vecdot) changes some result here, through
-    # a different step or stop decision or a different winner among near ties
+    # a different step or stop decision or a different winner among near ties;
+    # at d = 2 the stacked ascent is run directly, since fef is exact there
+    stacked = _stacked_ascent_bytes if d == 2 else _fef_bytes
     rng = np.random.default_rng(600 + d)
     for case in range(60):
         ch = random_channel(d, int(rng.integers(1, d + 2)), rng)
         rho = apply_one_sided(ch, random_pure_state(d, rng))
         starts = _serial_starts(rho, 32, seed=case)
         for restarts in (1, 2, 8, 32):
-            assert _fef_bytes(rho, restarts, case) == _serial_fef(rho, starts[:restarts]), (
+            assert stacked(rho, restarts, case) == _serial_fef(rho, starts[:restarts]), (
                 d, case, restarts)
 
 

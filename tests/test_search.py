@@ -106,7 +106,7 @@ def test_amplitude_damping_equality_with_lambda_max():
         assert abs(formula - (1.0 - gamma / 2.0)) < 1e-12
         assert abs(lam - formula) < 1e-10
         mes_best = fef(apply_one_sided(ch, max_entangled(2)), restarts=16).value
-        assert abs(mes_best - (1.0 + np.sqrt(1.0 - gamma)) ** 2 / 4.0) < 1e-7
+        assert abs(mes_best - (1.0 + np.sqrt(1.0 - gamma)) ** 2 / 4.0) < 1e-12
         assert mes_best < lam - 1e-3
 
 

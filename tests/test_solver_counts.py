@@ -1,11 +1,13 @@
-"""Dense-solver budget of the certificate path, the negativity solver and
-the FEF ascent.
+"""Dense-solver budget of the certificate path, the negativity solver, the
+FEF ascent and the FEF paths that need no ascent.
 
 Counts calls into numpy's SVD, QR and Hermitian eigensolvers, so a change that
 brings an optimizer, restarts, a start-by-start loop or a repeated validation
 back into these paths fails here rather than only showing up as a slower
 benchmark.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -15,15 +17,19 @@ from quditshare import (
     DensityOperator,
     advantage_certificate,
     apply_one_sided,
+    cli,
     damping_channel,
     fef,
     haar_unitary,
+    is_unital,
+    kraus_validate,
     max_entangled,
     maximize_negativity_input,
     random_channel,
     random_pure_state,
+    save_channel,
 )
-from quditshare.measures import DEFAULT_MAX_ITER, _ascend_unitaries
+from quditshare.measures import DEFAULT_MAX_ITER, _ascend_unitaries, _seeded_starts
 
 
 def _count_calls(monkeypatch, names):
@@ -92,9 +98,50 @@ def test_fef_one_stacked_svd_per_iteration(fef_calls, d, restarts):
         _ascend_unitaries(rho.matrix / d, d, w0[None])
         iterations.append(fef_calls["svd"] - before)
     before = dict(fef_calls)
-    fef(rho, restarts=restarts)
+    if d == 2:
+        # fef is exact at d = 2, so the same starts climb in the ascent itself
+        _ascend_unitaries(rho.matrix / d, d, _seeded_starts(d, restarts, 0))
+    else:
+        fef(rho, restarts=restarts)
     assert fef_calls["svd"] - before["svd"] == max(iterations) < sum(iterations)
     assert fef_calls["qr"] - before["qr"] == 1
+
+
+def test_fef_qubit_closed_form_budget(fef_calls, solver_calls):
+    # d = 2 takes one real 4 x 4 eigh: no SVD, no QR, whatever the restarts
+    rng = np.random.default_rng(2)
+    rho = apply_one_sided(random_channel(2, 3, rng), random_pure_state(2, rng))
+    before = {**fef_calls, **solver_calls}
+    for restarts in (1, 32):
+        assert fef(rho, restarts=restarts).converged
+    after = {**fef_calls, **solver_calls}
+    assert {k: after[k] - before[k] for k in after} == {
+        "svd": 0, "qr": 0, "eigh": 2, "eigvalsh": 0}
+    # the restarts check still runs first
+    with pytest.raises(ValueError):
+        fef(rho, restarts=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("unital", [True, False])
+def test_measures_psi_prime_runs_no_fef(tmp_path, capsys, monkeypatch, d, unital):
+    # the best input's Phi+ overlap is its FEF, so no FEF routine runs and the
+    # two report fields carry the same bytes
+    rng = np.random.default_rng(10 * d + unital)
+    if unital:
+        ch = kraus_validate([np.sqrt(p) * haar_unitary(d, rng) for p in (0.5, 0.3, 0.2)])
+    else:
+        ch = random_channel(d, 2, rng)
+    assert is_unital(ch) is unital
+    path = tmp_path / "channel.json"
+    save_channel(ch, path)
+    seen = []
+    monkeypatch.setattr(cli, "fef", lambda rho, **kw: seen.append(kw))
+    assert cli.main(["measures", str(path), "--input", "psi_prime"]) == 0
+    report = json.loads(capsys.readouterr().out, parse_float=str)
+    assert seen == []
+    assert report["fef_value"] == report["phiplus_fidelity"]
+    assert report["fef_converged"] is True
 
 
 def test_fef_single_start_budget(fef_calls):

@@ -66,7 +66,7 @@ print("=" * 70)
 choi = choi_state(bit_flip)
 print("bit-flip Choi trace:", choi.matrix.trace().real)
 print("first marginal == I/2?",
-      np.abs(partial_trace(choi, "first") - np.eye(2) / 2).max() < 1e-12)
+      np.abs(partial_trace(choi) - np.eye(2) / 2).max() < 1e-12)
 print("bit-flip Choi negativity:", negativity(choi))
 
 # the dual of a nonunital channel is not trace preserving, but its Choi

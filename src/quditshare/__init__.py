@@ -9,12 +9,13 @@ Library layers:
   file IO.
 * :mod:`quditshare.measures` -- negativity, fully entangled fraction
   (``fef``: exact at d = 2 from the magic basis, a seeded unitary ascent whose
-  restarts climb as one stack at d >= 3), and the (1 + 2N)/d fidelity
+  restarts climb as one stack at d >= 3), and the (tr rho + 2N)/d fidelity
   ceiling.
 * :mod:`quditshare.damping` -- the level-damping channel family, its closed
   forms, and the advantage certificate.
 * :mod:`quditshare.search` -- input-state optimization (exact best-fidelity
-  input, negativity ascent, qubit exact formula).
+  input, the best output negativity by a certified fixed point with a proved
+  [lower, upper] bracket, qubit exact formula).
 * :mod:`quditshare.cli` -- the ``quditshare`` command-line front end.
 """
 

@@ -117,7 +117,7 @@ def apply_one_sided(ch: KrausChannel, psi: PureBipartiteState) -> DensityOperato
         out += np.outer(v, v.conj())
     out = 0.5 * (out + out.conj().T)
     # Hermitian and PSD by construction from a validated channel and state
-    return DensityOperator._trusted(d, d, out, unit_trace=ch.trace_preserving)
+    return DensityOperator._trusted(d, out, unit_trace=ch.trace_preserving)
 
 
 def choi_state(ch: KrausChannel) -> DensityOperator:

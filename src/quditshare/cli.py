@@ -152,18 +152,15 @@ def cmd_measures(args) -> int:
 # certify
 # ---------------------------------------------------------------------------
 
-def _parse_x(text: str, d: int) -> np.ndarray:
+def _parse_x(text: str) -> np.ndarray:
     try:
-        x = np.array([float(v) for v in text.split(",") if v != ""])
+        return np.array([float(v) for v in text.split(",") if v != ""])
     except ValueError as exc:
         raise ParameterError(f"could not parse x list: {exc}") from exc
-    if x.size != d - 1:
-        raise ParameterError(f"length violated: x must have d-1 = {d - 1} entries, got {x.size}")
-    return x
 
 
 def cmd_certify(args) -> int:
-    params = DampingParams(d=args.d, x=_parse_x(args.x, args.d))
+    params = DampingParams(d=args.d, x=_parse_x(args.x))
     cert = advantage_certificate(params)
     _write_text(dumps_fixed(certificate_to_dict(cert)), args.out)
     return 0 if cert.all_verdicts_true else 1
@@ -374,29 +371,13 @@ def run_audit(d: int, n_channels: int, seed: int, restarts: int) -> dict:
     """Random-channel invariant audit; max violation per invariant."""
     results = [_audit_one_channel(d, seed, i, restarts) for i in range(n_channels)]
     maxima = [max(col) for col in zip(*results)]
-    checks = {}
-    names = [
-        "trace_preservation",
-        "dual_primal_lambda_max",
-        "local_unitary_covariance",
-        "fef_floor",
-        "fef_ceiling",
-    ]
-    for name, value in zip(names, maxima):
-        tol = AUDIT_TOLERANCES[name]
-        checks[name] = {
-            "max_violation": float(value),
-            "tolerance": tol,
-            "pass": bool(value < tol),
-        }
     if d == 2:
-        pauli_dev = max(_audit_pauli(seed, i) for i in range(n_channels))
-        tol = AUDIT_TOLERANCES["qubit_pauli_equality"]
-        checks["qubit_pauli_equality"] = {
-            "max_violation": float(pauli_dev),
-            "tolerance": tol,
-            "pass": bool(pauli_dev < tol),
-        }
+        maxima.append(max(_audit_pauli(seed, i) for i in range(n_channels)))
+    # AUDIT_TOLERANCES lists the checks in report order, the qubit-only one last
+    checks = {
+        name: {"max_violation": float(value), "tolerance": tol, "pass": bool(value < tol)}
+        for (name, tol), value in zip(AUDIT_TOLERANCES.items(), maxima)
+    }
     return {
         "d": d,
         "n_channels": n_channels,

@@ -18,8 +18,9 @@ stack: each iteration makes a single stacked SVD over the starts still
 climbing, and a start drops out when its own gain falls below DEFAULT_TOL. So
 every start takes the steps it would take alone, and the result is bit-for-bit
 the one a start-by-start loop gives. The result is reported as a heuristic
-lower bound together with the certified ceiling min(lambda_max, (1 + 2N)/d);
-no fixed-point scheme certifies global optimality on its own.
+lower bound together with the certified ceiling min(lambda_max, (tr rho + 2N)/d)
+(tr rho is 1 unless ``unit_trace`` is False); no fixed-point scheme certifies
+global optimality on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import complex_gaussian, haar_from_gaussian
-from .errors import DimensionError
 from .states import (
     EIG_CLAMP,
     DensityOperator,
@@ -58,9 +58,9 @@ class FefResult:
     converged: bool
 
 
-def negativity_of_matrix(matrix: np.ndarray, dim_a: int, dim_b: int) -> float:
-    """Negativity from a raw bipartite density matrix (no container checks)."""
-    eigs = np.linalg.eigvalsh(partial_transpose_matrix(matrix, dim_a, dim_b, "second"))
+def negativity_of_matrix(matrix: np.ndarray, d: int) -> float:
+    """Negativity from a raw d^2 x d^2 density matrix (no container checks)."""
+    eigs = np.linalg.eigvalsh(partial_transpose_matrix(matrix, d))
     eigs = np.where((eigs > -EIG_CLAMP) & (eigs < 0.0), 0.0, eigs)
     return float(-eigs[eigs < 0.0].sum())
 
@@ -71,15 +71,15 @@ def negativity(rho: DensityOperator) -> float:
     Eigenvalues in (-1e-12, 0) are treated as eigensolver noise and clamped to
     zero.
     """
-    return negativity_of_matrix(rho.matrix, rho.dim_a, rho.dim_b)
+    return negativity_of_matrix(rho.matrix, rho.dim)
 
 
 def fstar_upper_bound(rho: DensityOperator) -> float:
-    """(1 + 2 * negativity) / d: ceiling on the best singlet fraction reachable
-    by trace-preserving local processing."""
-    if rho.dim_a != rho.dim_b:
-        raise DimensionError("bound requires equal subsystem dimensions")
-    return (1.0 + 2.0 * negativity(rho)) / rho.dim_a
+    """(tr rho + 2 * negativity) / d = ||rho^{T_B}||_1 / d: ceiling on the FEF
+    and on the best singlet fraction reachable by trace-preserving local
+    processing. tr rho is taken as 1 unless ``unit_trace`` is False."""
+    trace = 1.0 if rho.unit_trace else rho.matrix.trace().real
+    return (trace + 2.0 * negativity(rho)) / rho.dim
 
 
 def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
@@ -143,11 +143,9 @@ def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -
     highest value wins. Deterministic for fixed (seed, restarts). Either way
     value >= <Phi+|rho|Phi+>, and ``restarts`` must be at least 1.
     """
-    if rho.dim_a != rho.dim_b:
-        raise DimensionError("FEF requires equal subsystem dimensions")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    d = rho.dim_a
+    d = rho.dim
     if d == 2:
         _, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho.matrix @ _MAGIC).real)
         w = (_MAGIC @ vecs[:, -1]).reshape(2, 2)

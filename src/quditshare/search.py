@@ -97,7 +97,7 @@ def maximize_negativity_input(
     monotone. ``restarts`` and ``seed`` are accepted and ignored.
     """
     d = ch.dim
-    m = -d * partial_transpose_matrix(choi_state(ch).matrix, d, d)
+    m = -d * partial_transpose_matrix(choi_state(ch).matrix, d)
     eye = np.eye(d)
     x = -np.log(d) * eye + 0j  # log sigma, sigma = I/d
     w, u = np.full(d, 1.0 / d), eye  # eigenpairs of sigma

@@ -1,9 +1,13 @@
 """Bipartite state algebra: pure/mixed state containers, Schmidt decomposition,
 partial transpose, partial trace, fidelity overlaps, and state JSON files.
 
-Index convention used everywhere in this package: a bipartite basis label
-(i, j), with i on the first (retained) subsystem and j on the second
-(transmitted) subsystem, maps to the flat index i * dim_b + j.
+Every operator in this package is square, d^2 x d^2 on C^d (x) C^d: the first
+factor is retained, the second is transmitted through the channel. A basis
+label (i, j), with i on the first factor and j on the second, maps to the flat
+index i * d + j. The partial transpose acts on the second factor and the
+partial trace keeps the first. Transposing the first factor instead would give
+rho^{T_A} = (rho^{T_B})^T, which has the same spectrum, so no measure here
+depends on the choice.
 """
 
 from __future__ import annotations
@@ -57,19 +61,18 @@ class PureBipartiteState:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian PSD operator on C^{dim_a} (x) C^{dim_b}.
+    """Hermitian PSD operator on C^dim (x) C^dim.
 
     ``unit_trace`` is False for outputs of non-trace-preserving maps (duals of
     nonunital channels), where the trace requirement is deliberately relaxed.
     """
 
-    dim_a: int
-    dim_b: int
+    dim: int
     matrix: np.ndarray
     unit_trace: bool = True
 
     def __post_init__(self):
-        n = self.dim_a * self.dim_b
+        n = self.dim * self.dim
         mat = _readonly(np.asarray(self.matrix))
         if mat.shape != (n, n):
             raise DimensionError(f"matrix shape {mat.shape} does not match dims ({n}, {n})")
@@ -83,15 +86,14 @@ class DensityOperator:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def _trusted(cls, dim_a: int, dim_b: int, matrix: np.ndarray, unit_trace: bool = True):
+    def _trusted(cls, dim: int, matrix: np.ndarray, unit_trace: bool = True):
         """Build without the Hermitian, trace and PSD checks.
 
         Only for operators the library assembles from already-validated
         inputs, which are Hermitian and PSD by construction.
         """
         rho = object.__new__(cls)
-        object.__setattr__(rho, "dim_a", dim_a)
-        object.__setattr__(rho, "dim_b", dim_b)
+        object.__setattr__(rho, "dim", dim)
         object.__setattr__(rho, "matrix", _readonly(matrix))
         object.__setattr__(rho, "unit_trace", unit_trace)
         return rho
@@ -152,7 +154,7 @@ def mes_from_unitary(w: np.ndarray) -> PureBipartiteState:
 def pure_density(state: PureBipartiteState) -> DensityOperator:
     """|psi><psi| as a DensityOperator."""
     v = state.amplitudes
-    return DensityOperator._trusted(state.dim, state.dim, np.outer(v, v.conj()))
+    return DensityOperator._trusted(state.dim, np.outer(v, v.conj()))
 
 
 def random_pure_state(d: int, rng: np.random.Generator) -> PureBipartiteState:
@@ -181,45 +183,33 @@ def schmidt(state: PureBipartiteState) -> SchmidtDecomposition:
     return SchmidtDecomposition(coefficients=s, left_basis=u.T, right_basis=vh)
 
 
-def partial_transpose_matrix(
-    matrix: np.ndarray, dim_a: int, dim_b: int, subsystem: str = "second"
-) -> np.ndarray:
-    """Index swap on a raw bipartite matrix (result may be non-PSD)."""
-    t = np.asarray(matrix).reshape(dim_a, dim_b, dim_a, dim_b)
-    if subsystem == "second":
-        t = t.transpose(0, 3, 2, 1)
-    elif subsystem == "first":
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-    return t.reshape(dim_a * dim_b, dim_a * dim_b)
+def partial_transpose_matrix(matrix: np.ndarray, d: int) -> np.ndarray:
+    """Transpose of the second factor of a raw d^2 x d^2 matrix (result may be
+    non-PSD)."""
+    t = np.asarray(matrix).reshape(d, d, d, d).transpose(0, 3, 2, 1)
+    return t.reshape(d * d, d * d)
 
 
-def partial_transpose(rho: DensityOperator, subsystem: str = "second") -> np.ndarray:
-    """Transpose the chosen subsystem's indices; Hermitian but possibly non-PSD.
+def partial_transpose(rho: DensityOperator) -> np.ndarray:
+    """rho^{T_B}: transpose of the second (transmitted) factor; Hermitian but
+    possibly non-PSD.
 
     Applying twice returns the input entrywise exactly.
     """
-    return partial_transpose_matrix(rho.matrix, rho.dim_a, rho.dim_b, subsystem)
+    return partial_transpose_matrix(rho.matrix, rho.dim)
 
 
-def partial_trace(rho: DensityOperator, keep: str = "first") -> np.ndarray:
-    """Reduced matrix on the kept subsystem."""
-    da, db = rho.dim_a, rho.dim_b
-    t = rho.matrix.reshape(da, db, da, db)
-    if keep == "first":
-        return np.einsum("ijkj->ik", t)
-    if keep == "second":
-        return np.einsum("ijil->jl", t)
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
+def partial_trace(rho: DensityOperator) -> np.ndarray:
+    """tr_B rho: the reduced matrix on the first (retained) factor."""
+    d = rho.dim
+    return np.einsum("ijkj->ik", rho.matrix.reshape(d, d, d, d))
 
 
 def fidelity_with(rho: DensityOperator, phi: PureBipartiteState) -> float:
     """<phi| rho |phi>, clamped to [0, 1]."""
-    if rho.dim_a != phi.dim or rho.dim_b != phi.dim:
+    if rho.dim != phi.dim:
         raise DimensionError(
-            f"state dimension {phi.dim} does not match operator dims "
-            f"({rho.dim_a}, {rho.dim_b})"
+            f"state dimension {phi.dim} does not match operator dimension {rho.dim}"
         )
     v = phi.amplitudes
     val = np.vdot(v, rho.matrix @ v)

@@ -92,7 +92,7 @@ def test_criterion_02_negativity_and_pt_spectrum(strict_samples, choi_cache):
     for d in DIMS:
         for p, rho in zip(strict_samples[d], choi_cache[d]):
             worst_neg = max(worst_neg, abs(negativity(rho) - damping_negativity(p)))
-            numeric = np.sort(np.linalg.eigvalsh(partial_transpose(rho, "second")))
+            numeric = np.sort(np.linalg.eigvalsh(partial_transpose(rho)))
             worst_spec = max(worst_spec, np.abs(numeric - damping_pt_spectrum(p)).max())
     _report(
         "criterion 2: closed-form vs numeric negativity and PT spectrum (< 1e-10)",
@@ -259,7 +259,7 @@ def test_criterion_09_measure_invariants():
                     (d * d, rank)
                 )
                 m = g @ g.conj().T
-                rho = DensityOperator(d, d, m / m.trace().real)
+                rho = DensityOperator(d, m / m.trace().real)
             else:
                 ch = random_channel(d, int(rng.integers(1, d + 1)), rng)
                 v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
@@ -267,7 +267,7 @@ def test_criterion_09_measure_invariants():
                 rho = apply_one_sided(ch, psi)
             u, w = haar_unitary(d, rng), haar_unitary(d, rng)
             big = np.kron(u, w)
-            rotated = DensityOperator(d, d, big @ rho.matrix @ big.conj().T)
+            rotated = DensityOperator(d, big @ rho.matrix @ big.conj().T)
 
             worst_neg = max(worst_neg, abs(negativity(rotated) - negativity(rho)))
             a = fef(rho, restarts=16).value

@@ -160,11 +160,11 @@ def test_choi_state_marginal_and_hash():
     ch = kraus_validate(ops)
     choi = choi_state(ch)
     assert isinstance(choi, DensityOperator)
-    assert np.abs(partial_trace(choi, keep="first") - np.eye(3) / 3).max() < 1e-10
+    assert np.abs(partial_trace(choi) - np.eye(3) / 3).max() < 1e-10
     sigma = choi_state(dual(ch))
     assert abs(sigma.matrix.trace().real - 1.0) < 1e-12
     expected = sum(k @ k.conj().T for k in ops).T / 3
-    assert np.abs(partial_trace(sigma, keep="first") - expected).max() < 1e-12
+    assert np.abs(partial_trace(sigma) - expected).max() < 1e-12
 
 
 def test_top_choi_eigenpair_identity():
@@ -274,4 +274,4 @@ def test_apply_one_sided_output_is_readonly_and_valid():
         for c in (ch, dual(ch)):
             rho = apply_one_sided(c, random_pure_state(d, rng))
             assert not rho.matrix.flags.writeable
-            DensityOperator(d, d, rho.matrix, unit_trace=c.trace_preserving)
+            DensityOperator(d, rho.matrix, unit_trace=c.trace_preserving)

@@ -235,6 +235,10 @@ def test_certify_distinctness_violation(capsys):
 
 def test_certify_wrong_x_length(capsys):
     assert main(["certify", "--d", "4", "--x", "0.5,0.9"]) == 2
+    capsys.readouterr()
+    # the dimension is checked before the length of x
+    assert main(["certify", "--d", "-5", "--x", "0.5"]) == 2
+    assert "dimension" in capsys.readouterr().err
 
 
 def test_certify_rejects_non_finite_x(capsys):

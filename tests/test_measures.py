@@ -10,7 +10,6 @@ from helpers import (
 )
 from quditshare import (
     DensityOperator,
-    DimensionError,
     PureBipartiteState,
     apply_one_sided,
     choi_state,
@@ -41,11 +40,11 @@ def _random_mixed(d, rng, rank=None):
     rank = rank or d * d
     g = rng.standard_normal((d * d, rank)) + 1j * rng.standard_normal((d * d, rank))
     m = g @ g.conj().T
-    return DensityOperator(d, d, m / m.trace().real)
+    return DensityOperator(d, m / m.trace().real)
 
 
 def test_negativity_product_state():
-    rho = DensityOperator(2, 2, np.diag([0.5, 0.5, 0.0, 0.0]))
+    rho = DensityOperator(2, np.diag([0.5, 0.5, 0.0, 0.0]))
     assert negativity(rho) == 0.0
 
 
@@ -74,7 +73,7 @@ def test_negativity_local_unitary_invariant():
         u = random_unitary_oracle(3, rng)
         v = random_unitary_oracle(3, rng)
         big = np.kron(u, v)
-        rotated = DensityOperator(3, 3, big @ rho.matrix @ big.conj().T)
+        rotated = DensityOperator(3, big @ rho.matrix @ big.conj().T)
         assert abs(negativity(rotated) - negativity(rho)) < 1e-9
 
 
@@ -142,16 +141,10 @@ def test_fef_local_unitary_invariant():
         u = random_unitary_oracle(3, rng)
         v = random_unitary_oracle(3, rng)
         big = np.kron(u, v)
-        rotated = DensityOperator(3, 3, big @ rho.matrix @ big.conj().T)
+        rotated = DensityOperator(3, big @ rho.matrix @ big.conj().T)
         a = fef(rho, restarts=16).value
         b = fef(rotated, restarts=16).value
         assert abs(a - b) < 1e-6
-
-
-def test_fef_requires_square_bipartition():
-    rho = DensityOperator(2, 3, np.eye(6) / 6)
-    with pytest.raises(DimensionError):
-        fef(rho)
 
 
 def test_phi_plus_overlap_equals_dual_expectation():
@@ -182,7 +175,7 @@ def test_phi_plus_overlap_equals_dual_expectation():
 
 
 def test_fstar_upper_bound_values():
-    sep = DensityOperator(3, 3, np.diag([1.0 / 3] * 3 + [0.0] * 6))
+    sep = DensityOperator(3, np.diag([1.0 / 3] * 3 + [0.0] * 6))
     assert abs(fstar_upper_bound(sep) - 1 / 3) < 1e-12
     assert abs(fstar_upper_bound(pure_density(max_entangled(3))) - 1.0) < 1e-12
     ch = kraus_validate(REF)
@@ -232,6 +225,7 @@ def test_fef_qubit_closed_form():
         assert res.converged
         assert res.value >= fidelity_with(rho, max_entangled(2)) - 1e-15
         assert res.value <= min(lam, ceiling) + 1e-12
+        assert res.value <= fstar_upper_bound(rho) + 1e-12
         assert res.value == fidelity_with(rho, mes_from_unitary(res.maximizer_unitary))
         seen_dual += not rho.unit_trace
     assert seen_dual > 40
@@ -274,7 +268,7 @@ def test_best_input_fef_equals_lambda_max():
 def _serial_starts(rho, restarts, seed):
     """The start-by-start FEF ascent that fef's stacked ascent replaced, kept
     as written: per start (value, unitary, converged), np.vdot for the value."""
-    d = rho.dim_a
+    d = rho.dim
     r = rho.matrix / d
     out = []
     for k in range(restarts):
@@ -323,7 +317,7 @@ def _fef_bytes(rho, restarts, seed):
 def _stacked_ascent_bytes(rho, restarts, seed):
     """(value, maximizer bytes, converged) of the stacked ascent from fef's
     starts, run directly: at d = 2 fef takes the closed form instead."""
-    d = rho.dim_a
+    d = rho.dim
     vals, ws, converged = _ascend_unitaries(rho.matrix / d, d, _seeded_starts(d, restarts, seed))
     best = int(np.argmax(vals))
     return fidelity_with(rho, mes_from_unitary(ws[best])), ws[best].tobytes(), bool(converged[best])

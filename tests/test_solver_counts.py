@@ -149,7 +149,7 @@ def test_fef_single_start_budget(fef_calls):
     rng = np.random.default_rng(1728)
     g = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
     m = g @ g.conj().T
-    res = fef(DensityOperator(3, 3, m / m.trace().real), restarts=1)
+    res = fef(DensityOperator(3, m / m.trace().real), restarts=1)
     assert not res.converged
     assert fef_calls["svd"] == DEFAULT_MAX_ITER
     assert fef_calls["qr"] == 0

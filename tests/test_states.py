@@ -128,15 +128,15 @@ def test_partial_transpose_product_state():
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho_b = b @ b.conj().T
     rho_b /= rho_b.trace()
-    rho = DensityOperator(2, 2, np.kron(rho_a, rho_b))
-    pt = partial_transpose(rho, "second")
+    rho = DensityOperator(2, np.kron(rho_a, rho_b))
+    pt = partial_transpose(rho)
     assert np.abs(pt - np.kron(rho_a, rho_b.T)).max() < 1e-14
 
 
 def test_partial_transpose_phi_plus_spectrum():
     # swap-operator spectrum: +1/3 six times, -1/3 three times
     rho = pure_density(max_entangled(3))
-    eigs = np.sort(np.linalg.eigvalsh(partial_transpose(rho, "second")))
+    eigs = np.sort(np.linalg.eigvalsh(partial_transpose(rho)))
     expected = np.sort([1 / 3] * 6 + [-1 / 3] * 3)
     assert np.abs(eigs - expected).max() < 1e-12
 
@@ -147,33 +147,22 @@ def test_partial_transpose_is_involution():
     rng = np.random.default_rng(9)
     s = random_pure_state(3, rng)
     rho = pure_density(s)
-    pt = partial_transpose(rho, "second")
-    back = partial_transpose_matrix(pt, 3, 3, "second")
+    pt = partial_transpose(rho)
+    back = partial_transpose_matrix(pt, 3)
     assert np.array_equal(back, rho.matrix)
-    pt_first = partial_transpose(rho, "first")
-    assert np.array_equal(partial_transpose_matrix(pt_first, 3, 3, "first"), rho.matrix)
 
 
 def test_partial_transpose_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(13)
     s = random_pure_state(4, rng)
-    pt = partial_transpose(pure_density(s), "second")
+    pt = partial_transpose(pure_density(s))
     assert abs(pt.trace().real - 1.0) < 1e-12
     assert np.abs(pt - pt.conj().T).max() < 1e-14
 
 
-def test_partial_transpose_spectrum_same_either_subsystem():
-    rng = np.random.default_rng(17)
-    s = random_pure_state(3, rng)
-    rho = pure_density(s)
-    e1 = np.sort(np.linalg.eigvalsh(partial_transpose(rho, "first")))
-    e2 = np.sort(np.linalg.eigvalsh(partial_transpose(rho, "second")))
-    assert np.abs(e1 - e2).max() < 1e-10
-
-
 def test_partial_trace_of_mes_is_maximally_mixed():
     rho = pure_density(max_entangled(3))
-    red = partial_trace(rho, keep="first")
+    red = partial_trace(rho)
     assert np.abs(red - np.eye(3) / 3).max() < 1e-14
 
 
@@ -183,12 +172,12 @@ def test_fidelity_projector_on_itself():
 
 
 def test_fidelity_maximally_mixed():
-    rho = DensityOperator(3, 3, np.eye(9) / 9)
+    rho = DensityOperator(3, np.eye(9) / 9)
     assert abs(fidelity_with(rho, max_entangled(3)) - 1 / 9) < 1e-14
 
 
 def test_fidelity_dimension_mismatch():
-    rho = DensityOperator(2, 2, np.eye(4) / 4)
+    rho = DensityOperator(2, np.eye(4) / 4)
     with pytest.raises(DimensionError):
         fidelity_with(rho, max_entangled(3))
 
@@ -210,11 +199,13 @@ def test_density_operator_invariants_enforced():
     bad = np.eye(4) / 4
     bad[0, 1] = 0.5  # not Hermitian
     with pytest.raises(InvalidOperatorError):
-        DensityOperator(2, 2, bad)
+        DensityOperator(2, bad)
     with pytest.raises(InvalidOperatorError):
-        DensityOperator(2, 2, np.eye(4))  # trace 4
+        DensityOperator(2, np.eye(4))  # trace 4
     with pytest.raises(InvalidOperatorError):
-        DensityOperator(2, 2, np.diag([1.5, -0.5, 0.0, 0.0]))  # negative eigenvalue
+        DensityOperator(2, np.diag([1.5, -0.5, 0.0, 0.0]))  # negative eigenvalue
+    with pytest.raises(DimensionError):
+        DensityOperator(2, np.eye(6) / 6)  # not d^2 x d^2
 
 
 def test_library_built_operators_meet_public_invariants():
@@ -223,6 +214,6 @@ def test_library_built_operators_meet_public_invariants():
     rng = np.random.default_rng(23)
     for d in (2, 3, 4):
         rho = pure_density(random_pure_state(d, rng))
-        again = DensityOperator(d, d, rho.matrix)
+        again = DensityOperator(d, rho.matrix)
         assert np.array_equal(again.matrix, rho.matrix)
         assert not rho.matrix.flags.writeable

@@ -61,11 +61,11 @@ print("worst PT-spectrum deviation:", worst_spec)
 
 print()
 print("=" * 70)
-print("Limit behaviour as all x_i -> 1 (relaxed parameters)")
+print("Limit behaviour as all x_i -> 1 (the closed cube: no certificate needed)")
 print("=" * 70)
 x0 = np.array([0.2, 0.5, 0.7])
 for t in (0.0, 0.5, 0.9, 1.0):
-    params = DampingParams(4, x0 + t * (1 - x0), relaxed=True)
+    params = DampingParams(4, x0 + t * (1 - x0))
     print(f"t={t:.1f}  lambda_max={damping_lambda_max(params):.6f}  "
           f"negativity={damping_negativity(params):.6f}  gap={damping_gap(params):.6f}")
 print("(at t=1 the channel is the identity: lambda_max -> 1, negativity -> (d-1)/2)")

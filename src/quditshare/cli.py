@@ -48,6 +48,7 @@ from .errors import (
 )
 from .jsonio import csv_cell, dumps_fixed, format_real, json_int, load_json
 from .measures import fef, fstar_upper_bound, negativity
+from .search import qubit_optimal_fidelity
 from .states import (
     PureBipartiteState,
     fidelity_with,
@@ -175,8 +176,9 @@ class SweepSpec:
     """Grid description over the family's x components.
 
     Axes are {start, stop, steps} per component name ("x1".."x{d-1}"); the
-    remaining components are pinned in ``fixed``. Grid points violating the
-    strict-parameter rules are emitted as rows flagged 'skipped'.
+    remaining components are pinned in ``fixed``. Grid points outside the
+    certificate's hypotheses (open interval, distinct entries) are emitted as
+    rows flagged 'skipped'.
     """
 
     d: int
@@ -223,8 +225,8 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
     extra = sorted(set(fixed) - set(names))
     if extra:
         raise ParameterError(f"fixed components {extra} do not exist for d={d}")
-    # every grid point must at least lie in the relaxed cube [0, 1]^{d-1};
-    # a NaN bound fails these comparisons, so it is rejected too
+    # every grid point must lie in the family's cube [0, 1]^{d-1}; a NaN bound
+    # fails these comparisons, so it is rejected too
     for name, start, stop, steps in axes:
         if steps < 1:
             raise ParameterError(f"axis {name!r} needs steps >= 1")
@@ -269,12 +271,11 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         for i, v in enumerate(x, start=1):
             row[f"x{i}"] = float(v)
         try:
-            params = DampingParams(d=spec.d, x=x)
+            cert = advantage_certificate(DampingParams(d=spec.d, x=x))
         except ParameterError:
             row["status"] = "skipped"
             row.update({col: None for col in CERT_CSV_COLUMNS})
         else:
-            cert = advantage_certificate(params)
             row["status"] = "ok"
             row.update(certificate_row(cert))
         rows.append(row)
@@ -360,11 +361,10 @@ def _audit_pauli(seed: int, index: int) -> float:
     ]
     ops = tuple(np.sqrt(p) * s for p, s in zip(weights, paulis))
     ch = KrausChannel(dim=2, kraus_ops=ops)
-    rho = choi_state(ch)
-    lam = float(np.linalg.eigvalsh(rho.matrix)[-1])
+    lam = float(np.linalg.eigvalsh(choi_state(ch).matrix)[-1])
     if lam < 0.5:
         return 0.0
-    return abs(lam - (1.0 + 2.0 * negativity(rho)) / 2.0)
+    return abs(lam - qubit_optimal_fidelity(ch))
 
 
 def run_audit(d: int, n_channels: int, seed: int, restarts: int) -> dict:
@@ -428,15 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="advantage certificate for one parameter point")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", required=True, help="comma-separated x_1,...,x_{d-1}")
-    p.add_argument("--seed", type=int, default=0, help="accepted but unused")
-    p.add_argument("--restarts", type=_restarts, default=32, help="accepted but unused")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("sweep", help="certificate grid sweep from a spec file")
     p.add_argument("spec", help="sweep spec JSON file")
     p.add_argument("--seed", type=int, default=0, help="accepted but unused")
-    p.add_argument("--restarts", type=_restarts, default=32, help="accepted but unused")
     p.add_argument("--out", default=None, help="override the spec's output path")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.set_defaults(fn=cmd_sweep)

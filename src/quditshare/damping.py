@@ -19,14 +19,15 @@ lambda_max(sigma), and W = I attains the bound, so the fully entangled
 fraction of rho_out is its Phi+ overlap (acceptance criterion 04).
 ``fef_by_ascent`` recomputes it with the unitary ascent as an independent check.
 
-Strict parameters (each 0 < x_i < 1, not all equal) are required for the
-certificate; the closed-form evaluators also accept the closed cube
-(``relaxed=True``) for boundary and limit studies.
+Every point of the closed cube [0, 1]^{d-1} is a channel, and every closed
+form holds there. The theorem's hypotheses (each 0 < x_i < 1, not all x_i
+equal) are needed only for the strict inequality chain, so
+``advantage_certificate`` checks them and nothing else does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -50,16 +51,15 @@ def family_dimension(d) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DampingParams:
-    """Dimension d >= 3 and retention amplitudes (x_1, ..., x_{d-1}).
+    """Dimension d >= 3 and retention amplitudes x in the closed cube [0, 1]^{d-1}.
 
-    Strict mode (default) enforces 0 < x_i < 1 and at least one distinct pair
-    (max pairwise gap above 1e-12). Relaxed mode admits the closed cube
-    [0, 1]^{d-1} for limit studies; only the closed-form evaluators accept it.
+    Equal entries and the boundary values 0 and 1 are admitted; the
+    certificate's open-interval and distinctness hypotheses are checked by
+    ``advantage_certificate``.
     """
 
     d: int
     x: np.ndarray
-    relaxed: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "d", family_dimension(self.d))
@@ -70,25 +70,14 @@ class DampingParams:
             )
         if not np.all(np.isfinite(x)):
             raise ParameterError(f"finiteness violated: x_i must be finite, got {x.tolist()}")
-        if self.relaxed:
-            if np.any(x < 0.0) or np.any(x > 1.0):
-                raise ParameterError("range violated: relaxed x_i must lie in [0, 1]")
-        else:
-            if np.any(x <= 0.0) or np.any(x >= 1.0):
-                raise ParameterError("open-interval violated: strict x_i must satisfy 0 < x_i < 1")
-            if x.max() - x.min() <= DISTINCTNESS_TOL:
-                raise ParameterError(
-                    "distinctness violated: at least one pair x_i != x_j "
-                    f"(max gap {x.max() - x.min():.3g} <= {DISTINCTNESS_TOL})"
-                )
+        if np.any(x < 0.0) or np.any(x > 1.0):
+            raise ParameterError("range violated: x_i must lie in [0, 1]")
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
 
 
 def damping_channel(p: DampingParams) -> KrausChannel:
-    """Kraus operators of the family; strict parameters required."""
-    if p.relaxed:
-        raise ParameterError("channel construction requires strict parameters")
+    """Kraus operators of the family."""
     d = p.d
     a0 = np.diag(np.concatenate([[1.0], p.x])).astype(complex)
     ops = [a0]
@@ -174,13 +163,23 @@ class AdvantageCertificate:
 
 
 def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
-    """Assemble the certificate for one strict parameter point.
+    """Assemble the certificate for one parameter point.
 
-    Closed forms are cross-checked against dense eigensolves (within 1e-10);
-    the best input psi_prime is the top eigenvector of the dual Choi state.
-    Its output is scored by negativity and by its fully entangled fraction,
-    the exact Phi+ overlap (module docstring), so no unitary ascent is run.
+    ParameterError unless each 0 < x_i < 1 and at least one pair differs by
+    more than DISTINCTNESS_TOL: the theorem's hypotheses. Closed forms are
+    cross-checked against dense eigensolves (within 1e-10); the best input
+    psi_prime is the top eigenvector of the dual Choi state. Its output is
+    scored by negativity and by its fully entangled fraction, the exact Phi+
+    overlap (module docstring), so no unitary ascent is run.
     """
+    x = p.x
+    if np.any(x <= 0.0) or np.any(x >= 1.0):
+        raise ParameterError("open-interval violated: strict x_i must satisfy 0 < x_i < 1")
+    if x.max() - x.min() <= DISTINCTNESS_TOL:
+        raise ParameterError(
+            "distinctness violated: at least one pair x_i != x_j "
+            f"(max gap {x.max() - x.min():.3g} <= {DISTINCTNESS_TOL})"
+        )
     ch = damping_channel(p)
     d = p.d
 
@@ -235,47 +234,34 @@ def fef_by_ascent(
 
 
 def certificate_to_dict(cert: AdvantageCertificate) -> dict:
-    """JSON-ready form with fixed field order and 17-significant-digit reals."""
-    amps = [
-        [float(a.real), float(a.imag)] for a in np.asarray(cert.psi_prime.amplitudes)
-    ]
-    return {
-        "d": cert.params.d,
-        "x": [float(v) for v in cert.params.x],
-        "lambda_max_closed": cert.lambda_max_closed,
-        "lambda_max_numeric": cert.lambda_max_numeric,
-        "negativity_phiplus_closed": cert.negativity_phiplus_closed,
-        "negativity_phiplus_numeric": cert.negativity_phiplus_numeric,
-        "fstar_bound_phiplus": cert.fstar_bound_phiplus,
-        "gap": cert.gap,
-        "psi_prime": amps,
-        "psi_prime_schmidt_spread": cert.psi_prime_schmidt_spread,
-        "fef_psi_prime": cert.fef_psi_prime,
-        "negativity_psi_prime": cert.negativity_psi_prime,
-        "verdict_ceiling": cert.verdict_ceiling,
-        "verdict_advantage": cert.verdict_advantage,
-        "verdict_negativity_advantage": cert.verdict_negativity_advantage,
-    }
+    """JSON-ready form: the certificate's fields in declared order, params as
+    d and x, psi_prime as [re, im] pairs; reals keep 17 significant digits."""
+    out = {}
+    for field in fields(cert):
+        value = getattr(cert, field.name)
+        if isinstance(value, DampingParams):
+            out.update(d=value.d, x=[float(v) for v in value.x])
+        elif isinstance(value, PureBipartiteState):
+            out[field.name] = [[float(a.real), float(a.imag)] for a in value.amplitudes]
+        else:
+            out[field.name] = value
+    return out
 
 
-CERT_CSV_COLUMNS = (
-    "lambda_max",
-    "negativity_phiplus",
-    "fstar_bound",
-    "gap",
-    "fef_psi_prime",
-    "negativity_psi_prime",
-    "verdict_ceiling",
-    "verdict_advantage",
-    "verdict_negativity_advantage",
-)
+# sweep-table column -> certificate field; the state vector is left out
+CERT_CSV_COLUMNS = {
+    "lambda_max": "lambda_max_closed",
+    "negativity_phiplus": "negativity_phiplus_closed",
+    "fstar_bound": "fstar_bound_phiplus",
+    "gap": "gap",
+    "fef_psi_prime": "fef_psi_prime",
+    "negativity_psi_prime": "negativity_psi_prime",
+    "verdict_ceiling": "verdict_ceiling",
+    "verdict_advantage": "verdict_advantage",
+    "verdict_negativity_advantage": "verdict_negativity_advantage",
+}
 
 
 def certificate_row(cert: AdvantageCertificate) -> dict:
-    """Flat row (no state vector) for sweep tables, keyed by CERT_CSV_COLUMNS."""
-    values = (
-        cert.lambda_max_closed, cert.negativity_phiplus_closed, cert.fstar_bound_phiplus,
-        cert.gap, cert.fef_psi_prime, cert.negativity_psi_prime, cert.verdict_ceiling,
-        cert.verdict_advantage, cert.verdict_negativity_advantage,
-    )
-    return dict(zip(CERT_CSV_COLUMNS, values))
+    """Flat row for sweep tables, keyed by the columns of CERT_CSV_COLUMNS."""
+    return {col: getattr(cert, name) for col, name in CERT_CSV_COLUMNS.items()}

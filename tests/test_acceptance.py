@@ -113,7 +113,7 @@ def test_criterion_03_strict_ceiling_inequality(strict_samples):
             ok = ok and margin > 0.0
     boundary_ok = True
     for d in DIMS:
-        gap = abs(damping_gap(DampingParams(d, [0.6] * (d - 1), relaxed=True)))
+        gap = abs(damping_gap(DampingParams(d, [0.6] * (d - 1))))
         boundary_ok = boundary_ok and gap < 1e-12
     ref = DampingParams(3, [0.5, 0.9])
     ref_ok = (
@@ -158,9 +158,7 @@ def test_criterion_05_certify_exits_zero(capsys):
         for _ in range(50):
             p = random_strict_params(d, rng)
             xs = ",".join(repr(float(v)) for v in p.x)
-            code = main(
-                ["certify", "--d", str(d), "--x", xs, "--restarts", "6", "--seed", "1"]
-            )
+            code = main(["certify", "--d", str(d), "--x", xs])
             total += 1
             failures += code != 0
     capsys.readouterr()
@@ -309,8 +307,7 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
     for tag in ("a", "b"):
         out = tmp_path / f"cert_{tag}.json"
         res = _run_cli(
-            ["certify", "--d", "4", "--x", "0.2,0.5,0.8", "--seed", "17",
-             "--restarts", "6", "--out", str(out)]
+            ["certify", "--d", "4", "--x", "0.2,0.5,0.8", "--out", str(out)]
         )
         assert res.returncode == 0, res.stderr
         pair.append(out.read_bytes())
@@ -331,7 +328,7 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
         }
         spec_path = tmp_path / f"spec_{tag}.json"
         spec_path.write_text(dumps_fixed(spec))
-        res = _run_cli(["sweep", str(spec_path), "--seed", "23", "--restarts", "4"])
+        res = _run_cli(["sweep", str(spec_path), "--seed", "23"])
         assert res.returncode == 0, res.stderr
         pair.append(out.read_bytes())
     ok &= pair[0] == pair[1]

@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -219,7 +221,7 @@ def test_measures_malformed_state_file(omega_file, tmp_path, capsys, data):
 
 
 def test_certify_reference_point(capsys):
-    assert main(["certify", "--d", "3", "--x", "0.5,0.9", "--restarts", "8"]) == 0
+    assert main(["certify", "--d", "3", "--x", "0.5,0.9"]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert cert["verdict_ceiling"] is True
     assert cert["verdict_advantage"] is True
@@ -252,8 +254,6 @@ def test_certify_rejects_non_finite_x(capsys):
     "argv",
     [
         ["measures", "channel.json"],
-        ["certify", "--d", "3", "--x", "0.5,0.9"],
-        ["sweep", "spec.json"],
         ["audit", "--d", "3", "--n", "2"],
     ],
 )
@@ -266,7 +266,7 @@ def test_restarts_below_one_is_usage_error(argv, capsys):
 
 
 def test_certify_d6(capsys):
-    code = main(["certify", "--d", "6", "--x", "0.1,0.3,0.5,0.7,0.9", "--restarts", "4"])
+    code = main(["certify", "--d", "6", "--x", "0.1,0.3,0.5,0.7,0.9"])
     assert code == 0
 
 
@@ -283,7 +283,7 @@ def test_sweep_grid(tmp_path, capsys):
     }
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(dumps_fixed(spec))
-    assert main(["sweep", str(spec_path), "--restarts", "4"]) == 0
+    assert main(["sweep", str(spec_path)]) == 0
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 82  # header + 81 rows
     rows = [line.split(",") for line in lines[1:]]
@@ -307,11 +307,11 @@ def test_sweep_single_point_matches_certify(tmp_path, capsys):
     }
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(dumps_fixed(spec))
-    assert main(["sweep", str(spec_path), "--restarts", "8"]) == 0
+    assert main(["sweep", str(spec_path)]) == 0
     capsys.readouterr()
     rows = json.loads(out.read_text())
     assert len(rows) == 1
-    assert main(["certify", "--d", "3", "--x", "0.5,0.9", "--restarts", "8"]) == 0
+    assert main(["certify", "--d", "3", "--x", "0.5,0.9"]) == 0
     cert = json.loads(capsys.readouterr().out)
     for key in ("gap", "fef_psi_prime", "negativity_psi_prime"):
         assert rows[0][key] == cert[key]
@@ -319,10 +319,83 @@ def test_sweep_single_point_matches_certify(tmp_path, capsys):
     assert rows[0]["fstar_bound"] == cert["fstar_bound_phiplus"]
 
 
+README = os.path.join(os.path.dirname(REPO_SRC), "README.md")
+
+CERTIFY_KEYS = [
+    "d", "x", "lambda_max_closed", "lambda_max_numeric", "negativity_phiplus_closed",
+    "negativity_phiplus_numeric", "fstar_bound_phiplus", "gap", "psi_prime",
+    "psi_prime_schmidt_spread", "fef_psi_prime", "negativity_psi_prime", "verdict_ceiling",
+    "verdict_advantage", "verdict_negativity_advantage",
+]
+
+
+def _readme_sweep_columns(d):
+    """The README's sweep "Columns" list, with x1..x{d-1} written out for d."""
+    text = open(README).read()
+    listed = text[text.index("Columns:"):].split("`")[1]
+    columns = []
+    for name in " ".join(listed.split()).split(", "):
+        columns += [f"x{i}" for i in range(1, d)] if name == "x1..x{d-1}" else [name]
+    return columns
+
+
+def test_certify_json_keys_pinned(capsys):
+    assert main(["certify", "--d", "3", "--x", "0.5,0.9"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert list(cert) == CERTIFY_KEYS
+    assert len(cert["psi_prime"]) == 9 and all(len(a) == 2 for a in cert["psi_prime"])
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_sweep_csv_header_matches_readme(tmp_path, capsys, d):
+    out = tmp_path / "grid.csv"
+    spec = {
+        "d": d,
+        "axes": {"x1": {"start": 0.0, "stop": 0.9, "steps": 2}},
+        "fixed": {f"x{i}": 0.1 * i for i in range(2, d)},
+        "output_path": str(out),
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["sweep", str(spec_path)]) == 0
+    capsys.readouterr()
+    header, skipped, ok = out.read_text().splitlines()
+    assert header.split(",") == _readme_sweep_columns(d)
+    assert skipped.split(",")[d] == "skipped" and ok.split(",")[d] == "ok"
+
+
+def _readme_cli_flags():
+    """{subcommand: set of --flags} from the README's command-line block."""
+    text = open(README).read()
+    block = text[text.index("```sh\nquditshare validate"):]
+    block = block[:block.index("```", 3)]
+    flags = {}
+    command = None
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["quditshare"]:
+            command = words[1]
+            flags[command] = set()
+        if command is not None and not line.lstrip().startswith("#"):
+            flags[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def test_readme_cli_synopsis_matches_parser():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {opt for action in sub._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert _readme_cli_flags() == parsed
+
+
 def _assert_sweep_usage_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
-    assert main(["sweep", str(spec_path), "--restarts", "2"]) == 2, spec
+    assert main(["sweep", str(spec_path)]) == 2, spec
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
@@ -422,21 +495,25 @@ def test_unknown_command_exits_2():
 def test_certify_subprocess_byte_identical(tmp_path):
     out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
     for out in (out1, out2):
-        res = _run_cli(
-            ["certify", "--d", "4", "--x", "0.3,0.6,0.9", "--seed", "11",
-             "--restarts", "6", "--out", str(out)]
-        )
+        res = _run_cli(["certify", "--d", "4", "--x", "0.3,0.6,0.9", "--out", str(out)])
         assert res.returncode == 0, res.stderr
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_certify_ignores_seed_and_restarts(capsys):
-    outputs = []
-    for seed, restarts in (("0", "1"), ("9", "32")):
-        argv = ["certify", "--d", "3", "--x", "0.5,0.9", "--seed", seed, "--restarts", restarts]
-        assert main(argv) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--d", "3", "--x", "0.5,0.9", "--seed", "1"],
+        ["certify", "--d", "3", "--x", "0.5,0.9", "--restarts", "4"],
+        ["sweep", "spec.json", "--restarts", "4"],
+    ],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    # certify runs no seeded step, and sweep keeps only --seed (accepted, unused)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err, err
+    assert "Traceback" not in err
 
 
 def test_sweep_subprocess_byte_identical(tmp_path):
@@ -455,7 +532,7 @@ def test_sweep_subprocess_byte_identical(tmp_path):
         spec["output_path"] = str(out)
         spec_path = tmp_path / f"spec_{tag}.json"
         spec_path.write_text(dumps_fixed(spec))
-        res = _run_cli(["sweep", str(spec_path), "--restarts", "4", "--seed", "5"])
+        res = _run_cli(["sweep", str(spec_path), "--seed", "5"])
         assert res.returncode == 0, res.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

@@ -140,4 +140,4 @@ def test_fuzz_state_file(doc):
 @FUZZ
 @given(mutated(sweep_specs()))
 def test_fuzz_sweep_spec(doc):
-    _assert_contract(["sweep", "spec.json", "--restarts", "1"], {"spec.json": doc})
+    _assert_contract(["sweep", "spec.json"], {"spec.json": doc})

@@ -15,6 +15,7 @@ from quditshare import (
     ParameterError,
     advantage_certificate,
     apply_one_sided,
+    choi_state,
     damping_channel,
     damping_gap,
     damping_lambda_max,
@@ -41,19 +42,22 @@ def test_channel_reference_point_operators():
 
 def test_params_reject_equal_entries():
     with pytest.raises(ParameterError, match="distinctness"):
-        DampingParams(3, [0.5, 0.5])
+        advantage_certificate(DampingParams(3, [0.5, 0.5]))
 
 
 def test_params_reject_near_equal_below_threshold():
     with pytest.raises(ParameterError, match="distinctness"):
-        DampingParams(3, [0.5 + 1e-13, 0.5])
+        advantage_certificate(DampingParams(3, [0.5 + 1e-13, 0.5]))
 
 
 def test_params_reject_boundary_values():
     with pytest.raises(ParameterError, match="open-interval"):
-        DampingParams(3, [0.0, 0.5])
+        advantage_certificate(DampingParams(3, [0.0, 0.5]))
     with pytest.raises(ParameterError, match="open-interval"):
-        DampingParams(3, [1.0, 0.5])
+        advantage_certificate(DampingParams(3, [1.0, 0.5]))
+    # the open interval is checked before distinctness
+    with pytest.raises(ParameterError, match="open-interval"):
+        advantage_certificate(DampingParams(3, [1.0, 1.0]))
 
 
 def test_params_reject_wrong_length_and_dim():
@@ -63,20 +67,26 @@ def test_params_reject_wrong_length_and_dim():
         DampingParams(2, [0.5])
 
 
-@pytest.mark.parametrize("relaxed", [False, True])
-def test_params_reject_non_finite(relaxed):
+def test_params_reject_non_finite():
     # NaN fails every range comparison, so it needs its own clause
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ParameterError, match="finiteness"):
-            DampingParams(3, [0.5, bad], relaxed=relaxed)
+            DampingParams(3, [0.5, bad])
 
 
 def test_relaxed_params_accept_cube():
-    p = DampingParams(3, [1.0, 1.0], relaxed=True)
+    for x in ([0.5, 0.5], [0.0, 0.5], [1.0, 0.5], [0.0, 0.0]):
+        assert DampingParams(3, x).x.tolist() == x
+    for bad in ([-0.1, 0.5], [0.5, 1.0 + 1e-15]):
+        with pytest.raises(ParameterError, match=r"range violated: x_i must lie in \[0, 1\]"):
+            DampingParams(3, bad)
+    p = DampingParams(3, [1.0, 1.0])
     assert abs(damping_lambda_max(p) - 1.0) < 1e-15
     assert abs(damping_negativity(p) - 1.0) < 1e-15  # (d-1)/2 at the identity limit
-    with pytest.raises(ParameterError):
-        damping_channel(p)
+    # at x = (1, 1) the family is the identity channel: its Choi state is Phi+
+    phi = phi_plus_vector(3)
+    choi = choi_state(damping_channel(p)).matrix
+    assert np.abs(choi - np.outer(phi, phi.conj())).max() < 1e-15
 
 
 def test_channel_completeness_d4():
@@ -128,7 +138,7 @@ def test_gap_values():
     assert abs(damping_gap(DampingParams(3, [0.5, 0.9])) - 0.16) < 1e-12
     assert abs(damping_gap(DampingParams(3, [0.1, 0.9])) - 0.64) < 1e-12
     for d in (3, 4, 5):
-        equal = DampingParams(d, [0.4] * (d - 1), relaxed=True)
+        equal = DampingParams(d, [0.4] * (d - 1))
         assert damping_gap(equal) == 0.0
 
 
@@ -167,7 +177,7 @@ def test_monotone_limit_toward_identity():
     x0 = np.array([0.2, 0.5, 0.7])
     lams, negs = [], []
     for t in np.linspace(0.0, 1.0, 11):
-        p = DampingParams(d, x0 + t * (1.0 - x0), relaxed=True)
+        p = DampingParams(d, x0 + t * (1.0 - x0))
         lams.append(damping_lambda_max(p))
         negs.append(damping_negativity(p))
     assert all(b >= a for a, b in zip(lams, lams[1:]))

@@ -254,6 +254,8 @@ def test_certify_rejects_non_finite_x(capsys):
     "argv",
     [
         ["measures", "channel.json"],
+        ["certify", "--d", "3", "--x", "0.5,0.9"],
+        ["sweep", "spec.json"],
         ["audit", "--d", "3", "--n", "2"],
     ],
 )
@@ -261,7 +263,11 @@ def test_restarts_below_one_is_usage_error(argv, capsys):
     for value in ("0", "-3"):
         assert main([*argv, "--restarts", value]) == 2
         err = capsys.readouterr().err
-        assert f"argument --restarts: must be >= 1, got {int(value)}" in err
+        if argv[0] in ("certify", "sweep"):
+            # neither command takes --restarts, so any value is refused
+            assert f"error: unrecognized arguments: --restarts {value}" in err, err
+        else:
+            assert f"argument --restarts: must be >= 1, got {int(value)}" in err
         assert "Traceback" not in err
 
 

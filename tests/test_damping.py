@@ -67,11 +67,13 @@ def test_params_reject_wrong_length_and_dim():
         DampingParams(2, [0.5])
 
 
-def test_params_reject_non_finite():
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_params_reject_non_finite(bad_first):
     # NaN fails every range comparison, so it needs its own clause
     for bad in (np.nan, np.inf, -np.inf):
+        x = [bad, 0.5] if bad_first else [0.5, bad]
         with pytest.raises(ParameterError, match="finiteness"):
-            DampingParams(3, [0.5, bad])
+            DampingParams(3, x)
 
 
 def test_relaxed_params_accept_cube():

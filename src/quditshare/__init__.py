@@ -8,9 +8,10 @@ Library layers:
   and of their dual maps (``choi_state``), random channel generation, channel
   file IO.
 * :mod:`quditshare.measures` -- negativity, fully entangled fraction
-  (``fef``: exact at d = 2 from the magic basis, a seeded unitary ascent whose
-  restarts climb as one stack at d >= 3), and the (tr rho + 2N)/d fidelity
-  ceiling.
+  (``fef``: exact at d = 2 from the magic basis; at d >= 3 a unitary ascent
+  from the identity, ``certified`` when a dual point proves it within
+  CERT_TOL of the optimum, and otherwise joined by seeded restarts that climb
+  as one stack), and the (tr rho + 2N)/d fidelity ceiling.
 * :mod:`quditshare.damping` -- the level-damping channel family, its closed
   forms, and the advantage certificate.
 * :mod:`quditshare.search` -- input-state optimization (exact best-fidelity

@@ -4,7 +4,8 @@ Commands: ``validate``, ``measures``, ``certify``, ``sweep``, ``audit``.
 All output is deterministic for fixed flags and seeds: JSON uses fixed field
 order with 17-significant-digit reals, CSV uses '.' decimals, comma delimiter,
 and a header row. Exit codes: 0 success / all verdicts true, 1 verified-false
-or invariant violation, 2 usage or parameter error.
+or invariant violation, 2 usage or parameter error, 3 a dense linear-algebra
+routine failed (numpy.linalg.LinAlgError), so no verdict was reached.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import functools
 import io
 import math
+import re
 import sys
 from dataclasses import dataclass
 from itertools import islice
@@ -133,14 +135,16 @@ def cmd_measures(args) -> int:
         # <psi'| (W (x) I) sigma (W^dag (x) I) |psi'> <= lambda_max(sigma), and
         # W = I attains it: the Phi+ overlap is the fully entangled fraction
         # (the identity damping.advantage_certificate uses for fef_psi_prime)
-        fef_value, fef_converged = phiplus_fidelity, True
+        fef_value, fef_converged, fef_certified = phiplus_fidelity, True, True
     else:
         fef_res = fef(rho, restarts=args.restarts, seed=args.seed)
-        fef_value, fef_converged = fef_res.value, fef_res.converged
+        fef_value, fef_converged, fef_certified = (
+            fef_res.value, fef_res.converged, fef_res.certified)
     report = {
         "phiplus_fidelity": phiplus_fidelity,
         "fef_value": fef_value,
         "fef_converged": fef_converged,
+        "fef_certified": fef_certified,
         "negativity": negativity(rho),
         "fstar_upper_bound": fstar_upper_bound(rho),
         "lambda_max_choi": top_choi_eigenpair(ch).value,
@@ -420,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'phiplus', 'psi_prime', or a state JSON file")
     p.add_argument("--seed", type=int, default=0,
                    help="FEF ascent seed; used only for phiplus/STATE.json inputs at d >= 3")
-    p.add_argument("--restarts", type=_restarts, default=32,
-                   help="FEF ascent starts; used only for phiplus/STATE.json inputs at d >= 3")
+    p.add_argument("--restarts", type=_restarts, default=32, metavar="N",
+                   help="FEF ascent: at most N starts; seeded starts run only when the "
+                   "identity's bracket stays open (phiplus/STATE.json inputs at d >= 3)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_measures)
 
@@ -443,12 +448,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of channels")
     p.add_argument("--seed", type=int, default=0,
                    help="seeds the random channels, input states and unitaries")
-    p.add_argument("--restarts", type=_restarts, default=8,
-                   help="FEF ascent starts; used only at d >= 3 (d = 2 is exact)")
+    p.add_argument("--restarts", type=_restarts, default=8, metavar="N",
+                   help="FEF ascent: at most N starts; seeded starts run only when the "
+                   "identity's bracket stays open (d >= 3; d = 2 is exact)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_audit)
 
     return parser
+
+
+def _join_negative_x(argv: list) -> list:
+    """argparse reads a comma list that starts with '-' ("-0.1,0.5") as an
+    option, so ``--x -0.1,0.5`` is passed on as ``--x=-0.1,0.5`` and reaches
+    the parameter checks."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--x" and re.match(r"-[\d.]", token):
+            out[-1] = f"--x={token}"
+        else:
+            out.append(token)
+    return out
 
 
 @functools.cache
@@ -459,7 +478,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_negative_x(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -470,6 +489,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Negativity is computed from the partial-transpose spectrum. The fully entangled
 fraction (FEF), the largest overlap of rho with a maximally entangled state, is
-exact at d = 2 and a seeded ascent at d >= 3.
+exact at d = 2; at d >= 3 an ascent finds it, certified within CERT_TOL of the
+optimum when a dual bound closes the bracket.
 
 At d = 2 the real unit combinations of the magic basis are exactly the
 maximally entangled states up to a global phase (Hill & Wootters, PRL 78, 5022
@@ -13,14 +14,18 @@ At d >= 3 it is maximized over the manifold of maximally entangled states by
 a projected power iteration: every maximally entangled state is (W (x) I)|Phi+>
 for a unitary W, the overlap is a positive-semidefinite quadratic form in the
 entries of W, and alternating a power step with polar projection to the nearest
-unitary ascends that form monotonically. ``fef`` runs its seeded starts as one
+unitary ascends that form monotonically. ``fef`` climbs from the identity
+first. The Lagrange multiplier at its maximizer is a dual point of the
+semidefinite relaxation of that problem, and when a Cholesky factorization
+proves that point's bound within CERT_TOL of the value, the result is
+returned as ``certified``. Only otherwise do the seeded starts run, as one
 stack: each iteration makes a single stacked SVD over the starts still
 climbing, and a start drops out when its own gain falls below DEFAULT_TOL. So
-every start takes the steps it would take alone, and the result is bit-for-bit
-the one a start-by-start loop gives. The result is reported as a heuristic
-lower bound together with the certified ceiling min(lambda_max, (tr rho + 2N)/d)
-(tr rho is 1 unless ``unit_trace`` is False); no fixed-point scheme certifies
-global optimality on its own.
+every start takes the steps it would take alone, and the result is
+bit-for-bit the one a start-by-start loop gives. An uncertified result is a
+heuristic lower bound, reported together with the certified ceiling
+min(lambda_max, (tr rho + 2N)/d) (tr rho is 1 unless ``unit_trace`` is
+False).
 """
 
 from __future__ import annotations
@@ -41,6 +46,12 @@ from .states import (
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 500
 DEFAULT_TOL = 1e-9
+# a certified FEF value is within CERT_TOL of the optimum
+CERT_TOL = 1e-8
+# splits a of the dual multiplier between the two marginal constraints, in
+# the order _bracket_closed tries them
+_CERT_SPLITS = (0.5, 0.75, 0.25, 1.0, 0.0)
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 # Hill & Wootters' magic basis, scaled by sqrt(2), as columns over |00>, |01>,
 # |10>, |11>. For a real unit x, reshape(_MAGIC x) is the unitary
@@ -51,11 +62,17 @@ _MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]
 
 @dataclass(frozen=True, eq=False)
 class FefResult:
-    """Best maximally entangled overlap found, with its maximizer."""
+    """Best maximally entangled overlap found, with its maximizer.
+
+    ``converged``: the winning start stopped on a gain below DEFAULT_TOL
+    rather than at DEFAULT_MAX_ITER. ``certified``: no maximally entangled
+    state beats ``value`` by more than CERT_TOL (always true at d = 2).
+    """
 
     value: float
     maximizer_unitary: np.ndarray
     converged: bool
+    certified: bool
 
 
 def negativity_of_matrix(matrix: np.ndarray, d: int) -> float:
@@ -128,19 +145,84 @@ def _seeded_starts(d: int, restarts: int, seed: int) -> np.ndarray:
     return starts
 
 
+def _bracket_closed(r: np.ndarray, w: np.ndarray, value: float) -> bool:
+    """True when a dual point proves that no maximally entangled state beats
+    ``value`` by more than CERT_TOL; r = rho / d, w the ascent's unitary.
+
+    Relaxing ww^dag to X >= 0 with both marginals I (WW^dag = W^dag W = I)
+    gives, for any Hermitian A and B (Nemirovski, Math. Program. 109, 283
+    (2007)), FEF <= tr A + tr B + d lambda_max(R - A (x) I - I (x) B).
+    The point is read off w: the multiplier Lam = Herm(Y W^dag) with
+    Y = reshape(R w), and B_0 = Herm(W^dag Lam W)^T, split as A = a Lam and
+    B = (1 - a) B_0 for each a in _CERT_SPLITS. As tr A + tr B is at most
+    max(tr Lam, tr B_0) =: tau, the bracket is closed when some
+    M_a = R - A (x) I - I (x) B has lambda_max(M_a) <= t0, where
+    t0 = (value + CERT_TOL - tau) / d.
+
+    That is proved by a Cholesky of t I - M_a, t = t0 - mu, that runs to
+    completion, after Rump's verification of positive definiteness (BIT 46,
+    433 (2006)): a completed floating-point Cholesky of a Hermitian matrix of
+    order n = d^2 leaves it within c tr of positive semidefinite, where
+    c = sqrt(2) gamma_{2n+2}, gamma_k = k u / (1 - k u): Rump's
+    real-arithmetic gamma_{n+1}, as a complex inner product of length k
+    rounds like a real one of length 2k in each part. Forming t I - M_a from
+    rho costs at most seven more roundings per entry, on terms of absolute
+    entry sum at most 2 S. The margin
+
+        mu = 4 (n + 4) u S,  S = n |t0| + |value| + sum |R_ij|
+                                 + d (sum |Lam_ij| + sum |B_0,ij|),
+
+    u the unit roundoff, covers both (and the rounding of t0) for every
+    n >= 1: S bounds the absolute entry sum, so the trace and the Frobenius
+    norm, of every term of t I - M_a.
+    """
+    d = w.shape[0]
+    n = d * d
+    y = (r @ w.reshape(-1)).reshape(d, d)
+    x = y @ w.conj().T
+    lam = 0.5 * (x + x.conj().T)
+    z = w.conj().T @ lam @ w
+    b0 = 0.5 * (z + z.conj().T).T
+    # cholesky reads one triangle only, so R is made exactly Hermitian
+    rh = 0.5 * (r + r.conj().T)
+    t0 = (value + CERT_TOL - max(lam.trace().real, b0.trace().real)) / d
+    scale = (n * abs(t0) + abs(value) + np.abs(rh).sum()
+             + d * (np.abs(lam).sum() + np.abs(b0).sum()))
+    eye = np.eye(d)
+    # Lam (x) I and I (x) B_0, entry [(i, k), (j, l)] at [i, k, j, l]
+    lam_i = (lam[:, None, :, None] * eye[None, :, None, :]).reshape(n, n)
+    i_b0 = (eye[:, None, :, None] * b0[None, :, None, :]).reshape(n, n)
+    # t I - M_a = base + a (Lam (x) I - I (x) B_0)
+    base = i_b0 - rh
+    base.flat[::n + 1] += t0 - 4 * (n + 4) * _UNIT_ROUNDOFF * scale
+    diff = lam_i - i_b0
+    for a in _CERT_SPLITS:
+        try:
+            np.linalg.cholesky(base + a * diff)
+        except np.linalg.LinAlgError:
+            continue
+        return True
+    return False
+
+
 def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> FefResult:
     """Fully entangled fraction of rho: max over maximally entangled |Phi> of
     <Phi|rho|Phi>.
 
     At d = 2 the value is exact: the top eigenvector x of Re(M^dag rho M) in
     the magic basis M gives the maximizer W = sqrt(2) reshape(M x), with no
-    ascent, so ``converged`` is true and ``restarts``/``seed`` are not used;
-    the value is the overlap of that maximizer, equal to the top eigenvalue up
-    to rounding.
-    At d >= 3 it is the best value over seeded restarts: start 0 is the
-    identity, start k >= 1 a Haar unitary drawn from default_rng([seed, k]);
-    all starts ascend together as one stack, and the first start with the
-    highest value wins. Deterministic for fixed (seed, restarts). Either way
+    ascent, so ``converged`` and ``certified`` are true and
+    ``restarts``/``seed`` are not used; the value is the overlap of that
+    maximizer, equal to the top eigenvalue up to rounding.
+    At d >= 3 the identity start ascends alone first. If its dual point
+    closes the bracket (``_bracket_closed``), its result is returned with
+    ``certified`` true: no maximally entangled state beats ``value`` by more
+    than CERT_TOL. Otherwise the other ``restarts`` - 1 starts, Haar unitaries
+    drawn from default_rng([seed, k]) for k >= 1, ascend together as one
+    stack, and the first start with the highest value wins, with
+    ``certified`` false. So ``restarts`` is a cap on the starts, and an open
+    bracket gives the same result as ascending all starts at once.
+    Deterministic for fixed (seed, restarts). Either way
     value >= <Phi+|rho|Phi+>, and ``restarts`` must be at least 1.
     """
     if restarts < 1:
@@ -150,9 +232,17 @@ def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -
         _, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho.matrix @ _MAGIC).real)
         w = (_MAGIC @ vecs[:, -1]).reshape(2, 2)
         return FefResult(value=fidelity_with(rho, mes_from_unitary(w)),
-                         maximizer_unitary=w, converged=True)
-    vals, ws, converged = _ascend_unitaries(rho.matrix / d, d, _seeded_starts(d, restarts, seed))
+                         maximizer_unitary=w, converged=True, certified=True)
+    r = rho.matrix / d
+    vals, ws, converged = _ascend_unitaries(r, d, np.eye(d)[None])
+    value = fidelity_with(rho, mes_from_unitary(ws[0]))
+    if _bracket_closed(r, ws[0], value):
+        return FefResult(value=value, maximizer_unitary=ws[0],
+                         converged=bool(converged[0]), certified=True)
+    if restarts > 1:
+        more = _ascend_unitaries(r, d, _seeded_starts(d, restarts, seed)[1:])
+        vals, ws, converged = (np.concatenate(pair) for pair in zip((vals, ws, converged), more))
     best = int(np.argmax(vals))
     w = ws[best]
-    value = fidelity_with(rho, mes_from_unitary(w))
-    return FefResult(value=value, maximizer_unitary=w, converged=bool(converged[best]))
+    return FefResult(value=fidelity_with(rho, mes_from_unitary(w)), maximizer_unitary=w,
+                     converged=bool(converged[best]), certified=False)

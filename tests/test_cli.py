@@ -105,7 +105,8 @@ def test_completeness_within_tolerance_validates_and_measures(tmp_path, capsys):
     assert "valid, unital" in capsys.readouterr().out
     for which in ("phiplus", "psi_prime"):
         assert main(["measures", str(path), "--input", which, "--restarts", "2"]) == 0
-        capsys.readouterr()
+        # the qubit FEF is exact for every input
+        assert json.loads(capsys.readouterr().out)["fef_certified"] is True
 
 
 def test_oversized_json_integer_is_usage_error(omega_file, tmp_path, capsys):
@@ -147,6 +148,7 @@ def test_measures_phiplus(omega_file, capsys):
         "phiplus_fidelity",
         "fef_value",
         "fef_converged",
+        "fef_certified",
         "negativity",
         "fstar_upper_bound",
         "lambda_max_choi",
@@ -157,6 +159,20 @@ def test_measures_psi_prime(omega_file, capsys):
     assert main(["measures", omega_file, "--input", "psi_prime", "--restarts", "8"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert abs(report["fef_value"] - 0.6866666666666666) < 1e-6
+    assert report["fef_certified"] is True
+
+
+def test_linalg_failure_is_one_line_exit_3(omega_file, capsys, monkeypatch):
+    # a LAPACK routine that does not converge reaches no verdict: exit 3, not
+    # the 1 of a verdict checked and false, and no traceback
+    def fail(rho, **kw):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "fef", fail)
+    assert main(["measures", omega_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: numerical failure: SVD did not converge\n"
 
 
 def test_measures_identity(identity_file, capsys):
@@ -241,6 +257,15 @@ def test_certify_wrong_x_length(capsys):
     # the dimension is checked before the length of x
     assert main(["certify", "--d", "-5", "--x", "0.5"]) == 2
     assert "dimension" in capsys.readouterr().err
+
+
+def test_certify_negative_x_reaches_range_check(capsys):
+    # argparse alone would read "-0.1,0.5" as an option and report that --x
+    # has no argument
+    for argv in (["--x", "-0.1,0.5"], ["--x=-0.1,0.5"], ["--x", "-.1,0.5"]):
+        assert main(["certify", "--d", "3", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == "error: range violated: x_i must lie in [0, 1]\n", argv
 
 
 def test_certify_rejects_non_finite_x(capsys):

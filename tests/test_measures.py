@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     damping_kraus_oracle,
@@ -27,9 +29,11 @@ from quditshare import (
     top_choi_eigenpair,
 )
 from quditshare.measures import (
+    CERT_TOL,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     _ascend_unitaries,
+    _bracket_closed,
     _seeded_starts,
 )
 
@@ -309,35 +313,48 @@ def _serial_fef(rho, starts):
     return fidelity_with(rho, mes_from_unitary(best[1])), best[1].tobytes(), best[2]
 
 
-def _fef_bytes(rho, restarts, seed):
-    res = fef(rho, restarts=restarts, seed=seed)
-    return res.value, res.maximizer_unitary.tobytes(), res.converged
-
-
 def _stacked_ascent_bytes(rho, restarts, seed):
     """(value, maximizer bytes, converged) of the stacked ascent from fef's
-    starts, run directly: at d = 2 fef takes the closed form instead."""
+    starts, run directly: fef itself stops after the identity start when its
+    bracket closes, and is exact at d = 2."""
     d = rho.dim
     vals, ws, converged = _ascend_unitaries(rho.matrix / d, d, _seeded_starts(d, restarts, seed))
     best = int(np.argmax(vals))
     return fidelity_with(rho, mes_from_unitary(ws[best])), ws[best].tobytes(), bool(converged[best])
 
 
+def _check_fef_against_serial(rho, restarts, seed, starts):
+    """fef agrees with the start-by-start loop: bit for bit when the identity's
+    bracket stays open; when it closes, the identity's own result, within
+    CERT_TOL of the best of every start."""
+    res = fef(rho, restarts=restarts, seed=seed)
+    got = (res.value, res.maximizer_unitary.tobytes(), res.converged)
+    if res.certified:
+        assert got == _serial_fef(rho, starts[:1])
+        assert res.value >= _serial_fef(rho, starts[:restarts])[0] - CERT_TOL
+    else:
+        assert got == _serial_fef(rho, starts[:restarts])
+    return res.certified
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_fef_stacked_matches_serial_loop(d):
     # 60 channel outputs per d: enough that an inner product rounding one ulp
     # differently (einsum in place of vecdot) changes some result here, through
-    # a different step or stop decision or a different winner among near ties;
-    # at d = 2 the stacked ascent is run directly, since fef is exact there
-    stacked = _stacked_ascent_bytes if d == 2 else _fef_bytes
+    # a different step or stop decision or a different winner among near ties
     rng = np.random.default_rng(600 + d)
+    certified = set()
     for case in range(60):
         ch = random_channel(d, int(rng.integers(1, d + 2)), rng)
         rho = apply_one_sided(ch, random_pure_state(d, rng))
         starts = _serial_starts(rho, 32, seed=case)
         for restarts in (1, 2, 8, 32):
-            assert stacked(rho, restarts, case) == _serial_fef(rho, starts[:restarts]), (
-                d, case, restarts)
+            assert _stacked_ascent_bytes(rho, restarts, case) == _serial_fef(
+                rho, starts[:restarts]), (d, case, restarts)
+            if d > 2:
+                certified.add(_check_fef_against_serial(rho, restarts, case, starts))
+    # both of fef's paths are taken at every d >= 3
+    assert d == 2 or certified == {True, False}
 
 
 def test_fef_stacked_matches_serial_loop_at_iteration_cap():
@@ -347,4 +364,51 @@ def test_fef_stacked_matches_serial_loop_at_iteration_cap():
     starts = _serial_starts(rho, 8, seed=0)
     assert not starts[0][2]
     for restarts in (1, 2, 8):
-        assert _fef_bytes(rho, restarts, 0) == _serial_fef(rho, starts[:restarts])
+        assert _stacked_ascent_bytes(rho, restarts, 0) == _serial_fef(rho, starts[:restarts])
+        # the unconverged identity leaves the bracket open, so fef runs the rest
+        assert not _check_fef_against_serial(rho, restarts, 0, starts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=st.integers(3, 5), seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
+def test_fef_certificate_is_sound(d, seed, mixed):
+    # a certified value is within CERT_TOL of the optimum, so no start of a
+    # much larger search climbs above it by more
+    rng = np.random.default_rng(seed)
+    if mixed:
+        rho = _random_mixed(d, rng)
+    else:
+        rho = apply_one_sided(random_channel(d, int(rng.integers(1, d + 2)), rng),
+                              random_pure_state(d, rng))
+    res = fef(rho, restarts=1)
+    if res.certified:
+        vals, _, _ = _ascend_unitaries(rho.matrix / d, d, _seeded_starts(d, 64, seed))
+        assert vals.max() <= res.value + CERT_TOL
+
+
+def _diagonal_dual_point(excess):
+    """(r, w, value) at d = 4 with w = I on a diagonal state, where every
+    split's M_a has lambda_max within 1e-17 of t0 + excess (t0 as
+    _bracket_closed computes it): the entries of M_a are exact but one."""
+    d, p = 4, 0.125
+    value = 4 * p / d  # the identity's overlap, exact
+    t0 = (value + CERT_TOL - value) / d
+    diag = np.full((d, d), 0.0)
+    np.fill_diagonal(diag, p)
+    # M_a's (0, 1) entry is (diag[0, 1] - p) / d, exact by Sterbenz
+    diag[0, 1] = p + d * (t0 + excess)
+    rest = (1.0 - diag.sum()) / 11
+    diag[diag == 0.0] = rest
+    rho = DensityOperator(d, np.diag(diag.reshape(-1)))
+    assert fidelity_with(rho, max_entangled(d)) == value
+    return rho.matrix / d, np.eye(d, dtype=complex), value
+
+
+def test_bracket_test_keeps_its_rounding_margin():
+    # lambda_max of the dual point misses t0 by 1e-15: t0 I - M_a is not
+    # positive semidefinite, and the backward-error margin, at least
+    # 4 (n + 4) u |value| = 1.1e-15 here, hides that if it is added to t0
+    # instead of subtracted
+    assert not _bracket_closed(*_diagonal_dual_point(1e-15))
+    assert not _bracket_closed(*_diagonal_dual_point(1e-10))
+    assert _bracket_closed(*_diagonal_dual_point(-1e-10))

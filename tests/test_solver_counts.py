@@ -83,11 +83,13 @@ def test_negativity_solver_budget(solver_calls):
     assert solver_calls["eigh"] + solver_calls["eigvalsh"] <= 4 * len(res.trace)
 
 
-@pytest.mark.parametrize("d, restarts", [(2, 8), (3, 32), (5, 5)])
+@pytest.mark.parametrize("d, restarts", [(2, 8), (3, 32), (5, 5), (7, 4)])
 def test_fef_one_stacked_svd_per_iteration(fef_calls, d, restarts):
-    # all starts climb as one stack: as many SVD calls as the slowest start
-    # takes iterations alone (not the sum over starts), and one QR for the
-    # Haar starts
+    # the identity start climbs alone; when its bracket closes that is all
+    # (no QR, no Haar start), and when it stays open the other starts climb
+    # as one stack: as many SVD calls as the slowest of them takes alone (not
+    # the sum over starts), and one QR for the Haar starts. At d = 2 fef is
+    # exact, so all starts climb as one stack in the ascent itself
     rng = np.random.default_rng(d)
     rho = apply_one_sided(random_channel(d, 2, rng), random_pure_state(d, rng))
     starts = [np.eye(d, dtype=complex)]
@@ -99,12 +101,18 @@ def test_fef_one_stacked_svd_per_iteration(fef_calls, d, restarts):
         iterations.append(fef_calls["svd"] - before)
     before = dict(fef_calls)
     if d == 2:
-        # fef is exact at d = 2, so the same starts climb in the ascent itself
         _ascend_unitaries(rho.matrix / d, d, _seeded_starts(d, restarts, 0))
+        budget = {"svd": max(iterations), "qr": 1}
+        assert max(iterations) < sum(iterations)
     else:
-        fef(rho, restarts=restarts)
-    assert fef_calls["svd"] - before["svd"] == max(iterations) < sum(iterations)
-    assert fef_calls["qr"] - before["qr"] == 1
+        certified = fef(rho, restarts=restarts).certified
+        # this state at d = 7 is one whose identity bracket stays open
+        assert certified is (d != 7)
+        seeded = max(iterations[1:])
+        budget = ({"svd": iterations[0], "qr": 0} if certified
+                  else {"svd": iterations[0] + seeded, "qr": 1})
+        assert seeded < sum(iterations[1:])
+    assert {k: fef_calls[k] - before[k] for k in budget} == budget
 
 
 def test_fef_qubit_closed_form_budget(fef_calls, solver_calls):
@@ -142,6 +150,7 @@ def test_measures_psi_prime_runs_no_fef(tmp_path, capsys, monkeypatch, d, unital
     assert seen == []
     assert report["fef_value"] == report["phiplus_fidelity"]
     assert report["fef_converged"] is True
+    assert report["fef_certified"] is True
 
 
 def test_fef_single_start_budget(fef_calls):

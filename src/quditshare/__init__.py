@@ -11,7 +11,8 @@ Library layers:
   (``fef``: exact at d = 2 from the magic basis; at d >= 3 a unitary ascent
   from the identity, ``certified`` when a dual point proves it within
   CERT_TOL of the optimum, and otherwise joined by seeded restarts that climb
-  as one stack), and the (tr rho + 2N)/d fidelity ceiling.
+  as one stack; ``fef_batch`` gives the same results for a list of operators
+  with their ascents stacked), and the (tr rho + 2N)/d fidelity ceiling.
 * :mod:`quditshare.damping` -- the level-damping channel family, its closed
   forms, and the advantage certificate.
 * :mod:`quditshare.search` -- input-state optimization (exact best-fidelity
@@ -59,6 +60,7 @@ from .errors import (
 from .measures import (
     FefResult,
     fef,
+    fef_batch,
     fstar_upper_bound,
     negativity,
 )
@@ -116,6 +118,7 @@ __all__ = [
     "damping_pt_spectrum",
     "dual",
     "fef",
+    "fef_batch",
     "fef_by_ascent",
     "fidelity_with",
     "fstar_upper_bound",

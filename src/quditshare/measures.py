@@ -26,6 +26,15 @@ bit-for-bit the one a start-by-start loop gives. An uncertified result is a
 heuristic lower bound, reported together with the certified ceiling
 min(lambda_max, (tr rho + 2N)/d) (tr rho is 1 unless ``unit_trace`` is
 False).
+
+``fef_batch`` runs the same ascent for a list of operators of one d, and
+``fef`` is its one-operator case. The identity starts of all operators climb
+as one stack, each against its own operator; the seeded starts are drawn once
+for the whole list and those of every operator whose bracket stays open climb
+as a second stack. Each result is bit for bit the one-operator call's. A
+stack of several operators holds one operator copy per start, so callers cut
+long lists into batches of ``fef_batch_size(d, restarts)`` operators, which
+keeps those copies within FEF_BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -52,6 +61,8 @@ CERT_TOL = 1e-8
 # the order _bracket_closed tries them
 _CERT_SPLITS = (0.5, 0.75, 0.25, 1.0, 0.0)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# bytes of operator copies one fef_batch call may stack (fef_batch_size)
+FEF_BATCH_BYTES = 1024 * 1024
 
 # Hill & Wootters' magic basis, scaled by sqrt(2), as columns over |00>, |01>,
 # |10>, |11>. For a real unit x, reshape(_MAGIC x) is the unitary
@@ -103,6 +114,9 @@ def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
     """Monotone ascent of w -> Re(w^dag R w) over unitary-reshaped w, for a
     stack of starts w0 of shape (n, d, d).
 
+    r is one operator shared by every start, shape (d^2, d^2), or one per
+    start, shape (n, d^2, d^2), which is overwritten: a leaving start's
+    operator is replaced by that of a start still climbing.
     Each iteration polar-projects the power steps of the starts still
     climbing with one stacked SVD; a start leaves at the first step whose gain
     is below DEFAULT_TOL. matmul against w[..., None] and vecdot round as the
@@ -126,10 +140,22 @@ def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
         kept = active[up]
         w[kept], y[kept], val[kept] = w_new[up], y_new[up], val_new[up]
         done = ~up | (val_new - old < DEFAULT_TOL)
-        converged[active[done]] = True
-        active = active[~done]
-        if not active.size:
-            break
+        leaving = np.count_nonzero(done)
+        if leaving:
+            converged[active[done]] = True
+            if leaving == active.size:
+                break
+            # the last staying starts take the leaving ones' places, so a
+            # per-start r shrinks in place; the stacked SVD factors each
+            # matrix on its own, so the order changes no result
+            stay = active.size - leaving
+            dst = np.flatnonzero(done[:stay])
+            src = stay + np.flatnonzero(~done[stay:])
+            active[dst] = active[src]
+            active = active[:stay]
+            if r.ndim == 3:
+                r[dst] = r[src]
+                r = r[:stay]
     return val, w.reshape(n, d, d), converged
 
 
@@ -224,25 +250,75 @@ def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -
     bracket gives the same result as ascending all starts at once.
     Deterministic for fixed (seed, restarts). Either way
     value >= <Phi+|rho|Phi+>, and ``restarts`` must be at least 1.
+    This is ``fef_batch`` on one operator.
+    """
+    return fef_batch([rho], restarts, seed)[0]
+
+
+def _fef_qubit(rho: DensityOperator) -> FefResult:
+    _, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho.matrix @ _MAGIC).real)
+    w = (_MAGIC @ vecs[:, -1]).reshape(2, 2)
+    return FefResult(value=fidelity_with(rho, mes_from_unitary(w)),
+                     maximizer_unitary=w, converged=True, certified=True)
+
+
+def fef_batch_size(d: int, restarts: int) -> int:
+    """How many d^2 x d^2 operators one ``fef_batch`` call may take so that
+    its stacks, one operator copy per start in the worst case that every
+    bracket stays open, hold at most FEF_BATCH_BYTES (at least one)."""
+    return max(1, FEF_BATCH_BYTES // (16 * d**4 * restarts))
+
+
+def fef_batch(rhos: list[DensityOperator], restarts: int = DEFAULT_RESTARTS,
+              seed: int = 0) -> list[FefResult]:
+    """``fef(rho, restarts, seed)`` of every operator in ``rhos``, all of one
+    dimension d, each result bit for bit the one-operator call's; the module
+    docstring says how the starts are stacked. A lone operator is shared by
+    all its starts, so a one-operator call copies no operator; a longer list
+    holds a copy per start, so callers cut it into batches of
+    ``fef_batch_size(d, restarts)``.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    d = rho.dim
+    if not rhos:
+        return []
+    d = rhos[0].dim
     if d == 2:
-        _, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho.matrix @ _MAGIC).real)
-        w = (_MAGIC @ vecs[:, -1]).reshape(2, 2)
-        return FefResult(value=fidelity_with(rho, mes_from_unitary(w)),
-                         maximizer_unitary=w, converged=True, certified=True)
-    r = rho.matrix / d
-    vals, ws, converged = _ascend_unitaries(r, d, np.eye(d)[None])
-    value = fidelity_with(rho, mes_from_unitary(ws[0]))
-    if _bracket_closed(r, ws[0], value):
-        return FefResult(value=value, maximizer_unitary=ws[0],
-                         converged=bool(converged[0]), certified=True)
-    if restarts > 1:
-        more = _ascend_unitaries(r, d, _seeded_starts(d, restarts, seed)[1:])
-        vals, ws, converged = (np.concatenate(pair) for pair in zip((vals, ws, converged), more))
-    best = int(np.argmax(vals))
-    w = ws[best]
-    return FefResult(value=fidelity_with(rho, mes_from_unitary(w)), maximizer_unitary=w,
-                     converged=bool(converged[best]), certified=False)
+        return [_fef_qubit(rho) for rho in rhos]
+    rs = [rho.matrix / d for rho in rhos]
+    identities = np.eye(d)[None].repeat(len(rs), axis=0)
+    vals, ws, converged = _ascend_unitaries(_stack(rs, 1), d, identities)
+    results = []
+    for rho, r, w, conv in zip(rhos, rs, ws, converged):
+        value = fidelity_with(rho, mes_from_unitary(w))
+        closed = _bracket_closed(r, w, value)
+        results.append(FefResult(value=value, maximizer_unitary=w, converged=bool(conv),
+                                 certified=True) if closed else None)
+    open_ = [i for i, res in enumerate(results) if res is None]
+    k = restarts - 1
+    if k and open_:
+        # open operator j owns the seeded starts j k .. (j + 1) k - 1
+        seeded = np.concatenate([_seeded_starts(d, restarts, seed)[1:]] * len(open_))
+        more = _ascend_unitaries(_stack([rs[i] for i in open_], k), d, seeded)
+    for j, i in enumerate(open_):
+        # the identity start first, then the seeded ones, as one call stacks them
+        start_vals, start_ws, start_conv = vals[i:i + 1], ws[i:i + 1], converged[i:i + 1]
+        if k:
+            own = slice(j * k, (j + 1) * k)
+            start_vals, start_ws, start_conv = (
+                np.concatenate((mine, part[own]))
+                for mine, part in zip((start_vals, start_ws, start_conv), more))
+        best = int(np.argmax(start_vals))
+        w = start_ws[best]
+        results[i] = FefResult(value=fidelity_with(rhos[i], mes_from_unitary(w)),
+                               maximizer_unitary=w, converged=bool(start_conv[best]),
+                               certified=False)
+    return results
+
+
+def _stack(rs: list, copies: int) -> np.ndarray:
+    """The operators of a stack of starts: a lone operator as it is, shared
+    by broadcast, else ``copies`` consecutive copies of each."""
+    if len(rs) == 1:
+        return rs[0]
+    return np.stack([r for r in rs for _ in range(copies)])

@@ -17,6 +17,7 @@ from quditshare import (
     choi_state,
     dual,
     fef,
+    fef_batch,
     fidelity_with,
     fstar_upper_bound,
     kraus_validate,
@@ -35,6 +36,7 @@ from quditshare.measures import (
     _ascend_unitaries,
     _bracket_closed,
     _seeded_starts,
+    fef_batch_size,
 )
 
 REF = damping_kraus_oracle(3, [0.5, 0.9])
@@ -326,7 +328,7 @@ def _stacked_ascent_bytes(rho, restarts, seed):
 def _check_fef_against_serial(rho, restarts, seed, starts):
     """fef agrees with the start-by-start loop: bit for bit when the identity's
     bracket stays open; when it closes, the identity's own result, within
-    CERT_TOL of the best of every start."""
+    CERT_TOL of the best of every start. Returns fef's result."""
     res = fef(rho, restarts=restarts, seed=seed)
     got = (res.value, res.maximizer_unitary.tobytes(), res.converged)
     if res.certified:
@@ -334,39 +336,73 @@ def _check_fef_against_serial(rho, restarts, seed, starts):
         assert res.value >= _serial_fef(rho, starts[:restarts])[0] - CERT_TOL
     else:
         assert got == _serial_fef(rho, starts[:restarts])
-    return res.certified
+    return res
+
+
+def _fef_bytes(res):
+    return res.value, res.maximizer_unitary.tobytes(), res.converged, res.certified
+
+
+def _check_batches_against_alone(rhos, alone, seed):
+    """fef_batch on rhos, in batches of twice the size run_audit cuts (so at
+    32 starts every batch holds two chunks' worth at every d), equals fef on
+    each operator alone: alone[restarts] holds those results."""
+    d = rhos[0].dim
+    for restarts, singles in alone.items():
+        size = 2 * fef_batch_size(d, restarts)
+        for lo in range(0, len(rhos), size):
+            got = fef_batch(rhos[lo:lo + size], restarts, seed)
+            assert [_fef_bytes(res) for res in got] == [
+                _fef_bytes(res) for res in singles[lo:lo + size]], (d, restarts, lo)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_fef_stacked_matches_serial_loop(d):
     # 60 channel outputs per d: enough that an inner product rounding one ulp
     # differently (einsum in place of vecdot) changes some result here, through
-    # a different step or stop decision or a different winner among near ties
+    # a different step or stop decision or a different winner among near ties.
+    # The cases share one seed, as the operators of one fef_batch call do.
     rng = np.random.default_rng(600 + d)
-    certified = set()
+    seed = d
+    rhos = []
+    alone = {restarts: [] for restarts in (1, 2, 8, 32)}
     for case in range(60):
         ch = random_channel(d, int(rng.integers(1, d + 2)), rng)
         rho = apply_one_sided(ch, random_pure_state(d, rng))
-        starts = _serial_starts(rho, 32, seed=case)
-        for restarts in (1, 2, 8, 32):
-            assert _stacked_ascent_bytes(rho, restarts, case) == _serial_fef(
+        rhos.append(rho)
+        starts = _serial_starts(rho, 32, seed)
+        for restarts in alone:
+            assert _stacked_ascent_bytes(rho, restarts, seed) == _serial_fef(
                 rho, starts[:restarts]), (d, case, restarts)
             if d > 2:
-                certified.add(_check_fef_against_serial(rho, restarts, case, starts))
-    # both of fef's paths are taken at every d >= 3
-    assert d == 2 or certified == {True, False}
+                alone[restarts].append(_check_fef_against_serial(rho, restarts, seed, starts))
+    if d > 2:
+        # both of fef's paths are taken at every d >= 3
+        assert {res.certified for res in alone[32]} == {True, False}
+        _check_batches_against_alone(rhos, alone, seed)
 
 
 def test_fef_stacked_matches_serial_loop_at_iteration_cap():
     # the identity start of this state is still climbing after DEFAULT_MAX_ITER
-    # steps; with 2 and 8 starts it sits in the stack beside converged starts
+    # steps; with 2 and 8 starts it sits in the stack beside converged starts,
+    # and in a batch beside fast outputs, which the stack leaves behind
     rho = _random_mixed(3, np.random.default_rng(1728), rank=4)
     starts = _serial_starts(rho, 8, seed=0)
     assert not starts[0][2]
+    rng = np.random.default_rng(1737)
+    fast = [apply_one_sided(random_channel(3, 2, rng), random_pure_state(3, rng))
+            for _ in range(3)]
     for restarts in (1, 2, 8):
         assert _stacked_ascent_bytes(rho, restarts, 0) == _serial_fef(rho, starts[:restarts])
+        res = _check_fef_against_serial(rho, restarts, 0, starts)
         # the unconverged identity leaves the bracket open, so fef runs the rest
-        assert not _check_fef_against_serial(rho, restarts, 0, starts)
+        assert not res.certified
+        alone = [fef(f, restarts=restarts, seed=0) for f in fast]
+        assert all(r.converged for r in alone)
+        assert {r.certified for r in alone} == {True, False}
+        got = fef_batch([fast[0], rho, *fast[1:]], restarts, 0)
+        assert [_fef_bytes(r) for r in got] == [
+            _fef_bytes(r) for r in (alone[0], res, *alone[1:])]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

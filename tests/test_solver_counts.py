@@ -29,7 +29,12 @@ from quditshare import (
     random_pure_state,
     save_channel,
 )
-from quditshare.measures import DEFAULT_MAX_ITER, _ascend_unitaries, _seeded_starts
+from quditshare.measures import (
+    DEFAULT_MAX_ITER,
+    _ascend_unitaries,
+    _seeded_starts,
+    fef_batch_size,
+)
 
 
 def _count_calls(monkeypatch, names):
@@ -113,6 +118,33 @@ def test_fef_one_stacked_svd_per_iteration(fef_calls, d, restarts):
                   else {"svd": iterations[0] + seeded, "qr": 1})
         assert seeded < sum(iterations[1:])
     assert {k: fef_calls[k] - before[k] for k in budget} == budget
+
+
+def test_audit_one_stacked_svd_per_iteration(fef_calls):
+    # audit's channels of one chunk climb as two stacks: the identity starts,
+    # as many SVD calls as the slowest of them takes alone, then the seeded
+    # starts of the channels whose bracket stays open, as many as the slowest
+    # of those, with one QR for the Haar starts of the whole chunk
+    d, n, seed, restarts = 4, 12, 3, 8
+    assert n <= fef_batch_size(d, restarts)
+    rhos = [cli._audit_channel(d, seed, i)[0] for i in range(n)]
+    starts = _seeded_starts(d, restarts, 0)
+    identity, seeded = [], []
+    for rho in rhos:
+        is_open = not fef(rho, restarts=1).certified
+        for k, w0 in enumerate(starts if is_open else starts[:1]):
+            before = fef_calls["svd"]
+            _ascend_unitaries(rho.matrix / d, d, w0[None])
+            (seeded if k else identity).append(fef_calls["svd"] - before)
+    assert seeded
+    before = dict(fef_calls)
+    for i in range(n):
+        cli._audit_channel(d, seed, i)
+    building = {k: fef_calls[k] - before[k] for k in fef_calls}
+    before = dict(fef_calls)
+    assert cli.run_audit(d, n, seed, restarts)["pass"]
+    assert {k: fef_calls[k] - before[k] for k in fef_calls} == {
+        "svd": building["svd"] + max(identity) + max(seeded), "qr": building["qr"] + 1}
 
 
 def test_fef_qubit_closed_form_budget(fef_calls, solver_calls):

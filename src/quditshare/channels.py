@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ChannelCompletenessError, DimensionError, InvalidOperatorError
-from .jsonio import dumps_fixed, json_int, load_json
+from .jsonio import dumps_fixed, json_complex, json_int, load_json
 from .states import DensityOperator, PureBipartiteState, max_entangled
 
 COMPLETENESS_TOL = 1e-10
@@ -198,10 +198,10 @@ def channel_from_dict(data: dict) -> KrausChannel:
     try:
         d = json_int(data["d"], "d")
         ops = tuple(
-            np.array([[complex(float(e[0]), float(e[1])) for e in row] for row in mat])
+            np.array([[json_complex(e, "Kraus entry") for e in row] for row in mat])
             for mat in data["kraus"]
         )
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidOperatorError(f"malformed channel data: {exc}") from exc
     return KrausChannel(dim=d, kraus_ops=ops)
 

@@ -6,6 +6,9 @@ order with 17-significant-digit reals, CSV uses '.' decimals, comma delimiter,
 and a header row. Exit codes: 0 success / all verdicts true, 1 verified-false
 or invariant violation, 2 usage or parameter error, 3 a dense linear-algebra
 routine failed (numpy.linalg.LinAlgError), so no verdict was reached.
+Every error, a malformed command line included, leaves through ``main`` as
+one ``error: ...`` line on stderr; integer flags are bounded where they are
+parsed (seeds >= 0, ``--n`` and ``--restarts`` >= 1, ``audit --d`` in 2..6).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from .errors import (
     ParameterError,
     ToolkitError,
 )
-from .jsonio import csv_cell, dumps_fixed, format_real, json_int, load_json
+from .jsonio import csv_cell, dumps_fixed, format_real, json_int, json_real, load_json
 from .measures import fef, fef_batch, fef_batch_size, fstar_upper_bound, negativity
 from .search import qubit_optimal_fidelity
 from .states import (
@@ -71,15 +74,17 @@ AUDIT_TOLERANCES = {
 MAX_SWEEP_POINTS = 10**6
 
 
-def _restarts(text: str) -> int:
-    """argparse type for --restarts: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _write_text(text: str, out_path):
@@ -204,8 +209,8 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
     if not axes_raw:
         raise ParameterError("sweep spec has empty axes")
     try:
-        fixed = {str(k): float(v) for k, v in fixed_raw.items()}
-    except (TypeError, ValueError, OverflowError) as exc:
+        fixed = {str(k): json_real(v, k) for k, v in fixed_raw.items()}
+    except (TypeError, OverflowError) as exc:
         raise ParameterError(f"fixed components must be numbers: {exc}") from exc
     covered = set(axes_raw) | set(fixed)
     # stops after a few misses, and finds none only when the spec itself names
@@ -221,10 +226,10 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
             raise ParameterError(f"unknown axis component {name!r} for d={d}")
         try:
             axes.append(
-                (str(name), float(desc["start"]), float(desc["stop"]),
+                (str(name), json_real(desc["start"], "start"), json_real(desc["stop"], "stop"),
                  json_int(desc["steps"], "steps"))
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ParameterError(f"axis {name!r} needs start/stop/steps: {exc}") from exc
     extra = sorted(set(fixed) - set(names))
     if extra:
@@ -257,13 +262,10 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
 
 
 def _sweep_points(spec: SweepSpec):
-    grids = [np.linspace(start, stop, steps) for _, start, stop, steps in spec.axes]
     axis_names = [name for name, *_ in spec.axes]
-    idx = np.ndindex(*(g.size for g in grids))
-    for multi in idx:
-        values = dict(spec.fixed)
-        for name, g, i in zip(axis_names, grids, multi):
-            values[name] = float(g[i])
+    grids = [np.linspace(start, stop, steps).tolist() for _, start, stop, steps in spec.axes]
+    for point in product(*grids):
+        values = {**spec.fixed, **dict(zip(axis_names, point))}
         yield np.array([values[f"x{i}"] for i in range(1, spec.d)])
 
 
@@ -307,11 +309,7 @@ def cmd_sweep(args) -> int:
         text = _rows_to_csv(rows)
     else:
         text = dumps_fixed(rows)
-    try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ParameterError(f"cannot write output path {out_path!r}: {exc}") from exc
+    _write_text(text, out_path)
     skipped = sum(1 for r in rows if r["status"] == "skipped")
     print(f"rows: {len(rows)}")
     print(f"skipped: {skipped}")
@@ -409,10 +407,6 @@ def run_audit(d: int, n_channels: int, seed: int, restarts: int) -> dict:
 
 
 def cmd_audit(args) -> int:
-    if not (2 <= args.d <= 6):
-        raise ParameterError(f"audit supports d in [2, 6], got {args.d}")
-    if args.n < 1:
-        raise ParameterError(f"n_channels must be >= 1, got {args.n}")
     report = run_audit(args.d, args.n, args.seed, args.restarts)
     _write_text(dumps_fixed(report), args.out)
     return 0 if report["pass"] else 1
@@ -422,8 +416,16 @@ def cmd_audit(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a ParameterError, so ``main`` reports
+    it like any other usage error; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quditshare",
         description="Entanglement sharing over noisy qudit channels: "
         "channel validation, entanglement measures, and advantage certificates.",
@@ -438,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel", help="channel JSON file")
     p.add_argument("--input", default="phiplus",
                    help="'phiplus', 'psi_prime', or a state JSON file")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="FEF ascent seed; used only for phiplus/STATE.json inputs at d >= 3")
-    p.add_argument("--restarts", type=_restarts, default=32, metavar="N",
+    p.add_argument("--restarts", type=_int_at_least(1), default=32, metavar="N",
                    help="FEF ascent: at most N starts; seeded starts run only when the "
                    "identity's bracket stays open (phiplus/STATE.json inputs at d >= 3)")
     p.add_argument("--out", default=None)
@@ -454,17 +456,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="certificate grid sweep from a spec file")
     p.add_argument("spec", help="sweep spec JSON file")
-    p.add_argument("--seed", type=int, default=0, help="accepted but unused")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="accepted but unused")
     p.add_argument("--out", default=None, help="override the spec's output path")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("audit", help="random-channel invariant audit")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="number of channels")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--d", type=int, choices=range(2, 7), required=True, metavar="D")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="number of channels")
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="seeds the random channels, input states and unitaries")
-    p.add_argument("--restarts", type=_restarts, default=8, metavar="N",
+    p.add_argument("--restarts", type=_int_at_least(1), default=8, metavar="N",
                    help="FEF ascent: at most N starts; seeded starts run only when the "
                    "identity's bracket stays open (d >= 3; d = 2 is exact)")
     p.add_argument("--out", default=None)
@@ -495,14 +497,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(_join_negative_x(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.fn(args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except SystemExit as exc:
+        # only --help leaves parse_args this way; _Parser raises every error
+        return int(exc.code or 0)
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as exc:

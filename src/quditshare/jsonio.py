@@ -74,6 +74,25 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_real(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number (an int or float, not a
+    bool), else TypeError; OverflowError for an int beyond the float range.
+
+    ``float()`` alone would read "1", "nan" and true as numbers.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_complex(pair, name: str) -> complex:
+    """A JSON ``[re, im]`` pair, exactly two numbers as ``json_real`` reads
+    them, as a complex, else TypeError (or OverflowError)."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise TypeError(f"{name!r} must be an [re, im] pair of numbers, got {pair!r}")
+    return complex(json_real(pair[0], name), json_real(pair[1], name))
+
+
 def load_json(path):
     """Parse a JSON file, raising ToolkitError for text that is not valid JSON.
 

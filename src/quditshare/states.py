@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidOperatorError
-from .jsonio import json_int, load_json
+from .jsonio import json_complex, json_int, load_json
 
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
@@ -167,8 +167,8 @@ def state_from_dict(data: dict) -> PureBipartiteState:
     """Parse the state JSON schema: {"d": int, "amplitudes": [[re, im], ...]}."""
     try:
         d = json_int(data["d"], "d")
-        amps = np.array([complex(float(a[0]), float(a[1])) for a in data["amplitudes"]])
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+        amps = np.array([json_complex(a, "amplitude") for a in data["amplitudes"]])
+    except (KeyError, TypeError, OverflowError) as exc:
         raise InvalidOperatorError(f"malformed state file: {exc}") from exc
     return PureBipartiteState(d, amps)
 

@@ -129,13 +129,31 @@ def test_oversized_json_integer_is_usage_error(omega_file, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "measures"])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_kraus_entry_is_usage_error(tmp_path, capsys, command, bad):
-    # NaN makes the completeness residual NaN, which no tolerance check rejects
+    # NaN makes the completeness residual NaN, which no tolerance check rejects;
+    # json.dumps writes the NaN and Infinity tokens that json.load reads back
     path = tmp_path / "ch.json"
-    path.write_text(json.dumps({"d": 2, "kraus": [[[[bad, 0], [0, 0]], [[0, 0], [1, 0]]]]}))
+    entry = [float(bad), 0]
+    path.write_text(json.dumps({"d": 2, "kraus": [[[entry, [0, 0]], [[0, 0], [1, 0]]]]}))
     assert main([command, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Kraus operator has a non-finite entry\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "measures"])
+@pytest.mark.parametrize(
+    "entry", [["nan", 0], ["inf", 0], ["1", 0], [True, 0], [1, False], [1, 0, 99]])
+def test_kraus_entry_must_be_a_pair_of_numbers(tmp_path, capsys, command, entry):
+    # float() read strings and bools as numbers and a third entry went unread,
+    # so these files validated as the identity channel (the "nan" and "inf"
+    # strings reached the finiteness check); the NaN token is the test above
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps({"d": 2, "kraus": [[[entry, [0, 0]], [[0, 0], [1, 0]]]]}))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed channel data: 'Kraus entry' must be")
+    assert captured.err.count("\n") == 1, captured.err
 
 
 def test_measures_phiplus(omega_file, capsys):
@@ -225,6 +243,9 @@ def test_measures_dimension_mismatch(omega_file, tmp_path, capsys):
         {"d": 3.9, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 8},
         {"d": "3", "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 8},
         {"d": True, "amplitudes": [[1.0, 0.0]]},
+        {"d": 3, "amplitudes": [["1", 0.0]] + [[0.0, 0.0]] * 8},
+        {"d": 3, "amplitudes": [[True, False]] + [[0.0, 0.0]] * 8},
+        {"d": 3, "amplitudes": [[1.0, 0.0, 99]] + [[0.0, 0.0]] * 8},
     ],
 )
 def test_measures_malformed_state_file(omega_file, tmp_path, capsys, data):
@@ -294,6 +315,7 @@ def test_restarts_below_one_is_usage_error(argv, capsys):
         else:
             assert f"argument --restarts: must be >= 1, got {int(value)}" in err
         assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_certify_d6(capsys):
@@ -412,13 +434,17 @@ def _readme_cli_flags():
     return flags
 
 
+def _subcommands():
+    """{subcommand: its parser} from cli.build_parser()."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_readme_cli_synopsis_matches_parser():
-    subparsers = next(a for a in cli.build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
     parsed = {
         name: {opt for action in sub._actions for opt in action.option_strings
                if opt.startswith("--") and opt != "--help"}
-        for name, sub in subparsers.choices.items()
+        for name, sub in _subcommands().items()
     }
     assert _readme_cli_flags() == parsed
 
@@ -444,6 +470,9 @@ def test_sweep_empty_axes(tmp_path, capsys):
         {"d": "3", "axes": axis, "fixed": {"x2": 0.5}},
         {"d": True, "axes": axis},
         {"axes": {"x1": {"start": 0.1, "stop": 0.9, "steps": 2.9}}, "fixed": {"x2": 0.5}},
+        # and every start, stop and fixed value a JSON number: no "0.2", no true
+        {"axes": {"x1": {"start": "0.2", "stop": 0.9, "steps": 2}}, "fixed": {"x2": 0.5}},
+        {"axes": axis, "fixed": {"x2": True}},
     ):
         spec = {"d": 3, "output_path": str(tmp_path / "x.csv"), **fields}
         err = _assert_sweep_usage_error(tmp_path, capsys, spec)
@@ -515,8 +544,53 @@ def test_audit_qubit_includes_pauli_check(capsys):
 
 
 def test_audit_usage_errors(capsys):
-    assert main(["audit", "--d", "3", "--n", "0"]) == 2
-    assert main(["audit", "--d", "9", "--n", "5"]) == 2
+    for argv in (["--d", "3", "--n", "0"], ["--d", "9", "--n", "5"],
+                 ["--d", "3", "--n", "2", "--seed", "-1"]):
+        assert main(["audit", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["certify", "--x", "0.5,0.9"], "the following arguments are required: --d"),
+        (["validate", "ch.json", "--bogus"], "unrecognized arguments: --bogus"),
+        (["audit", "--d", "3", "--n", "two"], "argument --n: invalid int value: 'two'"),
+        (["measures", "ch.json", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["sweep", "SPEC", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    ],
+)
+def test_usage_errors_print_one_line(tmp_path, capsys, argv, message):
+    # argparse's own route printed a usage block before its error line; the
+    # sweep spec is valid, so a refused --seed must leave its output unwritten
+    out = tmp_path / "grid.csv"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"d": 3, "axes": {"x1": {"start": 0.2, "stop": 0.4, "steps": 2}},
+                                "fixed": {"x2": 0.9}, "output_path": str(out)}))
+    assert main([str(spec) if a == "SPEC" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["audit", "--help"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: quditshare")
+
+
+def test_every_integer_flag_is_bounded():
+    # an unbounded integer flag let `--seed -1` reach numpy's default_rng and
+    # leave with a traceback; certify's --d is range-checked by DampingParams
+    unbounded = [
+        (name, opt) for name, sub in _subcommands().items() for action in sub._actions
+        if action.type is int and action.choices is None for opt in action.option_strings
+    ]
+    assert unbounded == [("certify", "--d")]
 
 
 def test_unknown_command_exits_2():
@@ -545,6 +619,7 @@ def test_removed_flags_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err, err
     assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_sweep_subprocess_byte_identical(tmp_path):

@@ -88,7 +88,7 @@ def json_real(value, name: str) -> float:
 def json_complex(pair, name: str) -> complex:
     """A JSON ``[re, im]`` pair, exactly two numbers as ``json_real`` reads
     them, as a complex, else TypeError (or OverflowError)."""
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+    if not isinstance(pair, list) or len(pair) != 2:
         raise TypeError(f"{name!r} must be an [re, im] pair of numbers, got {pair!r}")
     return complex(json_real(pair[0], name), json_real(pair[1], name))
 

@@ -168,7 +168,7 @@ def state_from_dict(data: dict) -> PureBipartiteState:
     try:
         d = json_int(data["d"], "d")
         amps = np.array([json_complex(a, "amplitude") for a in data["amplitudes"]])
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidOperatorError(f"malformed state file: {exc}") from exc
     return PureBipartiteState(d, amps)
 

@@ -156,6 +156,19 @@ def test_kraus_entry_must_be_a_pair_of_numbers(tmp_path, capsys, command, entry)
     assert captured.err.count("\n") == 1, captured.err
 
 
+@pytest.mark.parametrize("command", ["validate", "measures"])
+@pytest.mark.parametrize("row", [[[0, 0]], []])
+def test_ragged_kraus_rows_are_usage_error(tmp_path, capsys, command, row):
+    # np.array raises ValueError on rows of different lengths
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps({"d": 2, "kraus": [[[[1, 0], [0, 0]], row]]}))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed channel data: ")
+    assert captured.err.count("\n") == 1, captured.err
+
+
 def test_measures_phiplus(omega_file, capsys):
     assert main(["measures", omega_file, "--restarts", "8"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -562,6 +575,10 @@ def test_audit_usage_errors(capsys):
         (["audit", "--d", "3", "--n", "two"], "argument --n: invalid int value: 'two'"),
         (["measures", "ch.json", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
         (["sweep", "SPEC", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        # refused before the file is opened, so before either FEF path runs:
+        # an open bracket sent the seed to default_rng (a traceback, exit 1),
+        # a closed one never read it (exit 0)
+        (["measures", "ch.json", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
     ],
 )
 def test_usage_errors_print_one_line(tmp_path, capsys, argv, message):

@@ -5,8 +5,7 @@ change that moves any byte of them, even in the 17th digit, fails here and
 has to record the new digest and say why. The `measures` cases cover
 `--input phiplus` and a state file at d = 3 and 4, and both FEF paths: the
 identity's bracket closed (`fef_certified` true) and open (seeded restarts
-ran). The two phiplus channels also check that `--seed -1` is refused
-before either path runs. Recorded with numpy 2.4 on x86-64 Linux; another LAPACK build may round
+ran). Recorded with numpy 2.4 on x86-64 Linux; another LAPACK build may round
 differently and move the digests without any change to this package.
 """
 
@@ -53,18 +52,6 @@ def test_measures_digest(tmp_path, d, which, certified, digest):
     data, got = _run(argv, tmp_path / "report.json")
     assert json.loads(data)["fef_certified"] is certified
     assert got == digest
-
-
-@pytest.mark.parametrize("d", [3, 4])
-def test_measures_negative_seed_is_usage_error(tmp_path, capsys, d):
-    # the phiplus channels above: at d = 3 the bracket stays open and the seed
-    # reached default_rng (a traceback, exit 1); at d = 4 it closes and the
-    # seed went unread (exit 0). Both now stop at the parser.
-    channel = tmp_path / "channel.json"
-    save_channel(random_channel(d, d, np.random.default_rng([d, CASE_SEED[d]])), channel)
-    assert cli.main(["measures", str(channel), "--seed", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: argument --seed: must be >= 0, got -1\n")
 
 
 def test_audit_digest(tmp_path):

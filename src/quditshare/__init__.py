@@ -9,8 +9,9 @@ Library layers:
   file IO.
 * :mod:`quditshare.measures` -- negativity, fully entangled fraction
   (``fef``: exact at d = 2 from the magic basis; at d >= 3 a unitary ascent
-  from the identity, ``certified`` when a dual point proves it within
-  CERT_TOL of the optimum, and otherwise joined by seeded restarts that climb
+  from the identity, ``certified`` when a dual point, free or (with
+  restarts - 1 >= d^2) polished, proves it within CERT_TOL of the optimum,
+  and otherwise joined by seeded restarts that climb
   as one stack; ``fef_batch`` gives the same results for a list of operators
   with their ascents stacked), and the (tr rho + 2N)/d fidelity ceiling.
 * :mod:`quditshare.damping` -- the level-damping channel family, its closed

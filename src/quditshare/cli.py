@@ -374,7 +374,13 @@ def _audit_pauli(seed: int, index: int) -> float:
 
 
 def run_audit(d: int, n_channels: int, seed: int, restarts: int) -> dict:
-    """Random-channel invariant audit; max violation per invariant.
+    """Random-channel invariant audit: per invariant, the max violation and
+    ``worst_index``, the first channel index that reaches it.
+
+    Channel i is drawn from default_rng([seed, i]) alone (the Pauli check's
+    from default_rng([seed, 10_000_019 + i])), and each FEF result equals
+    ``fef`` on that channel alone, so an audit with ``n_channels`` =
+    worst_index + 1 replays the worst channel as its last one.
 
     Channels are built in chunks of ``fef_batch_size(d, restarts)``, and each
     chunk's FEFs come from one ``fef_batch`` call. ``seed`` draws the
@@ -388,14 +394,16 @@ def run_audit(d: int, n_channels: int, seed: int, restarts: int) -> dict:
         built = [_audit_channel(d, seed, i) for i in range(lo, min(lo + chunk, n_channels))]
         fefs = fef_batch([rho for rho, _ in built], restarts)
         results += [devs + _fef_deviations(rho, res.value) for (rho, devs), res in zip(built, fefs)]
-    maxima = [max(col) for col in zip(*results)]
+    columns = list(zip(*results))
     if d == 2:
-        maxima.append(max(_audit_pauli(seed, i) for i in range(n_channels)))
+        columns.append([_audit_pauli(seed, i) for i in range(n_channels)])
     # AUDIT_TOLERANCES lists the checks in report order, the qubit-only one last
-    checks = {
-        name: {"max_violation": float(value), "tolerance": tol, "pass": bool(value < tol)}
-        for (name, tol), value in zip(AUDIT_TOLERANCES.items(), maxima)
-    }
+    checks = {}
+    for (name, tol), col in zip(AUDIT_TOLERANCES.items(), columns):
+        worst = max(range(n_channels), key=col.__getitem__)
+        value = col[worst]
+        checks[name] = {"max_violation": float(value), "worst_index": worst,
+                        "tolerance": tol, "pass": bool(value < tol)}
     return {
         "d": d,
         "n_channels": n_channels,
@@ -441,10 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="phiplus",
                    help="'phiplus', 'psi_prime', or a state JSON file")
     p.add_argument("--seed", type=_int_at_least(0), default=0,
-                   help="FEF ascent seed; used only for phiplus/STATE.json inputs at d >= 3")
+                   help="FEF ascent seed; used only for phiplus/STATE.json inputs at d >= 3, "
+                   "when the identity's bracket stays open; fef_certified does not depend on it")
     p.add_argument("--restarts", type=_int_at_least(1), default=32, metavar="N",
                    help="FEF ascent: at most N starts; seeded starts run only when the "
-                   "identity's bracket stays open (phiplus/STATE.json inputs at d >= 3)")
+                   "identity's bracket stays open (phiplus/STATE.json inputs at d >= 3); "
+                   "the dual polish that may close it runs only when N - 1 >= d^2")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_measures)
 
@@ -468,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeds the random channels, input states and unitaries")
     p.add_argument("--restarts", type=_int_at_least(1), default=8, metavar="N",
                    help="FEF ascent: at most N starts; seeded starts run only when the "
-                   "identity's bracket stays open (d >= 3; d = 2 is exact)")
+                   "identity's bracket stays open (d >= 3; d = 2 is exact); the dual "
+                   "polish that may close it runs only when N - 1 >= d^2")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_audit)
 

@@ -15,17 +15,30 @@ a projected power iteration: every maximally entangled state is (W (x) I)|Phi+>
 for a unitary W, the overlap is a positive-semidefinite quadratic form in the
 entries of W, and alternating a power step with polar projection to the nearest
 unitary ascends that form monotonically. ``fef`` climbs from the identity
-first. The Lagrange multiplier at its maximizer is a dual point of the
-semidefinite relaxation of that problem, and when a Cholesky factorization
-proves that point's bound within CERT_TOL of the value, the result is
-returned as ``certified``. Only otherwise do the seeded starts run, as one
-stack: each iteration makes a single stacked SVD over the starts still
-climbing, and a start drops out when its own gain falls below DEFAULT_TOL. So
-every start takes the steps it would take alone, and the result is
-bit-for-bit the one a start-by-start loop gives. An uncertified result is a
-heuristic lower bound, reported together with the certified ceiling
-min(lambda_max, (tr rho + 2N)/d) (tr rho is 1 unless ``unit_trace`` is
-False).
+first. The Lagrange multiplier at its maximizer gives a family of dual
+points of the semidefinite relaxation of that problem, all stationary there,
+and when a Cholesky factorization proves one point's bound within CERT_TOL
+of the value, the result is returned as ``certified``. Five free points of
+the family are tried first; if none closes the bracket and ``restarts`` - 1
+>= d^2, a short quasi-Newton polish searches the family, at most
+_POLISH_POINTS points with one ``eigh`` each. Only when the bracket stays
+open do the seeded starts run, as one stack: each iteration makes a single
+stacked SVD over the starts still climbing, and a start drops out when its
+own gain falls below DEFAULT_TOL. So every start takes the steps it would
+take alone, and the result is bit-for-bit the one a start-by-start loop
+gives. An uncertified result is a heuristic lower bound, reported together
+with the certified ceiling min(lambda_max, (tr rho + 2N)/d) (tr rho is 1
+unless ``unit_trace`` is False).
+
+The polish runs only where it may spare a seeded stack of at least d^2
+starts (restarts - 1 >= d^2): the 32 default starts of ``measures`` at
+d <= 5, not the 8 of ``audit``. On the benchmark's measures corpus at
+d = 3, 4, 5 (2 vCPUs) a polish that closes takes a median 0.7 / 1.1 /
+2.3 ms and one that fails 3.8 / 4.2 / 7.8 ms, against 20 / 15 / 24 ms for
+the 31 seeded starts. The rule also keeps the polish's eigensolves at order
+<= 25 for the default starts: above that numpy's ``eigh`` takes LAPACK's
+divide-and-conquer path, which runs threaded BLAS and spends CPU time out of
+proportion to its wall time.
 
 ``fef_batch`` runs the same ascent for a list of operators of one d, and
 ``fef`` is its one-operator case. The identity starts of all operators climb
@@ -39,6 +52,7 @@ keeps those copies within FEF_BATCH_BYTES.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +75,11 @@ CERT_TOL = 1e-8
 # the order _bracket_closed tries them
 _CERT_SPLITS = (0.5, 0.75, 0.25, 1.0, 0.0)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# the polish of an open bracket's dual point (_polished_closed): points tried
+# at most, smoothing temperature of lambda_max, L-BFGS memory
+_POLISH_POINTS = 16
+_POLISH_MU = 1e-3
+_POLISH_MEMORY = 6
 # bytes of operator copies one fef_batch call may stack (fef_batch_size)
 FEF_BATCH_BYTES = 1024 * 1024
 
@@ -77,7 +96,9 @@ class FefResult:
 
     ``converged``: the winning start stopped on a gain below DEFAULT_TOL
     rather than at DEFAULT_MAX_ITER. ``certified``: no maximally entangled
-    state beats ``value`` by more than CERT_TOL (always true at d = 2).
+    state beats ``value`` by more than CERT_TOL (always true at d = 2); at
+    d >= 3 a free or, when restarts - 1 >= d^2, a polished dual point proved
+    it for the identity start's value, and no seeded start ran.
     """
 
     value: float
@@ -171,64 +192,193 @@ def _seeded_starts(d: int, restarts: int, seed: int) -> np.ndarray:
     return starts
 
 
+def _herm(m: np.ndarray) -> np.ndarray:
+    """The Hermitian part of m; exactly Hermitian, as fl(x + y) = fl(y + x)."""
+    return 0.5 * (m + m.conj().T)
+
+
+def _kron_parts(a: np.ndarray, b: np.ndarray):
+    """(A (x) I, I (x) B), entry [(i, k), (j, l)] at [i, k, j, l], exact."""
+    d = a.shape[0]
+    n = d * d
+    eye = np.eye(d)
+    return ((a[:, None, :, None] * eye[None, :, None, :]).reshape(n, n),
+            (eye[:, None, :, None] * b[None, :, None, :]).reshape(n, n))
+
+
+def _adjoint(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """L*(G) = tr_B G - W (tr_A G)^T W^dag, adjoint of the map
+    L(C) = C (x) I - I (x) (W^dag C W)^T along which M(C) moves."""
+    d = w.shape[0]
+    g4 = g.reshape(d, d, d, d)
+    return g4.trace(axis1=1, axis2=3) - w @ g4.trace(axis1=0, axis2=2).T @ w.conj().T
+
+
+def _multiplier(r: np.ndarray, w: np.ndarray):
+    """(X, R_h, sum |R_h,ij|) at the ascent's unitary w: the multiplier
+    X = Herm(reshape(R w) W^dag), and R made exactly Hermitian, as the
+    Cholesky of ``_proves`` reads one triangle only."""
+    d = w.shape[0]
+    y = (r @ w.reshape(-1)).reshape(d, d)
+    rh = _herm(r)
+    return _herm(y @ w.conj().T), rh, np.abs(rh).sum()
+
+
+def _dual_point(x: np.ndarray, w: np.ndarray, c: np.ndarray):
+    """(A, B) = (X - C, Herm(W^dag C W)^T), exactly Hermitian when X and C are."""
+    return x - c, _herm(w.conj().T @ c @ w).T
+
+
+def _proves(neg_m: np.ndarray, tau: float, ab_abs: float, value: float,
+            r_abs: float) -> bool:
+    """True when a Cholesky proves lambda_max(M) <= t0 = (value + CERT_TOL
+    - tau) / d, where M = R_h - A (x) I - I (x) B for a dual point (A, B) of
+    exactly Hermitian matrices with tr A + tr B <= tau and
+    sum |A_ij| + sum |B_ij| <= ab_abs, r_abs = sum |R_h,ij|, and ``neg_m``,
+    which is overwritten, is -M formed from rho, A and B in at most six
+    roundings per entry, R = rho / d and R_h among them: then no maximally
+    entangled state beats ``value`` by more than CERT_TOL
+    (``_bracket_closed`` gives the bound).
+
+    The Cholesky is of t I - M, t = t0 - mu, and must run to completion,
+    after Rump's verification of positive definiteness (BIT 46, 433 (2006)):
+    a completed floating-point Cholesky of a Hermitian matrix of order
+    n = d^2 leaves it within c tr of positive semidefinite, where
+    c = sqrt(2) gamma_{2n+2}, gamma_k = k u / (1 - k u): Rump's
+    real-arithmetic gamma_{n+1}, as a complex inner product of length k
+    rounds like a real one of length 2k in each part. Forming t I - M from
+    -M costs one more rounding per entry, so seven in all, on terms of
+    absolute entry sum at most 2 S. The margin
+
+        mu = 4 (n + 4) u S,  S = n |t0| + |value| + r_abs + d ab_abs,
+
+    u the unit roundoff, covers both (and the rounding of t0) for every
+    n >= 1: S bounds the absolute entry sum, so the trace and the Frobenius
+    norm, of every term of t I - M.
+    """
+    n = neg_m.shape[0]
+    d = math.isqrt(n)
+    t0 = (value + CERT_TOL - tau) / d
+    scale = n * abs(t0) + abs(value) + r_abs + d * ab_abs
+    neg_m.flat[::n + 1] += t0 - 4 * (n + 4) * _UNIT_ROUNDOFF * scale
+    try:
+        np.linalg.cholesky(neg_m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _bracket_closed(r: np.ndarray, w: np.ndarray, value: float) -> bool:
-    """True when a dual point proves that no maximally entangled state beats
-    ``value`` by more than CERT_TOL; r = rho / d, w the ascent's unitary.
+    """True when a free dual point proves that no maximally entangled state
+    beats ``value`` by more than CERT_TOL; r = rho / d, w the ascent's unitary.
 
     Relaxing ww^dag to X >= 0 with both marginals I (WW^dag = W^dag W = I)
     gives, for any Hermitian A and B (Nemirovski, Math. Program. 109, 283
     (2007)), FEF <= tr A + tr B + d lambda_max(R - A (x) I - I (x) B).
-    The point is read off w: the multiplier Lam = Herm(Y W^dag) with
-    Y = reshape(R w), and B_0 = Herm(W^dag Lam W)^T, split as A = a Lam and
-    B = (1 - a) B_0 for each a in _CERT_SPLITS. As tr A + tr B is at most
-    max(tr Lam, tr B_0) =: tau, the bracket is closed when some
-    M_a = R - A (x) I - I (x) B has lambda_max(M_a) <= t0, where
-    t0 = (value + CERT_TOL - tau) / d.
+    At the ascent's maximizer, reshape(R w) = X W with X Hermitian, so every
+    point A = X - C, B = (W^dag C W)^T of the family over Hermitian C has
+    tr A + tr B = tr X = ``value`` and M(C) = R - A (x) I - I (x) B with
+    M(C) w = 0: the bracket is closed where lambda_max(M(C)) <= CERT_TOL / d,
+    up to ``_proves``'s margin. This tries the free points on the line
+    C = (1 - a) X, a in _CERT_SPLITS, with no eigensolve: A = a X and
+    B = (1 - a) B_0, B_0 = Herm(W^dag X W)^T, so tr A + tr B is at most
+    max(tr X, tr B_0), and -M_a = (I (x) B_0 - R_h) + a (X (x) I - I (x) B_0)
+    takes four roundings per entry after R_h. ``_polished_closed`` searches
+    the whole family.
+    """
+    x, rh, r_abs = _multiplier(r, w)
+    b0 = _dual_point(x, w, x)[1]
+    tau = max(x.trace().real, b0.trace().real)
+    ab_abs = np.abs(x).sum() + np.abs(b0).sum()
+    x_i, i_b0 = _kron_parts(x, b0)
+    base = i_b0 - rh
+    diff = x_i - i_b0
+    return any(_proves(base + a * diff, tau, ab_abs, value, r_abs) for a in _CERT_SPLITS)
 
-    That is proved by a Cholesky of t I - M_a, t = t0 - mu, that runs to
-    completion, after Rump's verification of positive definiteness (BIT 46,
-    433 (2006)): a completed floating-point Cholesky of a Hermitian matrix of
-    order n = d^2 leaves it within c tr of positive semidefinite, where
-    c = sqrt(2) gamma_{2n+2}, gamma_k = k u / (1 - k u): Rump's
-    real-arithmetic gamma_{n+1}, as a complex inner product of length k
-    rounds like a real one of length 2k in each part. Forming t I - M_a from
-    rho costs at most seven more roundings per entry, on terms of absolute
-    entry sum at most 2 S. The margin
 
-        mu = 4 (n + 4) u S,  S = n |t0| + |value| + sum |R_ij|
-                                 + d (sum |Lam_ij| + sum |B_0,ij|),
+def _polished_closed(r: np.ndarray, w: np.ndarray, value: float) -> bool:
+    """True when a polished point of ``_bracket_closed``'s family closes the
+    bracket, each point it tries proved by ``_proves``.
 
-    u the unit roundoff, covers both (and the rounding of t0) for every
-    n >= 1: S bounds the absolute entry sum, so the trace and the Frobenius
-    norm, of every term of t I - M_a.
+    M(C) = M(0) + L(C) (see ``_adjoint``), and L*L C = 2 d C on traceless C
+    while L(I) = 0, so the least-squares point, where ||M(C)||_F is least,
+    is C = X/2 - Herm(L*(M(X/2))) / (2 d), with no eigensolve. From there an
+    L-BFGS descent (memory _POLISH_MEMORY, Armijo backtracking) lowers
+    lambda_max(M(C)) smoothed as mu log tr exp(M(C) / mu), mu = _POLISH_MU,
+    whose gradient L*(softmax of M(C)'s spectrum) takes one ``eigh``. At
+    most _POLISH_POINTS points are tried; every one that fails, but the
+    last, takes that ``eigh``. Every point is a real combination of exactly
+    Hermitian matrices, so A and B are exactly Hermitian, as ``_proves``
+    needs.
     """
     d = w.shape[0]
-    n = d * d
-    y = (r @ w.reshape(-1)).reshape(d, d)
-    x = y @ w.conj().T
-    lam = 0.5 * (x + x.conj().T)
-    z = w.conj().T @ lam @ w
-    b0 = 0.5 * (z + z.conj().T).T
-    # cholesky reads one triangle only, so R is made exactly Hermitian
-    rh = 0.5 * (r + r.conj().T)
-    t0 = (value + CERT_TOL - max(lam.trace().real, b0.trace().real)) / d
-    scale = (n * abs(t0) + abs(value) + np.abs(rh).sum()
-             + d * (np.abs(lam).sum() + np.abs(b0).sum()))
-    eye = np.eye(d)
-    # Lam (x) I and I (x) B_0, entry [(i, k), (j, l)] at [i, k, j, l]
-    lam_i = (lam[:, None, :, None] * eye[None, :, None, :]).reshape(n, n)
-    i_b0 = (eye[:, None, :, None] * b0[None, :, None, :]).reshape(n, n)
-    # t I - M_a = base + a (Lam (x) I - I (x) B_0)
-    base = i_b0 - rh
-    base.flat[::n + 1] += t0 - 4 * (n + 4) * _UNIT_ROUNDOFF * scale
-    diff = lam_i - i_b0
-    for a in _CERT_SPLITS:
-        try:
-            np.linalg.cholesky(base + a * diff)
-        except np.linalg.LinAlgError:
-            continue
-        return True
-    return False
+    x, rh, r_abs = _multiplier(r, w)
+    tried = 0
+
+    def point(c):
+        """(A, B, M) at C; M takes two roundings per entry after R_h."""
+        a, b = _dual_point(x, w, c)
+        a_i, i_b = _kron_parts(a, b)
+        return a, b, rh - (a_i + i_b)
+
+    def trial(c):
+        """(proved, smoothed lambda_max, gradient); no eigh, and None for
+        both, when C is proved or was the last point allowed."""
+        nonlocal tried
+        tried += 1
+        a, b, m = point(c)
+        tau = a.trace().real + b.trace().real
+        if _proves(-m, tau, np.abs(a).sum() + np.abs(b).sum(), value, r_abs):
+            return True, None, None
+        if tried == _POLISH_POINTS:
+            return False, None, None
+        lam, vecs = np.linalg.eigh(m)
+        weights = np.exp((lam - lam[-1]) / _POLISH_MU)
+        total = weights.sum()
+        smooth = lam[-1] + _POLISH_MU * np.log(total)
+        return False, smooth, _herm(_adjoint((vecs * (weights / total)) @ vecs.conj().T, w))
+
+    half = 0.5 * x
+    c = _herm(half - _adjoint(point(half)[2], w) / (2 * d))
+    proved, f, grad = trial(c)
+    memory = []
+    while grad is not None:
+        direction = -_lbfgs_apply(grad, memory, 1.0 / (2 * d))
+        slope = np.vdot(grad, direction).real
+        step = 1.0
+        while True:
+            c_new = c + step * direction
+            proved, f_new, grad_new = trial(c_new)
+            if grad_new is None:
+                return proved
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        s, y = c_new - c, grad_new - grad
+        sy = np.vdot(s, y).real
+        if sy > 0:
+            memory = [*memory[1 - _POLISH_MEMORY:], (s, y, 1.0 / sy)]
+        c, f, grad = c_new, f_new, grad_new
+    return proved
+
+
+def _lbfgs_apply(grad: np.ndarray, memory: list, scale: float) -> np.ndarray:
+    """The L-BFGS two-loop product H grad for the pairs (s, y, 1 / s.y) in
+    ``memory``, oldest first; H_0 = (s.y / y.y) I from the newest pair, or
+    ``scale`` I when there is none."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alpha = rho * np.vdot(s, q).real
+        q -= alpha * y
+        alphas.append(alpha)
+    if memory:
+        s, y, _ = memory[-1]
+        scale = np.vdot(s, y).real / np.vdot(y, y).real
+    q *= scale
+    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - rho * np.vdot(y, q).real) * s
+    return q
 
 
 def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> FefResult:
@@ -240,8 +390,9 @@ def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -
     ascent, so ``converged`` and ``certified`` are true and
     ``restarts``/``seed`` are not used; the value is the overlap of that
     maximizer, equal to the top eigenvalue up to rounding.
-    At d >= 3 the identity start ascends alone first. If its dual point
-    closes the bracket (``_bracket_closed``), its result is returned with
+    At d >= 3 the identity start ascends alone first. If a free dual point
+    closes the bracket (``_bracket_closed``), or, when ``restarts`` - 1 >= d^2,
+    a polished one does (``_polished_closed``), its result is returned with
     ``certified`` true: no maximally entangled state beats ``value`` by more
     than CERT_TOL. Otherwise the other ``restarts`` - 1 starts, Haar unitaries
     drawn from default_rng([seed, k]) for k >= 1, ascend together as one
@@ -288,10 +439,12 @@ def fef_batch(rhos: list[DensityOperator], restarts: int = DEFAULT_RESTARTS,
     rs = [rho.matrix / d for rho in rhos]
     identities = np.eye(d)[None].repeat(len(rs), axis=0)
     vals, ws, converged = _ascend_unitaries(_stack(rs, 1), d, identities)
+    # the polish runs where it may spare a seeded stack of at least d^2 starts
+    polish = restarts - 1 >= d * d
     results = []
     for rho, r, w, conv in zip(rhos, rs, ws, converged):
         value = fidelity_with(rho, mes_from_unitary(w))
-        closed = _bracket_closed(r, w, value)
+        closed = _bracket_closed(r, w, value) or (polish and _polished_closed(r, w, value))
         results.append(FefResult(value=value, maximizer_unitary=w, converged=bool(conv),
                                  certified=True) if closed else None)
     open_ = [i for i, res in enumerate(results) if res is None]

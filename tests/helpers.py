@@ -6,7 +6,7 @@ independent of the library code paths they check.
 
 import numpy as np
 
-from quditshare import DampingParams
+from quditshare import DampingParams, DensityOperator
 
 
 def phi_plus_vector(d):
@@ -64,3 +64,11 @@ def random_unitary_oracle(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_mixed(d, rng, rank=None):
+    """A random density operator of the given rank (full rank by default)."""
+    rank = rank or d * d
+    g = rng.standard_normal((d * d, rank)) + 1j * rng.standard_normal((d * d, rank))
+    m = g @ g.conj().T
+    return DensityOperator(d, m / m.trace().real)

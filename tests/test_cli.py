@@ -549,6 +549,32 @@ def test_audit_passes(capsys):
     assert report["checks"]["dual_primal_lambda_max"]["max_violation"] < 1e-9
 
 
+def test_audit_names_the_worst_channel(capsys, monkeypatch):
+    # channel 5's trace deviation is forced past its tolerance: the report
+    # names it; every other check names the channel of its own maximum, and
+    # an audit of the first worst_index + 1 channels replays that maximum
+    built = cli._audit_channel
+
+    def faulty(d, seed, index):
+        rho, devs = built(d, seed, index)
+        return rho, (1e-6 if index == 5 else devs[0], *devs[1:])
+
+    argv = ["audit", "--d", "3", "--seed", "7", "--restarts", "4"]
+    monkeypatch.setattr(cli, "_audit_channel", faulty)
+    assert main([*argv, "--n", "9"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False
+    assert report["checks"]["trace_preservation"] == {
+        "max_violation": 1e-6, "worst_index": 5, "tolerance": 1e-12, "pass": False}
+    monkeypatch.setattr(cli, "_audit_channel", built)
+    for name, check in report["checks"].items():
+        if name == "trace_preservation":
+            continue
+        assert main([*argv, "--n", str(check["worst_index"] + 1)]) == 0
+        replay = json.loads(capsys.readouterr().out)["checks"][name]
+        assert replay == check
+
+
 def test_audit_qubit_includes_pauli_check(capsys):
     assert main(["audit", "--d", "2", "--n", "10", "--seed", "3", "--restarts", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -670,3 +696,15 @@ def test_audit_subprocess_byte_identical(tmp_path):
         )
         assert res.returncode == 0, res.stderr
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # loading the CLI is part of every command's start-up; scipy.optimize
+    # alone takes about 0.7 s to import, more than the whole CLI start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, quditshare.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

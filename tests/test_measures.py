@@ -1,5 +1,7 @@
 """Negativity, fully entangled fraction, and the fidelity ceiling."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     damping_kraus_oracle,
     negativity_oracle,
+    random_mixed,
     random_unitary_oracle,
 )
 from quditshare import (
@@ -35,18 +38,13 @@ from quditshare.measures import (
     DEFAULT_TOL,
     _ascend_unitaries,
     _bracket_closed,
+    _polished_closed,
+    _proves,
     _seeded_starts,
     fef_batch_size,
 )
 
 REF = damping_kraus_oracle(3, [0.5, 0.9])
-
-
-def _random_mixed(d, rng, rank=None):
-    rank = rank or d * d
-    g = rng.standard_normal((d * d, rank)) + 1j * rng.standard_normal((d * d, rank))
-    m = g @ g.conj().T
-    return DensityOperator(d, m / m.trace().real)
 
 
 def test_negativity_product_state():
@@ -68,14 +66,14 @@ def test_negativity_matches_bruteforce_oracle():
     rng = np.random.default_rng(31)
     for d in (2, 3):
         for _ in range(5):
-            rho = _random_mixed(d, rng)
+            rho = random_mixed(d, rng)
             assert abs(negativity(rho) - negativity_oracle(rho.matrix, d)) < 1e-12
 
 
 def test_negativity_local_unitary_invariant():
     rng = np.random.default_rng(33)
     for _ in range(10):
-        rho = _random_mixed(3, rng)
+        rho = random_mixed(3, rng)
         u = random_unitary_oracle(3, rng)
         v = random_unitary_oracle(3, rng)
         big = np.kron(u, v)
@@ -117,7 +115,7 @@ def test_fef_reference_point_bracket():
 
 def test_fef_value_matches_maximizer():
     rng = np.random.default_rng(37)
-    rho = _random_mixed(3, rng)
+    rho = random_mixed(3, rng)
     res = fef(rho, restarts=8)
     direct = fidelity_with(rho, mes_from_unitary(res.maximizer_unitary))
     assert abs(res.value - direct) < 1e-10
@@ -126,14 +124,14 @@ def test_fef_value_matches_maximizer():
 def test_fef_never_below_phi_plus_fidelity():
     rng = np.random.default_rng(39)
     for _ in range(10):
-        rho = _random_mixed(3, rng, rank=3)
+        rho = random_mixed(3, rng, rank=3)
         res = fef(rho, restarts=4)
         assert res.value >= fidelity_with(rho, max_entangled(3)) - 1e-12
 
 
 def test_fef_deterministic_bit_identical():
     rng = np.random.default_rng(41)
-    rho = _random_mixed(3, rng)
+    rho = random_mixed(3, rng)
     a = fef(rho, restarts=8, seed=123)
     b = fef(rho, restarts=8, seed=123)
     assert a.value == b.value
@@ -143,7 +141,7 @@ def test_fef_deterministic_bit_identical():
 def test_fef_local_unitary_invariant():
     rng = np.random.default_rng(43)
     for _ in range(5):
-        rho = _random_mixed(3, rng)
+        rho = random_mixed(3, rng)
         u = random_unitary_oracle(3, rng)
         v = random_unitary_oracle(3, rng)
         big = np.kron(u, v)
@@ -193,7 +191,7 @@ def test_fef_sandwich():
     rng = np.random.default_rng(51)
     for d in (2, 3):
         for _ in range(5):
-            rho = _random_mixed(d, rng)
+            rho = random_mixed(d, rng)
             val = fef(rho, restarts=8).value
             lam = float(np.linalg.eigvalsh(rho.matrix)[-1])
             assert fidelity_with(rho, max_entangled(d)) - 1e-12 <= val
@@ -212,7 +210,7 @@ def _two_qubit_operators(n, rng):
     channel's dual)."""
     for case in range(n):
         if case % 3 == 0:
-            yield _random_mixed(2, rng, rank=1 + (case // 3) % 4)
+            yield random_mixed(2, rng, rank=1 + (case // 3) % 4)
             continue
         ch = random_channel(2, int(rng.integers(1, 4)), rng)
         yield apply_one_sided(ch if case % 3 == 1 else dual(ch), random_pure_state(2, rng))
@@ -362,14 +360,19 @@ def test_fef_stacked_matches_serial_loop(d):
     # differently (einsum in place of vecdot) changes some result here, through
     # a different step or stop decision or a different winner among near ties.
     # The cases share one seed, as the operators of one fef_batch call do.
+    # At 32 starts the polish runs for d <= 5 and closes all 60 outputs at
+    # d = 3, so a full-rank mixed state, whose relaxation gap no dual point
+    # closes, keeps the open path taken there.
     rng = np.random.default_rng(600 + d)
     seed = d
     rhos = []
-    alone = {restarts: [] for restarts in (1, 2, 8, 32)}
-    for case in range(60):
+    for _ in range(60):
         ch = random_channel(d, int(rng.integers(1, d + 2)), rng)
-        rho = apply_one_sided(ch, random_pure_state(d, rng))
-        rhos.append(rho)
+        rhos.append(apply_one_sided(ch, random_pure_state(d, rng)))
+    if d == 3:
+        rhos.append(random_mixed(d, np.random.default_rng(6)))
+    alone = {restarts: [] for restarts in (1, 2, 8, 32)}
+    for case, rho in enumerate(rhos):
         starts = _serial_starts(rho, 32, seed)
         for restarts in alone:
             assert _stacked_ascent_bytes(rho, restarts, seed) == _serial_fef(
@@ -386,7 +389,7 @@ def test_fef_stacked_matches_serial_loop_at_iteration_cap():
     # the identity start of this state is still climbing after DEFAULT_MAX_ITER
     # steps; with 2 and 8 starts it sits in the stack beside converged starts,
     # and in a batch beside fast outputs, which the stack leaves behind
-    rho = _random_mixed(3, np.random.default_rng(1728), rank=4)
+    rho = random_mixed(3, np.random.default_rng(1728), rank=4)
     starts = _serial_starts(rho, 8, seed=0)
     assert not starts[0][2]
     rng = np.random.default_rng(1737)
@@ -409,17 +412,42 @@ def test_fef_stacked_matches_serial_loop_at_iteration_cap():
 @given(d=st.integers(3, 5), seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
 def test_fef_certificate_is_sound(d, seed, mixed):
     # a certified value is within CERT_TOL of the optimum, so no start of a
-    # much larger search climbs above it by more
+    # much larger search climbs above it by more. d^2 + 1 starts are the
+    # fewest at which the polish runs, so certificates of both the free and
+    # the polished dual points are drawn
     rng = np.random.default_rng(seed)
     if mixed:
-        rho = _random_mixed(d, rng)
+        rho = random_mixed(d, rng)
     else:
         rho = apply_one_sided(random_channel(d, int(rng.integers(1, d + 2)), rng),
                               random_pure_state(d, rng))
-    res = fef(rho, restarts=1)
+    res = fef(rho, restarts=d * d + 1)
     if res.certified:
         vals, _, _ = _ascend_unitaries(rho.matrix / d, d, _seeded_starts(d, 64, seed))
         assert vals.max() <= res.value + CERT_TOL
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_polished_certificates_are_sound(d):
+    # of 16 channel outputs, the polish closes some brackets the free point
+    # leaves open, and no start of a 64-start search beats those by more
+    # than CERT_TOL either
+    rng = np.random.default_rng(700 + d)
+    polished = 0
+    for _ in range(16):
+        rho = apply_one_sided(random_channel(d, int(rng.integers(1, d + 2)), rng),
+                              random_pure_state(d, rng))
+        r = rho.matrix / d
+        w = _ascend_unitaries(r, d, np.eye(d, dtype=complex)[None])[1][0]
+        value = fidelity_with(rho, mes_from_unitary(w))
+        if _bracket_closed(r, w, value) or not _polished_closed(r, w, value):
+            continue
+        polished += 1
+        res = fef(rho, restarts=d * d + 1)
+        assert res.certified and res.value == value
+        vals, _, _ = _ascend_unitaries(r, d, _seeded_starts(d, 64, 1))
+        assert vals.max() <= value + CERT_TOL
+    assert polished >= 3
 
 
 def _diagonal_dual_point(excess):
@@ -448,3 +476,59 @@ def test_bracket_test_keeps_its_rounding_margin():
     assert not _bracket_closed(*_diagonal_dual_point(1e-15))
     assert not _bracket_closed(*_diagonal_dual_point(1e-10))
     assert _bracket_closed(*_diagonal_dual_point(-1e-10))
+
+
+def _diagonal_family_point(excess):
+    """(r, w, value) at d = 4 with w = I on a diagonal state whose free points
+    all leave the bracket open by at least 1e-4, while the least-squares
+    point that ``_polished_closed`` tries first has lambda_max within 1e-17
+    of t0 + excess, and no point of the family does better.
+
+    With w = I and equal diagonal entries x of X, M(C) is diagonal on
+    diagonal C, with entries R_(ik) - x + c_i - c_k off i = k and 0 on it;
+    here R_(ik) - x = E + g_i - g_k, E = t0 + excess, so the free points
+    (c equal) leave E + g_i - g_k, the least-squares point (c = -g + const)
+    leaves E everywhere, and every C leaves lambda_max(M(C)) >= E, as the
+    (i, k) and (k, i) diagonal entries sum to 2 E whatever C is.
+    """
+    d = 4
+    t0 = CERT_TOL / d
+    big_e = t0 + excess
+    g = np.arange(d) * 1e-4
+    p = (1.0 - 48 * big_e) / 16
+    diag = p + d * (big_e + g[:, None] - g[None, :])
+    np.fill_diagonal(diag, p)
+    rho = DensityOperator(d, np.diag(diag.reshape(-1)))
+    value = fidelity_with(rho, max_entangled(d))
+    return rho.matrix / d, np.eye(d, dtype=complex), value
+
+
+def test_polished_point_keeps_its_rounding_margin():
+    # lambda_max of the best polished point misses t0 by 1e-15, and no point
+    # of the family closes the bracket; the margin, about 5e-15 here, would
+    # hide that if it were added to t0 instead of subtracted
+    for excess in (1e-15, 1e-10, -1e-10):
+        point = _diagonal_family_point(excess)
+        assert not _bracket_closed(*point)
+        assert _polished_closed(*point) is (excess < 0)
+
+
+def test_dual_test_margin_covers_rounding():
+    # a dual point (A, B) = (0, 0) at d = 2 whose M = R has, in exact
+    # arithmetic, a Rayleigh quotient above t0 = (value + CERT_TOL) / d: it
+    # proves nothing. Rounding in forming t0 I - M hides that from a
+    # Cholesky with no margin, which completes; the margin refuses it.
+    d, n, value = 2, 4, 0.25
+    q, _ = np.linalg.qr(np.random.default_rng(14).standard_normal((n, n)))
+    h = (q * np.array([0.0, 0.1, 0.2, 0.3])) @ q.T
+    t0 = (value + CERT_TOL) / d
+    r = t0 * np.eye(n) - h
+    m = 0.5 * (r + r.T)
+    v = [Fraction(x) for x in np.linalg.eigh(m)[1][:, -1]]
+    quad = sum(v[i] * Fraction(m[i, j]) * v[j] for i in range(n) for j in range(n))
+    exact_t0 = (Fraction(value) + Fraction(CERT_TOL)) / d
+    assert quad > exact_t0 * sum(x * x for x in v)
+    shifted = -m
+    shifted.flat[::n + 1] += t0
+    np.linalg.cholesky(shifted)
+    assert not _proves(-m, 0.0, 0.0, value, np.abs(m).sum())

@@ -28,7 +28,7 @@ MEASURES = [
 # the case seed per d: at d = 3 the phiplus bracket stays open and the state
 # file's closes, at d = 4 the other way round
 CASE_SEED = {3: 0, 4: 1}
-AUDIT_SHA256 = "b874911c7792e3c234e4c9cdd73316f654cd4ad05425df71db5b807ab6588792"
+AUDIT_SHA256 = "d901b4c959a8c1f49b60e6a57d42a295abaf10f7bf010775a5b72c21fa29c3fb"
 CERTIFY_SHA256 = "8a7c09565a7a15018485b7acf4e312a5c3983b1416c41a48012c5ee8a9effddc"
 
 

@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+from helpers import random_mixed
 
 from quditshare import (
     DampingParams,
@@ -30,6 +31,7 @@ from quditshare import (
     save_channel,
 )
 from quditshare.measures import (
+    _POLISH_POINTS,
     DEFAULT_MAX_ITER,
     _ascend_unitaries,
     _seeded_starts,
@@ -145,6 +147,46 @@ def test_audit_one_stacked_svd_per_iteration(fef_calls):
     assert cli.run_audit(d, n, seed, restarts)["pass"]
     assert {k: fef_calls[k] - before[k] for k in fef_calls} == {
         "svd": building["svd"] + max(identity) + max(seeded), "qr": building["qr"] + 1}
+
+
+@pytest.mark.parametrize("case, restarts", [
+    ("free", 32), ("polished", 10), ("open", 32), ("polished", 9), ("open", 9)])
+def test_fef_polish_budget(fef_calls, solver_calls, case, restarts):
+    # the polish runs only on a bracket the free point leaves open, and only
+    # when restarts - 1 >= d^2 (10 and 9 starts sit on either side at d = 3);
+    # each point it tries but the last, when none closes, takes one eigh (the
+    # margin-guarded test is a Cholesky, not an eigensolve). It spends no SVD
+    # or QR, so a bracket it leaves open costs the identity's SVDs plus the
+    # seeded stack's, with one QR, as without it
+    d = 3
+    if case == "open":
+        # a full-rank mixed state whose relaxation gap no dual point closes
+        rho = random_mixed(d, np.random.default_rng(6))
+    else:
+        rng = np.random.default_rng(0 if case == "free" else 10)
+        rho = apply_one_sided(random_channel(d, 2, rng), random_pure_state(d, rng))
+    starts = _seeded_starts(d, restarts, 0)
+    iterations = []
+    for w0 in starts:
+        before = fef_calls["svd"]
+        _ascend_unitaries(rho.matrix / d, d, w0[None])
+        iterations.append(fef_calls["svd"] - before)
+    before = {**fef_calls, **solver_calls}
+    res = fef(rho, restarts=restarts)
+    spent = {k: v - before[k] for k, v in {**fef_calls, **solver_calls}.items()}
+    polishing = restarts - 1 >= d * d
+    assert res.certified is (case == "free" or (case == "polished" and polishing))
+    if res.certified:
+        assert spent["svd"] == iterations[0] and spent["qr"] == 0
+    else:
+        assert spent["svd"] == iterations[0] + max(iterations[1:]) and spent["qr"] == 1
+    assert spent["eigvalsh"] == 0
+    if case == "free" or not polishing:
+        assert spent["eigh"] == 0
+    elif case == "polished":
+        assert 0 < spent["eigh"] < _POLISH_POINTS
+    else:
+        assert spent["eigh"] == _POLISH_POINTS - 1
 
 
 def test_fef_qubit_closed_form_budget(fef_calls, solver_calls):

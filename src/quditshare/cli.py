@@ -5,7 +5,8 @@ All output is deterministic for fixed flags and seeds: JSON uses fixed field
 order with 17-significant-digit reals, CSV uses '.' decimals, comma delimiter,
 and a header row. Exit codes: 0 success / all verdicts true, 1 verified-false
 or invariant violation, 2 usage or parameter error, 3 a dense linear-algebra
-routine failed (numpy.linalg.LinAlgError), so no verdict was reached.
+routine failed (numpy.linalg.LinAlgError) or memory ran out (MemoryError),
+so no verdict was reached.
 Every error, a malformed command line included, leaves through ``main`` as
 one ``error: ...`` line on stderr; integer flags are bounded where they are
 parsed (seeds >= 0, ``--n`` and ``--restarts`` >= 1, ``audit --d`` in 2..6).
@@ -454,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=_int_at_least(1), default=32, metavar="N",
                    help="FEF ascent: at most N starts; seeded starts run only when the "
                    "identity's bracket stays open (phiplus/STATE.json inputs at d >= 3); "
-                   "the dual polish that may close it runs only when N - 1 >= d^2")
+                   "the dual-point search that may close it tries the least-squares "
+                   "point, and polishes it only when N - 1 >= d^2")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_measures)
 
@@ -478,8 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeds the random channels, input states and unitaries")
     p.add_argument("--restarts", type=_int_at_least(1), default=8, metavar="N",
                    help="FEF ascent: at most N starts; seeded starts run only when the "
-                   "identity's bracket stays open (d >= 3; d = 2 is exact); the dual "
-                   "polish that may close it runs only when N - 1 >= d^2")
+                   "identity's bracket stays open (d >= 3; d = 2 is exact); the "
+                   "dual-point search that may close it tries the least-squares point, "
+                   "and polishes it only when N - 1 >= d^2")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_audit)
 
@@ -517,6 +520,9 @@ def main(argv=None) -> int:
         return 2
     except np.linalg.LinAlgError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

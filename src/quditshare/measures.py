@@ -18,27 +18,29 @@ unitary ascends that form monotonically. ``fef`` climbs from the identity
 first. The Lagrange multiplier at its maximizer gives a family of dual
 points of the semidefinite relaxation of that problem, all stationary there,
 and when a Cholesky factorization proves one point's bound within CERT_TOL
-of the value, the result is returned as ``certified``. Five free points of
-the family are tried first; if none closes the bracket and ``restarts`` - 1
->= d^2, a short quasi-Newton polish searches the family, at most
-_POLISH_POINTS points with one ``eigh`` each. Only when the bracket stays
-open do the seeded starts run, as one stack: each iteration makes a single
-stacked SVD over the starts still climbing, and a start drops out when its
-own gain falls below DEFAULT_TOL. So every start takes the steps it would
-take alone, and the result is bit-for-bit the one a start-by-start loop
-gives. An uncertified result is a heuristic lower bound, reported together
+of the value, the result is returned as ``certified``. One search tries
+points of the family: the least-squares point first, with no eigensolve,
+and, when ``restarts`` - 1 >= d^2, a short quasi-Newton polish from there,
+at most _POLISH_POINTS points with one ``eigh`` each. Only when the bracket
+stays open do the seeded starts run, as one stack: each iteration makes a
+single stacked SVD over the starts still climbing, and a start drops out
+when its own gain falls below DEFAULT_TOL. So every start takes the steps it
+would take alone, and the result is bit-for-bit the one a start-by-start
+loop gives. An uncertified result is a heuristic lower bound, reported together
 with the certified ceiling min(lambda_max, (tr rho + 2N)/d) (tr rho is 1
 unless ``unit_trace`` is False).
 
 The polish runs only where it may spare a seeded stack of at least d^2
 starts (restarts - 1 >= d^2): the 32 default starts of ``measures`` at
-d <= 5, not the 8 of ``audit``. On the benchmark's measures corpus at
-d = 3, 4, 5 (2 vCPUs) a polish that closes takes a median 0.7 / 1.1 /
-2.3 ms and one that fails 3.8 / 4.2 / 7.8 ms, against 20 / 15 / 24 ms for
-the 31 seeded starts. The rule also keeps the polish's eigensolves at order
-<= 25 for the default starts: above that numpy's ``eigh`` takes LAPACK's
-divide-and-conquer path, which runs threaded BLAS and spends CPU time out of
-proportion to its wall time.
+d <= 5, not the 8 of ``audit``, which try the least-squares point alone.
+On the benchmark's measures corpus at d = 3, 4, 5 (seeds 1, 5, 7; 2 vCPUs,
+numpy 2.4.6) the least-squares point closes 174 / 150 / 118 of 192 brackets
+in a median 0.14 / 0.14 / 0.15 ms, the polish 17 / 34 / 51 more in 0.55 /
+0.81 / 1.3 ms, and a search that fails takes 2.1 / 2.7 / 4.2 ms, against
+20 / 18 / 20 ms for the 31 seeded starts. The rule also keeps the polish's
+eigensolves at order <= 25 for the default starts: above that numpy's
+``eigh`` takes LAPACK's divide-and-conquer path, which runs threaded BLAS and
+spends CPU time out of proportion to its wall time.
 
 ``fef_batch`` runs the same ascent for a list of operators of one d, and
 ``fef`` is its one-operator case. The identity starts of all operators climb
@@ -71,12 +73,9 @@ DEFAULT_MAX_ITER = 500
 DEFAULT_TOL = 1e-9
 # a certified FEF value is within CERT_TOL of the optimum
 CERT_TOL = 1e-8
-# splits a of the dual multiplier between the two marginal constraints, in
-# the order _bracket_closed tries them
-_CERT_SPLITS = (0.5, 0.75, 0.25, 1.0, 0.0)
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
-# the polish of an open bracket's dual point (_polished_closed): points tried
-# at most, smoothing temperature of lambda_max, L-BFGS memory
+# the dual-point search of _certified when it polishes: points tried at
+# most, smoothing temperature of lambda_max, L-BFGS memory
 _POLISH_POINTS = 16
 _POLISH_MU = 1e-3
 _POLISH_MEMORY = 6
@@ -97,8 +96,8 @@ class FefResult:
     ``converged``: the winning start stopped on a gain below DEFAULT_TOL
     rather than at DEFAULT_MAX_ITER. ``certified``: no maximally entangled
     state beats ``value`` by more than CERT_TOL (always true at d = 2); at
-    d >= 3 a free or, when restarts - 1 >= d^2, a polished dual point proved
-    it for the identity start's value, and no seeded start ran.
+    d >= 3 the least-squares or, when restarts - 1 >= d^2, a polished dual
+    point proved it for the identity start's value, and no seeded start ran.
     """
 
     value: float
@@ -214,21 +213,6 @@ def _adjoint(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return g4.trace(axis1=1, axis2=3) - w @ g4.trace(axis1=0, axis2=2).T @ w.conj().T
 
 
-def _multiplier(r: np.ndarray, w: np.ndarray):
-    """(X, R_h, sum |R_h,ij|) at the ascent's unitary w: the multiplier
-    X = Herm(reshape(R w) W^dag), and R made exactly Hermitian, as the
-    Cholesky of ``_proves`` reads one triangle only."""
-    d = w.shape[0]
-    y = (r @ w.reshape(-1)).reshape(d, d)
-    rh = _herm(r)
-    return _herm(y @ w.conj().T), rh, np.abs(rh).sum()
-
-
-def _dual_point(x: np.ndarray, w: np.ndarray, c: np.ndarray):
-    """(A, B) = (X - C, Herm(W^dag C W)^T), exactly Hermitian when X and C are."""
-    return x - c, _herm(w.conj().T @ c @ w).T
-
-
 def _proves(neg_m: np.ndarray, tau: float, ab_abs: float, value: float,
             r_abs: float) -> bool:
     """True when a Cholesky proves lambda_max(M) <= t0 = (value + CERT_TOL
@@ -238,7 +222,7 @@ def _proves(neg_m: np.ndarray, tau: float, ab_abs: float, value: float,
     which is overwritten, is -M formed from rho, A and B in at most six
     roundings per entry, R = rho / d and R_h among them: then no maximally
     entangled state beats ``value`` by more than CERT_TOL
-    (``_bracket_closed`` gives the bound).
+    (``_certified`` gives the bound).
 
     The Cholesky is of t I - M, t = t0 - mu, and must run to completion,
     after Rump's verification of positive definiteness (BIT 46, 433 (2006)):
@@ -268,56 +252,42 @@ def _proves(neg_m: np.ndarray, tau: float, ab_abs: float, value: float,
     return True
 
 
-def _bracket_closed(r: np.ndarray, w: np.ndarray, value: float) -> bool:
-    """True when a free dual point proves that no maximally entangled state
-    beats ``value`` by more than CERT_TOL; r = rho / d, w the ascent's unitary.
+def _certified(r: np.ndarray, w: np.ndarray, value: float, points: int) -> bool:
+    """True when a dual point proves that no maximally entangled state beats
+    ``value`` by more than CERT_TOL, r = rho / d, w the ascent's unitary;
+    at most ``points`` points are tried, each proved by ``_proves``.
 
     Relaxing ww^dag to X >= 0 with both marginals I (WW^dag = W^dag W = I)
     gives, for any Hermitian A and B (Nemirovski, Math. Program. 109, 283
     (2007)), FEF <= tr A + tr B + d lambda_max(R - A (x) I - I (x) B).
-    At the ascent's maximizer, reshape(R w) = X W with X Hermitian, so every
-    point A = X - C, B = (W^dag C W)^T of the family over Hermitian C has
-    tr A + tr B = tr X = ``value`` and M(C) = R - A (x) I - I (x) B with
-    M(C) w = 0: the bracket is closed where lambda_max(M(C)) <= CERT_TOL / d,
-    up to ``_proves``'s margin. This tries the free points on the line
-    C = (1 - a) X, a in _CERT_SPLITS, with no eigensolve: A = a X and
-    B = (1 - a) B_0, B_0 = Herm(W^dag X W)^T, so tr A + tr B is at most
-    max(tr X, tr B_0), and -M_a = (I (x) B_0 - R_h) + a (X (x) I - I (x) B_0)
-    takes four roundings per entry after R_h. ``_polished_closed`` searches
-    the whole family.
-    """
-    x, rh, r_abs = _multiplier(r, w)
-    b0 = _dual_point(x, w, x)[1]
-    tau = max(x.trace().real, b0.trace().real)
-    ab_abs = np.abs(x).sum() + np.abs(b0).sum()
-    x_i, i_b0 = _kron_parts(x, b0)
-    base = i_b0 - rh
-    diff = x_i - i_b0
-    return any(_proves(base + a * diff, tau, ab_abs, value, r_abs) for a in _CERT_SPLITS)
-
-
-def _polished_closed(r: np.ndarray, w: np.ndarray, value: float) -> bool:
-    """True when a polished point of ``_bracket_closed``'s family closes the
-    bracket, each point it tries proved by ``_proves``.
+    At the ascent's maximizer, reshape(R w) = X W with the multiplier
+    X = Herm(reshape(R w) W^dag) Hermitian, so every point A = X - C,
+    B = Herm(W^dag C W)^T of the family over Hermitian C has
+    tr A + tr B = tr X = ``value`` and M(C) = R_h - A (x) I - I (x) B with
+    M(C) w = 0 (R_h is R made exactly Hermitian, as the Cholesky of
+    ``_proves`` reads one triangle only): the bracket is closed where
+    lambda_max(M(C)) <= CERT_TOL / d, up to ``_proves``'s margin.
 
     M(C) = M(0) + L(C) (see ``_adjoint``), and L*L C = 2 d C on traceless C
     while L(I) = 0, so the least-squares point, where ||M(C)||_F is least,
-    is C = X/2 - Herm(L*(M(X/2))) / (2 d), with no eigensolve. From there an
-    L-BFGS descent (memory _POLISH_MEMORY, Armijo backtracking) lowers
-    lambda_max(M(C)) smoothed as mu log tr exp(M(C) / mu), mu = _POLISH_MU,
-    whose gradient L*(softmax of M(C)'s spectrum) takes one ``eigh``. At
-    most _POLISH_POINTS points are tried; every one that fails, but the
-    last, takes that ``eigh``. Every point is a real combination of exactly
-    Hermitian matrices, so A and B are exactly Hermitian, as ``_proves``
-    needs.
+    is C = X/2 - Herm(L*(M(X/2))) / (2 d), with no eigensolve; it is tried
+    first. From there an L-BFGS descent (memory _POLISH_MEMORY, Armijo
+    backtracking) lowers lambda_max(M(C)) smoothed as
+    mu log tr exp(M(C) / mu), mu = _POLISH_MU, whose gradient L*(softmax of
+    M(C)'s spectrum) takes one ``eigh``; every point that fails, but the
+    last allowed, takes that ``eigh``. Every point is a real combination of
+    exactly Hermitian matrices, so A and B are exactly Hermitian, as
+    ``_proves`` needs.
     """
     d = w.shape[0]
-    x, rh, r_abs = _multiplier(r, w)
+    x = _herm((r @ w.reshape(-1)).reshape(d, d) @ w.conj().T)
+    rh = _herm(r)
+    r_abs = np.abs(rh).sum()
     tried = 0
 
     def point(c):
         """(A, B, M) at C; M takes two roundings per entry after R_h."""
-        a, b = _dual_point(x, w, c)
+        a, b = x - c, _herm(w.conj().T @ c @ w).T
         a_i, i_b = _kron_parts(a, b)
         return a, b, rh - (a_i + i_b)
 
@@ -330,7 +300,7 @@ def _polished_closed(r: np.ndarray, w: np.ndarray, value: float) -> bool:
         tau = a.trace().real + b.trace().real
         if _proves(-m, tau, np.abs(a).sum() + np.abs(b).sum(), value, r_abs):
             return True, None, None
-        if tried == _POLISH_POINTS:
+        if tried == points:
             return False, None, None
         lam, vecs = np.linalg.eigh(m)
         weights = np.exp((lam - lam[-1]) / _POLISH_MU)
@@ -390,9 +360,9 @@ def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -
     ascent, so ``converged`` and ``certified`` are true and
     ``restarts``/``seed`` are not used; the value is the overlap of that
     maximizer, equal to the top eigenvalue up to rounding.
-    At d >= 3 the identity start ascends alone first. If a free dual point
-    closes the bracket (``_bracket_closed``), or, when ``restarts`` - 1 >= d^2,
-    a polished one does (``_polished_closed``), its result is returned with
+    At d >= 3 the identity start ascends alone first. If a dual point closes
+    the bracket (``_certified``: the least-squares point, and, when
+    ``restarts`` - 1 >= d^2, the polish from it), its result is returned with
     ``certified`` true: no maximally entangled state beats ``value`` by more
     than CERT_TOL. Otherwise the other ``restarts`` - 1 starts, Haar unitaries
     drawn from default_rng([seed, k]) for k >= 1, ascend together as one
@@ -440,11 +410,11 @@ def fef_batch(rhos: list[DensityOperator], restarts: int = DEFAULT_RESTARTS,
     identities = np.eye(d)[None].repeat(len(rs), axis=0)
     vals, ws, converged = _ascend_unitaries(_stack(rs, 1), d, identities)
     # the polish runs where it may spare a seeded stack of at least d^2 starts
-    polish = restarts - 1 >= d * d
+    points = _POLISH_POINTS if restarts - 1 >= d * d else 1
     results = []
     for rho, r, w, conv in zip(rhos, rs, ws, converged):
         value = fidelity_with(rho, mes_from_unitary(w))
-        closed = _bracket_closed(r, w, value) or (polish and _polished_closed(r, w, value))
+        closed = _certified(r, w, value, points)
         results.append(FefResult(value=value, maximizer_unitary=w, converged=bool(conv),
                                  certified=True) if closed else None)
     open_ = [i for i, res in enumerate(results) if res is None]

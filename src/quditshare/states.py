@@ -76,6 +76,9 @@ class DensityOperator:
         mat = _readonly(np.asarray(self.matrix))
         if mat.shape != (n, n):
             raise DimensionError(f"matrix shape {mat.shape} does not match dims ({n}, {n})")
+        # every comparison with NaN is false, so the checks below would pass it
+        if not np.isfinite(mat).all():
+            raise InvalidOperatorError("matrix has a non-finite entry")
         if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
             raise InvalidOperatorError("matrix is not Hermitian within tolerance")
         if self.unit_trace and abs(mat.trace().real - 1.0) > TRACE_TOL:

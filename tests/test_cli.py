@@ -206,6 +206,24 @@ def test_linalg_failure_is_one_line_exit_3(omega_file, capsys, monkeypatch):
     assert captured.err == "error: numerical failure: SVD did not converge\n"
 
 
+@pytest.mark.parametrize("routine, argv", [
+    ("apply_one_sided", ["measures", "OMEGA"]),
+    ("advantage_certificate", ["certify", "--d", "3", "--x", "0.5,0.9"]),
+])
+def test_memory_failure_is_one_line_exit_3(omega_file, capsys, monkeypatch, routine, argv):
+    # an allocation numpy cannot make reaches no verdict either: exit 3 and
+    # one line. The failure is raised, never provoked: a real oversized
+    # allocation may be granted and then killed.
+    def fail(*args, **kw):
+        raise MemoryError("Unable to allocate 9.54 GiB for an array")
+
+    monkeypatch.setattr(cli, routine, fail)
+    assert main([omega_file if a == "OMEGA" else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 9.54 GiB for an array\n"
+
+
 def test_measures_identity(identity_file, capsys):
     assert main(["measures", identity_file, "--restarts", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -397,7 +415,8 @@ CERTIFY_KEYS = [
 
 def _readme_sweep_columns(d):
     """The README's sweep "Columns" list, with x1..x{d-1} written out for d."""
-    text = open(README).read()
+    with open(README) as fh:
+        text = fh.read()
     listed = text[text.index("Columns:"):].split("`")[1]
     columns = []
     for name in " ".join(listed.split()).split(", "):
@@ -432,7 +451,8 @@ def test_sweep_csv_header_matches_readme(tmp_path, capsys, d):
 
 def _readme_cli_flags():
     """{subcommand: set of --flags} from the README's command-line block."""
-    text = open(README).read()
+    with open(README) as fh:
+        text = fh.read()
     block = text[text.index("```sh\nquditshare validate"):]
     block = block[:block.index("```", 3)]
     flags = {}

@@ -36,9 +36,9 @@ from quditshare.measures import (
     CERT_TOL,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    _POLISH_POINTS,
     _ascend_unitaries,
-    _bracket_closed,
-    _polished_closed,
+    _certified,
     _proves,
     _seeded_starts,
     fef_batch_size,
@@ -392,7 +392,7 @@ def test_fef_stacked_matches_serial_loop_at_iteration_cap():
     rho = random_mixed(3, np.random.default_rng(1728), rank=4)
     starts = _serial_starts(rho, 8, seed=0)
     assert not starts[0][2]
-    rng = np.random.default_rng(1737)
+    rng = np.random.default_rng(1738)
     fast = [apply_one_sided(random_channel(3, 2, rng), random_pure_state(3, rng))
             for _ in range(3)]
     for restarts in (1, 2, 8):
@@ -409,19 +409,20 @@ def test_fef_stacked_matches_serial_loop_at_iteration_cap():
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(d=st.integers(3, 5), seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
-def test_fef_certificate_is_sound(d, seed, mixed):
+@given(d=st.integers(3, 5), seed=st.integers(0, 2**32 - 1), mixed=st.booleans(),
+       polish=st.booleans())
+def test_fef_certificate_is_sound(d, seed, mixed, polish):
     # a certified value is within CERT_TOL of the optimum, so no start of a
-    # much larger search climbs above it by more. d^2 + 1 starts are the
-    # fewest at which the polish runs, so certificates of both the free and
-    # the polished dual points are drawn
+    # much larger search climbs above it by more. 2 starts try the
+    # least-squares point alone, as audit's do; d^2 + 1 are the fewest at
+    # which the polish runs, so certificates of both budgets are drawn
     rng = np.random.default_rng(seed)
     if mixed:
         rho = random_mixed(d, rng)
     else:
         rho = apply_one_sided(random_channel(d, int(rng.integers(1, d + 2)), rng),
                               random_pure_state(d, rng))
-    res = fef(rho, restarts=d * d + 1)
+    res = fef(rho, restarts=d * d + 1 if polish else 2)
     if res.certified:
         vals, _, _ = _ascend_unitaries(rho.matrix / d, d, _seeded_starts(d, 64, seed))
         assert vals.max() <= res.value + CERT_TOL
@@ -429,18 +430,18 @@ def test_fef_certificate_is_sound(d, seed, mixed):
 
 @pytest.mark.parametrize("d", [4, 5])
 def test_polished_certificates_are_sound(d):
-    # of 16 channel outputs, the polish closes some brackets the free point
-    # leaves open, and no start of a 64-start search beats those by more
-    # than CERT_TOL either
+    # of 24 channel outputs, the polish closes some brackets the
+    # least-squares point alone leaves open, and no start of a 64-start
+    # search beats those by more than CERT_TOL either
     rng = np.random.default_rng(700 + d)
     polished = 0
-    for _ in range(16):
+    for _ in range(24):
         rho = apply_one_sided(random_channel(d, int(rng.integers(1, d + 2)), rng),
                               random_pure_state(d, rng))
         r = rho.matrix / d
         w = _ascend_unitaries(r, d, np.eye(d, dtype=complex)[None])[1][0]
         value = fidelity_with(rho, mes_from_unitary(w))
-        if _bracket_closed(r, w, value) or not _polished_closed(r, w, value):
+        if _certified(r, w, value, 1) or not _certified(r, w, value, _POLISH_POINTS):
             continue
         polished += 1
         res = fef(rho, restarts=d * d + 1)
@@ -450,46 +451,17 @@ def test_polished_certificates_are_sound(d):
     assert polished >= 3
 
 
-def _diagonal_dual_point(excess):
-    """(r, w, value) at d = 4 with w = I on a diagonal state, where every
-    split's M_a has lambda_max within 1e-17 of t0 + excess (t0 as
-    _bracket_closed computes it): the entries of M_a are exact but one."""
-    d, p = 4, 0.125
-    value = 4 * p / d  # the identity's overlap, exact
-    t0 = (value + CERT_TOL - value) / d
-    diag = np.full((d, d), 0.0)
-    np.fill_diagonal(diag, p)
-    # M_a's (0, 1) entry is (diag[0, 1] - p) / d, exact by Sterbenz
-    diag[0, 1] = p + d * (t0 + excess)
-    rest = (1.0 - diag.sum()) / 11
-    diag[diag == 0.0] = rest
-    rho = DensityOperator(d, np.diag(diag.reshape(-1)))
-    assert fidelity_with(rho, max_entangled(d)) == value
-    return rho.matrix / d, np.eye(d, dtype=complex), value
-
-
-def test_bracket_test_keeps_its_rounding_margin():
-    # lambda_max of the dual point misses t0 by 1e-15: t0 I - M_a is not
-    # positive semidefinite, and the backward-error margin, at least
-    # 4 (n + 4) u |value| = 1.1e-15 here, hides that if it is added to t0
-    # instead of subtracted
-    assert not _bracket_closed(*_diagonal_dual_point(1e-15))
-    assert not _bracket_closed(*_diagonal_dual_point(1e-10))
-    assert _bracket_closed(*_diagonal_dual_point(-1e-10))
-
-
 def _diagonal_family_point(excess):
-    """(r, w, value) at d = 4 with w = I on a diagonal state whose free points
-    all leave the bracket open by at least 1e-4, while the least-squares
-    point that ``_polished_closed`` tries first has lambda_max within 1e-17
-    of t0 + excess, and no point of the family does better.
+    """(r, w, value) at d = 4 with w = I on a diagonal state where the
+    least-squares point that ``_certified`` tries first has lambda_max within
+    1e-17 of t0 + excess, and no point of the family does better.
 
     With w = I and equal diagonal entries x of X, M(C) is diagonal on
     diagonal C, with entries R_(ik) - x + c_i - c_k off i = k and 0 on it;
-    here R_(ik) - x = E + g_i - g_k, E = t0 + excess, so the free points
-    (c equal) leave E + g_i - g_k, the least-squares point (c = -g + const)
-    leaves E everywhere, and every C leaves lambda_max(M(C)) >= E, as the
-    (i, k) and (k, i) diagonal entries sum to 2 E whatever C is.
+    here R_(ik) - x = E + g_i - g_k, E = t0 + excess, so the least-squares
+    point (c = -g + const) leaves E everywhere, and every C leaves
+    lambda_max(M(C)) >= E, as the (i, k) and (k, i) diagonal entries sum to
+    2 E whatever C is.
     """
     d = 4
     t0 = CERT_TOL / d
@@ -504,13 +476,14 @@ def _diagonal_family_point(excess):
 
 
 def test_polished_point_keeps_its_rounding_margin():
-    # lambda_max of the best polished point misses t0 by 1e-15, and no point
-    # of the family closes the bracket; the margin, about 5e-15 here, would
-    # hide that if it were added to t0 instead of subtracted
+    # lambda_max of the least-squares point, the best of the family, misses
+    # t0 by 1e-15, so neither budget closes the bracket; the margin, about
+    # 5e-15 here, would hide that if it were added to t0 instead of
+    # subtracted
     for excess in (1e-15, 1e-10, -1e-10):
         point = _diagonal_family_point(excess)
-        assert not _bracket_closed(*point)
-        assert _polished_closed(*point) is (excess < 0)
+        for points in (1, _POLISH_POINTS):
+            assert _certified(*point, points) is (excess < 0)
 
 
 def test_dual_test_margin_covers_rounding():

@@ -206,6 +206,12 @@ def test_density_operator_invariants_enforced():
         DensityOperator(2, np.diag([1.5, -0.5, 0.0, 0.0]))  # negative eigenvalue
     with pytest.raises(DimensionError):
         DensityOperator(2, np.eye(6) / 6)  # not d^2 x d^2
+    for entry in (np.nan, np.inf):
+        bad = np.eye(4) / 4
+        bad[0, 0] = entry  # NaN passes every check; inf only fails the trace one
+        for unit_trace in (True, False):
+            with pytest.raises(InvalidOperatorError, match="non-finite"):
+                DensityOperator(2, bad, unit_trace=unit_trace)
 
 
 def test_library_built_operators_meet_public_invariants():

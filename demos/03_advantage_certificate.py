@@ -3,9 +3,10 @@
 For the level-damping family, the largest Choi eigenvalue lies strictly above
 the ceiling (1 + 2N)/d that bounds what any maximally entangled input can reach
 even with trace-preserving local post-processing. The top eigenvector of the
-dual Choi state is a nonmaximally entangled input whose plain output fidelity
-already attains that eigenvalue, so sending it beats every maximally entangled
-transmission. Its output also carries strictly more negativity.
+dual Choi state, known in closed form, is a nonmaximally entangled input
+whose plain output fidelity already attains that eigenvalue, so sending it
+beats every maximally entangled transmission. Its output also carries
+strictly more negativity.
 
 This script walks the whole chain at one parameter point and prints each
 quantity next to the inequality it participates in.
@@ -23,6 +24,7 @@ from quditshare import (
     fef_by_ascent,
     fidelity_with,
     max_entangled,
+    negativity,
     schmidt,
 )
 
@@ -30,7 +32,7 @@ params = DampingParams(3, [0.5, 0.9])
 cert = advantage_certificate(params)
 
 print("=" * 70)
-print(f"Certificate for d={params.d}, x={tuple(params.x)}")
+print(f"Certificate for d={params.d}, x={params.x.tolist()}")
 print("=" * 70)
 
 print(f"""
@@ -47,17 +49,20 @@ print("chain head: lambda_max > ceiling ?",
       "->", cert.verdict_ceiling)
 
 dec = schmidt(cert.psi_prime)
-print("\nbest input (top dual-Choi eigenvector):")
-print("  Schmidt coefficients:", np.round(dec.coefficients, 6))
-print("  Schmidt spread      :", cert.psi_prime_schmidt_spread)
+print("\nbest input psi' = (|00> + sum x_i |ii>) / sqrt(s), closed form")
+print("  (the top dual-Choi eigenvector; s = 1 + sum x_i^2):")
+print("  amplitudes on |ii>  :", np.round(cert.psi_prime.amplitudes[:: params.d + 1].real, 6))
+print("  Schmidt coefficients:", np.round(dec.coefficients, 6), "(SVD)")
+print("  Schmidt spread      :", cert.psi_prime_schmidt_spread, "(closed form)")
 print("  maximally entangled?", dec.is_maximally_entangled())
 
 print("\nits output through the channel:")
 out = apply_one_sided(damping_channel(params), cert.psi_prime)
-print("  Phi+ overlap         :", fidelity_with(out, max_entangled(3)))
-print("  FEF (exact, = Phi+)  :", cert.fef_psi_prime)
-print("  FEF (unitary ascent) :", fef_by_ascent(cert))
-print("  negativity           :", cert.negativity_psi_prime)
+print("  Phi+ overlap (dense)      :", fidelity_with(out, max_entangled(3)))
+print("  FEF (closed form s/d)     :", cert.fef_psi_prime)
+print("  FEF (unitary ascent)      :", fef_by_ascent(cert))
+print("  negativity (closed form)  :", cert.negativity_psi_prime)
+print("  negativity (eigensolve)   :", negativity(out))
 
 print("\nverdicts:")
 print("  ceiling exceeded            :", cert.verdict_ceiling)

@@ -5,8 +5,10 @@ All output is deterministic for fixed flags and seeds: JSON uses fixed field
 order with 17-significant-digit reals, CSV uses '.' decimals, comma delimiter,
 and a header row. Exit codes: 0 success / all verdicts true, 1 verified-false
 or invariant violation, 2 usage or parameter error, 3 a dense linear-algebra
-routine failed (numpy.linalg.LinAlgError) or memory ran out (MemoryError),
-so no verdict was reached.
+routine failed (numpy.linalg.LinAlgError), a numerical cross-check failed
+(ArithmeticError: a closed form against its dense eigensolve, or an
+eigenvector's residual) or memory ran out (MemoryError), so no verdict was
+reached.
 Every error, a malformed command line included, leaves through ``main`` as
 one ``error: ...`` line on stderr; integer flags are bounded where they are
 parsed (seeds >= 0, ``--n`` and ``--restarts`` >= 1, ``audit --d`` in 2..6).
@@ -518,7 +520,7 @@ def main(argv=None) -> int:
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

@@ -1,23 +1,47 @@
 """Level-damping qudit channel family and its advantage certificate.
 
 The family on C^d (d >= 3) keeps level 0 intact and damps every excited level
-m toward level 0: the diagonal Kraus operator diag(1, x_1, ..., x_{d-1})
+m toward level 0: the diagonal Kraus operator A_0 = diag(1, x_1, ..., x_{d-1})
 retains amplitude x_m on level m, and one extra operator per level,
-sqrt(1 - x_m^2) |0><m|, carries the decayed population. Completeness holds by
-construction for any x in [0, 1]^{d-1}.
+A_m = sqrt(1 - x_m^2) |0><m|, carries the decayed population. Completeness
+holds by construction for any x in [0, 1]^{d-1}.
 
 Closed forms are available for the entire Choi-state spectrum, the
 partial-transpose spectrum, and the negativity, which makes the family a
 machine-checkable witness that the best transmitted input can strictly beat
 every maximally entangled input even after trace-preserving local
 post-processing. The certificate assembles that inequality chain for one
-parameter point and cross-checks every closed form against dense numerics.
-The best input's output fidelity needs no optimizer: for psi' the top
-eigenvector of the dual Choi state sigma, every maximally entangled Phi_W has
-<Phi_W| rho_out |Phi_W> = <psi'| (W (x) I) sigma (W^dag (x) I) |psi'> <=
-lambda_max(sigma), and W = I attains the bound, so the fully entangled
-fraction of rho_out is its Phi+ overlap (acceptance criterion 04).
-``fef_by_ascent`` recomputes it with the unitary ascent as an independent check.
+parameter point and cross-checks the Choi lambda_max and N(Phi+) against dense
+eigensolves.
+
+The best input is closed form too. Write x~ = (1, x_1, ..., x_{d-1}) and
+s = |x~|^2 = 1 + sum x_i^2. The dual Choi state (Kraus list A_k^dag) is
+
+    sigma = (|w><w| + sum_{m>=1} (1 - x_m^2) |0m><0m|) / d,  w = sum_i x~_i |ii>,
+
+and w is orthogonal to every |0m> with m >= 1, so sigma's top eigenpair is
+s/d with psi' = w / sqrt(s): real positive amplitudes x~_i / sqrt(s) on |ii>.
+These amplitudes are the Schmidt coefficients of psi', so its Schmidt spread
+is (1 - min x_i) / sqrt(s). Its output is
+
+    rho_out = (|u><u| + sum_{m>=1} x_m^2 (1 - x_m^2) |m0><m0|) / s,  u = sum_i x~_i^2 |ii>,
+
+and |m0> has no overlap with Phi+, so <Phi+| rho_out |Phi+> = s^2 / (d s) =
+s/d. That overlap is also the fully entangled fraction of rho_out: every
+maximally entangled Phi_W has <Phi_W| rho_out |Phi_W> = <psi'| (W (x) I) sigma
+(W^dag (x) I) |psi'> <= lambda_max(sigma), and W = I attains the bound
+(acceptance criterion 04). ``fef_by_ascent`` recomputes it with the unitary
+ascent as an independent check.
+
+N(psi') follows from 2x2 blocks. The partial transpose maps |ii><jj| to
+|ij><ji|, so rho_out^{T_B} splits into the 1x1 blocks |ii> and 2x2 blocks on
+span{|ij>, |ji>}, i < j. For 1 <= i < j the block is [[0, x_i^2 x_j^2],
+[x_i^2 x_j^2, 0]] / s, with negative eigenvalue -x_i^2 x_j^2 / s. For i = 0,
+j = m the block is [[0, x_m^2], [x_m^2, b_m]] / s with b_m = x_m^2 (1 - x_m^2),
+with negative eigenvalue (b_m - sqrt(b_m^2 + 4 x_m^4)) / (2 s). Hence
+
+    N(psi') = [sum_{1<=i<j} x_i^2 x_j^2
+               + sum_m x_m^2 (sqrt((1 - x_m^2)^2 + 4) - (1 - x_m^2)) / 2] / s.
 
 Every point of the closed cube [0, 1]^{d-1} is a channel, and every closed
 form holds there. The theorem's hypotheses (each 0 < x_i < 1, not all x_i
@@ -32,10 +56,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import KrausChannel, apply_one_sided, choi_state, dual, top_choi_eigenpair
+from .channels import KrausChannel, apply_one_sided, choi_state
 from .errors import ParameterError
 from .measures import DEFAULT_RESTARTS, fef, negativity
-from .states import PureBipartiteState, fidelity_with, max_entangled, schmidt
+from .states import PureBipartiteState
 
 DISTINCTNESS_TOL = 1e-12
 CLOSED_NUMERIC_TOL = 1e-10
@@ -166,11 +190,11 @@ def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
     """Assemble the certificate for one parameter point.
 
     ParameterError unless each 0 < x_i < 1 and at least one pair differs by
-    more than DISTINCTNESS_TOL: the theorem's hypotheses. Closed forms are
-    cross-checked against dense eigensolves (within 1e-10); the best input
-    psi_prime is the top eigenvector of the dual Choi state. Its output is
-    scored by negativity and by its fully entangled fraction, the exact Phi+
-    overlap (module docstring), so no unitary ascent is run.
+    more than DISTINCTNESS_TOL: the theorem's hypotheses. The closed-form Choi
+    lambda_max and N(Phi+) are cross-checked against dense eigensolves (within
+    1e-10), else ArithmeticError. The best input psi_prime and every field
+    derived from it are the O(d) closed forms of the module docstring, so no
+    dual eigensolve, Schmidt SVD, output state or unitary ascent is run.
     """
     x = p.x
     if np.any(x <= 0.0) or np.any(x >= 1.0):
@@ -180,11 +204,10 @@ def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
             "distinctness violated: at least one pair x_i != x_j "
             f"(max gap {x.max() - x.min():.3g} <= {DISTINCTNESS_TOL})"
         )
-    ch = damping_channel(p)
     d = p.d
 
     lam_closed = damping_lambda_max(p)
-    choi = choi_state(ch)
+    choi = choi_state(damping_channel(p))
     lam_numeric = float(np.linalg.eigvalsh(choi.matrix)[-1])
 
     neg_closed = damping_negativity(p)
@@ -198,13 +221,19 @@ def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
     fstar_bound = (1.0 + 2.0 * neg_closed) / d
     gap = damping_gap(p)
 
-    top = top_choi_eigenpair(dual(ch))
-    psi_prime = top.state
-    spread = schmidt(psi_prime).spread
-
-    rho_out = apply_one_sided(ch, psi_prime)
-    fef_psi_prime = fidelity_with(rho_out, max_entangled(d))
-    neg_psi_prime = negativity(rho_out)
+    y, c = x**2, 1.0 - x**2
+    s = 1.0 + float(np.sum(y))
+    root_s = np.sqrt(s)
+    amps = np.zeros(d * d, dtype=complex)
+    amps[:: d + 1] = np.concatenate([[1.0], x]) / root_s
+    psi_prime = PureBipartiteState(d, amps)
+    spread = float((1.0 - x.min()) / root_s)
+    fef_psi_prime = s / d
+    # sum_{i<j} y_i y_j as sum_j y_j (y_1 + ... + y_{j-1}), and the block
+    # term (sqrt(c^2 + 4) - c) / 2 as 2 / (sqrt(c^2 + 4) + c): no cancellation
+    pairs = float(np.dot(y[1:], np.cumsum(y)[:-1]))
+    blocks = float(np.sum(2.0 * y / (np.sqrt(c * c + 4.0) + c)))
+    neg_psi_prime = (pairs + blocks) / s
 
     return AdvantageCertificate(
         params=p,

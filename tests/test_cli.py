@@ -17,7 +17,7 @@ from quditshare import (
     kraus_validate,
     save_channel,
 )
-from quditshare import cli
+from quditshare import cli, damping
 from quditshare.cli import main, parse_sweep_spec
 from quditshare.jsonio import dumps_fixed
 
@@ -204,6 +204,20 @@ def test_linalg_failure_is_one_line_exit_3(omega_file, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: numerical failure: SVD did not converge\n"
+
+
+@pytest.mark.parametrize("closed_form, name", [
+    ("damping_lambda_max", "lambda_max"), ("damping_negativity", "negativity")])
+def test_cross_check_failure_is_one_line_exit_3(capsys, monkeypatch, closed_form, name):
+    # a closed form the dense eigensolve contradicts reaches no verdict: the
+    # certificate's ArithmeticError leaves as exit 3 and one line
+    original = getattr(damping, closed_form)
+    monkeypatch.setattr(damping, closed_form, lambda p: original(p) + 1e-9)
+    assert main(["certify", "--d", "3", "--x", "0.2,0.7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: numerical failure: closed-form {name} disagrees with eigensolve\n")
 
 
 @pytest.mark.parametrize("routine, argv", [

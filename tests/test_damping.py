@@ -21,10 +21,13 @@ from quditshare import (
     damping_lambda_max,
     damping_negativity,
     damping_pt_spectrum,
+    dual,
     fef_by_ascent,
     fidelity_with,
     max_entangled,
+    negativity,
     schmidt,
+    top_choi_eigenpair,
 )
 
 
@@ -237,8 +240,30 @@ def test_certificate_fef_is_exact_phiplus_overlap(d):
         p = random_strict_params(d, rng)
         cert = advantage_certificate(p)
         rho_out = apply_one_sided(damping_channel(p), cert.psi_prime)
-        assert cert.fef_psi_prime == fidelity_with(rho_out, max_entangled(d))
+        assert abs(cert.fef_psi_prime - fidelity_with(rho_out, max_entangled(d))) < 1e-12
         assert abs(cert.fef_psi_prime - cert.lambda_max_closed) < 1e-12
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_closed_form_best_input_matches_dense_path(d):
+    # the certificate's psi_prime fields are closed forms; the dense path is
+    # the dual Choi top eigenvector, its Schmidt SVD and its built output
+    rng = np.random.default_rng(2000 + d)
+    for _ in range(10):
+        p = random_strict_params(d, rng)
+        cert = advantage_certificate(p)
+        ch = damping_channel(p)
+        top = top_choi_eigenpair(dual(ch))
+        assert np.abs(cert.psi_prime.amplitudes - top.state.amplitudes).max() < 1e-12
+        assert abs(cert.psi_prime_schmidt_spread - schmidt(top.state).spread) < 1e-12
+        rho_out = apply_one_sided(ch, top.state)
+        assert abs(cert.fef_psi_prime - fidelity_with(rho_out, max_entangled(d))) < 1e-12
+        assert abs(cert.negativity_psi_prime - negativity(rho_out)) < 1e-12
+        # psi_prime is an eigenvector of the dense sigma with eigenvalue s/d
+        sigma = choi_state(dual(ch)).matrix
+        v = cert.psi_prime.amplitudes
+        s = 1.0 + np.sum(p.x**2)
+        assert np.linalg.norm(sigma @ v - (s / d) * v) < 1e-12
 
 
 def test_fef_by_ascent_confirms_certificate():

@@ -35,7 +35,7 @@ CASE_SEED = {3: 0, 4: 1}
 # starts run
 LEAST_SQUARES_ONLY = (4, 4, 8, "7fd42d9eac573f712f4068057ca58341b15146e3fd9a38c80900ebb5d04153cb")
 AUDIT_SHA256 = "d901b4c959a8c1f49b60e6a57d42a295abaf10f7bf010775a5b72c21fa29c3fb"
-CERTIFY_SHA256 = "8a7c09565a7a15018485b7acf4e312a5c3983b1416c41a48012c5ee8a9effddc"
+CERTIFY_SHA256 = "26ce93b530b74578feb173e06c322e21920951cee0b190009866f2a2a0ea039c"
 
 
 def _run(argv, out):

@@ -11,7 +11,8 @@ eigenvector's residual) or memory ran out (MemoryError), so no verdict was
 reached.
 Every error, a malformed command line included, leaves through ``main`` as
 one ``error: ...`` line on stderr; integer flags are bounded where they are
-parsed (seeds >= 0, ``--n`` and ``--restarts`` >= 1, ``audit --d`` in 2..6).
+parsed (seeds >= 0, ``--n`` and ``measures --restarts`` >= 1, ``audit --d`` in
+2..6).
 """
 
 from __future__ import annotations
@@ -376,7 +377,7 @@ def _audit_pauli(seed: int, index: int) -> float:
     return abs(lam - qubit_optimal_fidelity(ch))
 
 
-def run_audit(d: int, n_channels: int, seed: int, restarts: int) -> dict:
+def run_audit(d: int, n_channels: int, seed: int) -> dict:
     """Random-channel invariant audit: per invariant, the max violation and
     ``worst_index``, the first channel index that reaches it.
 
@@ -385,17 +386,16 @@ def run_audit(d: int, n_channels: int, seed: int, restarts: int) -> dict:
     ``fef`` on that channel alone, so an audit with ``n_channels`` =
     worst_index + 1 replays the worst channel as its last one.
 
-    Channels are built in chunks of ``fef_batch_size(d, restarts)``, and each
-    chunk's FEFs come from one ``fef_batch`` call. ``seed`` draws the
-    channels, inputs and unitaries only: the FEF ascent's seeded starts use
-    fef's default seed 0 for every channel and every ``seed``. That one
-    shared draw is what lets one stack serve a whole chunk.
+    Each FEF is ``fef(rho, restarts=1)``: the identity start's ascent, which
+    climbs from Phi+ and so meets the floor check by construction. Channels
+    are built in chunks of ``fef_batch_size(d)``, and each chunk's FEFs come
+    from one ``fef_batch`` call.
     """
-    chunk = fef_batch_size(d, restarts)
+    chunk = fef_batch_size(d)
     results = []
     for lo in range(0, n_channels, chunk):
         built = [_audit_channel(d, seed, i) for i in range(lo, min(lo + chunk, n_channels))]
-        fefs = fef_batch([rho for rho, _ in built], restarts)
+        fefs = fef_batch([rho for rho, _ in built])
         results += [devs + _fef_deviations(rho, res.value) for (rho, devs), res in zip(built, fefs)]
     columns = list(zip(*results))
     if d == 2:
@@ -411,14 +411,13 @@ def run_audit(d: int, n_channels: int, seed: int, restarts: int) -> dict:
         "d": d,
         "n_channels": n_channels,
         "seed": seed,
-        "restarts": restarts,
         "checks": checks,
         "pass": all(c["pass"] for c in checks.values()),
     }
 
 
 def cmd_audit(args) -> int:
-    report = run_audit(args.d, args.n, args.seed, args.restarts)
+    report = run_audit(args.d, args.n, args.seed)
     _write_text(dumps_fixed(report), args.out)
     return 0 if report["pass"] else 1
 
@@ -480,11 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), required=True, help="number of channels")
     p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="seeds the random channels, input states and unitaries")
-    p.add_argument("--restarts", type=_int_at_least(1), default=8, metavar="N",
-                   help="FEF ascent: at most N starts; seeded starts run only when the "
-                   "identity's bracket stays open (d >= 3; d = 2 is exact); the "
-                   "dual-point search that may close it tries the least-squares point, "
-                   "and polishes it only when N - 1 >= d^2")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_audit)
 

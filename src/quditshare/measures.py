@@ -32,7 +32,7 @@ unless ``unit_trace`` is False).
 
 The polish runs only where it may spare a seeded stack of at least d^2
 starts (restarts - 1 >= d^2): the 32 default starts of ``measures`` at
-d <= 5, not the 8 of ``audit``, which try the least-squares point alone.
+d <= 5; fewer starts try the least-squares point alone.
 On the benchmark's measures corpus at d = 3, 4, 5 (seeds 1, 5, 7; 2 vCPUs,
 numpy 2.4.6) the least-squares point closes 174 / 150 / 118 of 192 brackets
 in a median 0.14 / 0.14 / 0.15 ms, the polish 17 / 34 / 51 more in 0.55 /
@@ -42,14 +42,12 @@ eigensolves at order <= 25 for the default starts: above that numpy's
 ``eigh`` takes LAPACK's divide-and-conquer path, which runs threaded BLAS and
 spends CPU time out of proportion to its wall time.
 
-``fef_batch`` runs the same ascent for a list of operators of one d, and
-``fef`` is its one-operator case. The identity starts of all operators climb
-as one stack, each against its own operator; the seeded starts are drawn once
-for the whole list and those of every operator whose bracket stays open climb
-as a second stack. Each result is bit for bit the one-operator call's. A
-stack of several operators holds one operator copy per start, so callers cut
-long lists into batches of ``fef_batch_size(d, restarts)`` operators, which
-keeps those copies within FEF_BATCH_BYTES.
+``fef_batch`` gives ``fef(rho, restarts=1)`` for a list of operators of one
+d: their identity starts climb as one stack, each against its own copy of
+its operator, and each bracket then gets the least-squares point alone. Each
+result is bit for bit the one-operator call's, and no seeded start runs.
+Callers cut long lists into batches of ``fef_batch_size(d)`` operators,
+which keeps the copies within FEF_BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -366,14 +364,31 @@ def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -
     ``certified`` true: no maximally entangled state beats ``value`` by more
     than CERT_TOL. Otherwise the other ``restarts`` - 1 starts, Haar unitaries
     drawn from default_rng([seed, k]) for k >= 1, ascend together as one
-    stack, and the first start with the highest value wins, with
+    stack against rho, and the first start with the highest value wins, with
     ``certified`` false. So ``restarts`` is a cap on the starts, and an open
     bracket gives the same result as ascending all starts at once.
     Deterministic for fixed (seed, restarts). Either way
     value >= <Phi+|rho|Phi+>, and ``restarts`` must be at least 1.
-    This is ``fef_batch`` on one operator.
     """
-    return fef_batch([rho], restarts, seed)[0]
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    d = rho.dim
+    if d == 2:
+        return _fef_qubit(rho)
+    r = rho.matrix / d
+    vals, ws, converged = _ascend_unitaries(r, d, np.eye(d)[None])
+    # the polish runs where it may spare a seeded stack of at least d^2 starts
+    points = _POLISH_POINTS if restarts - 1 >= d * d else 1
+    res = _identity_fef(rho, ws[0], converged[0], points)
+    if res.certified or restarts == 1:
+        return res
+    more = _ascend_unitaries(r, d, _seeded_starts(d, restarts, seed)[1:])
+    # the identity start first, then the seeded ones, as one stack of all orders them
+    vals, ws, converged = (np.concatenate(pair) for pair in zip((vals, ws, converged), more))
+    best = int(np.argmax(vals))
+    return FefResult(value=fidelity_with(rho, mes_from_unitary(ws[best])),
+                     maximizer_unitary=ws[best], converged=bool(converged[best]),
+                     certified=False)
 
 
 def _fef_qubit(rho: DensityOperator) -> FefResult:
@@ -383,65 +398,36 @@ def _fef_qubit(rho: DensityOperator) -> FefResult:
                      maximizer_unitary=w, converged=True, certified=True)
 
 
-def fef_batch_size(d: int, restarts: int) -> int:
+def _identity_fef(rho: DensityOperator, w: np.ndarray, converged, points: int) -> FefResult:
+    """The identity start's result at its ascent's unitary w, ``certified``
+    when ``_certified`` closes the bracket within ``points`` dual points."""
+    value = fidelity_with(rho, mes_from_unitary(w))
+    return FefResult(value=value, maximizer_unitary=w, converged=bool(converged),
+                     certified=_certified(rho.matrix / rho.dim, w, value, points))
+
+
+def fef_batch_size(d: int) -> int:
     """How many d^2 x d^2 operators one ``fef_batch`` call may take so that
-    its stacks, one operator copy per start in the worst case that every
-    bracket stays open, hold at most FEF_BATCH_BYTES (at least one)."""
-    return max(1, FEF_BATCH_BYTES // (16 * d**4 * restarts))
+    its stack, one operator copy each, holds at most FEF_BATCH_BYTES (at
+    least one)."""
+    return max(1, FEF_BATCH_BYTES // (16 * d**4))
 
 
-def fef_batch(rhos: list[DensityOperator], restarts: int = DEFAULT_RESTARTS,
-              seed: int = 0) -> list[FefResult]:
-    """``fef(rho, restarts, seed)`` of every operator in ``rhos``, all of one
+def fef_batch(rhos: list[DensityOperator]) -> list[FefResult]:
+    """``fef(rho, restarts=1)`` of every operator in ``rhos``, all of one
     dimension d, each result bit for bit the one-operator call's; the module
-    docstring says how the starts are stacked. A lone operator is shared by
-    all its starts, so a one-operator call copies no operator; a longer list
-    holds a copy per start, so callers cut it into batches of
-    ``fef_batch_size(d, restarts)``.
+    docstring says how the identity starts are stacked. The stack holds a
+    copy of each operator, so callers cut a long list into batches of
+    ``fef_batch_size(d)``.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     if not rhos:
         return []
     d = rhos[0].dim
     if d == 2:
         return [_fef_qubit(rho) for rho in rhos]
-    rs = [rho.matrix / d for rho in rhos]
-    identities = np.eye(d)[None].repeat(len(rs), axis=0)
-    vals, ws, converged = _ascend_unitaries(_stack(rs, 1), d, identities)
-    # the polish runs where it may spare a seeded stack of at least d^2 starts
-    points = _POLISH_POINTS if restarts - 1 >= d * d else 1
-    results = []
-    for rho, r, w, conv in zip(rhos, rs, ws, converged):
-        value = fidelity_with(rho, mes_from_unitary(w))
-        closed = _certified(r, w, value, points)
-        results.append(FefResult(value=value, maximizer_unitary=w, converged=bool(conv),
-                                 certified=True) if closed else None)
-    open_ = [i for i, res in enumerate(results) if res is None]
-    k = restarts - 1
-    if k and open_:
-        # open operator j owns the seeded starts j k .. (j + 1) k - 1
-        seeded = np.concatenate([_seeded_starts(d, restarts, seed)[1:]] * len(open_))
-        more = _ascend_unitaries(_stack([rs[i] for i in open_], k), d, seeded)
-    for j, i in enumerate(open_):
-        # the identity start first, then the seeded ones, as one call stacks them
-        start_vals, start_ws, start_conv = vals[i:i + 1], ws[i:i + 1], converged[i:i + 1]
-        if k:
-            own = slice(j * k, (j + 1) * k)
-            start_vals, start_ws, start_conv = (
-                np.concatenate((mine, part[own]))
-                for mine, part in zip((start_vals, start_ws, start_conv), more))
-        best = int(np.argmax(start_vals))
-        w = start_ws[best]
-        results[i] = FefResult(value=fidelity_with(rhos[i], mes_from_unitary(w)),
-                               maximizer_unitary=w, converged=bool(start_conv[best]),
-                               certified=False)
-    return results
-
-
-def _stack(rs: list, copies: int) -> np.ndarray:
-    """The operators of a stack of starts: a lone operator as it is, shared
-    by broadcast, else ``copies`` consecutive copies of each."""
-    if len(rs) == 1:
-        return rs[0]
-    return np.stack([r for r in rs for _ in range(copies)])
+    # divided in place, so no second stack is held; the ascent overwrites the
+    # stack, so each bracket reads rho / d anew
+    stack = np.stack([rho.matrix for rho in rhos])
+    stack /= d
+    _, ws, converged = _ascend_unitaries(stack, d, np.eye(d)[None].repeat(len(rhos), axis=0))
+    return [_identity_fef(rho, w, conv, 1) for rho, w, conv in zip(rhos, ws, converged)]

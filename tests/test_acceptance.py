@@ -338,8 +338,7 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
     for tag in ("a", "b"):
         out = tmp_path / f"audit_{tag}.json"
         res = _run_cli(
-            ["audit", "--d", "3", "--n", "8", "--seed", "29", "--restarts", "4",
-             "--out", str(out)]
+            ["audit", "--d", "3", "--n", "8", "--seed", "29", "--out", str(out)]
         )
         assert res.returncode == 0, res.stderr
         pair.append(out.read_bytes())

@@ -347,7 +347,6 @@ def test_certify_rejects_non_finite_x(capsys):
         ["measures", "channel.json"],
         ["certify", "--d", "3", "--x", "0.5,0.9"],
         ["sweep", "spec.json"],
-        ["audit", "--d", "3", "--n", "2"],
     ],
 )
 def test_restarts_below_one_is_usage_error(argv, capsys):
@@ -577,7 +576,7 @@ def test_sweep_unwritable_output(tmp_path, capsys):
 
 
 def test_audit_passes(capsys):
-    assert main(["audit", "--d", "3", "--n", "10", "--seed", "7", "--restarts", "4"]) == 0
+    assert main(["audit", "--d", "3", "--n", "10", "--seed", "7"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is True
     assert report["checks"]["dual_primal_lambda_max"]["max_violation"] < 1e-9
@@ -593,7 +592,7 @@ def test_audit_names_the_worst_channel(capsys, monkeypatch):
         rho, devs = built(d, seed, index)
         return rho, (1e-6 if index == 5 else devs[0], *devs[1:])
 
-    argv = ["audit", "--d", "3", "--seed", "7", "--restarts", "4"]
+    argv = ["audit", "--d", "3", "--seed", "7"]
     monkeypatch.setattr(cli, "_audit_channel", faulty)
     assert main([*argv, "--n", "9"]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -610,7 +609,7 @@ def test_audit_names_the_worst_channel(capsys, monkeypatch):
 
 
 def test_audit_qubit_includes_pauli_check(capsys):
-    assert main(["audit", "--d", "2", "--n", "10", "--seed", "3", "--restarts", "4"]) == 0
+    assert main(["audit", "--d", "2", "--n", "10", "--seed", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert "qubit_pauli_equality" in report["checks"]
     assert report["checks"]["qubit_pauli_equality"]["pass"] is True
@@ -688,10 +687,12 @@ def test_certify_subprocess_byte_identical(tmp_path):
         ["certify", "--d", "3", "--x", "0.5,0.9", "--seed", "1"],
         ["certify", "--d", "3", "--x", "0.5,0.9", "--restarts", "4"],
         ["sweep", "spec.json", "--restarts", "4"],
+        ["audit", "--d", "3", "--n", "2", "--restarts", "4"],
     ],
 )
 def test_removed_flags_are_usage_errors(argv, capsys):
-    # certify runs no seeded step, and sweep keeps only --seed (accepted, unused)
+    # certify and audit run no seeded step, and sweep keeps only --seed
+    # (accepted, unused)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err, err
@@ -725,8 +726,7 @@ def test_audit_subprocess_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a1.json", tmp_path / "a2.json"
     for out in (out1, out2):
         res = _run_cli(
-            ["audit", "--d", "2", "--n", "6", "--seed", "9", "--restarts", "4",
-             "--out", str(out)]
+            ["audit", "--d", "2", "--n", "6", "--seed", "9", "--out", str(out)]
         )
         assert res.returncode == 0, res.stderr
     assert out1.read_bytes() == out2.read_bytes()

@@ -341,17 +341,15 @@ def _fef_bytes(res):
     return res.value, res.maximizer_unitary.tobytes(), res.converged, res.certified
 
 
-def _check_batches_against_alone(rhos, alone, seed):
-    """fef_batch on rhos, in batches of twice the size run_audit cuts (so at
-    32 starts every batch holds two chunks' worth at every d), equals fef on
-    each operator alone: alone[restarts] holds those results."""
+def _check_batches_against_alone(rhos, singles):
+    """fef_batch on rhos, in batches of twice the size run_audit cuts, equals
+    fef(rho, restarts=1) on each operator alone: singles holds those results."""
     d = rhos[0].dim
-    for restarts, singles in alone.items():
-        size = 2 * fef_batch_size(d, restarts)
-        for lo in range(0, len(rhos), size):
-            got = fef_batch(rhos[lo:lo + size], restarts, seed)
-            assert [_fef_bytes(res) for res in got] == [
-                _fef_bytes(res) for res in singles[lo:lo + size]], (d, restarts, lo)
+    size = 2 * fef_batch_size(d)
+    for lo in range(0, len(rhos), size):
+        got = fef_batch(rhos[lo:lo + size])
+        assert [_fef_bytes(res) for res in got] == [
+            _fef_bytes(res) for res in singles[lo:lo + size]], (d, lo)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -359,7 +357,6 @@ def test_fef_stacked_matches_serial_loop(d):
     # 60 channel outputs per d: enough that an inner product rounding one ulp
     # differently (einsum in place of vecdot) changes some result here, through
     # a different step or stop decision or a different winner among near ties.
-    # The cases share one seed, as the operators of one fef_batch call do.
     # At 32 starts the polish runs for d <= 5 and closes all 60 outputs at
     # d = 3, so a full-rank mixed state, whose relaxation gap no dual point
     # closes, keeps the open path taken there.
@@ -382,13 +379,14 @@ def test_fef_stacked_matches_serial_loop(d):
     if d > 2:
         # both of fef's paths are taken at every d >= 3
         assert {res.certified for res in alone[32]} == {True, False}
-        _check_batches_against_alone(rhos, alone, seed)
+        _check_batches_against_alone(rhos, alone[1])
 
 
 def test_fef_stacked_matches_serial_loop_at_iteration_cap():
     # the identity start of this state is still climbing after DEFAULT_MAX_ITER
     # steps; with 2 and 8 starts it sits in the stack beside converged starts,
-    # and in a batch beside fast outputs, which the stack leaves behind
+    # and in a batch beside the identity starts of fast outputs, which the
+    # stack leaves behind
     rho = random_mixed(3, np.random.default_rng(1728), rank=4)
     starts = _serial_starts(rho, 8, seed=0)
     assert not starts[0][2]
@@ -400,12 +398,12 @@ def test_fef_stacked_matches_serial_loop_at_iteration_cap():
         res = _check_fef_against_serial(rho, restarts, 0, starts)
         # the unconverged identity leaves the bracket open, so fef runs the rest
         assert not res.certified
-        alone = [fef(f, restarts=restarts, seed=0) for f in fast]
-        assert all(r.converged for r in alone)
-        assert {r.certified for r in alone} == {True, False}
-        got = fef_batch([fast[0], rho, *fast[1:]], restarts, 0)
-        assert [_fef_bytes(r) for r in got] == [
-            _fef_bytes(r) for r in (alone[0], res, *alone[1:])]
+    alone = [fef(f, restarts=1) for f in fast]
+    assert all(r.converged for r in alone)
+    assert {r.certified for r in alone} == {True, False}
+    got = fef_batch([fast[0], rho, *fast[1:]])
+    assert [_fef_bytes(r) for r in got] == [
+        _fef_bytes(r) for r in (alone[0], fef(rho, restarts=1), *alone[1:])]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -34,7 +34,7 @@ CASE_SEED = {3: 0, 4: 1}
 # bracket open, which the default 32 starts' polish closes, so the seeded
 # starts run
 LEAST_SQUARES_ONLY = (4, 4, 8, "7fd42d9eac573f712f4068057ca58341b15146e3fd9a38c80900ebb5d04153cb")
-AUDIT_SHA256 = "d901b4c959a8c1f49b60e6a57d42a295abaf10f7bf010775a5b72c21fa29c3fb"
+AUDIT_SHA256 = "3787a7ca7975a2d64172bfd1d80b74d81f26bdd039f4c101af2e28cfab8418c6"
 CERTIFY_SHA256 = "26ce93b530b74578feb173e06c322e21920951cee0b190009866f2a2a0ea039c"
 
 

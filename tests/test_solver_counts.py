@@ -123,30 +123,28 @@ def test_fef_one_stacked_svd_per_iteration(fef_calls, d, restarts):
 
 
 def test_audit_one_stacked_svd_per_iteration(fef_calls):
-    # audit's channels of one chunk climb as two stacks: the identity starts,
-    # as many SVD calls as the slowest of them takes alone, then the seeded
-    # starts of the channels whose bracket stays open, as many as the slowest
-    # of those, with one QR for the Haar starts of the whole chunk
-    d, n, seed, restarts = 4, 12, 3, 8
-    assert n <= fef_batch_size(d, restarts)
+    # audit's channels of one chunk climb as one stack of identity starts: as
+    # many SVD calls as the slowest of them takes alone, and no QR beyond
+    # building the channels, as no seeded start runs, not even for the
+    # channels whose bracket stays open
+    d, n, seed = 4, 12, 3
+    assert n <= fef_batch_size(d)
     rhos = [cli._audit_channel(d, seed, i)[0] for i in range(n)]
-    starts = _seeded_starts(d, restarts, 0)
-    identity, seeded = [], []
+    assert not all(fef(rho, restarts=1).certified for rho in rhos)
+    identity = []
     for rho in rhos:
-        is_open = not fef(rho, restarts=1).certified
-        for k, w0 in enumerate(starts if is_open else starts[:1]):
-            before = fef_calls["svd"]
-            _ascend_unitaries(rho.matrix / d, d, w0[None])
-            (seeded if k else identity).append(fef_calls["svd"] - before)
-    assert seeded
+        before = fef_calls["svd"]
+        _ascend_unitaries(rho.matrix / d, d, np.eye(d)[None])
+        identity.append(fef_calls["svd"] - before)
+    assert max(identity) < sum(identity)
     before = dict(fef_calls)
     for i in range(n):
         cli._audit_channel(d, seed, i)
     building = {k: fef_calls[k] - before[k] for k in fef_calls}
     before = dict(fef_calls)
-    assert cli.run_audit(d, n, seed, restarts)["pass"]
+    assert cli.run_audit(d, n, seed)["pass"]
     assert {k: fef_calls[k] - before[k] for k in fef_calls} == {
-        "svd": building["svd"] + max(identity) + max(seeded), "qr": building["qr"] + 1}
+        "svd": building["svd"] + max(identity), "qr": building["qr"]}
 
 
 @pytest.mark.parametrize("case, restarts", [

@@ -36,7 +36,7 @@ print("negativity eig   :", negativity(rho))
 print("PT spectrum closed:", np.round(damping_pt_spectrum(p), 6))
 print("PT spectrum eig   :",
       np.round(np.sort(np.linalg.eigvalsh(partial_transpose(rho))), 6))
-print("strictness gap (d-2)*sum x^2 - 2*sum x_i x_j:", damping_gap(p))
+print("strictness gap sum_{i<j} (x_i - x_j)^2:", damping_gap(p))
 
 print()
 print("=" * 70)

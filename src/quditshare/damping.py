@@ -43,6 +43,18 @@ with negative eigenvalue (b_m - sqrt(b_m^2 + 4 x_m^4)) / (2 s). Hence
     N(psi') = [sum_{1<=i<j} x_i^2 x_j^2
                + sum_m x_m^2 (sqrt((1 - x_m^2)^2 + 4) - (1 - x_m^2)) / 2] / s.
 
+Both ceiling verdicts read one identity. With N = N(Choi) =
+(sum x_i^2 + sum_{i<j} x_i x_j) / d,
+
+    lambda_max - (1 + 2N)/d = ((d-2) sum x_i^2 - 2 sum_{i<j} x_i x_j) / d^2
+                            = sum_{i<j} (x_i - x_j)^2 / d^2 = gap / d^2,
+
+and ``fef_psi_prime`` = s/d is lambda_max bit for bit, so the certificate
+compares ``gap`` with 0 instead of two rounded floats whose difference
+cancels. ``damping_gap`` sums the squared differences in O(d) as
+(d-1) sum z_i^2 - (sum z_i)^2 with z = x - x_1, which is exactly 0.0 when
+all x_i are equal and positive otherwise (its docstring says why).
+
 Every point of the closed cube [0, 1]^{d-1} is a channel, and every closed
 form holds there. The theorem's hypotheses (each 0 < x_i < 1, not all x_i
 equal) are needed only for the strict inequality chain, so
@@ -63,7 +75,6 @@ from .states import PureBipartiteState
 
 DISTINCTNESS_TOL = 1e-12
 CLOSED_NUMERIC_TOL = 1e-10
-SPREAD_TOL = 1e-8
 
 
 def family_dimension(d) -> int:
@@ -118,7 +129,8 @@ def damping_lambda_max(p: DampingParams) -> float:
 
 
 def _pair_sum(x: np.ndarray) -> float:
-    return float(sum(x[i] * x[j] for i, j in combinations(range(x.size), 2)))
+    """sum_{i<j} x_i x_j in O(d), as sum_j x_j (x_1 + ... + x_{j-1})."""
+    return float(np.dot(x[1:], np.cumsum(x)[:-1]))
 
 
 def damping_negativity(p: DampingParams) -> float:
@@ -141,23 +153,34 @@ def damping_pt_spectrum(p: DampingParams) -> np.ndarray:
 
 
 def damping_gap(p: DampingParams) -> float:
-    """(d-2) sum x_i^2 - 2 sum_{i<j} x_i x_j.
+    """sum_{i<j} (x_i - x_j)^2 = d^2 (lambda_max - (1 + 2N)/d) for the Choi
+    state: positive exactly when the largest Choi eigenvalue exceeds the
+    maximally-entangled-input fidelity ceiling.
 
-    Equals d^2 times (lambda_max - (1 + 2N)/d) for the Choi state, i.e. it is
-    positive exactly when the largest Choi eigenvalue exceeds the
-    maximally-entangled-input fidelity ceiling. It also equals
-    sum_{i<j} (x_i - x_j)^2, so it vanishes only when all x_i coincide.
+    Computed in O(d) as (d-1) sum z_i^2 - (sum z_i)^2 with z = x - x_1, which
+    is the same pair sum, as it is shift invariant. When all x_i are equal, z
+    is exactly zero and so is the result. Otherwise fl(x_i - x_1) is nonzero
+    for some i, and since z_1 = 0 the exact value for the rounded z is at
+    least sum z_i^2 (the pairs with x_1), a 1/(d-1) share of the first term,
+    while the two sums round by O(d u) of that term: the result is positive
+    unless every difference is below about 1e-154, where its square
+    underflows. The expanded form (d-2) sum x_i^2 - 2 sum_{i<j} x_i x_j
+    cancels and can come out <= 0 at distinct x.
     """
-    return float((p.d - 2) * np.sum(p.x**2) - 2.0 * _pair_sum(p.x))
+    z = p.x - p.x[0]
+    return float((p.d - 1) * np.dot(z, z) - np.sum(z) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
 class AdvantageCertificate:
     """All quantities and verdicts of the inequality chain for one parameter point.
 
-    verdict_ceiling:  lambda_max exceeds the ceiling (1 + 2N(Choi))/d.
-    verdict_advantage: the best-input state is certifiably nonmaximally
-        entangled and its output fidelity exceeds that same ceiling.
+    verdict_ceiling:  lambda_max exceeds the ceiling (1 + 2N(Choi))/d, read
+        as gap > 0 from lambda_max - (1 + 2N)/d = gap/d^2.
+    verdict_advantage: the best-input state is nonmaximally entangled (its
+        Schmidt spread (1 - min x_i)/sqrt(s) > 0, which holds in floating
+        point too whenever min x_i < 1) and its output fidelity, lambda_max
+        itself, exceeds that same ceiling (gap > 0).
     verdict_negativity_advantage: the best-input output carries strictly more
         negativity than the maximally entangled input's output.
     """
@@ -228,12 +251,11 @@ def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
     amps[:: d + 1] = np.concatenate([[1.0], x]) / root_s
     psi_prime = PureBipartiteState(d, amps)
     spread = float((1.0 - x.min()) / root_s)
+    # bit for bit lam_closed, so it beats the ceiling exactly when gap > 0
     fef_psi_prime = s / d
-    # sum_{i<j} y_i y_j as sum_j y_j (y_1 + ... + y_{j-1}), and the block
-    # term (sqrt(c^2 + 4) - c) / 2 as 2 / (sqrt(c^2 + 4) + c): no cancellation
-    pairs = float(np.dot(y[1:], np.cumsum(y)[:-1]))
+    # the block term (sqrt(c^2 + 4) - c) / 2 as 2 / (sqrt(c^2 + 4) + c): no cancellation
     blocks = float(np.sum(2.0 * y / (np.sqrt(c * c + 4.0) + c)))
-    neg_psi_prime = (pairs + blocks) / s
+    neg_psi_prime = (_pair_sum(y) + blocks) / s
 
     return AdvantageCertificate(
         params=p,
@@ -247,8 +269,8 @@ def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
         psi_prime_schmidt_spread=spread,
         fef_psi_prime=fef_psi_prime,
         negativity_psi_prime=neg_psi_prime,
-        verdict_ceiling=lam_closed > fstar_bound,
-        verdict_advantage=(fef_psi_prime > fstar_bound) and (spread > SPREAD_TOL),
+        verdict_ceiling=gap > 0.0,
+        verdict_advantage=gap > 0.0 and spread > 0.0,
         verdict_negativity_advantage=neg_psi_prime > neg_closed,
     )
 

@@ -269,11 +269,14 @@ def _certified(r: np.ndarray, w: np.ndarray, value: float, points: int) -> bool:
     M(C) = M(0) + L(C) (see ``_adjoint``), and L*L C = 2 d C on traceless C
     while L(I) = 0, so the least-squares point, where ||M(C)||_F is least,
     is C = X/2 - Herm(L*(M(X/2))) / (2 d), with no eigensolve; it is tried
-    first. From there an L-BFGS descent (memory _POLISH_MEMORY, Armijo
-    backtracking) lowers lambda_max(M(C)) smoothed as
-    mu log tr exp(M(C) / mu), mu = _POLISH_MU, whose gradient L*(softmax of
-    M(C)'s spectrum) takes one ``eigh``; every point that fails, but the
-    last allowed, takes that ``eigh``. Every point is a real combination of
+    first. L*(M(X/2)) = L*(R_h) exactly, so M(X/2) is never built: at
+    C = X/2, A = X/2 and B = Herm(W^dag C W)^T, and L*(A (x) I) =
+    d A - tr A I while L*(I (x) B) = tr B I - d W B^T W^dag = tr B I - d C,
+    so the two cancel, as tr A = tr B = tr X / 2. From there an L-BFGS
+    descent (memory _POLISH_MEMORY, Armijo backtracking) lowers
+    lambda_max(M(C)) smoothed as mu log tr exp(M(C) / mu), mu = _POLISH_MU,
+    whose gradient L*(softmax of M(C)'s spectrum) takes one ``eigh``; every
+    point that fails, but the last allowed, takes that ``eigh``. Every point is a real combination of
     exactly Hermitian matrices, so A and B are exactly Hermitian, as
     ``_proves`` needs.
     """
@@ -306,8 +309,7 @@ def _certified(r: np.ndarray, w: np.ndarray, value: float, points: int) -> bool:
         smooth = lam[-1] + _POLISH_MU * np.log(total)
         return False, smooth, _herm(_adjoint((vecs * (weights / total)) @ vecs.conj().T, w))
 
-    half = 0.5 * x
-    c = _herm(half - _adjoint(point(half)[2], w) / (2 * d))
+    c = _herm(0.5 * x - _adjoint(rh, w) / (2 * d))
     proved, f, grad = trial(c)
     memory = []
     while grad is not None:

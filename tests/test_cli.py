@@ -311,6 +311,17 @@ def test_certify_reference_point(capsys):
     assert abs(cert["lambda_max_closed"] - 0.6866666666666666) < 1e-12
 
 
+@pytest.mark.parametrize("x", ["0.5,0.500000001", "1e-9,2e-9"])
+def test_certify_strict_points_where_the_ceiling_sides_cancel(x, capsys):
+    # both meet the theorem's hypotheses, and the verdicts read the gap, which
+    # keeps its sign where lambda_max and (1 + 2N)/d round to a tie or cross
+    assert main(["certify", "--d", "3", "--x", x]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["gap"] > 0
+    assert [cert[k] for k in ("verdict_ceiling", "verdict_advantage",
+                              "verdict_negativity_advantage")] == [True] * 3
+
+
 def test_certify_distinctness_violation(capsys):
     code = main(["certify", "--d", "3", "--x", "0.5,0.5"])
     assert code == 2

@@ -1,5 +1,8 @@
 """Level-damping family: construction, closed forms, and the certificate."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -153,6 +156,72 @@ def test_gap_positive_iff_distinct():
         for _ in range(20):
             p = random_strict_params(d, rng)
             assert damping_gap(p) > 0.0
+
+
+def _exact_gap(x):
+    """sum_{i<j} (x_i - x_j)^2 of the floats x, exactly."""
+    return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in combinations(x, 2))
+
+
+def _gap_draws(rng, per_kind):
+    """(d, x) at d = 3..11: uniform, within 1e-6..1e-14 of 0.5, all equal but
+    one entry one ulp above, all below 1e-9, and all equal."""
+    for k in range(per_kind):
+        d = 3 + k % 9
+        n = d - 1
+        yield d, rng.uniform(0.0, 1.0, n)
+        yield d, 0.5 + rng.uniform(-1.0, 1.0, n) * 10.0 ** -rng.uniform(6.0, 14.0)
+        one_ulp = np.full(n, rng.uniform(0.0, 1.0))
+        one_ulp[rng.integers(n)] = np.nextafter(one_ulp[0], 1.0)
+        yield d, one_ulp
+        yield d, rng.uniform(0.0, 1e-9, n)
+        yield d, np.full(n, rng.uniform(0.0, 1.0))
+
+
+def test_gap_matches_exact_pair_sum():
+    # the expanded (d-2) sum x^2 - 2 sum x_i x_j cancels and comes out <= 0
+    # on many of these distinct draws; the pair sum keeps its sign and its
+    # relative accuracy
+    for d, x in _gap_draws(np.random.default_rng(66), 300):
+        gap, exact = damping_gap(DampingParams(d, x)), _exact_gap(x)
+        if np.all(x == x[0]):
+            assert gap == 0.0 and exact == 0
+        else:
+            assert gap > 0.0
+            assert abs(Fraction(gap) - exact) <= Fraction(1e-13) * exact, (d, x.tolist())
+
+
+def test_ceiling_identity_is_exact_on_rational_x():
+    # lambda_max - (1 + 2N)/d = gap / d^2 with the closed forms
+    # (1 + sum x^2)/d, (sum x^2 + sum_{i<j} x_i x_j)/d and
+    # sum_{i<j} (x_i - x_j)^2 in exact arithmetic, and the float functions
+    # evaluate those forms
+    rng = np.random.default_rng(67)
+    for d in range(3, 9):
+        for _ in range(10):
+            x = [Fraction(int(k), 97) for k in rng.integers(1, 97, d - 1)]
+            sq = sum(v * v for v in x)
+            lam = (1 + sq) / d
+            neg = (sq + sum(a * b for a, b in combinations(x, 2))) / d
+            gap = sum((a - b) ** 2 for a, b in combinations(x, 2))
+            assert lam - (1 + 2 * neg) / d == gap / d**2
+            p = DampingParams(d, [float(v) for v in x])
+            for got, exact in ((damping_lambda_max(p), lam), (damping_negativity(p), neg)):
+                assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact
+            assert abs(Fraction(damping_gap(p)) - gap) <= Fraction(1e-14) * max(gap, 1)
+
+
+def test_ceiling_verdicts_read_the_gap():
+    # on strict points, also within 1e-9 of 0.5 and below 1e-9, where the
+    # two rounded sides of lambda_max > (1 + 2N)/d can tie or cross
+    rng = np.random.default_rng(68)
+    for d in (3, 4, 5, 6):
+        for x in (random_strict_params(d, rng).x,
+                  0.5 + np.linspace(0.0, 1e-9, d - 1),
+                  np.linspace(1e-9, 2e-9, d - 1)):
+            cert = advantage_certificate(DampingParams(d, x))
+            assert cert.verdict_ceiling == (cert.gap > 0) == cert.verdict_advantage
+            assert cert.verdict_ceiling and cert.psi_prime_schmidt_spread > 0
 
 
 def test_choi_spectrum_closed_form():

@@ -37,8 +37,11 @@ from quditshare.measures import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     _POLISH_POINTS,
+    _adjoint,
     _ascend_unitaries,
     _certified,
+    _herm,
+    _kron_parts,
     _proves,
     _seeded_starts,
     fef_batch_size,
@@ -111,6 +114,34 @@ def test_fef_reference_point_bracket():
     assert abs(phip - 0.64) < 1e-12
     ceiling = (1 + 2 * (0.25 + 0.81 + 0.45) / 3) / 3
     assert phip - 1e-12 <= res.value <= ceiling + 1e-9
+
+
+def test_fef_antisymmetric_projector_bracket_stays_open():
+    # rho = P_asym / 3 at d = 3, P_asym = (I - SWAP) / 2. P_asym Phi+ = 0, so
+    # the identity start's power step is zero and it stays at Phi+, a
+    # stationary point with value 0; the seeded starts reach 2/9, which
+    # W = [[0, 1], [-1, 0]] (+) 1 attains. No dual point closes either bracket.
+    d = 3
+    swap = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]
+    rho = DensityOperator(d, (np.eye(d * d) - swap) / 6)
+    alone = fef(rho, restarts=1)
+    assert alone.value == 0.0 and not alone.certified
+    res = fef(rho)
+    assert abs(res.value - 2 / 9) < 1e-12 and not res.certified
+
+
+def test_least_squares_point_reads_r_alone():
+    # L*(M(X/2)) = L*(R_h) at the ascent's unitary, so _certified builds no
+    # M(X/2) for its least-squares point
+    rng = np.random.default_rng(71)
+    for d in (3, 4, 5):
+        rho = apply_one_sided(random_channel(d, d, rng), random_pure_state(d, rng))
+        r = rho.matrix / d
+        w = _ascend_unitaries(r, d, np.eye(d, dtype=complex)[None])[1][0]
+        x = _herm((r @ w.reshape(-1)).reshape(d, d) @ w.conj().T)
+        a_i, i_b = _kron_parts(0.5 * x, _herm(w.conj().T @ (0.5 * x) @ w).T)
+        rh = _herm(r)
+        assert np.abs(_adjoint(rh - (a_i + i_b), w) - _adjoint(rh, w)).max() < 1e-13
 
 
 def test_fef_value_matches_maximizer():

@@ -1,8 +1,10 @@
 """The byte contract: the same flags and seed give the same output bytes.
 
-Pins the sha256 of a few `measures`, `audit` and `certify` outputs, so a
-change that moves any byte of them, even in the 17th digit, fails here and
-has to record the new digest and say why. The `measures` cases cover
+Pins the sha256 of a few `measures`, `audit`, `certify` and `sweep` outputs,
+so a change that moves any byte of them, even in the 17th digit, fails here
+and has to record the new digest and say why. The `sweep` case is a small
+d = 4 CSV grid with one component fixed and one skipped point, the form of
+the benchmark's certify workload. The `measures` cases cover
 `--input phiplus` and a state file at d = 3 and 4, and both FEF paths: the
 identity's bracket closed (`fef_certified` true) and open (seeded restarts
 ran), and one report at 8 starts, where no dual polish runs. Recorded with
@@ -35,7 +37,13 @@ CASE_SEED = {3: 0, 4: 1}
 # starts run
 LEAST_SQUARES_ONLY = (4, 4, 8, "7fd42d9eac573f712f4068057ca58341b15146e3fd9a38c80900ebb5d04153cb")
 AUDIT_SHA256 = "3787a7ca7975a2d64172bfd1d80b74d81f26bdd039f4c101af2e28cfab8418c6"
-CERTIFY_SHA256 = "26ce93b530b74578feb173e06c322e21920951cee0b190009866f2a2a0ea039c"
+# "gap" is the O(d) pair sum of (x_i - x_j)^2, 0.54000000000000004 here,
+# the double nearest the exact 0.54
+CERTIFY_SHA256 = "59c0d507bfa553466383e47f04efd602ed8073d98195df03ad635ffd7c1b2188"
+SWEEP_SPEC = {"d": 4, "axes": {"x1": {"start": 0.1, "stop": 0.9, "steps": 5},
+                               "x3": {"start": 0.3, "stop": 0.7, "steps": 3}},
+              "fixed": {"x2": 0.5}}
+SWEEP_SHA256 = "051dd77c8d3f0e4f426683c86570af8f8084e1ef8bace5f174bb1d587dbc7829"
 
 
 def _run(argv, out):
@@ -79,3 +87,9 @@ def test_audit_digest(tmp_path):
 def test_certify_digest(tmp_path):
     argv = ["certify", "--d", "4", "--x", "0.2,0.5,0.8"]
     assert _run(argv, tmp_path / "cert.json")[1] == CERTIFY_SHA256
+
+
+def test_sweep_digest(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(dumps_fixed(SWEEP_SPEC))
+    assert _run(["sweep", str(spec)], tmp_path / "grid.csv")[1] == SWEEP_SHA256

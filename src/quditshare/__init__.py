@@ -6,7 +6,8 @@ Library layers:
   transpose/trace, fidelity), state file IO.
 * :mod:`quditshare.channels` -- Kraus channels, duals, Choi states of channels
   and of their dual maps (``choi_state``), random channel generation, channel
-  file IO.
+  file IO; the one-sided action, completeness check and top eigenpair also on
+  stacks of channels, bit for bit as on each alone.
 * :mod:`quditshare.measures` -- negativity, fully entangled fraction
   (``fef``: exact at d = 2 from the magic basis; at d >= 3 a unitary ascent
   from the identity, ``certified`` when a dual point, the least-squares

@@ -5,6 +5,15 @@ A channel acts on the second (transmitted) subsystem only. The dual map (Kraus
 list of adjoints) is trace preserving exactly when the channel is unital; it is
 represented by the same container with ``trace_preserving=False`` and may still
 be applied one-sided, which is needed for the dual Choi state.
+
+The one-sided action, the completeness check and the top eigenpair each run
+on stacks too: ``one_sided_stack`` maps n Kraus lists, held as one
+(n, K, d, d) array (``kraus_stack``), on n inputs; ``check_completeness``
+takes one list or such a stack; ``top_eigenpairs`` solves a stack of
+Hermitian matrices with one ``eigh``. ``apply_one_sided``, ``KrausChannel``
+and ``top_choi_eigenpair`` are these with n = 1, and every member of a stack
+gets the bits it gets alone, so ``audit`` can run a chunk of channels as a
+few stacked calls.
 """
 
 from __future__ import annotations
@@ -24,15 +33,30 @@ EIGVEC_DEFECT_TOL = 1e-10
 DEGENERACY_GAP = 1e-10
 
 
-def completeness_residual(ops) -> tuple[float, tuple[int, int]]:
-    """Max-abs entry of sum_i A_i^dag A_i - I and its position."""
-    d = ops[0].shape[0]
-    acc = np.zeros((d, d), dtype=complex)
-    for a in ops:
-        acc += a.conj().T @ a
-    dev = np.abs(acc - np.eye(d))
+def completeness_residual(ops) -> tuple[float, tuple]:
+    """Max-abs entry of sum_i A_i^dag A_i - I and its position (i, j), for
+    one Kraus list (K, d, d); over a stack (n, K, d, d) of lists, the largest
+    and its position (list, i, j)."""
+    ops = np.asarray(ops)
+    # a sum over an outer axis adds the terms in order, as a loop would
+    acc = (ops.conj().mT @ ops).sum(axis=-3)
+    dev = np.abs(acc - np.eye(ops.shape[-1]))
     pos = np.unravel_index(np.argmax(dev), dev.shape)
-    return float(dev[pos]), (int(pos[0]), int(pos[1]))
+    return float(dev[pos]), tuple(map(int, pos))
+
+
+def check_completeness(ops) -> None:
+    """Raise ChannelCompletenessError, with the residual, unless one Kraus
+    list, or every list of a stack, is trace preserving within
+    COMPLETENESS_TOL (see ``completeness_residual``)."""
+    residual, pos = completeness_residual(ops)
+    if residual > COMPLETENESS_TOL:
+        raise ChannelCompletenessError(
+            f"Kraus operators are not trace preserving: "
+            f"residual {residual:.6g} at entry {pos}",
+            residual=residual,
+            position=pos,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,14 +86,7 @@ class KrausChannel:
                 raise InvalidOperatorError("Kraus operator has a non-finite entry")
             a.setflags(write=False)
         if self.trace_preserving:
-            residual, pos = completeness_residual(ops)
-            if residual > COMPLETENESS_TOL:
-                raise ChannelCompletenessError(
-                    f"Kraus operators are not trace preserving: "
-                    f"residual {residual:.6g} at entry {pos}",
-                    residual=residual,
-                    position=pos,
-                )
+            check_completeness(ops)
         object.__setattr__(self, "kraus_ops", ops)
 
 
@@ -105,19 +122,48 @@ def dual(ch: KrausChannel) -> KrausChannel:
     )
 
 
+def kraus_stack(lists) -> np.ndarray:
+    """n Kraus lists on one C^d as one (n, K, d, d) array, K the length of
+    the longest; a shorter list is padded with zero operators, which
+    ``one_sided_stack`` adds exactly."""
+    d = lists[0][0].shape[-1]
+    stack = np.zeros((len(lists), max(len(ops) for ops in lists), d, d), dtype=complex)
+    for row, ops in zip(stack, lists):
+        row[:len(ops)] = ops
+    return stack
+
+
+def one_sided_stack(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_i (I (x) K_i) |psi><psi| (I (x) K_i^dag) for a stack: ``kraus``
+    (n, K, d, d) holds n Kraus lists, ``m`` (n, d, d) the inputs' coefficient
+    matrices, or (1, d, d) one input for all; returns the (n, d^2, d^2)
+    outputs, each exactly Hermitian.
+
+    A list shorter than K is padded with zero operators (``kraus_stack``),
+    which is exact: the sum starts from +0 and never holds -0, so adding a
+    term of zeros leaves every bit. Each output is the one its list and
+    input give alone.
+    """
+    n, count, d, _ = kraus.shape
+    v = np.matmul(m[:, None], kraus.swapaxes(-1, -2)).reshape(n, count, d * d)
+    vc = v.conj()
+    out = np.zeros((n, d * d, d * d), dtype=complex)
+    for j in range(count):
+        out += v[:, j, :, None] * vc[:, j, None, :]
+    # 0.5 (out + out^dag), in place
+    out += out.conj().swapaxes(-1, -2)
+    out *= 0.5
+    return out
+
+
 def apply_one_sided(ch: KrausChannel, psi: PureBipartiteState) -> DensityOperator:
-    """sum_i (I (x) K_i) |psi><psi| (I (x) K_i^dag)."""
+    """sum_i (I (x) K_i) |psi><psi| (I (x) K_i^dag): ``one_sided_stack``
+    with n = 1."""
     if ch.dim != psi.dim:
         raise DimensionError(f"channel dim {ch.dim} does not match state dim {psi.dim}")
-    d = ch.dim
-    m = psi.coefficient_matrix()
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for k in ch.kraus_ops:
-        v = (m @ k.T).reshape(-1)
-        out += np.outer(v, v.conj())
-    out = 0.5 * (out + out.conj().T)
+    out = one_sided_stack(np.asarray(ch.kraus_ops)[None], psi.coefficient_matrix()[None])
     # Hermitian and PSD by construction from a validated channel and state
-    return DensityOperator._trusted(d, out, unit_trace=ch.trace_preserving)
+    return DensityOperator._trusted(ch.dim, out[0], unit_trace=ch.trace_preserving)
 
 
 def choi_state(ch: KrausChannel) -> DensityOperator:
@@ -129,26 +175,38 @@ def choi_state(ch: KrausChannel) -> DensityOperator:
     return apply_one_sided(ch, max_entangled(ch.dim))
 
 
-def top_choi_eigenpair(ch: KrausChannel) -> TopChoiEigenpair:
-    """Largest eigenvalue and eigenvector of the (possibly dual) Choi state.
+def top_eigenpairs(mats: np.ndarray):
+    """Largest eigenvalue, its eigenvector and a degeneracy flag of each
+    Hermitian matrix in a stack (n, D, D), D >= 2, from one ``eigh``.
 
-    The eigenvector phase is canonicalized so its largest-magnitude amplitude is
-    real positive; ``degenerate`` flags a top eigenvalue within 1e-10 of the
-    next one, in which case the returned vector is one arbitrary member of the
-    eigenspace.
+    Each eigenvector's phase is canonicalized so its largest-magnitude
+    amplitude is real positive; a flag marks a top eigenvalue within
+    DEGENERACY_GAP of the next one, where the vector is one arbitrary member
+    of the eigenspace. Raises ArithmeticError when any vector's residual
+    |A v - lambda v| reaches EIGVEC_DEFECT_TOL.
     """
-    rho = choi_state(ch)
-    eigs, vecs = np.linalg.eigh(rho.matrix)
-    lam = float(eigs[-1])
-    v = vecs[:, -1]
-    degenerate = bool(eigs.size > 1 and (eigs[-1] - eigs[-2]) < DEGENERACY_GAP)
-    j = int(np.argmax(np.abs(v)))
-    phase = v[j] / abs(v[j])
-    v = v * phase.conjugate()
-    defect = np.linalg.norm(rho.matrix @ v - lam * v)
-    if defect >= EIGVEC_DEFECT_TOL:
-        raise ArithmeticError(f"eigenpair defect {defect} exceeds tolerance")
-    return TopChoiEigenpair(lam, PureBipartiteState(ch.dim, v), degenerate)
+    eigs, vecs = np.linalg.eigh(mats)
+    lam = eigs[:, -1]
+    degenerate = eigs[:, -1] - eigs[:, -2] < DEGENERACY_GAP
+    v = vecs[:, :, -1]
+    top = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+    # hypot rounds as the scalar abs does; numpy's complex abs on arrays may not
+    v = v * (top / np.hypot(top.real, top.imag)).conj()[:, None]
+    r = np.matmul(mats, v[..., None])[..., 0] - lam[:, None] * v
+    worst = np.sqrt(np.vecdot(r, r).real.max())
+    if worst >= EIGVEC_DEFECT_TOL:
+        raise ArithmeticError(f"eigenpair defect {worst} exceeds tolerance")
+    return lam, v, degenerate
+
+
+def top_choi_eigenpair(ch: KrausChannel) -> TopChoiEigenpair:
+    """Largest eigenvalue and eigenvector of the (possibly dual) Choi state,
+    from ``top_eigenpairs``: the eigenvector's largest-magnitude amplitude is
+    real positive, and ``degenerate`` flags a top eigenvalue within 1e-10 of
+    the next one."""
+    lam, v, degenerate = top_eigenpairs(choi_state(ch).matrix[None])
+    return TopChoiEigenpair(float(lam[0]), PureBipartiteState(ch.dim, v[0]),
+                            bool(degenerate[0]))
 
 
 def complex_gaussian(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,17 +30,19 @@ from itertools import islice, product
 import numpy as np
 
 from .channels import (
-    KrausChannel,
     apply_one_sided,
     channel_from_dict,
-    choi_state,
+    check_completeness,
+    complex_gaussian,
     completeness_residual,
     dual,
-    haar_unitary,
+    haar_from_gaussian,
     is_unital,
+    kraus_stack,
     load_channel,
-    random_channel,
+    one_sided_stack,
     top_choi_eigenpair,
+    top_eigenpairs,
 )
 from .damping import (
     CERT_CSV_COLUMNS,
@@ -56,10 +58,9 @@ from .errors import (
     ToolkitError,
 )
 from .jsonio import csv_cell, dumps_fixed, format_real, json_int, json_real, load_json
-from .measures import fef, fef_batch, fef_batch_size, fstar_upper_bound, negativity
-from .search import qubit_optimal_fidelity
+from .measures import fef, fef_batch, negativity, negativity_of_matrix
 from .states import (
-    PureBipartiteState,
+    DensityOperator,
     fidelity_with,
     load_state,
     max_entangled,
@@ -76,6 +77,8 @@ AUDIT_TOLERANCES = {
 }
 
 MAX_SWEEP_POINTS = 10**6
+# bytes of the d^2 x d^2 stacks one audit chunk may hold at once
+CHUNK_BYTES = 1024 * 1024
 
 
 def _int_at_least(low: int):
@@ -149,13 +152,16 @@ def cmd_measures(args) -> int:
         fef_res = fef(rho, restarts=args.restarts, seed=args.seed)
         fef_value, fef_converged, fef_certified = (
             fef_res.value, fef_res.converged, fef_res.certified)
+    neg = negativity(rho)
     report = {
         "phiplus_fidelity": phiplus_fidelity,
         "fef_value": fef_value,
         "fef_converged": fef_converged,
         "fef_certified": fef_certified,
-        "negativity": negativity(rho),
-        "fstar_upper_bound": fstar_upper_bound(rho),
+        "negativity": neg,
+        # fstar_upper_bound(rho): rho has unit trace, as the channel file is
+        # validated trace preserving
+        "fstar_upper_bound": (1.0 + 2.0 * neg) / ch.dim,
         "lambda_max_choi": top_choi_eigenpair(ch).value,
     }
     _write_text(dumps_fixed(report), args.out)
@@ -325,56 +331,116 @@ def cmd_sweep(args) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
-def _audit_channel(d: int, seed: int, index: int):
-    """Channel ``index`` of the audit: its output rho and the deviations that
-    need no FEF."""
-    rng = np.random.default_rng([seed, index])
-    k = int(rng.integers(2, d + 1))
-    ch = random_channel(d, k, rng)
-
-    psi = random_pure_state(d, rng)
-    rho = apply_one_sided(ch, psi)
-    trace_dev = abs(rho.matrix.trace().real - 1.0)
-
-    lam_primal = top_choi_eigenpair(ch).value
-    lam_dual = top_choi_eigenpair(dual(ch)).value
-    dual_dev = abs(lam_primal - lam_dual)
-
-    w = haar_unitary(d, rng)
-    rotated = PureBipartiteState(d, (w @ psi.coefficient_matrix()).reshape(-1))
-    lhs = apply_one_sided(ch, rotated).matrix
-    wi = np.kron(w, np.eye(d))
-    rhs = wi @ rho.matrix @ wi.conj().T
-    lu_dev = float(np.abs(lhs - rhs).max())
-
-    return rho, (trace_dev, dual_dev, lu_dev)
+# the Pauli matrices I, X, Y, Z
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                   dtype=complex)
 
 
-def _fef_deviations(rho, fef_val: float):
-    floor_dev = max(0.0, fidelity_with(rho, max_entangled(rho.dim)) - fef_val)
-    ceiling = min(float(np.linalg.eigvalsh(rho.matrix)[-1]), fstar_upper_bound(rho))
-    ceiling_dev = max(0.0, fef_val - ceiling)
-    return floor_dev, ceiling_dev
+def _audit_draws(d: int, seed: int, lo: int, hi: int):
+    """The random draws of channels lo..hi-1 of the audit: their Kraus lists
+    as one (n, K, d, d) stack, padded with zero operators to the longest,
+    their inputs' coefficient matrices and their local unitaries W.
+
+    Channel i draws from default_rng([seed, i]) alone, in this order: its
+    Kraus count k, the Gaussian of its Haar dilation on C^{dk}, its input
+    (``random_pure_state``), then the Gaussian of W. The first d columns of
+    the dilation form an isometry whose d x d blocks are the Kraus
+    operators, as in ``random_channel``; the dilations take one QR per Kraus
+    count, and the W one QR.
+    """
+    counts, dilations, inputs, rotations = [], [], [], []
+    for i in range(lo, hi):
+        rng = np.random.default_rng([seed, i])
+        k = int(rng.integers(2, d + 1))
+        counts.append(k)
+        dilations.append(complex_gaussian(d * k, rng))
+        inputs.append(random_pure_state(d, rng).coefficient_matrix())
+        rotations.append(complex_gaussian(d, rng))
+    kraus = [None] * len(counts)
+    for k in sorted(set(counts)):
+        rows = [r for r, count in enumerate(counts) if count == k]
+        iso = haar_from_gaussian(np.stack([dilations[r] for r in rows]))[..., :d]
+        for r, ops in zip(rows, iso.reshape(len(rows), k, d, d)):
+            kraus[r] = ops
+    return kraus_stack(kraus), np.stack(inputs), haar_from_gaussian(np.stack(rotations))
 
 
-def _audit_pauli(seed: int, index: int) -> float:
-    rng = np.random.default_rng([seed, 10_000_019 + index])
-    weights = rng.dirichlet(np.ones(4))
-    j = int(np.argmax(weights))
-    weights = 0.5 * weights
-    weights[j] += 0.5
-    paulis = [
-        np.eye(2, dtype=complex),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
-    ops = tuple(np.sqrt(p) * s for p, s in zip(weights, paulis))
-    ch = KrausChannel(dim=2, kraus_ops=ops)
-    lam = float(np.linalg.eigvalsh(choi_state(ch).matrix)[-1])
-    if lam < 0.5:
-        return 0.0
-    return abs(lam - qubit_optimal_fidelity(ch))
+def _audit_chunk(d: int, seed: int, lo: int, hi: int):
+    """Channels lo..hi-1 of the audit (``_audit_draws``): their outputs rho
+    as one (n, d^2, d^2) stack, and an (n, 3) array of the deviations that
+    need no FEF (trace, dual-primal lambda_max, local-unitary covariance).
+
+    The linear algebra runs on stacks: one ``check_completeness``, one
+    ``eigh`` (``top_eigenpairs``) for every primal and dual Choi state, and
+    ``one_sided_stack`` for the outputs. Each value is bit for bit the one
+    the channel gives alone.
+    """
+    kraus, psi, w = _audit_draws(d, seed, lo, hi)
+    check_completeness(kraus)
+
+    # the dual map's Kraus operators are the adjoints
+    both = np.concatenate((kraus, kraus.conj().swapaxes(-1, -2)))
+    lam = top_eigenpairs(one_sided_stack(both, max_entangled(d).coefficient_matrix()[None]))[0]
+    dual_dev = np.abs(lam[:hi - lo] - lam[hi - lo:])
+
+    rho = one_sided_stack(kraus, psi)
+    trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
+
+    # (W (x) I) rho (W (x) I)^dag against the output of the rotated input,
+    # in steps that hold few stacks at once
+    wi = np.kron(w, np.eye(d)[None])
+    rhs = wi @ rho
+    wi = wi.conj()
+    rhs = rhs @ wi.swapaxes(-1, -2)
+    del wi
+    lhs = one_sided_stack(kraus, w @ psi)
+    lhs -= rhs
+    lu_dev = np.abs(lhs).max(axis=(1, 2))
+
+    return rho, np.column_stack((trace_dev, dual_dev, lu_dev))
+
+
+def _fef_deviations(rho: np.ndarray, fef_values: np.ndarray):
+    """For a stack of outputs and their FEF values, how far each value falls
+    below the floor <Phi+|rho|Phi+> and rises above the ceiling
+    min(lambda_max, (1 + 2N) / d) of ``fstar_upper_bound``, clamped at 0."""
+    d = math.isqrt(rho.shape[-1])
+    phi = max_entangled(d).amplitudes
+    # fidelity_with, clamped to [0, 1]
+    floor = np.clip(np.vecdot(phi, np.matmul(rho, phi[:, None])[..., 0]).real, 0.0, 1.0)
+    fstar = (1.0 + 2.0 * negativity_of_matrix(rho, d)) / d
+    ceiling = np.minimum(np.linalg.eigvalsh(rho)[:, -1], fstar)
+    return np.maximum(0.0, floor - fef_values), np.maximum(0.0, fef_values - ceiling)
+
+
+def _audit_pauli(seed: int, lo: int, hi: int) -> np.ndarray:
+    """|lambda_max(J) - qubit_optimal_fidelity| of the Pauli channels
+    lo..hi-1, 0 where lambda_max(J) < 1/2; channel i draws its weights
+    from default_rng([seed, 10_000_019 + i])."""
+    weights = np.empty((hi - lo, 4))
+    for row, i in enumerate(range(lo, hi)):
+        rng = np.random.default_rng([seed, 10_000_019 + i])
+        w = rng.dirichlet(np.ones(4))
+        j = int(np.argmax(w))
+        w = 0.5 * w
+        w[j] += 0.5
+        weights[row] = w
+    kraus = np.sqrt(weights)[:, :, None, None] * _PAULIS
+    check_completeness(kraus)
+    choi = one_sided_stack(kraus, max_entangled(2).coefficient_matrix()[None])
+    lam = np.linalg.eigvalsh(choi)[:, -1]
+    # qubit_optimal_fidelity: (1 + 2 N(J)) / 2
+    exact = (1.0 + 2.0 * negativity_of_matrix(choi, 2)) / 2.0
+    return np.where(lam < 0.5, 0.0, np.abs(lam - exact))
+
+
+def _audit_chunk_size(d: int) -> int:
+    """Channels per audit chunk. At its peak a chunk holds about six complex
+    d^2 x d^2 matrices per channel: the primal and dual Choi states with
+    their eigenvectors, or rho with the two sides of the covariance check,
+    or rho with the copies of ``fef_batch``. So the chunk keeps its stacks
+    within CHUNK_BYTES (8 channels at d = 6, 134 at d = 3), at least one."""
+    return max(1, CHUNK_BYTES // (6 * 16 * d**4))
 
 
 def run_audit(d: int, n_channels: int, seed: int) -> dict:
@@ -388,25 +454,31 @@ def run_audit(d: int, n_channels: int, seed: int) -> dict:
 
     Each FEF is ``fef(rho, restarts=1)``: the identity start's ascent, which
     climbs from Phi+ and so meets the floor check by construction. Channels
-    are built in chunks of ``fef_batch_size(d)``, and each chunk's FEFs come
-    from one ``fef_batch`` call.
+    are audited in chunks of ``_audit_chunk_size(d)``: ``_audit_chunk``
+    builds a chunk's channels and runs its linear algebra as stacked calls,
+    one ``fef_batch`` call gives its FEFs, and the floor and ceiling take one
+    stacked ``eigvalsh`` each for lambda_max and the partial-transpose
+    negativity. At d = 2 the Pauli check of the chunk's indices is stacked
+    the same way. Every deviation is bit for bit the one its channel gives
+    alone, so the report does not depend on the chunk size.
     """
-    chunk = fef_batch_size(d)
-    results = []
+    chunk = _audit_chunk_size(d)
+    parts = []
     for lo in range(0, n_channels, chunk):
-        built = [_audit_channel(d, seed, i) for i in range(lo, min(lo + chunk, n_channels))]
-        fefs = fef_batch([rho for rho, _ in built])
-        results += [devs + _fef_deviations(rho, res.value) for (rho, devs), res in zip(built, fefs)]
-    columns = list(zip(*results))
-    if d == 2:
-        columns.append([_audit_pauli(seed, i) for i in range(n_channels)])
+        hi = min(lo + chunk, n_channels)
+        rho, devs = _audit_chunk(d, seed, lo, hi)
+        fefs = fef_batch([DensityOperator._trusted(d, m) for m in rho])
+        part = [*devs.T, *_fef_deviations(rho, np.array([res.value for res in fefs]))]
+        if d == 2:
+            part.append(_audit_pauli(seed, lo, hi))
+        parts.append(np.column_stack(part))
     # AUDIT_TOLERANCES lists the checks in report order, the qubit-only one last
     checks = {}
-    for (name, tol), col in zip(AUDIT_TOLERANCES.items(), columns):
-        worst = max(range(n_channels), key=col.__getitem__)
-        value = col[worst]
-        checks[name] = {"max_violation": float(value), "worst_index": worst,
-                        "tolerance": tol, "pass": bool(value < tol)}
+    for (name, tol), col in zip(AUDIT_TOLERANCES.items(), np.concatenate(parts).T):
+        worst = int(np.argmax(col))
+        value = float(col[worst])
+        checks[name] = {"max_violation": value, "worst_index": worst,
+                        "tolerance": tol, "pass": value < tol}
     return {
         "d": d,
         "n_channels": n_channels,

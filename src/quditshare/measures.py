@@ -46,8 +46,8 @@ spends CPU time out of proportion to its wall time.
 d: their identity starts climb as one stack, each against its own copy of
 its operator, and each bracket then gets the least-squares point alone. Each
 result is bit for bit the one-operator call's, and no seeded start runs.
-Callers cut long lists into batches of ``fef_batch_size(d)`` operators,
-which keeps the copies within FEF_BATCH_BYTES.
+The copies cost 16 d^4 bytes per operator, so callers with many operators
+pass them in batches (``audit`` passes one chunk of channels at a time).
 """
 
 from __future__ import annotations
@@ -77,8 +77,6 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _POLISH_POINTS = 16
 _POLISH_MU = 1e-3
 _POLISH_MEMORY = 6
-# bytes of operator copies one fef_batch call may stack (fef_batch_size)
-FEF_BATCH_BYTES = 1024 * 1024
 
 # Hill & Wootters' magic basis, scaled by sqrt(2), as columns over |00>, |01>,
 # |10>, |11>. For a real unit x, reshape(_MAGIC x) is the unitary
@@ -104,11 +102,16 @@ class FefResult:
     certified: bool
 
 
-def negativity_of_matrix(matrix: np.ndarray, d: int) -> float:
-    """Negativity from a raw d^2 x d^2 density matrix (no container checks)."""
+def negativity_of_matrix(matrix: np.ndarray, d: int):
+    """Negativity from a raw d^2 x d^2 density matrix (no container checks);
+    for a stack (n, d^2, d^2), an array of the n negativities from one
+    ``eigvalsh``."""
     eigs = np.linalg.eigvalsh(partial_transpose_matrix(matrix, d))
     eigs = np.where((eigs > -EIG_CLAMP) & (eigs < 0.0), 0.0, eigs)
-    return float(-eigs[eigs < 0.0].sum())
+    # each matrix's negative eigenvalues are summed on their own: a sum over
+    # a padded or masked row could group the terms differently
+    sums = [-row[row < 0.0].sum() for row in eigs.reshape(-1, d * d)]
+    return float(sums[0]) if eigs.ndim == 1 else np.array(sums)
 
 
 def negativity(rho: DensityOperator) -> float:
@@ -408,19 +411,11 @@ def _identity_fef(rho: DensityOperator, w: np.ndarray, converged, points: int) -
                      certified=_certified(rho.matrix / rho.dim, w, value, points))
 
 
-def fef_batch_size(d: int) -> int:
-    """How many d^2 x d^2 operators one ``fef_batch`` call may take so that
-    its stack, one operator copy each, holds at most FEF_BATCH_BYTES (at
-    least one)."""
-    return max(1, FEF_BATCH_BYTES // (16 * d**4))
-
-
 def fef_batch(rhos: list[DensityOperator]) -> list[FefResult]:
     """``fef(rho, restarts=1)`` of every operator in ``rhos``, all of one
     dimension d, each result bit for bit the one-operator call's; the module
     docstring says how the identity starts are stacked. The stack holds a
-    copy of each operator, so callers cut a long list into batches of
-    ``fef_batch_size(d)``.
+    copy of each operator, so callers cut a long list into batches.
     """
     if not rhos:
         return []

@@ -187,10 +187,11 @@ def schmidt(state: PureBipartiteState) -> SchmidtDecomposition:
 
 
 def partial_transpose_matrix(matrix: np.ndarray, d: int) -> np.ndarray:
-    """Transpose of the second factor of a raw d^2 x d^2 matrix (result may be
-    non-PSD)."""
-    t = np.asarray(matrix).reshape(d, d, d, d).transpose(0, 3, 2, 1)
-    return t.reshape(d * d, d * d)
+    """Transpose of the second factor of a raw d^2 x d^2 matrix, or of each
+    matrix in a stack (..., d^2, d^2) (result may be non-PSD)."""
+    matrix = np.asarray(matrix)
+    t = matrix.reshape(*matrix.shape[:-2], d, d, d, d).swapaxes(-1, -3)
+    return t.reshape(matrix.shape)
 
 
 def partial_transpose(rho: DensityOperator) -> np.ndarray:

@@ -11,6 +11,7 @@ from helpers import (
 )
 from quditshare import (
     ChannelCompletenessError,
+    DampingParams,
     DensityOperator,
     DimensionError,
     InvalidOperatorError,
@@ -20,6 +21,7 @@ from quditshare import (
     channel_from_dict,
     channel_to_dict,
     choi_state,
+    damping_channel,
     dual,
     haar_unitary,
     is_unital,
@@ -33,6 +35,7 @@ from quditshare import (
     save_channel,
     top_choi_eigenpair,
 )
+from quditshare.channels import check_completeness, kraus_stack, one_sided_stack, top_eigenpairs
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -275,3 +278,47 @@ def test_apply_one_sided_output_is_readonly_and_valid():
             rho = apply_one_sided(c, random_pure_state(d, rng))
             assert not rho.matrix.flags.writeable
             DensityOperator(d, rho.matrix, unit_trace=c.trace_preserving)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_stacked_kernel_matches_apply_one_sided(d):
+    # one stack of channels with 1 to d + 1 Kraus operators, padded with zero
+    # operators to the longest, and the dual of a nonunital channel (not
+    # trace preserving); each output equals apply_one_sided's bit for bit
+    rng = np.random.default_rng(70 + d)
+    chans = [random_channel(d, k, rng) for k in range(1, d + 2)]
+    if d == 2:  # amplitude damping
+        nonunital = kraus_validate([[[1, 0], [0, 0.6]], [[0, 0.8], [0, 0]]])
+    else:
+        nonunital = damping_channel(DampingParams(d, np.linspace(0.3, 0.8, d - 1)))
+    assert not is_unital(nonunital)
+    chans.append(dual(nonunital))
+    assert not chans[-1].trace_preserving
+    states = [random_pure_state(d, rng) for _ in chans]
+    stack = kraus_stack([ch.kraus_ops for ch in chans])
+    assert stack.shape == (len(chans), d + 1, d, d)
+    outs = one_sided_stack(stack, np.stack([psi.coefficient_matrix() for psi in states]))
+    for ch, psi, out in zip(chans, states, outs):
+        assert out.tobytes() == apply_one_sided(ch, psi).matrix.tobytes()
+    # one input for the whole stack: the Choi states
+    choi = one_sided_stack(stack, max_entangled(d).coefficient_matrix()[None])
+    for ch, out in zip(chans, choi):
+        assert out.tobytes() == choi_state(ch).matrix.tobytes()
+
+
+def test_stacked_checks_cover_every_member():
+    # a stack fails completeness when any one list does, at that list's index
+    rng = np.random.default_rng(8)
+    lists = [random_channel(3, k, rng).kraus_ops for k in (2, 3, 1)]
+    check_completeness(kraus_stack(lists))
+    bad = kraus_stack([*lists, (0.9 * np.eye(3),)])
+    with pytest.raises(ChannelCompletenessError) as err:
+        check_completeness(bad)
+    assert err.value.position[0] == 3
+    # and top_eigenpairs gives each Choi state's top_choi_eigenpair
+    chans = [random_channel(3, 2, rng), dual(random_channel(3, 3, rng))]
+    lam, vecs, degenerate = top_eigenpairs(np.stack([choi_state(ch).matrix for ch in chans]))
+    for ch, value, vec, flag in zip(chans, lam, vecs, degenerate):
+        top = top_choi_eigenpair(ch)
+        assert (top.value, top.state.amplitudes.tobytes(), top.degenerate) == (
+            value, vec.tobytes(), flag)

@@ -13,11 +13,19 @@ import pytest
 from quditshare import (
     DampingParams,
     ParameterError,
+    apply_one_sided,
     damping_channel,
+    dual,
+    fstar_upper_bound,
     kraus_validate,
+    max_entangled,
+    negativity,
+    random_channel,
+    random_pure_state,
     save_channel,
+    top_choi_eigenpair,
 )
-from quditshare import cli, damping
+from quditshare import channels, cli, damping, measures
 from quditshare.cli import main, parse_sweep_spec
 from quditshare.jsonio import dumps_fixed
 
@@ -191,6 +199,33 @@ def test_measures_psi_prime(omega_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert abs(report["fef_value"] - 0.6866666666666666) < 1e-6
     assert report["fef_certified"] is True
+
+
+@pytest.mark.parametrize("which", ["phiplus", "psi_prime", "state"])
+def test_measures_fstar_bound_is_the_library_bound(tmp_path, capsys, monkeypatch, which):
+    # the report reads N(rho) once and forms fstar_upper_bound from it: the
+    # same bits as the library call, with one partial-transpose eigensolve
+    rng = np.random.default_rng(41)
+    ch = random_channel(4, 3, rng)
+    channel = tmp_path / "channel.json"
+    save_channel(ch, channel)
+    psi = {"phiplus": max_entangled(4), "psi_prime": top_choi_eigenpair(dual(ch)).state,
+           "state": random_pure_state(4, rng)}[which]
+    state = tmp_path / "state.json"
+    state.write_text(dumps_fixed(
+        {"d": 4, "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes]}))
+    seen = []
+    original = measures.negativity_of_matrix
+    monkeypatch.setattr(measures, "negativity_of_matrix",
+                        lambda m, d: seen.append(d) or original(m, d))
+    argv = ["measures", str(channel), "--input", str(state) if which == "state" else which]
+    assert main(argv) == 0
+    assert seen == [4]
+    report = json.loads(capsys.readouterr().out)
+    rho = apply_one_sided(ch, psi)
+    assert report["negativity"] > 0
+    assert report["fstar_upper_bound"] == fstar_upper_bound(rho)
+    assert report["negativity"] == negativity(rho)
 
 
 def test_linalg_failure_is_one_line_exit_3(omega_file, capsys, monkeypatch):
@@ -597,26 +632,50 @@ def test_audit_names_the_worst_channel(capsys, monkeypatch):
     # channel 5's trace deviation is forced past its tolerance: the report
     # names it; every other check names the channel of its own maximum, and
     # an audit of the first worst_index + 1 channels replays that maximum
-    built = cli._audit_channel
+    built = cli._audit_chunk
 
-    def faulty(d, seed, index):
-        rho, devs = built(d, seed, index)
-        return rho, (1e-6 if index == 5 else devs[0], *devs[1:])
+    def faulty(d, seed, lo, hi):
+        rho, devs = built(d, seed, lo, hi)
+        if lo <= 5 < hi:
+            devs[5 - lo, 0] = 1e-6
+        return rho, devs
 
     argv = ["audit", "--d", "3", "--seed", "7"]
-    monkeypatch.setattr(cli, "_audit_channel", faulty)
+    monkeypatch.setattr(cli, "_audit_chunk", faulty)
     assert main([*argv, "--n", "9"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is False
     assert report["checks"]["trace_preservation"] == {
         "max_violation": 1e-6, "worst_index": 5, "tolerance": 1e-12, "pass": False}
-    monkeypatch.setattr(cli, "_audit_channel", built)
+    monkeypatch.setattr(cli, "_audit_chunk", built)
     for name, check in report["checks"].items():
         if name == "trace_preservation":
             continue
         assert main([*argv, "--n", str(check["worst_index"] + 1)]) == 0
         replay = json.loads(capsys.readouterr().out)["checks"][name]
         assert replay == check
+
+
+def test_audit_eigenvector_defect_is_one_line_exit_3(capsys, monkeypatch):
+    # every Choi state's top eigenvector is checked against its eigenvalue;
+    # at a zero tolerance no residual passes, and the audit reaches no verdict
+    monkeypatch.setattr(channels, "EIGVEC_DEFECT_TOL", 0.0)
+    assert main(["audit", "--d", "3", "--n", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: numerical failure: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_audit_checks_each_channel_completeness(capsys, monkeypatch):
+    # every drawn channel passes the completeness check; below a zero
+    # tolerance none does, and the audit stops as on a malformed channel file
+    monkeypatch.setattr(channels, "COMPLETENESS_TOL", -1.0)
+    assert main(["audit", "--d", "3", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_audit_qubit_includes_pauli_check(capsys):

@@ -32,6 +32,7 @@ from quditshare import (
     random_pure_state,
     top_choi_eigenpair,
 )
+from quditshare import cli
 from quditshare.measures import (
     CERT_TOL,
     DEFAULT_MAX_ITER,
@@ -44,7 +45,6 @@ from quditshare.measures import (
     _kron_parts,
     _proves,
     _seeded_starts,
-    fef_batch_size,
 )
 
 REF = damping_kraus_oracle(3, [0.5, 0.9])
@@ -376,7 +376,7 @@ def _check_batches_against_alone(rhos, singles):
     """fef_batch on rhos, in batches of twice the size run_audit cuts, equals
     fef(rho, restarts=1) on each operator alone: singles holds those results."""
     d = rhos[0].dim
-    size = 2 * fef_batch_size(d)
+    size = 2 * cli._audit_chunk_size(d)
     for lo in range(0, len(rhos), size):
         got = fef_batch(rhos[lo:lo + size])
         assert [_fef_bytes(res) for res in got] == [

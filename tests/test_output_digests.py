@@ -7,7 +7,10 @@ d = 4 CSV grid with one component fixed and one skipped point, the form of
 the benchmark's certify workload. The `measures` cases cover
 `--input phiplus` and a state file at d = 3 and 4, and both FEF paths: the
 identity's bracket closed (`fef_certified` true) and open (seeded restarts
-ran), and one report at 8 starts, where no dual polish runs. Recorded with
+ran), and one report at 8 starts, where no dual polish runs. The `audit`
+cases are d = 3 at the default seed, d = 2 with its Pauli check, and d = 6
+at 53 channels, which run in several chunks, so the stacked per-chunk path
+has to give the per-channel bytes. Recorded with
 numpy 2.4 on x86-64 Linux; another LAPACK build may round differently and
 move the digests without any change to this package.
 """
@@ -37,6 +40,12 @@ CASE_SEED = {3: 0, 4: 1}
 # starts run
 LEAST_SQUARES_ONLY = (4, 4, 8, "7fd42d9eac573f712f4068057ca58341b15146e3fd9a38c80900ebb5d04153cb")
 AUDIT_SHA256 = "3787a7ca7975a2d64172bfd1d80b74d81f26bdd039f4c101af2e28cfab8418c6"
+# (d, --n, --seed, sha256) of more audit reports: the qubit Pauli check, and
+# a run across a chunk boundary
+AUDIT_MORE = [
+    (2, 12, 3, "b92ebb4a56be0159578ba5354409dab9aa7d1cfd5cb7d1fad7eb39975ba6f57f"),
+    (6, 53, 11, "270093d88f973119ea6ce3d5599e96d254e6ab7c5d595630a6c2aa0e507c64b9"),
+]
 # "gap" is the O(d) pair sum of (x_i - x_j)^2, 0.54000000000000004 here,
 # the double nearest the exact 0.54
 CERTIFY_SHA256 = "59c0d507bfa553466383e47f04efd602ed8073d98195df03ad635ffd7c1b2188"
@@ -82,6 +91,12 @@ def test_measures_least_squares_only_digest(tmp_path):
 
 def test_audit_digest(tmp_path):
     assert _run(["audit", "--d", "3", "--n", "20"], tmp_path / "audit.json")[1] == AUDIT_SHA256
+
+
+@pytest.mark.parametrize("d, n, seed, digest", AUDIT_MORE)
+def test_audit_more_digests(tmp_path, d, n, seed, digest):
+    argv = ["audit", "--d", str(d), "--n", str(n), "--seed", str(seed)]
+    assert _run(argv, tmp_path / "audit.json")[1] == digest
 
 
 def test_certify_digest(tmp_path):

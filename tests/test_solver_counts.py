@@ -35,7 +35,6 @@ from quditshare.measures import (
     DEFAULT_MAX_ITER,
     _ascend_unitaries,
     _seeded_starts,
-    fef_batch_size,
 )
 
 
@@ -128,8 +127,8 @@ def test_audit_one_stacked_svd_per_iteration(fef_calls):
     # building the channels, as no seeded start runs, not even for the
     # channels whose bracket stays open
     d, n, seed = 4, 12, 3
-    assert n <= fef_batch_size(d)
-    rhos = [cli._audit_channel(d, seed, i)[0] for i in range(n)]
+    assert n <= cli._audit_chunk_size(d)
+    rhos = [DensityOperator(d, m) for m in cli._audit_chunk(d, seed, 0, n)[0]]
     assert not all(fef(rho, restarts=1).certified for rho in rhos)
     identity = []
     for rho in rhos:
@@ -138,13 +137,30 @@ def test_audit_one_stacked_svd_per_iteration(fef_calls):
         identity.append(fef_calls["svd"] - before)
     assert max(identity) < sum(identity)
     before = dict(fef_calls)
-    for i in range(n):
-        cli._audit_channel(d, seed, i)
+    cli._audit_chunk(d, seed, 0, n)
     building = {k: fef_calls[k] - before[k] for k in fef_calls}
     before = dict(fef_calls)
     assert cli.run_audit(d, n, seed)["pass"]
     assert {k: fef_calls[k] - before[k] for k in fef_calls} == {
         "svd": building["svd"] + max(identity), "qr": building["qr"]}
+
+
+def test_audit_chunk_solver_calls_do_not_grow_with_channels(monkeypatch):
+    # one chunk runs its linear algebra as stacked calls: one eigh for all
+    # primal and dual Choi states, one eigvalsh each for lambda_max and the
+    # partial-transpose negativity of the outputs, and one QR per Kraus
+    # count (2 and 3 both occur among the first 4 channels at this seed)
+    # plus one for the local unitaries. At d >= 3 the FEF at one restart
+    # tries the least-squares dual point alone, which takes no eigensolve
+    d, seed = 3, 1
+    assert 12 <= cli._audit_chunk_size(d)
+    budgets = []
+    for n in (4, 12):
+        calls = _count_calls(monkeypatch, ("eigh", "eigvalsh", "qr"))
+        assert cli.run_audit(d, n, seed)["pass"]
+        budgets.append(calls)
+        monkeypatch.undo()
+    assert budgets == [{"eigh": 1, "eigvalsh": 2, "qr": 3}] * 2
 
 
 @pytest.mark.parametrize("case, restarts", [

@@ -8,7 +8,9 @@ be applied one-sided, which is needed for the dual Choi state.
 
 The one-sided action, the completeness check and the top eigenpair each run
 on stacks too: ``one_sided_stack`` maps n Kraus lists, held as one
-(n, K, d, d) array (``kraus_stack``), on n inputs; ``check_completeness``
+(n, K, d, d) array (``kraus_stack``), on n inputs, in real arithmetic when
+the lists and inputs are real; ``primal_dual_choi`` gives the Choi states of
+n lists and of their dual maps from one such call; ``check_completeness``
 takes one list or such a stack; ``top_eigenpairs`` solves a stack of
 Hermitian matrices with one ``eigh``. ``apply_one_sided``, ``KrausChannel``
 and ``top_choi_eigenpair`` are these with n = 1, and every member of a stack
@@ -137,7 +139,8 @@ def one_sided_stack(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
     """sum_i (I (x) K_i) |psi><psi| (I (x) K_i^dag) for a stack: ``kraus``
     (n, K, d, d) holds n Kraus lists, ``m`` (n, d, d) the inputs' coefficient
     matrices, or (1, d, d) one input for all; returns the (n, d^2, d^2)
-    outputs, each exactly Hermitian.
+    outputs, each exactly Hermitian. When ``kraus`` and ``m`` are both real,
+    so are the outputs (real symmetric); complex input gives complex output.
 
     A list shorter than K is padded with zero operators (``kraus_stack``),
     which is exact: the sum starts from +0 and never holds -0, so adding a
@@ -147,13 +150,21 @@ def one_sided_stack(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
     n, count, d, _ = kraus.shape
     v = np.matmul(m[:, None], kraus.swapaxes(-1, -2)).reshape(n, count, d * d)
     vc = v.conj()
-    out = np.zeros((n, d * d, d * d), dtype=complex)
+    out = np.zeros((n, d * d, d * d), dtype=v.dtype)
     for j in range(count):
         out += v[:, j, :, None] * vc[:, j, None, :]
     # 0.5 (out + out^dag), in place
     out += out.conj().swapaxes(-1, -2)
     out *= 0.5
     return out
+
+
+def primal_dual_choi(kraus: np.ndarray) -> np.ndarray:
+    """The Choi states of n Kraus lists (n, K, d, d), then those of their
+    dual maps (Kraus lists of adjoints), as one (2n, d^2, d^2) stack from one
+    ``one_sided_stack`` call; each is the ``choi_state`` of its map alone."""
+    both = np.concatenate((kraus, kraus.conj().swapaxes(-1, -2)))
+    return one_sided_stack(both, max_entangled(kraus.shape[-1]).coefficient_matrix()[None])
 
 
 def apply_one_sided(ch: KrausChannel, psi: PureBipartiteState) -> DensityOperator:

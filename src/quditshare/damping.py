@@ -14,6 +14,15 @@ post-processing. The certificate assembles that inequality chain for one
 parameter point and cross-checks the Choi lambda_max and N(Phi+) against dense
 eigensolves.
 
+The cross-check runs on a stack of points in real arithmetic: every Kraus
+entry (1, x_i, sqrt(1 - x_i^2)) is real, so the Choi state and its partial
+transpose are real symmetric, the same matrices as the complex ones, whose
+imaginary parts are exactly zero. One stacked ``check_completeness``, one
+real ``one_sided_stack`` and two stacked ``eigvalsh`` serve n points;
+``advantage_certificate`` is the case n = 1 and ``sweep`` passes a chunk of
+its grid. The real eigensolver may round the two ``*_numeric`` fields
+differently from a complex one in the last bit or two.
+
 The best input is closed form too. Write x~ = (1, x_1, ..., x_{d-1}) and
 s = |x~|^2 = 1 + sum x_i^2. The dual Choi state (Kraus list A_k^dag) is
 
@@ -68,10 +77,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import KrausChannel, apply_one_sided, choi_state
+from .channels import KrausChannel, apply_one_sided, check_completeness, one_sided_stack
 from .errors import ParameterError
-from .measures import DEFAULT_RESTARTS, fef, negativity
-from .states import PureBipartiteState
+from .measures import DEFAULT_RESTARTS, fef, negativity_of_matrix
+from .states import PureBipartiteState, max_entangled
 
 DISTINCTNESS_TOL = 1e-12
 CLOSED_NUMERIC_TOL = 1e-10
@@ -111,16 +120,22 @@ class DampingParams:
         object.__setattr__(self, "x", x)
 
 
+def _kraus_stack(xs: np.ndarray) -> np.ndarray:
+    """The family's Kraus lists at n points xs (n, d-1) as one real
+    (n, d, d, d) stack: A_0 = diag(1, x_1, ..., x_{d-1}), then
+    A_m = sqrt(1 - x_m^2) |0><m| for m = 1..d-1."""
+    n, d = xs.shape[0], xs.shape[1] + 1
+    levels = np.arange(1, d)
+    ops = np.zeros((n, d, d, d))
+    ops[:, 0, 0, 0] = 1.0
+    ops[:, 0, levels, levels] = xs
+    ops[:, levels, 0, levels] = np.sqrt(1.0 - xs**2)
+    return ops
+
+
 def damping_channel(p: DampingParams) -> KrausChannel:
     """Kraus operators of the family."""
-    d = p.d
-    a0 = np.diag(np.concatenate([[1.0], p.x])).astype(complex)
-    ops = [a0]
-    for m in range(1, d):
-        a = np.zeros((d, d), dtype=complex)
-        a[0, m] = np.sqrt(1.0 - p.x[m - 1] ** 2)
-        ops.append(a)
-    return KrausChannel(dim=d, kraus_ops=tuple(ops))
+    return KrausChannel(dim=p.d, kraus_ops=tuple(_kraus_stack(p.x[None])[0]))
 
 
 def damping_lambda_max(p: DampingParams) -> float:
@@ -209,38 +224,81 @@ class AdvantageCertificate:
         )
 
 
+def hypothesis_violation(x: np.ndarray) -> str | None:
+    """Why the point x breaks the theorem's hypotheses, or None when it meets
+    them: each 0 < x_i < 1 (checked first), and at least one pair differs by
+    more than DISTINCTNESS_TOL."""
+    if not np.all((0.0 < x) & (x < 1.0)):
+        return "open-interval violated: strict x_i must satisfy 0 < x_i < 1"
+    if x.max() - x.min() <= DISTINCTNESS_TOL:
+        return ("distinctness violated: at least one pair x_i != x_j "
+                f"(max gap {x.max() - x.min():.3g} <= {DISTINCTNESS_TOL})")
+    return None
+
+
 def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
     """Assemble the certificate for one parameter point.
 
-    ParameterError unless each 0 < x_i < 1 and at least one pair differs by
-    more than DISTINCTNESS_TOL: the theorem's hypotheses. The closed-form Choi
-    lambda_max and N(Phi+) are cross-checked against dense eigensolves (within
-    1e-10), else ArithmeticError. The best input psi_prime and every field
-    derived from it are the O(d) closed forms of the module docstring, so no
-    dual eigensolve, Schmidt SVD, output state or unitary ascent is run.
+    ParameterError unless the point meets the theorem's hypotheses
+    (``hypothesis_violation``). The closed-form Choi lambda_max and N(Phi+)
+    are cross-checked against dense eigensolves (within CLOSED_NUMERIC_TOL),
+    else ArithmeticError. The best input psi_prime and every field derived
+    from it are the O(d) closed forms of the module docstring, so no dual
+    eigensolve, Schmidt SVD, output state or unitary ascent is run. This is
+    ``_certificates`` with one point.
     """
-    x = p.x
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise ParameterError("open-interval violated: strict x_i must satisfy 0 < x_i < 1")
-    if x.max() - x.min() <= DISTINCTNESS_TOL:
-        raise ParameterError(
-            "distinctness violated: at least one pair x_i != x_j "
-            f"(max gap {x.max() - x.min():.3g} <= {DISTINCTNESS_TOL})"
-        )
-    d = p.d
+    violation = hypothesis_violation(p.x)
+    if violation is not None:
+        raise ParameterError(violation)
+    return _certificates([p])[0]
 
-    lam_closed = damping_lambda_max(p)
-    choi = choi_state(damping_channel(p))
-    lam_numeric = float(np.linalg.eigvalsh(choi.matrix)[-1])
 
-    neg_closed = damping_negativity(p)
-    neg_numeric = negativity(choi)
+def _certificates(params: list, rows=None) -> list[AdvantageCertificate]:
+    """The certificates of points of one d that meet the theorem's hypotheses
+    (callers check ``hypothesis_violation``), their dense cross-checks
+    stacked.
 
-    if abs(lam_closed - lam_numeric) >= CLOSED_NUMERIC_TOL:
-        raise ArithmeticError("closed-form lambda_max disagrees with eigensolve")
-    if abs(neg_closed - neg_numeric) >= CLOSED_NUMERIC_TOL:
-        raise ArithmeticError("closed-form negativity disagrees with eigensolve")
+    The Kraus entries 1, x_i and sqrt(1 - x_i^2) are real, so the n Choi
+    states and their partial transposes are real symmetric: one stacked
+    ``check_completeness`` of the (n, d, d, d) Kraus stack, one real
+    ``one_sided_stack`` for the Choi states, one ``eigvalsh`` for their
+    lambda_max and one (``negativity_of_matrix``) for N(Phi+). Each value is
+    the one its point gives alone. A closed form that misses its eigensolve
+    by CLOSED_NUMERIC_TOL or more raises ArithmeticError naming the first
+    such point, by d and x in the form ``certify --x`` reads, and by
+    ``rows[k]``, its sweep row, when ``rows`` is given.
+    """
+    d = params[0].d
+    xs = np.stack([p.x for p in params])
+    kraus = _kraus_stack(xs)
+    check_completeness(kraus)
+    choi = one_sided_stack(kraus, max_entangled(d).coefficient_matrix().real[None])
+    lam_numeric = np.linalg.eigvalsh(choi)[:, -1]
+    neg_numeric = negativity_of_matrix(choi, d)
 
+    certs = []
+    for k, p in enumerate(params):
+        lam_closed = damping_lambda_max(p)
+        neg_closed = damping_negativity(p)
+        for name, closed, numeric in (("lambda_max", lam_closed, lam_numeric[k]),
+                                      ("negativity", neg_closed, neg_numeric[k])):
+            if abs(closed - numeric) >= CLOSED_NUMERIC_TOL:
+                point = f"d = {d}, x = {','.join(repr(float(v)) for v in p.x)}"
+                if rows is not None:
+                    point = f"sweep row {rows[k]} ({point})"
+                raise ArithmeticError(
+                    f"closed-form {name} disagrees with eigensolve by "
+                    f"{abs(closed - numeric):.3g} at {point}")
+        certs.append(_assemble(p, lam_closed, float(lam_numeric[k]),
+                               neg_closed, float(neg_numeric[k])))
+    return certs
+
+
+def _assemble(p: DampingParams, lam_closed: float, lam_numeric: float,
+              neg_closed: float, neg_numeric: float) -> AdvantageCertificate:
+    """The certificate of one cross-checked point: the closed forms of the
+    module docstring for everything but the two numeric fields."""
+    d, x = p.d, p.x
     fstar_bound = (1.0 + 2.0 * neg_closed) / d
     gap = damping_gap(p)
 

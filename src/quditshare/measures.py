@@ -44,8 +44,9 @@ spends CPU time out of proportion to its wall time.
 
 ``fef_batch`` gives ``fef(rho, restarts=1)`` for a list of operators of one
 d: their identity starts climb as one stack, each against its own copy of
-its operator, and each bracket then gets the least-squares point alone. Each
-result is bit for bit the one-operator call's, and no seeded start runs.
+its operator, and each bracket then gets the least-squares point alone (at
+d = 2, all magic-basis eigensolves are one stacked ``eigh``). Each result is
+bit for bit the one-operator call's, and no seeded start runs.
 The copies cost 16 d^4 bytes per operator, so callers with many operators
 pass them in batches (``audit`` passes one chunk of channels at a time).
 """
@@ -379,7 +380,7 @@ def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -
         raise ValueError("need at least one restart")
     d = rho.dim
     if d == 2:
-        return _fef_qubit(rho)
+        return _fef_qubits([rho])[0]
     r = rho.matrix / d
     vals, ws, converged = _ascend_unitaries(r, d, np.eye(d)[None])
     # the polish runs where it may spare a seeded stack of at least d^2 starts
@@ -396,11 +397,16 @@ def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -
                      certified=False)
 
 
-def _fef_qubit(rho: DensityOperator) -> FefResult:
-    _, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho.matrix @ _MAGIC).real)
-    w = (_MAGIC @ vecs[:, -1]).reshape(2, 2)
-    return FefResult(value=fidelity_with(rho, mes_from_unitary(w)),
-                     maximizer_unitary=w, converged=True, certified=True)
+def _fef_qubits(rhos: list[DensityOperator]) -> list[FefResult]:
+    """The exact d = 2 result of each operator, every magic-basis eigensolve
+    in one stacked ``eigh``; each result is bit for bit the one-operator
+    call's."""
+    mats = np.stack([rho.matrix for rho in rhos])
+    _, vecs = np.linalg.eigh((_MAGIC.conj().T @ mats @ _MAGIC).real)
+    ws = (_MAGIC @ vecs[..., -1:]).reshape(-1, 2, 2)
+    return [FefResult(value=fidelity_with(rho, mes_from_unitary(w)),
+                      maximizer_unitary=w, converged=True, certified=True)
+            for rho, w in zip(rhos, ws)]
 
 
 def _identity_fef(rho: DensityOperator, w: np.ndarray, converged, points: int) -> FefResult:
@@ -421,7 +427,7 @@ def fef_batch(rhos: list[DensityOperator]) -> list[FefResult]:
         return []
     d = rhos[0].dim
     if d == 2:
-        return [_fef_qubit(rho) for rho in rhos]
+        return _fef_qubits(rhos)
     # divided in place, so no second stack is held; the ascent overwrites the
     # stack, so each bracket reads rho / d anew
     stack = np.stack([rho.matrix for rho in rhos])

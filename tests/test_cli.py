@@ -251,8 +251,65 @@ def test_cross_check_failure_is_one_line_exit_3(capsys, monkeypatch, closed_form
     assert main(["certify", "--d", "3", "--x", "0.2,0.7"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"error: numerical failure: closed-form {name} disagrees with eigensolve\n")
+    assert captured.err == (f"error: numerical failure: closed-form {name} disagrees with "
+                            "eigensolve by 1e-09 at d = 3, x = 0.2,0.7\n")
+
+
+# a d = 4 grid of 15 points; row 7 has x1 = x2 = x3 = 0.5 and is skipped
+CROSS_CHECK_SPEC = {"d": 4, "axes": {"x1": {"start": 0.1, "stop": 0.9, "steps": 5},
+                                     "x3": {"start": 0.3, "stop": 0.7, "steps": 3}},
+                    "fixed": {"x2": 0.5}}
+
+
+@pytest.mark.parametrize("closed_form, name", [
+    ("damping_lambda_max", "lambda_max"), ("damping_negativity", "negativity")])
+def test_sweep_cross_check_failure_names_row(tmp_path, capsys, monkeypatch, closed_form, name):
+    # a closed form the stacked cross-check contradicts at one grid point
+    # stops the sweep with exit 3 and one line that names the point's row in
+    # grid order and its x, and certify with that x replays it alone. Three
+    # points per chunk, so the row sits inside a chunk, after a skipped row
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 3 * 4 * 8 * 4**4)
+    assert cli._sweep_chunk_size(4) == 3
+    grid = [np.array([x1, 0.5, x3]) for x1 in np.linspace(0.1, 0.9, 5).tolist()
+            for x3 in np.linspace(0.3, 0.7, 3).tolist()]
+    row = 10
+    bad = grid[row]
+    original = getattr(damping, closed_form)
+    monkeypatch.setattr(damping, closed_form,
+                        lambda p: original(p) + (1e-9 if np.array_equal(p.x, bad) else 0.0))
+    out = tmp_path / "grid.csv"
+    spec = tmp_path / "spec.json"
+    spec.write_text(dumps_fixed(CROSS_CHECK_SPEC))
+    assert main(["sweep", str(spec), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    x_text = ",".join(repr(v) for v in bad.tolist())
+    assert captured.out == ""
+    assert captured.err == (f"error: numerical failure: closed-form {name} disagrees with "
+                            f"eigensolve by 1e-09 at sweep row {row} (d = 4, x = {x_text})\n")
+    assert not out.exists()
+    assert main(["certify", "--d", "4", "--x", x_text]) == 3
+    assert capsys.readouterr().err == (
+        f"error: numerical failure: closed-form {name} disagrees with "
+        f"eigensolve by 1e-09 at d = 4, x = {x_text}\n")
+
+
+def test_sweep_csv_does_not_depend_on_chunks(tmp_path, capsys, monkeypatch):
+    # a d = 8 grid whose 24 strict points (the centre is skipped) span
+    # several chunks gives the bytes of one point per chunk
+    spec = {"d": 8, "axes": {"x1": {"start": 0.3, "stop": 0.7, "steps": 5},
+                             "x7": {"start": 0.3, "stop": 0.7, "steps": 5}},
+            "fixed": {f"x{i}": 0.5 for i in range(2, 7)}}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(dumps_fixed(spec))
+    tables = []
+    for points in (5, 1):
+        monkeypatch.setattr(cli, "CHUNK_BYTES", points * 4 * 8 * 8**4)
+        assert cli._sweep_chunk_size(8) == points
+        out = tmp_path / f"grid-{points}.csv"
+        assert main(["sweep", str(spec_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["rows: 25", "skipped: 1"]
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("routine, argv", [

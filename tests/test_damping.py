@@ -18,6 +18,7 @@ from quditshare import (
     ParameterError,
     advantage_certificate,
     apply_one_sided,
+    certificate_to_dict,
     choi_state,
     damping_channel,
     damping_gap,
@@ -32,6 +33,8 @@ from quditshare import (
     schmidt,
     top_choi_eigenpair,
 )
+from quditshare.channels import one_sided_stack
+from quditshare.damping import _certificates, _kraus_stack
 
 
 def test_channel_reference_point_operators():
@@ -283,6 +286,30 @@ def test_certificate_closed_numeric_agreement():
         cert = advantage_certificate(random_strict_params(d, rng))
         assert abs(cert.lambda_max_closed - cert.lambda_max_numeric) < 1e-10
         assert abs(cert.negativity_phiplus_closed - cert.negativity_phiplus_numeric) < 1e-10
+
+
+def test_real_choi_stack_is_the_complex_choi_state():
+    # the cross-check's real Choi states are the complex ones bit for bit,
+    # whose imaginary parts are exactly zero
+    rng = np.random.default_rng(70)
+    for d in (3, 5, 8):
+        params = [random_strict_params(d, rng) for _ in range(4)]
+        phi = max_entangled(d).coefficient_matrix().real[None]
+        stack = one_sided_stack(_kraus_stack(np.stack([p.x for p in params])), phi)
+        assert stack.dtype == np.float64
+        for real, p in zip(stack, params):
+            choi = choi_state(damping_channel(p)).matrix
+            assert np.array_equal(real, choi.real)
+            assert not choi.imag.any()
+
+
+def test_stacked_certificates_match_single_points():
+    # each point of a stack gets the certificate it gets alone, bit for bit
+    rng = np.random.default_rng(71)
+    for d in (3, 6, 8):
+        params = [random_strict_params(d, rng) for _ in range(5)]
+        for stacked, p in zip(_certificates(params), params):
+            assert certificate_to_dict(stacked) == certificate_to_dict(advantage_certificate(p))
 
 
 def test_certificate_d5_sample():

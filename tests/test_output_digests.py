@@ -5,9 +5,9 @@ so a change that moves any byte of them, even in the 17th digit, fails here
 and has to record the new digest and say why. The `sweep` case is a small
 d = 4 CSV grid with one component fixed and one skipped point, the form of
 the benchmark's certify workload. The `measures` cases cover
-`--input phiplus` and a state file at d = 3 and 4, and both FEF paths: the
-identity's bracket closed (`fef_certified` true) and open (seeded restarts
-ran), and one report at 8 starts, where no dual polish runs. The `audit`
+`--input phiplus`, `psi_prime` and a state file at d = 3 and 4, and both FEF
+paths: the identity's bracket closed (`fef_certified` true) and open (seeded
+restarts ran), and one report at 8 starts, where no dual polish runs. The `audit`
 cases are d = 3 at the default seed, d = 2 with its Pauli check, and d = 6
 at 53 channels, which run in several chunks, so the stacked per-chunk path
 has to give the per-channel bytes. Recorded with
@@ -30,6 +30,12 @@ MEASURES = [
     (3, "state", True, "5d067b28ee34bc9501da8e37613ecb0e5a377296f6b76f83bf6b5a1f5b397aeb"),
     (4, "phiplus", True, "bd077de15042a37b324be94d9ffef1f85250eaa38f02c0b5a11fcbe745ead83b"),
     (4, "state", False, "974cebc91b3e58153006cb6680733c32b6021ae767692b377534741164a7b8d3"),
+]
+# (d, sha256) of the psi_prime report on case CASE_SEED[d]: the input is the
+# dual Choi state's top eigenvector, and no FEF ascent runs
+PSI_PRIME = [
+    (3, "3bf82ce9095658a47a230997f082e3c25a3af3f0f8f5d2158c3a02f3a66fee64"),
+    (4, "2a680d04afcafcebd4418384862077a8411271e9cf8b7f273f9a7bb88f2ecca0"),
 ]
 # the case seed per d: at d = 3 the phiplus bracket stays open and the state
 # file's closes, at d = 4 the other way round
@@ -71,7 +77,7 @@ def _measures(tmp_path, d, case_seed, which, *flags):
     state = tmp_path / "state.json"
     pairs = [[float(a.real), float(a.imag)] for a in psi.amplitudes]
     state.write_text(dumps_fixed({"d": d, "amplitudes": pairs}))
-    argv = ["measures", str(channel), "--input", "phiplus" if which == "phiplus" else str(state),
+    argv = ["measures", str(channel), "--input", str(state) if which == "state" else which,
             *flags]
     data, got = _run(argv, tmp_path / "report.json")
     return json.loads(data)["fef_certified"], got
@@ -80,6 +86,11 @@ def _measures(tmp_path, d, case_seed, which, *flags):
 @pytest.mark.parametrize("d, which, certified, digest", MEASURES)
 def test_measures_digest(tmp_path, d, which, certified, digest):
     assert _measures(tmp_path, d, CASE_SEED[d], which) == (certified, digest)
+
+
+@pytest.mark.parametrize("d, digest", PSI_PRIME)
+def test_measures_psi_prime_digest(tmp_path, d, digest):
+    assert _measures(tmp_path, d, CASE_SEED[d], "psi_prime") == (True, digest)
 
 
 def test_measures_least_squares_only_digest(tmp_path):

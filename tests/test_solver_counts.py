@@ -70,6 +70,22 @@ def test_certificate_solver_budget(solver_calls, d):
     assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 2}
 
 
+@pytest.mark.parametrize("d", [3, 8])
+def test_sweep_solver_budget(solver_calls, d):
+    # a sweep certifies its strict points in chunks, each cross-checked with
+    # one stacked eigvalsh for lambda_max and one for N(Phi+): 2 per chunk,
+    # however many points it holds (at d = 3 the diagonal is skipped and 20
+    # strict points take one chunk; at d = 8 only the centre is, and 24 take 3)
+    axis = {"start": 0.3, "stop": 0.7, "steps": 5}
+    spec = cli.parse_sweep_spec({"d": d, "axes": {"x1": axis, f"x{d - 1}": axis},
+                                 "fixed": {f"x{i}": 0.5 for i in range(2, d - 1)}})
+    rows = cli.run_sweep(spec)
+    strict = sum(row["status"] == "ok" for row in rows)
+    chunks = -(-strict // cli._sweep_chunk_size(d))
+    assert (strict, chunks) == ((20, 1) if d == 3 else (24, 3))
+    assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 2 * chunks}
+
+
 def test_apply_one_sided_makes_no_solver_calls(solver_calls):
     rng = np.random.default_rng(5)
     ch = damping_channel(DampingParams(4, [0.3, 0.6, 0.9]))

@@ -108,11 +108,9 @@ def kraus_validate(ops) -> KrausChannel:
 
 
 def is_unital(ch: KrausChannel) -> bool:
-    """True iff sum_i A_i A_i^dag equals the identity within tolerance."""
-    acc = np.zeros((ch.dim, ch.dim), dtype=complex)
-    for a in ch.kraus_ops:
-        acc += a @ a.conj().T
-    return bool(np.abs(acc - np.eye(ch.dim)).max() < UNITAL_TOL)
+    """True iff sum_i A_i A_i^dag equals the identity within tolerance: the
+    completeness residual of the adjoint list."""
+    return completeness_residual(np.asarray(ch.kraus_ops).conj().mT)[0] < UNITAL_TOL
 
 
 def dual(ch: KrausChannel) -> KrausChannel:

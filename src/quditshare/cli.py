@@ -25,7 +25,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 
 import numpy as np
 
@@ -48,11 +48,10 @@ from .damping import (
     CERT_CSV_COLUMNS,
     DampingParams,
     _certificates,
+    _hypotheses,
     advantage_certificate,
-    certificate_row,
     certificate_to_dict,
     family_dimension,
-    hypothesis_violation,
 )
 from .errors import (
     ChannelCompletenessError,
@@ -277,14 +276,6 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
     )
 
 
-def _sweep_points(spec: SweepSpec):
-    axis_names = [name for name, *_ in spec.axes]
-    grids = [np.linspace(start, stop, steps).tolist() for _, start, stop, steps in spec.axes]
-    for point in product(*grids):
-        values = {**spec.fixed, **dict(zip(axis_names, point))}
-        yield np.array([values[f"x{i}"] for i in range(1, spec.d)])
-
-
 def _sweep_chunk_size(d: int) -> int:
     """Grid points per certificate chunk. At its peak a chunk holds about
     four real d^2 x d^2 matrices per point: the Choi states, a one-sided
@@ -297,30 +288,31 @@ def _sweep_chunk_size(d: int) -> int:
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row per grid point, deterministic lexicographic order.
 
-    A point outside the certificate's hypotheses (``hypothesis_violation``)
-    gives a 'skipped' row. The others are certified in grid order, in chunks
-    of ``_sweep_chunk_size(d)`` whose dense cross-checks are stacked; each
-    row is the one its point gives alone, so the table does not depend on
-    the chunk size, and a failed cross-check names its row.
+    The grid is one (n, d-1) array; a point outside the certificate's
+    hypotheses (``damping._hypotheses``) gives a 'skipped' row. The others
+    are certified in chunks of ``_sweep_chunk_size(d)`` whose dense
+    cross-checks are stacked; each row is the one its point gives alone, so
+    the table does not depend on the chunk size, and a failed cross-check
+    names its row.
     """
-    rows, valid = [], []
-    for x in _sweep_points(spec):
-        row = {"d": spec.d}
-        for i, v in enumerate(x, start=1):
-            row[f"x{i}"] = float(v)
-        if hypothesis_violation(x) is None:
-            row["status"] = "ok"
-            valid.append((len(rows), x))
-        else:
-            row["status"] = "skipped"
-            row.update({col: None for col in CERT_CSV_COLUMNS})
-        rows.append(row)
-    chunk = _sweep_chunk_size(spec.d)
-    for lo in range(0, len(valid), chunk):
-        index, xs = zip(*valid[lo:lo + chunk])
-        certs = _certificates([DampingParams(d=spec.d, x=x) for x in xs], rows=index)
-        for i, cert in zip(index, certs):
-            rows[i].update(certificate_row(cert))
+    d = spec.d
+    mesh = np.meshgrid(*(np.linspace(start, stop, steps) for _, start, stop, steps in spec.axes),
+                       indexing="ij")
+    values = {**spec.fixed, **{name: g.reshape(-1) for (name, *_), g in zip(spec.axes, mesh)}}
+    xs = np.column_stack(np.broadcast_arrays(*(values[f"x{i}"] for i in range(1, d))))
+    strict = np.logical_and(*_hypotheses(xs))
+    names = [f"x{i}" for i in range(1, d)]
+    rows = [{"d": d, **dict(zip(names, x)), "status": "ok" if ok else "skipped",
+             **dict.fromkeys(CERT_CSV_COLUMNS)}
+            for x, ok in zip(xs.tolist(), strict.tolist())]
+    index = np.flatnonzero(strict)
+    chunk = _sweep_chunk_size(d)
+    for lo in range(0, index.size, chunk):
+        part = index[lo:lo + chunk]
+        certs = _certificates(d, xs[part], rows=part)
+        columns = [certs[field].tolist() for field in CERT_CSV_COLUMNS.values()]
+        for i, *cells in zip(part.tolist(), *columns):
+            rows[i].update(zip(CERT_CSV_COLUMNS, cells))
     return rows
 
 

@@ -14,13 +14,16 @@ post-processing. The certificate assembles that inequality chain for one
 parameter point and cross-checks the Choi lambda_max and N(Phi+) against dense
 eigensolves.
 
-The cross-check runs on a stack of points in real arithmetic: every Kraus
-entry (1, x_i, sqrt(1 - x_i^2)) is real, so the Choi state and its partial
-transpose are real symmetric, the same matrices as the complex ones, whose
-imaginary parts are exactly zero. One stacked ``check_completeness``, one
-real ``one_sided_stack`` and two stacked ``eigvalsh`` serve n points;
-``advantage_certificate`` is the case n = 1 and ``sweep`` passes a chunk of
-its grid. The real eigensolver may round the two ``*_numeric`` fields
+Every closed form below is written once, in ``_closed_forms``, on the rows
+of an (n, d-1) array of points, and ``_certificates`` adds the cross-check.
+It runs in real arithmetic: every Kraus entry (1, x_i, sqrt(1 - x_i^2)) is
+real, so the Choi state and its partial transpose are real symmetric, the
+same matrices as the complex ones, whose imaginary parts are exactly zero.
+One stacked ``check_completeness``, one real ``one_sided_stack`` and two
+stacked ``eigvalsh`` serve n points. ``advantage_certificate``,
+``damping_lambda_max``, ``damping_negativity`` and ``damping_gap`` are the
+case n = 1; ``sweep`` passes a chunk of its grid and writes its rows from
+the arrays. The real eigensolver may round the two ``*_numeric`` fields
 differently from a complex one in the last bit or two.
 
 The best input is closed form too. Write x~ = (1, x_1, ..., x_{d-1}) and
@@ -66,8 +69,9 @@ all x_i are equal and positive otherwise (its docstring says why).
 
 Every point of the closed cube [0, 1]^{d-1} is a channel, and every closed
 form holds there. The theorem's hypotheses (each 0 < x_i < 1, not all x_i
-equal) are needed only for the strict inequality chain, so
-``advantage_certificate`` checks them and nothing else does.
+equal) are needed only for the strict inequality chain. ``_hypotheses``
+states them once, row-wise: ``advantage_certificate`` checks its point with
+it, and ``sweep`` takes its strict rows from its mask.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ import numpy as np
 from .channels import KrausChannel, apply_one_sided, check_completeness, one_sided_stack
 from .errors import ParameterError
 from .measures import DEFAULT_RESTARTS, fef, negativity_of_matrix
-from .states import PureBipartiteState, max_entangled
+from .states import PureBipartiteState
 
 DISTINCTNESS_TOL = 1e-12
 CLOSED_NUMERIC_TOL = 1e-10
@@ -138,19 +142,58 @@ def damping_channel(p: DampingParams) -> KrausChannel:
     return KrausChannel(dim=p.d, kraus_ops=tuple(_kraus_stack(p.x[None])[0]))
 
 
+def _pair_sum(xs: np.ndarray) -> np.ndarray:
+    """sum_{i<j} x_i x_j of each row of xs in O(d), as
+    sum_j x_j (x_1 + ... + x_{j-1})."""
+    return np.vecdot(xs[:, 1:], np.cumsum(xs, axis=1)[:, :-1])
+
+
+def _closed_forms(d: int, xs: np.ndarray) -> dict:
+    """The certificate's closed-form fields at n points xs (n, d-1) of one d,
+    as in the module docstring: one array per ``AdvantageCertificate`` field
+    but the two ``*_numeric`` ones and ``params``, row k for the point
+    xs[k]; ``psi_prime`` is the (n, d) array of its amplitudes on |ii>. Sums
+    and dots run along rows, so a row does not depend on the rows beside it.
+    """
+    y = xs**2
+    sq = y.sum(axis=1)
+    s = 1.0 + sq
+    # s/d is lambda_max and the best input's fef, the same bits, so the input
+    # beats the ceiling exactly when gap > 0
+    lam = s / d
+    neg = (sq + _pair_sum(xs)) / d
+    # damping_gap says why this pair sum of squared differences cannot cancel
+    z = xs - xs[:, :1]
+    gap = (d - 1) * np.vecdot(z, z) - z.sum(axis=1) ** 2
+    root_s = np.sqrt(s)
+    spread = (1.0 - xs.min(axis=1)) / root_s
+    c = 1.0 - y
+    # the block term (sqrt(c^2 + 4) - c) / 2 as 2 / (sqrt(c^2 + 4) + c): no cancellation
+    blocks = (2.0 * y / (np.sqrt(c * c + 4.0) + c)).sum(axis=1)
+    neg_psi_prime = (_pair_sum(y) + blocks) / s
+    return {
+        "lambda_max_closed": lam,
+        "negativity_phiplus_closed": neg,
+        "fstar_bound_phiplus": (1.0 + 2.0 * neg) / d,
+        "gap": gap,
+        "psi_prime": np.column_stack((np.ones(len(xs)), xs)) / root_s[:, None],
+        "psi_prime_schmidt_spread": spread,
+        "fef_psi_prime": lam,
+        "negativity_psi_prime": neg_psi_prime,
+        "verdict_ceiling": gap > 0.0,
+        "verdict_advantage": (gap > 0.0) & (spread > 0.0),
+        "verdict_negativity_advantage": neg_psi_prime > neg,
+    }
+
+
 def damping_lambda_max(p: DampingParams) -> float:
     """Largest Choi-state eigenvalue, (1 + sum x_i^2) / d."""
-    return float((1.0 + np.sum(p.x**2)) / p.d)
-
-
-def _pair_sum(x: np.ndarray) -> float:
-    """sum_{i<j} x_i x_j in O(d), as sum_j x_j (x_1 + ... + x_{j-1})."""
-    return float(np.dot(x[1:], np.cumsum(x)[:-1]))
+    return _closed_forms(p.d, p.x[None])["lambda_max_closed"].item()
 
 
 def damping_negativity(p: DampingParams) -> float:
     """Choi-state negativity, (sum x_i^2 + sum_{i<j} x_i x_j) / d."""
-    return float((np.sum(p.x**2) + _pair_sum(p.x)) / p.d)
+    return _closed_forms(p.d, p.x[None])["negativity_phiplus_closed"].item()
 
 
 def damping_pt_spectrum(p: DampingParams) -> np.ndarray:
@@ -182,8 +225,7 @@ def damping_gap(p: DampingParams) -> float:
     underflows. The expanded form (d-2) sum x_i^2 - 2 sum_{i<j} x_i x_j
     cancels and can come out <= 0 at distinct x.
     """
-    z = p.x - p.x[0]
-    return float((p.d - 1) * np.dot(z, z) - np.sum(z) ** 2)
+    return _closed_forms(p.d, p.x[None])["gap"].item()
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,39 +266,42 @@ class AdvantageCertificate:
         )
 
 
-def hypothesis_violation(x: np.ndarray) -> str | None:
-    """Why the point x breaks the theorem's hypotheses, or None when it meets
-    them: each 0 < x_i < 1 (checked first), and at least one pair differs by
-    more than DISTINCTNESS_TOL."""
-    if not np.all((0.0 < x) & (x < 1.0)):
-        return "open-interval violated: strict x_i must satisfy 0 < x_i < 1"
-    if x.max() - x.min() <= DISTINCTNESS_TOL:
-        return ("distinctness violated: at least one pair x_i != x_j "
-                f"(max gap {x.max() - x.min():.3g} <= {DISTINCTNESS_TOL})")
-    return None
+def _hypotheses(xs: np.ndarray):
+    """The theorem's hypotheses, row-wise over xs (..., d-1): whether each
+    0 < x_i < 1, and whether some pair differs by more than DISTINCTNESS_TOL."""
+    inside = np.all((0.0 < xs) & (xs < 1.0), axis=-1)
+    return inside, xs.max(axis=-1) - xs.min(axis=-1) > DISTINCTNESS_TOL
 
 
 def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
     """Assemble the certificate for one parameter point.
 
     ParameterError unless the point meets the theorem's hypotheses
-    (``hypothesis_violation``). The closed-form Choi lambda_max and N(Phi+)
-    are cross-checked against dense eigensolves (within CLOSED_NUMERIC_TOL),
-    else ArithmeticError. The best input psi_prime and every field derived
-    from it are the O(d) closed forms of the module docstring, so no dual
-    eigensolve, Schmidt SVD, output state or unitary ascent is run. This is
-    ``_certificates`` with one point.
+    (``_hypotheses``; the open interval is checked first). The closed-form
+    Choi lambda_max and N(Phi+) are cross-checked against dense eigensolves
+    (within CLOSED_NUMERIC_TOL), else ArithmeticError. The best input
+    psi_prime and every field derived from it are the O(d) closed forms of
+    the module docstring, so no dual eigensolve, Schmidt SVD, output state or
+    unitary ascent is run. This is ``_certificates`` with one point.
     """
-    violation = hypothesis_violation(p.x)
-    if violation is not None:
-        raise ParameterError(violation)
-    return _certificates([p])[0]
+    inside, distinct = _hypotheses(p.x)
+    if not inside:
+        raise ParameterError("open-interval violated: strict x_i must satisfy 0 < x_i < 1")
+    if not distinct:
+        raise ParameterError("distinctness violated: at least one pair x_i != x_j "
+                             f"(max gap {p.x.max() - p.x.min():.3g} <= {DISTINCTNESS_TOL})")
+    cert = {name: col[0] for name, col in _certificates(p.d, p.x[None]).items()}
+    amps = np.zeros(p.d * p.d, dtype=complex)
+    amps[:: p.d + 1] = cert.pop("psi_prime")
+    return AdvantageCertificate(params=p, psi_prime=PureBipartiteState(p.d, amps),
+                                **{name: value.item() for name, value in cert.items()})
 
 
-def _certificates(params: list, rows=None) -> list[AdvantageCertificate]:
-    """The certificates of points of one d that meet the theorem's hypotheses
-    (callers check ``hypothesis_violation``), their dense cross-checks
-    stacked.
+def _certificates(d: int, xs: np.ndarray, rows=None) -> dict:
+    """The certificates of n points xs (n, d-1) of one d that meet the
+    theorem's hypotheses (callers check ``_hypotheses``): the arrays of
+    ``_closed_forms`` and the two ``*_numeric`` ones of their stacked dense
+    cross-check.
 
     The Kraus entries 1, x_i and sqrt(1 - x_i^2) are real, so the n Choi
     states and their partial transposes are real symmetric: one stacked
@@ -268,69 +313,26 @@ def _certificates(params: list, rows=None) -> list[AdvantageCertificate]:
     such point, by d and x in the form ``certify --x`` reads, and by
     ``rows[k]``, its sweep row, when ``rows`` is given.
     """
-    d = params[0].d
-    xs = np.stack([p.x for p in params])
+    cert = _closed_forms(d, xs)
     kraus = _kraus_stack(xs)
     check_completeness(kraus)
-    choi = one_sided_stack(kraus, max_entangled(d).coefficient_matrix().real[None])
-    lam_numeric = np.linalg.eigvalsh(choi)[:, -1]
-    neg_numeric = negativity_of_matrix(choi, d)
+    # Phi+'s coefficient matrix, I / sqrt(d)
+    choi = one_sided_stack(kraus, np.eye(d)[None] / np.sqrt(d))
+    lam = np.linalg.eigvalsh(choi)[:, -1]
+    neg = negativity_of_matrix(choi, d)
 
-    certs = []
-    for k, p in enumerate(params):
-        lam_closed = damping_lambda_max(p)
-        neg_closed = damping_negativity(p)
-        for name, closed, numeric in (("lambda_max", lam_closed, lam_numeric[k]),
-                                      ("negativity", neg_closed, neg_numeric[k])):
-            if abs(closed - numeric) >= CLOSED_NUMERIC_TOL:
-                point = f"d = {d}, x = {','.join(repr(float(v)) for v in p.x)}"
-                if rows is not None:
-                    point = f"sweep row {rows[k]} ({point})"
-                raise ArithmeticError(
-                    f"closed-form {name} disagrees with eigensolve by "
-                    f"{abs(closed - numeric):.3g} at {point}")
-        certs.append(_assemble(p, lam_closed, float(lam_numeric[k]),
-                               neg_closed, float(neg_numeric[k])))
-    return certs
-
-
-def _assemble(p: DampingParams, lam_closed: float, lam_numeric: float,
-              neg_closed: float, neg_numeric: float) -> AdvantageCertificate:
-    """The certificate of one cross-checked point: the closed forms of the
-    module docstring for everything but the two numeric fields."""
-    d, x = p.d, p.x
-    fstar_bound = (1.0 + 2.0 * neg_closed) / d
-    gap = damping_gap(p)
-
-    y, c = x**2, 1.0 - x**2
-    s = 1.0 + float(np.sum(y))
-    root_s = np.sqrt(s)
-    amps = np.zeros(d * d, dtype=complex)
-    amps[:: d + 1] = np.concatenate([[1.0], x]) / root_s
-    psi_prime = PureBipartiteState(d, amps)
-    spread = float((1.0 - x.min()) / root_s)
-    # bit for bit lam_closed, so it beats the ceiling exactly when gap > 0
-    fef_psi_prime = s / d
-    # the block term (sqrt(c^2 + 4) - c) / 2 as 2 / (sqrt(c^2 + 4) + c): no cancellation
-    blocks = float(np.sum(2.0 * y / (np.sqrt(c * c + 4.0) + c)))
-    neg_psi_prime = (_pair_sum(y) + blocks) / s
-
-    return AdvantageCertificate(
-        params=p,
-        lambda_max_closed=lam_closed,
-        lambda_max_numeric=lam_numeric,
-        negativity_phiplus_closed=neg_closed,
-        negativity_phiplus_numeric=neg_numeric,
-        fstar_bound_phiplus=fstar_bound,
-        gap=gap,
-        psi_prime=psi_prime,
-        psi_prime_schmidt_spread=spread,
-        fef_psi_prime=fef_psi_prime,
-        negativity_psi_prime=neg_psi_prime,
-        verdict_ceiling=gap > 0.0,
-        verdict_advantage=gap > 0.0 and spread > 0.0,
-        verdict_negativity_advantage=neg_psi_prime > neg_closed,
-    )
+    miss = np.abs(np.column_stack((cert["lambda_max_closed"] - lam,
+                                   cert["negativity_phiplus_closed"] - neg)))
+    bad = np.argwhere(miss >= CLOSED_NUMERIC_TOL)
+    if bad.size:
+        k, j = bad[0]
+        point = f"d = {d}, x = {','.join(repr(v) for v in xs[k].tolist())}"
+        if rows is not None:
+            point = f"sweep row {rows[k]} ({point})"
+        raise ArithmeticError(
+            f"closed-form {('lambda_max', 'negativity')[j]} disagrees with eigensolve by "
+            f"{miss[k, j]:.3g} at {point}")
+    return {**cert, "lambda_max_numeric": lam, "negativity_phiplus_numeric": neg}
 
 
 def fef_by_ascent(
@@ -369,8 +371,3 @@ CERT_CSV_COLUMNS = {
     "verdict_advantage": "verdict_advantage",
     "verdict_negativity_advantage": "verdict_negativity_advantage",
 }
-
-
-def certificate_row(cert: AdvantageCertificate) -> dict:
-    """Flat row for sweep tables, keyed by the columns of CERT_CSV_COLUMNS."""
-    return {col: getattr(cert, name) for col, name in CERT_CSV_COLUMNS.items()}

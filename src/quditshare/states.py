@@ -93,11 +93,15 @@ class DensityOperator:
         """Build without the Hermitian, trace and PSD checks.
 
         Only for operators the library assembles from already-validated
-        inputs, which are Hermitian and PSD by construction.
+        inputs, which are Hermitian and PSD by construction. A complex
+        ``matrix`` is kept as a read-only view, not copied, so the caller
+        must not write it afterwards.
         """
+        view = np.asarray(matrix, dtype=complex).view()
+        view.setflags(write=False)
         rho = object.__new__(cls)
         object.__setattr__(rho, "dim", dim)
-        object.__setattr__(rho, "matrix", _readonly(matrix))
+        object.__setattr__(rho, "matrix", view)
         object.__setattr__(rho, "unit_trace", unit_trace)
         return rho
 

@@ -241,13 +241,32 @@ def test_linalg_failure_is_one_line_exit_3(omega_file, capsys, monkeypatch):
     assert captured.err == "error: numerical failure: SVD did not converge\n"
 
 
+def _perturb_closed_form(monkeypatch, closed_form, at):
+    """Make the certificate kernel's closed form that the public scalar
+    ``closed_form`` reads 1e-9 off, at the rows of xs where ``at(xs)`` is
+    true."""
+    field = {"damping_lambda_max": "lambda_max_closed",
+             "damping_negativity": "negativity_phiplus_closed"}[closed_form]
+    original = damping._closed_forms
+
+    def perturbed(d, xs):
+        cols = original(d, xs)
+        cols[field] = cols[field] + np.where(at(xs), 1e-9, 0.0)
+        return cols
+
+    monkeypatch.setattr(damping, "_closed_forms", perturbed)
+
+
 @pytest.mark.parametrize("closed_form, name", [
     ("damping_lambda_max", "lambda_max"), ("damping_negativity", "negativity")])
 def test_cross_check_failure_is_one_line_exit_3(capsys, monkeypatch, closed_form, name):
     # a closed form the dense eigensolve contradicts reaches no verdict: the
-    # certificate's ArithmeticError leaves as exit 3 and one line
-    original = getattr(damping, closed_form)
-    monkeypatch.setattr(damping, closed_form, lambda p: original(p) + 1e-9)
+    # certificate's ArithmeticError leaves as exit 3 and one line. The public
+    # scalar is the kernel's one-point case, so it carries the same error
+    p = DampingParams(3, [0.2, 0.7])
+    exact = getattr(damping, closed_form)(p)
+    _perturb_closed_form(monkeypatch, closed_form, lambda xs: True)
+    assert getattr(damping, closed_form)(p) == exact + 1e-9
     assert main(["certify", "--d", "3", "--x", "0.2,0.7"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -274,9 +293,7 @@ def test_sweep_cross_check_failure_names_row(tmp_path, capsys, monkeypatch, clos
             for x3 in np.linspace(0.3, 0.7, 3).tolist()]
     row = 10
     bad = grid[row]
-    original = getattr(damping, closed_form)
-    monkeypatch.setattr(damping, closed_form,
-                        lambda p: original(p) + (1e-9 if np.array_equal(p.x, bad) else 0.0))
+    _perturb_closed_form(monkeypatch, closed_form, lambda xs: (xs == bad).all(axis=1))
     out = tmp_path / "grid.csv"
     spec = tmp_path / "spec.json"
     spec.write_text(dumps_fixed(CROSS_CHECK_SPEC))

@@ -20,6 +20,7 @@ from quditshare import (
     apply_one_sided,
     certificate_to_dict,
     choi_state,
+    damping,
     damping_channel,
     damping_gap,
     damping_lambda_max,
@@ -308,8 +309,40 @@ def test_stacked_certificates_match_single_points():
     rng = np.random.default_rng(71)
     for d in (3, 6, 8):
         params = [random_strict_params(d, rng) for _ in range(5)]
-        for stacked, p in zip(_certificates(params), params):
-            assert certificate_to_dict(stacked) == certificate_to_dict(advantage_certificate(p))
+        stacked = _certificates(d, np.stack([p.x for p in params]))
+        for k, p in enumerate(params):
+            alone = certificate_to_dict(advantage_certificate(p))
+            assert alone.pop("d") == d and alone.pop("x") == p.x.tolist()
+            amps = np.zeros(d * d)
+            amps[:: d + 1] = stacked["psi_prime"][k]
+            assert alone.pop("psi_prime") == [[a, 0.0] for a in amps.tolist()]
+            assert alone == {name: col[k].item() for name, col in stacked.items()
+                             if name != "psi_prime"}
+
+
+@pytest.mark.parametrize("lam_off, neg_off, expected", [
+    ([0, 0, 1e-9, 1e-9], [0, 2e-9, 2e-9, 0], "negativity disagrees with eigensolve by 2e-09 "
+     "at sweep row 11 (d = 3, x = 0.3,0.4)"),
+    ([0, 0, 1e-9, 0], [0, 0, 2e-9, 2e-9], "lambda_max disagrees with eigensolve by 1e-09 "
+     "at sweep row 12 (d = 3, x = 0.5,0.6)"),
+])
+def test_cross_check_names_first_bad_point(monkeypatch, lam_off, neg_off, expected):
+    # the cross-check compares all rows at once and names the first point
+    # that fails, lambda_max before N(Phi+) at the same point, as a check
+    # point by point would
+    original = damping._closed_forms
+
+    def perturbed(d, xs):
+        cols = original(d, xs)
+        cols["lambda_max_closed"] = cols["lambda_max_closed"] + lam_off
+        cols["negativity_phiplus_closed"] = cols["negativity_phiplus_closed"] + neg_off
+        return cols
+
+    monkeypatch.setattr(damping, "_closed_forms", perturbed)
+    xs = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
+    with pytest.raises(ArithmeticError) as info:
+        _certificates(3, xs, rows=np.arange(10, 14))
+    assert str(info.value) == f"closed-form {expected}"
 
 
 def test_certificate_d5_sample():

@@ -3,9 +3,9 @@
 Pins the sha256 of a few `measures`, `audit`, `certify` and `sweep` outputs,
 so a change that moves any byte of them, even in the 17th digit, fails here
 and has to record the new digest and say why. The `sweep` case is a small
-d = 4 CSV grid with one component fixed and one skipped point, the form of
-the benchmark's certify workload. The `measures` cases cover
-`--input phiplus`, `psi_prime` and a state file at d = 3 and 4, and both FEF
+d = 4 grid with one component fixed and one skipped point, the form of the
+benchmark's certify workload, pinned as CSV and as JSON. The `measures` cases
+cover `--input phiplus`, `psi_prime` and a state file at d = 3 and 4, and both FEF
 paths: the identity's bracket closed (`fef_certified` true) and open (seeded
 restarts ran), and one report at 8 starts, where no dual polish runs. The `audit`
 cases are d = 3 at the default seed, d = 2 with its Pauli check, and d = 6
@@ -59,6 +59,9 @@ SWEEP_SPEC = {"d": 4, "axes": {"x1": {"start": 0.1, "stop": 0.9, "steps": 5},
                                "x3": {"start": 0.3, "stop": 0.7, "steps": 3}},
               "fixed": {"x2": 0.5}}
 SWEEP_SHA256 = "051dd77c8d3f0e4f426683c86570af8f8084e1ef8bace5f174bb1d587dbc7829"
+# the same grid as `sweep --format json`: its verdict cells are JSON booleans
+# and a skipped row's cells null
+SWEEP_JSON_SHA256 = "432c5c8395dca81fd104b13ca4720132413e1a70714f65c5cd352f07bb05f8e3"
 
 
 def _run(argv, out):
@@ -119,3 +122,10 @@ def test_sweep_digest(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(dumps_fixed(SWEEP_SPEC))
     assert _run(["sweep", str(spec)], tmp_path / "grid.csv")[1] == SWEEP_SHA256
+
+
+def test_sweep_json_digest(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(dumps_fixed(SWEEP_SPEC))
+    argv = ["sweep", str(spec), "--format", "json"]
+    assert _run(argv, tmp_path / "grid.json")[1] == SWEEP_JSON_SHA256

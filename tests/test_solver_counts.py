@@ -16,6 +16,7 @@ from helpers import random_mixed
 from quditshare import (
     DampingParams,
     DensityOperator,
+    PureBipartiteState,
     advantage_certificate,
     apply_one_sided,
     cli,
@@ -84,6 +85,28 @@ def test_sweep_solver_budget(solver_calls, d):
     chunks = -(-strict // cli._sweep_chunk_size(d))
     assert (strict, chunks) == ((20, 1) if d == 3 else (24, 3))
     assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 2 * chunks}
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_sweep_builds_no_per_point_objects(monkeypatch, d):
+    # the sweep writes its rows from the certificate kernel's arrays: the
+    # grids of test_sweep_solver_budget validate no DampingParams and build
+    # no PureBipartiteState, neither per point nor per chunk
+    built = {DampingParams: 0, PureBipartiteState: 0}
+    for cls in built:
+        original = cls.__post_init__
+
+        def counted(self, _cls=cls, _original=original):
+            built[_cls] += 1
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    axis = {"start": 0.3, "stop": 0.7, "steps": 5}
+    spec = cli.parse_sweep_spec({"d": d, "axes": {"x1": axis, f"x{d - 1}": axis},
+                                 "fixed": {f"x{i}": 0.5 for i in range(2, d - 1)}})
+    rows = cli.run_sweep(spec)
+    assert sum(row["status"] == "ok" for row in rows) == (20 if d == 3 else 24)
+    assert built == {DampingParams: 0, PureBipartiteState: 0}
 
 
 def test_apply_one_sided_makes_no_solver_calls(solver_calls):

@@ -13,9 +13,9 @@ Library layers:
   from the identity, ``certified`` when a dual point, the least-squares
   one or (with restarts - 1 >= d^2) one polished from it, proves it within
   CERT_TOL of the optimum, and otherwise joined by seeded restarts that climb
-  as one stack; ``fef_batch`` gives the identity start's result, as
-  ``fef(rho, restarts=1)`` does, for a list of operators with their ascents
-  stacked), and the (tr rho + 2N)/d fidelity ceiling.
+  as one stack; ``fef_batch`` gives ``fef(rho, restarts=1)`` for each
+  operator of a stack, and both run one routine on stacks of operators),
+  and the (tr rho + 2N)/d fidelity ceiling.
 * :mod:`quditshare.damping` -- the level-damping channel family, its closed
   forms, and the advantage certificate.
 * :mod:`quditshare.search` -- input-state optimization (exact best-fidelity

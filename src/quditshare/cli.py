@@ -59,9 +59,8 @@ from .errors import (
     ToolkitError,
 )
 from .jsonio import csv_cell, dumps_fixed, format_real, json_int, json_real, load_json
-from .measures import fef, fef_batch, negativity, negativity_of_matrix
+from .measures import _mes_overlaps, fef, fef_batch, negativity, negativity_of_matrix
 from .states import (
-    DensityOperator,
     PureBipartiteState,
     fidelity_with,
     load_state,
@@ -179,7 +178,7 @@ def cmd_measures(args) -> int:
 
 def _parse_x(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v != ""])
+        return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise ParameterError(f"could not parse x list: {exc}") from exc
 
@@ -223,6 +222,9 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
         raise ParameterError("sweep spec 'axes' and 'fixed' must be objects")
     if not axes_raw:
         raise ParameterError("sweep spec has empty axes")
+    both = sorted(set(axes_raw) & set(fixed_raw))
+    if both:
+        raise ParameterError(f"components {both} are both swept and fixed")
     try:
         fixed = {str(k): json_real(v, k) for k, v in fixed_raw.items()}
     except (TypeError, OverflowError) as exc:
@@ -421,9 +423,7 @@ def _fef_deviations(rho: np.ndarray, fef_values: np.ndarray):
     below the floor <Phi+|rho|Phi+> and rises above the ceiling
     min(lambda_max, (1 + 2N) / d) of ``fstar_upper_bound``, clamped at 0."""
     d = math.isqrt(rho.shape[-1])
-    phi = max_entangled(d).amplitudes
-    # fidelity_with, clamped to [0, 1]
-    floor = np.clip(np.vecdot(phi, np.matmul(rho, phi[:, None])[..., 0]).real, 0.0, 1.0)
+    floor = _mes_overlaps(rho, np.eye(d, dtype=complex))
     fstar = (1.0 + 2.0 * negativity_of_matrix(rho, d)) / d
     ceiling = np.minimum(np.linalg.eigvalsh(rho)[:, -1], fstar)
     return np.maximum(0.0, floor - fef_values), np.maximum(0.0, fef_values - ceiling)
@@ -471,20 +471,21 @@ def run_audit(d: int, n_channels: int, seed: int) -> dict:
     Each FEF is ``fef(rho, restarts=1)``: the identity start's ascent, which
     climbs from Phi+ and so meets the floor check by construction. Channels
     are audited in chunks of ``_audit_chunk_size(d)``: ``_audit_chunk``
-    builds a chunk's channels and runs its linear algebra as stacked calls,
-    one ``fef_batch`` call gives its FEFs, and the floor and ceiling take one
-    stacked ``eigvalsh`` each for lambda_max and the partial-transpose
-    negativity. At d = 2 the Pauli check of the chunk's indices is stacked
-    the same way. Every deviation is bit for bit the one its channel gives
-    alone, so the report does not depend on the chunk size.
+    builds a chunk's channels and runs its linear algebra as stacked calls.
+    ``fef_batch`` takes the chunk's stack of outputs as it is and gives its
+    FEFs from the one FEF routine; the floor is read by the stacked overlap
+    that gives every FEF value, and the ceiling takes one stacked
+    ``eigvalsh`` each for lambda_max and the partial-transpose negativity.
+    At d = 2 the Pauli check of the chunk's indices is stacked the same way.
+    Every deviation is bit for bit the one its channel gives alone, so the
+    report does not depend on the chunk size.
     """
     chunk = _audit_chunk_size(d)
     parts = []
     for lo in range(0, n_channels, chunk):
         hi = min(lo + chunk, n_channels)
         rho, devs = _audit_chunk(d, seed, lo, hi)
-        fefs = fef_batch([DensityOperator._trusted(d, m) for m in rho])
-        part = [*devs.T, *_fef_deviations(rho, np.array([res.value for res in fefs]))]
+        part = [*devs.T, *_fef_deviations(rho, np.array([res.value for res in fef_batch(rho)]))]
         if d == 2:
             part.append(_audit_pauli(seed, lo, hi))
         parts.append(np.column_stack(part))

@@ -42,11 +42,15 @@ eigensolves at order <= 25 for the default starts: above that numpy's
 ``eigh`` takes LAPACK's divide-and-conquer path, which runs threaded BLAS and
 spends CPU time out of proportion to its wall time.
 
-``fef_batch`` gives ``fef(rho, restarts=1)`` for a list of operators of one
-d: their identity starts climb as one stack, each against its own copy of
-its operator, and each bracket then gets the least-squares point alone (at
-d = 2, all magic-basis eigensolves are one stacked ``eigh``). Each result is
-bit for bit the one-operator call's, and no seeded start runs.
+One routine computes the FEF of a stack (n, d^2, d^2) of operators of one
+d: at d = 2 every magic-basis eigensolve is one stacked ``eigh``; at d >= 3
+the identity starts climb as one stack, each against its own copy of
+rho / d, each bracket is then tried by ``_certified``, and an operator whose
+bracket stays open climbs its seeded starts as above. Every value is read
+from one stacked overlap <Phi_W|rho|Phi_W>, with no maximally entangled
+state built per result. ``fef`` is its one-operator case; ``fef_batch`` its
+case with one start (``fef(rho, restarts=1)``, no seeded start runs) on the
+stack ``audit`` holds. Each result is bit for bit the one-operator call's.
 The copies cost 16 d^4 bytes per operator, so callers with many operators
 pass them in batches (``audit`` passes one chunk of channels at a time).
 """
@@ -59,13 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import complex_gaussian, haar_from_gaussian
-from .states import (
-    EIG_CLAMP,
-    DensityOperator,
-    fidelity_with,
-    mes_from_unitary,
-    partial_transpose_matrix,
-)
+from .states import EIG_CLAMP, DensityOperator, partial_transpose_matrix
 
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 500
@@ -355,6 +353,49 @@ def _lbfgs_apply(grad: np.ndarray, memory: list, scale: float) -> np.ndarray:
     return q
 
 
+def _mes_overlaps(mats: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """<Phi_W| rho |Phi_W>, clamped to [0, 1], where Phi_W = (W (x) I)|Phi+>,
+    for a stack of operators (n, d^2, d^2) and their unitaries (n, d, d), or
+    one (d, d) for all; matmul against v[..., None] and vecdot round as
+    ``fidelity_with``'s rho @ v and np.vdot do."""
+    d = ws.shape[-1]
+    v = ws.reshape(*ws.shape[:-2], d * d) / np.sqrt(d)
+    return np.clip(np.vecdot(v, np.matmul(mats, v[..., None])[..., 0]).real, 0.0, 1.0)
+
+
+def _fef_stack(mats: np.ndarray, restarts: int = 1, seed: int = 0) -> list[FefResult]:
+    """``fef`` of each operator in a stack (n, d^2, d^2), each result bit for
+    bit the one-operator call's; the module docstring says how the stacks
+    are formed. ``restarts`` must be at least 1.
+    """
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    n, d = mats.shape[0], math.isqrt(mats.shape[-1])
+    if d == 2:
+        _, vecs = np.linalg.eigh((_MAGIC.conj().T @ mats @ _MAGIC).real)
+        ws = (_MAGIC @ vecs[..., -1:]).reshape(n, 2, 2)
+        return [FefResult(value, w, True, True)
+                for value, w in zip(_mes_overlaps(mats, ws).tolist(), ws)]
+    # the ascent overwrites its stack, so each bracket reads rho / d anew
+    vals, ws, converged = _ascend_unitaries(mats / d, d, np.eye(d)[None].repeat(n, axis=0))
+    values = _mes_overlaps(mats, ws)
+    # the polish runs where it may spare a seeded stack of at least d^2 starts
+    points = _POLISH_POINTS if restarts - 1 >= d * d else 1
+    certified = [_certified(m / d, w, value, points)
+                 for m, w, value in zip(mats, ws, values.tolist())]
+    opened = [i for i, cert in enumerate(certified) if not cert] if restarts > 1 else []
+    for i in opened:
+        more = _ascend_unitaries(mats[i] / d, d, _seeded_starts(d, restarts, seed)[1:])
+        # the identity start first, then the seeded ones, as one stack of all orders them
+        best = int(np.argmax(np.concatenate((vals[i:i + 1], more[0]))))
+        if best:
+            ws[i], converged[i] = more[1][best - 1], more[2][best - 1]
+    if opened:
+        values[opened] = _mes_overlaps(mats[opened], ws[opened])
+    return [FefResult(value, w, bool(conv), cert)
+            for value, w, conv, cert in zip(values.tolist(), ws, converged, certified)]
+
+
 def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> FefResult:
     """Fully entangled fraction of rho: max over maximally entangled |Phi> of
     <Phi|rho|Phi>.
@@ -376,61 +417,13 @@ def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -
     Deterministic for fixed (seed, restarts). Either way
     value >= <Phi+|rho|Phi+>, and ``restarts`` must be at least 1.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    d = rho.dim
-    if d == 2:
-        return _fef_qubits([rho])[0]
-    r = rho.matrix / d
-    vals, ws, converged = _ascend_unitaries(r, d, np.eye(d)[None])
-    # the polish runs where it may spare a seeded stack of at least d^2 starts
-    points = _POLISH_POINTS if restarts - 1 >= d * d else 1
-    res = _identity_fef(rho, ws[0], converged[0], points)
-    if res.certified or restarts == 1:
-        return res
-    more = _ascend_unitaries(r, d, _seeded_starts(d, restarts, seed)[1:])
-    # the identity start first, then the seeded ones, as one stack of all orders them
-    vals, ws, converged = (np.concatenate(pair) for pair in zip((vals, ws, converged), more))
-    best = int(np.argmax(vals))
-    return FefResult(value=fidelity_with(rho, mes_from_unitary(ws[best])),
-                     maximizer_unitary=ws[best], converged=bool(converged[best]),
-                     certified=False)
+    return _fef_stack(rho.matrix[None], restarts, seed)[0]
 
 
-def _fef_qubits(rhos: list[DensityOperator]) -> list[FefResult]:
-    """The exact d = 2 result of each operator, every magic-basis eigensolve
-    in one stacked ``eigh``; each result is bit for bit the one-operator
-    call's."""
-    mats = np.stack([rho.matrix for rho in rhos])
-    _, vecs = np.linalg.eigh((_MAGIC.conj().T @ mats @ _MAGIC).real)
-    ws = (_MAGIC @ vecs[..., -1:]).reshape(-1, 2, 2)
-    return [FefResult(value=fidelity_with(rho, mes_from_unitary(w)),
-                      maximizer_unitary=w, converged=True, certified=True)
-            for rho, w in zip(rhos, ws)]
-
-
-def _identity_fef(rho: DensityOperator, w: np.ndarray, converged, points: int) -> FefResult:
-    """The identity start's result at its ascent's unitary w, ``certified``
-    when ``_certified`` closes the bracket within ``points`` dual points."""
-    value = fidelity_with(rho, mes_from_unitary(w))
-    return FefResult(value=value, maximizer_unitary=w, converged=bool(converged),
-                     certified=_certified(rho.matrix / rho.dim, w, value, points))
-
-
-def fef_batch(rhos: list[DensityOperator]) -> list[FefResult]:
-    """``fef(rho, restarts=1)`` of every operator in ``rhos``, all of one
-    dimension d, each result bit for bit the one-operator call's; the module
-    docstring says how the identity starts are stacked. The stack holds a
-    copy of each operator, so callers cut a long list into batches.
+def fef_batch(mats: np.ndarray) -> list[FefResult]:
+    """``fef(rho, restarts=1)`` of every operator in a stack (n, d^2, d^2) of
+    valid density matrices of one d, each result bit for bit the one-operator
+    call's; no seeded start runs. The ascent holds a copy of the stack, so
+    callers cut a long one into batches.
     """
-    if not rhos:
-        return []
-    d = rhos[0].dim
-    if d == 2:
-        return _fef_qubits(rhos)
-    # divided in place, so no second stack is held; the ascent overwrites the
-    # stack, so each bracket reads rho / d anew
-    stack = np.stack([rho.matrix for rho in rhos])
-    stack /= d
-    _, ws, converged = _ascend_unitaries(stack, d, np.eye(d)[None].repeat(len(rhos), axis=0))
-    return [_identity_fef(rho, w, conv, 1) for rho, w, conv in zip(rhos, ws, converged)]
+    return _fef_stack(mats)

@@ -440,6 +440,11 @@ def test_certify_distinctness_violation(capsys):
 def test_certify_wrong_x_length(capsys):
     assert main(["certify", "--d", "4", "--x", "0.5,0.9"]) == 2
     capsys.readouterr()
+    # an empty item is an error, not a dropped component
+    for x in ("0.5,,0.9", ",0.5,0.9", "0.5,0.9,"):
+        assert main(["certify", "--d", "3", "--x", x]) == 2, x
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (x, err)
     # the dimension is checked before the length of x
     assert main(["certify", "--d", "-5", "--x", "0.5"]) == 2
     assert "dimension" in capsys.readouterr().err
@@ -639,6 +644,8 @@ def test_sweep_empty_axes(tmp_path, capsys):
         # and every start, stop and fixed value a JSON number: no "0.2", no true
         {"axes": {"x1": {"start": "0.2", "stop": 0.9, "steps": 2}}, "fixed": {"x2": 0.5}},
         {"axes": axis, "fixed": {"x2": True}},
+        # a component swept and fixed at once
+        {"axes": axis, "fixed": {"x1": 0.5, "x2": 0.7}},
     ):
         spec = {"d": 3, "output_path": str(tmp_path / "x.csv"), **fields}
         err = _assert_sweep_usage_error(tmp_path, capsys, spec)

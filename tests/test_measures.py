@@ -378,7 +378,7 @@ def _check_batches_against_alone(rhos, singles):
     d = rhos[0].dim
     size = 2 * cli._audit_chunk_size(d)
     for lo in range(0, len(rhos), size):
-        got = fef_batch(rhos[lo:lo + size])
+        got = fef_batch(np.stack([rho.matrix for rho in rhos[lo:lo + size]]))
         assert [_fef_bytes(res) for res in got] == [
             _fef_bytes(res) for res in singles[lo:lo + size]], (d, lo)
 
@@ -410,7 +410,10 @@ def test_fef_stacked_matches_serial_loop(d):
     if d > 2:
         # both of fef's paths are taken at every d >= 3
         assert {res.certified for res in alone[32]} == {True, False}
-        _check_batches_against_alone(rhos, alone[1])
+    else:
+        # the exact magic-basis path, one eigensolve per operator alone
+        alone[1] = [fef(rho, restarts=1) for rho in rhos]
+    _check_batches_against_alone(rhos, alone[1])
 
 
 def test_fef_stacked_matches_serial_loop_at_iteration_cap():
@@ -432,7 +435,7 @@ def test_fef_stacked_matches_serial_loop_at_iteration_cap():
     alone = [fef(f, restarts=1) for f in fast]
     assert all(r.converged for r in alone)
     assert {r.certified for r in alone} == {True, False}
-    got = fef_batch([fast[0], rho, *fast[1:]])
+    got = fef_batch(np.stack([m.matrix for m in (fast[0], rho, *fast[1:])]))
     assert [_fef_bytes(r) for r in got] == [
         _fef_bytes(r) for r in (alone[0], fef(rho, restarts=1), *alone[1:])]
 

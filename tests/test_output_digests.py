@@ -7,10 +7,11 @@ d = 4 grid with one component fixed and one skipped point, the form of the
 benchmark's certify workload, pinned as CSV and as JSON. The `measures` cases
 cover `--input phiplus`, `psi_prime` and a state file at d = 3 and 4, and both FEF
 paths: the identity's bracket closed (`fef_certified` true) and open (seeded
-restarts ran), and one report at 8 starts, where no dual polish runs. The `audit`
-cases are d = 3 at the default seed, d = 2 with its Pauli check, and d = 6
-at 53 channels, which run in several chunks, so the stacked per-chunk path
-has to give the per-channel bytes. Recorded with
+restarts ran), and one report at 8 starts, where no dual polish runs; one more
+covers `--input phiplus` at d = 2, where the FEF is the magic-basis eigensolve.
+The `audit` cases are d = 3 at the default seed, d = 2 with its Pauli check,
+and d = 6 at 53 channels, which run in several chunks, so the stacked
+per-chunk path has to give the per-channel bytes. Recorded with
 numpy 2.4 on x86-64 Linux; another LAPACK build may round differently and
 move the digests without any change to this package.
 """
@@ -26,6 +27,7 @@ from quditshare.jsonio import dumps_fixed
 
 # (d, input, fef_certified, sha256 of the report)
 MEASURES = [
+    (2, "phiplus", True, "98a7283f9dde9de3196f939ef2c02f9243cde46c62deac6470a7709d873181bc"),
     (3, "phiplus", False, "86b2cb95548b9866ecd0a467724b98add05f069b047af04915093276830e1927"),
     (3, "state", True, "5d067b28ee34bc9501da8e37613ecb0e5a377296f6b76f83bf6b5a1f5b397aeb"),
     (4, "phiplus", True, "bd077de15042a37b324be94d9ffef1f85250eaa38f02c0b5a11fcbe745ead83b"),
@@ -38,8 +40,8 @@ PSI_PRIME = [
     (4, "2a680d04afcafcebd4418384862077a8411271e9cf8b7f273f9a7bb88f2ecca0"),
 ]
 # the case seed per d: at d = 3 the phiplus bracket stays open and the state
-# file's closes, at d = 4 the other way round
-CASE_SEED = {3: 0, 4: 1}
+# file's closes, at d = 4 the other way round; at d = 2 the FEF is exact
+CASE_SEED = {2: 0, 3: 0, 4: 1}
 # (d, case seed, --restarts, sha256) of a phiplus report whose ascent tries
 # the least-squares dual point alone (restarts - 1 < d^2): it leaves the
 # bracket open, which the default 32 starts' polish closes, so the seeded

@@ -22,6 +22,7 @@ from quditshare import (
     cli,
     damping_channel,
     fef,
+    fef_batch,
     haar_unitary,
     is_unital,
     kraus_validate,
@@ -107,6 +108,30 @@ def test_sweep_builds_no_per_point_objects(monkeypatch, d):
     rows = cli.run_sweep(spec)
     assert sum(row["status"] == "ok" for row in rows) == (20 if d == 3 else 24)
     assert built == {DampingParams: 0, PureBipartiteState: 0}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_fef_builds_no_per_result_objects(monkeypatch, d):
+    # every FEF value is read from one stacked overlap, with no maximally
+    # entangled state built and validated per result: not by fef, on a
+    # bracket that closes and on one that stays open, nor by a fef_batch
+    # chunk of audit outputs
+    rng = np.random.default_rng(40 + d)
+    rhos = [apply_one_sided(random_channel(d, 2, rng), random_pure_state(d, rng)),
+            random_mixed(d, rng)]
+    chunk = cli._audit_chunk(d, 0, 0, 6)[0]
+    built = []
+    original = PureBipartiteState.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PureBipartiteState, "__post_init__", counted)
+    results = [fef(rho) for rho in rhos] + fef_batch(chunk)
+    if d == 3:
+        assert [res.certified for res in results[:2]] == [True, False]
+    assert len(results) == 8 and built == []
 
 
 def test_apply_one_sided_makes_no_solver_calls(solver_calls):

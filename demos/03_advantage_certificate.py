@@ -64,10 +64,20 @@ print("  FEF (unitary ascent)      :", fef_by_ascent(cert))
 print("  negativity (closed form)  :", cert.negativity_psi_prime)
 print("  negativity (eigensolve)   :", negativity(out))
 
-print("\nverdicts:")
+# N(psi') - N(Phi+) = gap/(2d) + sum_m y_m h_m/(2s), two terms >= 0 (damping module docstring)
+y = params.x**2
+h = (1 - y) ** 2 / (np.sqrt((1 - y) ** 2 + 4) + 2)
+s = 1 + y.sum()
+print("\nnegativity margin N(psi') - N(Phi+):")
+print("  gap/(2d)                  :", cert.gap / (2 * params.d))
+print("  sum_m y_m h_m/(2s)        :", (y * h).sum() / (2 * s))
+print("  their sum, from the two N :", cert.negativity_psi_prime - cert.negativity_phiplus_closed)
+
+print("\nverdicts (exact predicates of x):")
 print("  ceiling exceeded            :", cert.verdict_ceiling)
 print("  nonmaximal input advantage  :", cert.verdict_advantage)
-print("  negativity advantage        :", cert.verdict_negativity_advantage)
+print("  negativity advantage        :", cert.verdict_negativity_advantage,
+      "(the margin is 0 only at x = (0, ..., 0) and (1, ..., 1))")
 print("\nall verdicts true:", cert.all_verdicts_true)
 print("""
 reading: the channel's one-shot optimal singlet fraction is at least

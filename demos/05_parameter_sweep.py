@@ -9,21 +9,21 @@ Run:  python demos/05_parameter_sweep.py
 """
 
 import collections
+import json
 import tempfile
 from pathlib import Path
 
-from quditshare.cli import SweepSpec, parse_sweep_spec, run_sweep
+from quditshare.cli import SweepSpec, main, parse_sweep_spec, run_sweep
 
-spec = parse_sweep_spec(
-    {
-        "d": 3,
-        "axes": {
-            "x1": {"start": 0.1, "stop": 0.9, "steps": 9},
-            "x2": {"start": 0.1, "stop": 0.9, "steps": 9},
-        },
-        "format": "csv",
-    }
-)
+SPEC = {
+    "d": 3,
+    "axes": {
+        "x1": {"start": 0.1, "stop": 0.9, "steps": 9},
+        "x2": {"start": 0.1, "stop": 0.9, "steps": 9},
+    },
+    "format": "csv",
+}
+spec = parse_sweep_spec(SPEC)
 assert isinstance(spec, SweepSpec)
 
 rows = run_sweep(spec)
@@ -39,9 +39,9 @@ for r in strict[:5]:
     print(f"  x=({r['x1']:.2f}, {r['x2']:.2f})  gap={r['gap']:.4f}  "
           f"lambda_max={r['lambda_max']:.6f}  ceiling={r['fstar_bound']:.6f}")
 
-out = Path(tempfile.gettempdir()) / "quditshare_sweep_demo.csv"
-from quditshare.cli import _rows_to_csv
-
-out.write_text(_rows_to_csv(rows))
-print(f"\nfull table written to {out}")
-print("equivalent CLI run: quditshare sweep SPEC.json")
+# the full table, through the same entry point as `quditshare sweep SPEC.json --out FILE`
+tmp = Path(tempfile.gettempdir())
+spec_path, out = tmp / "quditshare_sweep_demo.json", tmp / "quditshare_sweep_demo.csv"
+spec_path.write_text(json.dumps(SPEC))
+print()
+raise SystemExit(main(["sweep", str(spec_path), "--out", str(out)]))

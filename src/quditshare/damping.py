@@ -61,23 +61,45 @@ Both ceiling verdicts read one identity. With N = N(Choi) =
     lambda_max - (1 + 2N)/d = ((d-2) sum x_i^2 - 2 sum_{i<j} x_i x_j) / d^2
                             = sum_{i<j} (x_i - x_j)^2 / d^2 = gap / d^2,
 
-and ``fef_psi_prime`` = s/d is lambda_max bit for bit, so the certificate
-compares ``gap`` with 0 instead of two rounded floats whose difference
-cancels. ``damping_gap`` sums the squared differences in O(d) as
-(d-1) sum z_i^2 - (sum z_i)^2 with z = x - x_1, which is exactly 0.0 when
-all x_i are equal and positive otherwise (its docstring says why).
+and ``fef_psi_prime`` = s/d is lambda_max, so lambda_max and the best
+input's fidelity exceed the ceiling exactly when some x_i differ.
+``damping_gap`` reports the pair sum in O(d) as (d-1) sum z_i^2 - (sum z_i)^2
+with z = x - x_1, which is exactly 0.0 when all x_i are equal and positive
+otherwise, unless every difference is below about 1e-154 and its square
+underflows (its docstring says why).
+
+The negativity verdict reads a second identity. Write y_m = x_m^2,
+c_m = 1 - y_m and h_m = sqrt(c_m^2 + 4) - 2 = c_m^2 / (sqrt(c_m^2 + 4) + 2),
+which is >= 0. In the N(psi') above, each block term is y_m (1 + y_m + h_m) / 2:
+
+    (sqrt(c_m^2 + 4) - c_m) / 2 = (h_m + 2 - c_m) / 2 = (1 + y_m + h_m) / 2,
+    sum_{1<=i<j} y_i y_j + sum_m y_m^2 / 2 = (sum_m y_m)^2 / 2 = (s - 1) sum_m y_m / 2,
+    so s N(psi') = s sum_m y_m / 2 + sum_m y_m h_m / 2,
+
+while d N(Phi+) = d sum_m y_m / 2 - gap / 2 by the expanded gap above. Hence
+
+    N(psi') - N(Phi+) = gap / (2d) + sum_m y_m h_m / (2 s).
+
+Both terms are >= 0. The first is 0 only when all x_i are equal, and the
+second only when each x_m is 0 or 1 (y_m = 0 or h_m = 0), so the difference
+is 0 only at x = (0, ..., 0) and x = (1, ..., 1). So every verdict reads an
+exact predicate of x, not a comparison of computed floats: the ceiling
+verdict reads max x_i > min x_i, the advantage verdict that and a positive
+spread (1 - min x_i > 0 is exact), and the negativity verdict
+max x_i > 0 and min x_i < 1. No rounding or underflow can flip a verdict;
+the reported numbers keep the forms above.
 
 Every point of the closed cube [0, 1]^{d-1} is a channel, and every closed
 form holds there. The theorem's hypotheses (each 0 < x_i < 1, not all x_i
-equal) are needed only for the strict inequality chain. ``_hypotheses``
-states them once, row-wise: ``advantage_certificate`` checks its point with
-it, and ``sweep`` takes its strict rows from its mask.
+equal) are needed only for the strict inequality chain, and they make all
+three verdicts true. ``_hypotheses`` states them once, row-wise and exactly:
+``advantage_certificate`` checks its point with it, and ``sweep`` takes its
+strict rows from its mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import combinations
 
 import numpy as np
 
@@ -86,7 +108,6 @@ from .errors import ParameterError
 from .measures import DEFAULT_RESTARTS, fef, negativity_of_matrix
 from .states import PureBipartiteState
 
-DISTINCTNESS_TOL = 1e-12
 CLOSED_NUMERIC_TOL = 1e-10
 
 
@@ -158,15 +179,14 @@ def _closed_forms(d: int, xs: np.ndarray) -> dict:
     y = xs**2
     sq = y.sum(axis=1)
     s = 1.0 + sq
-    # s/d is lambda_max and the best input's fef, the same bits, so the input
-    # beats the ceiling exactly when gap > 0
     lam = s / d
     neg = (sq + _pair_sum(xs)) / d
     # damping_gap says why this pair sum of squared differences cannot cancel
     z = xs - xs[:, :1]
     gap = (d - 1) * np.vecdot(z, z) - z.sum(axis=1) ** 2
     root_s = np.sqrt(s)
-    spread = (1.0 - xs.min(axis=1)) / root_s
+    lo, hi = xs.min(axis=1), xs.max(axis=1)
+    spread = (1.0 - lo) / root_s
     c = 1.0 - y
     # the block term (sqrt(c^2 + 4) - c) / 2 as 2 / (sqrt(c^2 + 4) + c): no cancellation
     blocks = (2.0 * y / (np.sqrt(c * c + 4.0) + c)).sum(axis=1)
@@ -180,9 +200,11 @@ def _closed_forms(d: int, xs: np.ndarray) -> dict:
         "psi_prime_schmidt_spread": spread,
         "fef_psi_prime": lam,
         "negativity_psi_prime": neg_psi_prime,
-        "verdict_ceiling": gap > 0.0,
-        "verdict_advantage": (gap > 0.0) & (spread > 0.0),
-        "verdict_negativity_advantage": neg_psi_prime > neg,
+        # by the module docstring's two identities, each verdict is an exact
+        # predicate of x
+        "verdict_ceiling": hi > lo,
+        "verdict_advantage": (hi > lo) & (spread > 0.0),
+        "verdict_negativity_advantage": (hi > 0.0) & (lo < 1.0),
     }
 
 
@@ -201,13 +223,9 @@ def damping_pt_spectrum(p: DampingParams) -> np.ndarray:
 
     Multiset: 1/d with multiplicity d, +-x_i^2/d, and +-x_i x_j/d for i < j.
     """
-    d, x = p.d, p.x
-    vals = [1.0 / d] * d
-    for xi in x:
-        vals += [xi * xi / d, -xi * xi / d]
-    for i, j in combinations(range(x.size), 2):
-        vals += [x[i] * x[j] / d, -x[i] * x[j] / d]
-    return np.sort(np.array(vals))
+    d = p.d
+    pairs = np.outer(p.x, p.x)[np.triu_indices(d - 1)] / d
+    return np.sort(np.concatenate((np.full(d, 1.0 / d), pairs, -pairs)))
 
 
 def damping_gap(p: DampingParams) -> float:
@@ -232,14 +250,22 @@ def damping_gap(p: DampingParams) -> float:
 class AdvantageCertificate:
     """All quantities and verdicts of the inequality chain for one parameter point.
 
-    verdict_ceiling:  lambda_max exceeds the ceiling (1 + 2N(Choi))/d, read
-        as gap > 0 from lambda_max - (1 + 2N)/d = gap/d^2.
+    Each verdict is an exact predicate of x, by the identities in the module
+    docstring; none compares two computed floats.
+
+    verdict_ceiling:  lambda_max exceeds the ceiling (1 + 2N(Choi))/d. As
+        lambda_max - (1 + 2N)/d = gap/d^2, this reads max x_i > min x_i.
     verdict_advantage: the best-input state is nonmaximally entangled (its
         Schmidt spread (1 - min x_i)/sqrt(s) > 0, which holds in floating
         point too whenever min x_i < 1) and its output fidelity, lambda_max
-        itself, exceeds that same ceiling (gap > 0).
+        itself, exceeds that same ceiling (max x_i > min x_i).
     verdict_negativity_advantage: the best-input output carries strictly more
-        negativity than the maximally entangled input's output.
+        negativity than the maximally entangled input's output. As
+        N(psi') - N(Phi+) = gap/(2d) + sum_m y_m h_m/(2s), this reads
+        max x_i > 0 and min x_i < 1.
+
+    ``gap`` is the reported pair sum: it can read 0.0 at distinct x when
+    every |x_i - x_j| is below about 1e-154, and the verdicts stay true.
     """
 
     params: DampingParams
@@ -267,10 +293,11 @@ class AdvantageCertificate:
 
 
 def _hypotheses(xs: np.ndarray):
-    """The theorem's hypotheses, row-wise over xs (..., d-1): whether each
-    0 < x_i < 1, and whether some pair differs by more than DISTINCTNESS_TOL."""
+    """The theorem's hypotheses, row-wise over xs (..., d-1), checked exactly:
+    whether each 0 < x_i < 1, and whether some x_i differ (max > min). Every
+    point that meets both gets three true verdicts."""
     inside = np.all((0.0 < xs) & (xs < 1.0), axis=-1)
-    return inside, xs.max(axis=-1) - xs.min(axis=-1) > DISTINCTNESS_TOL
+    return inside, xs.max(axis=-1) > xs.min(axis=-1)
 
 
 def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
@@ -288,8 +315,8 @@ def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
     if not inside:
         raise ParameterError("open-interval violated: strict x_i must satisfy 0 < x_i < 1")
     if not distinct:
-        raise ParameterError("distinctness violated: at least one pair x_i != x_j "
-                             f"(max gap {p.x.max() - p.x.min():.3g} <= {DISTINCTNESS_TOL})")
+        raise ParameterError("distinctness violated: at least one pair x_i != x_j, "
+                             f"got every x_i = {p.x[0].item()!r}")
     cert = {name: col[0] for name, col in _certificates(p.d, p.x[None]).items()}
     amps = np.zeros(p.d * p.d, dtype=complex)
     amps[:: p.d + 1] = cert.pop("psi_prime")

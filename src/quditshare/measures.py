@@ -108,8 +108,9 @@ def negativity_of_matrix(matrix: np.ndarray, d: int):
     eigs = np.linalg.eigvalsh(partial_transpose_matrix(matrix, d))
     eigs = np.where((eigs > -EIG_CLAMP) & (eigs < 0.0), 0.0, eigs)
     # each matrix's negative eigenvalues are summed on their own: a sum over
-    # a padded or masked row could group the terms differently
-    sums = [-row[row < 0.0].sum() for row in eigs.reshape(-1, d * d)]
+    # a padded or masked row could group the terms differently; 0.0 - sum
+    # gives +0.0, not -0.0, when there is none, and -sum otherwise
+    sums = [0.0 - row[row < 0.0].sum() for row in eigs.reshape(-1, d * d)]
     return float(sums[0]) if eigs.ndim == 1 else np.array(sums)
 
 
@@ -139,10 +140,11 @@ def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
     operator is replaced by that of a start still climbing.
     Each iteration polar-projects the power steps of the starts still
     climbing with one stacked SVD; a start leaves at the first step whose gain
-    is below DEFAULT_TOL. matmul against w[..., None] and vecdot round as the
-    start-by-start r @ w and np.vdot do (einsum and a GEMM do not), so every
-    start ends bit-identical to a run on its own. Returns the per-start
-    values, unitaries and converged flags.
+    is below DEFAULT_TOL, and the ascent returns once no start is climbing
+    (at once for an empty stack). matmul against w[..., None] and vecdot
+    round as the start-by-start r @ w and np.vdot do (einsum and a GEMM do
+    not), so every start ends bit-identical to a run on its own. Returns the
+    per-start values, unitaries and converged flags.
     """
     n = w0.shape[0]
     w = w0.reshape(n, d * d).astype(complex)
@@ -151,6 +153,8 @@ def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
     converged = np.zeros(n, dtype=bool)
     active = np.arange(n)
     for _ in range(DEFAULT_MAX_ITER):
+        if not active.size:
+            break
         u, _, vh = np.linalg.svd(y[active].reshape(-1, d, d))
         w_new = (u @ vh).reshape(-1, d * d)
         y_new = np.matmul(r, w_new[..., None])[..., 0]
@@ -163,8 +167,6 @@ def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
         leaving = np.count_nonzero(done)
         if leaving:
             converged[active[done]] = True
-            if leaving == active.size:
-                break
             # the last staying starts take the leaving ones' places, so a
             # per-start r shrinks in place; the stacked SVD factors each
             # matrix on its own, so the order changes no result

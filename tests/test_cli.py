@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -355,6 +356,16 @@ def test_measures_identity(identity_file, capsys):
     assert abs(report["negativity"] - 1.0) < 1e-10
 
 
+def test_measures_fully_depolarizing_negativity_is_positive_zero(tmp_path, capsys):
+    # its Choi state is I/4, whose partial transpose has no negative eigenvalue
+    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])]
+    path = tmp_path / "depolarizing.json"
+    save_channel(kraus_validate([0.5 * np.array(p) for p in paulis]), path)
+    assert main(["measures", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["negativity"] == 0.0 and math.copysign(1.0, report["negativity"]) == 1.0
+
+
 def test_measures_state_file(omega_file, tmp_path, capsys):
     amps = [[0.0, 0.0]] * 9
     amps[0] = [1.0, 0.0]
@@ -429,6 +440,31 @@ def test_certify_strict_points_where_the_ceiling_sides_cancel(x, capsys):
     assert cert["gap"] > 0
     assert [cert[k] for k in ("verdict_ceiling", "verdict_advantage",
                               "verdict_negativity_advantage")] == [True] * 3
+
+
+@pytest.mark.parametrize("x", ["0.999999999,0.999999998", "0.5,0.5000000000001",
+                               "1e-200,2e-200"])
+def test_certify_strict_points_read_exact_verdicts(x, capsys):
+    # N(psi') - N(Phi+) is O((1 - x)^2) at the first, gap is 1e-26 at the
+    # second and underflows to 0.0 at the third; each verdict reads an exact
+    # predicate of x, so all three are true
+    assert main(["certify", "--d", "3", "--x", x]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert [cert[k] for k in ("verdict_ceiling", "verdict_advantage",
+                              "verdict_negativity_advantage")] == [True] * 3
+
+
+def test_sweep_certifies_rows_with_tiny_spread(tmp_path, capsys):
+    # distinctness is exact: only the point with x1 = x2 is skipped
+    out = tmp_path / "grid.json"
+    spec = {"d": 3, "axes": {"x1": {"start": 0.5, "stop": 0.5 + 1e-12, "steps": 3}},
+            "fixed": {"x2": 0.5}, "output_path": str(out), "format": "json"}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(dumps_fixed(spec))
+    assert main(["sweep", str(spec_path)]) == 0
+    rows = json.loads(out.read_text())
+    assert [r["status"] for r in rows] == ["skipped", "ok", "ok"]
+    assert all(r["verdict_negativity_advantage"] for r in rows[1:])
 
 
 def test_certify_distinctness_violation(capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,7 +36,7 @@ from quditshare import (
     top_choi_eigenpair,
 )
 from quditshare.channels import one_sided_stack
-from quditshare.damping import _certificates, _kraus_stack
+from quditshare.damping import _certificates, _closed_forms, _kraus_stack
 
 
 def test_channel_reference_point_operators():
@@ -55,9 +56,10 @@ def test_params_reject_equal_entries():
         advantage_certificate(DampingParams(3, [0.5, 0.5]))
 
 
-def test_params_reject_near_equal_below_threshold():
-    with pytest.raises(ParameterError, match="distinctness"):
-        advantage_certificate(DampingParams(3, [0.5 + 1e-13, 0.5]))
+def test_near_equal_points_certify():
+    # distinctness is exact: entries 1e-13 or one ulp apart meet it
+    for x in ([0.5 + 1e-13, 0.5], [0.3, np.nextafter(0.3, 1.0)]):
+        assert advantage_certificate(DampingParams(3, x)).all_verdicts_true
 
 
 def test_params_reject_boundary_values():
@@ -135,6 +137,20 @@ def test_pt_spectrum_sums_to_one():
     for d in (3, 4, 5):
         p = random_strict_params(d, rng)
         assert abs(damping_pt_spectrum(p).sum() - 1.0) < 1e-12
+
+
+def test_pt_spectrum_matches_pair_loop():
+    # the array form gives the multiset built pair by pair, bit for bit
+    rng = np.random.default_rng(62)
+    for d in range(3, 12):
+        for _ in range(20):
+            x = rng.uniform(0.0, 1.0, d - 1)
+            vals = [1.0 / d] * d
+            for xi in x:
+                vals += [xi * xi / d, -xi * xi / d]
+            for i, j in combinations(range(d - 1), 2):
+                vals += [x[i] * x[j] / d, -x[i] * x[j] / d]
+            assert np.array_equal(damping_pt_spectrum(DampingParams(d, x)), np.sort(vals))
 
 
 def test_pt_spectrum_near_ppt_at_small_x():
@@ -226,6 +242,68 @@ def test_ceiling_verdicts_read_the_gap():
             cert = advantage_certificate(DampingParams(d, x))
             assert cert.verdict_ceiling == (cert.gap > 0) == cert.verdict_advantage
             assert cert.verdict_ceiling and cert.psi_prime_schmidt_spread > 0
+
+
+def _negativity_margins(x):
+    """N(psi') - N(Phi+) at the floats x, in mpmath: directly from the two
+    negativities with 50 guard digits against their cancellation near x = 1,
+    and from the identity gap/(2d) + sum_m y_m h_m/(2s) at 50 digits."""
+    d = len(x) + 1
+    with mpmath.workdps(100):
+        xm = [mpmath.mpf(v) for v in x]
+        y = [v * v for v in xm]
+        s = 1 + sum(y)
+        pairs_y = sum(a * b for a, b in combinations(y, 2))
+        blocks = sum(v * (mpmath.sqrt((1 - v) ** 2 + 4) - (1 - v)) / 2 for v in y)
+        direct = (pairs_y + blocks) / s - (sum(y) + sum(a * b for a, b in combinations(xm, 2))) / d
+    with mpmath.workdps(50):
+        xm = [mpmath.mpf(v) for v in x]
+        y = [v * v for v in xm]
+        s = 1 + sum(y)
+        h = [(1 - v) ** 2 / (mpmath.sqrt((1 - v) ** 2 + 4) + 2) for v in y]
+        gap = sum((a - b) ** 2 for a, b in combinations(xm, 2))
+        identity = gap / (2 * d) + sum(v * w for v, w in zip(y, h)) / (2 * s)
+    return direct, identity
+
+
+def _margin_draws(rng, per_kind):
+    """(d, x) at d = 3..9: uniform; 1 - x_i log-uniform in [1e-12, 1e-3];
+    x_i log-uniform in [1e-300, 1e-3]; entries 0 or 1 of the closed cube,
+    with the all-0 and all-1 points."""
+    for d in range(3, 10):
+        n = d - 1
+        for _ in range(per_kind):
+            yield d, rng.uniform(0.0, 1.0, n)
+            yield d, 1.0 - 10.0 ** rng.uniform(-12.0, -3.0, n)
+            yield d, 10.0 ** rng.uniform(-300.0, -3.0, n)
+            yield d, rng.integers(0, 2, n).astype(float)
+        yield d, np.zeros(n)
+        yield d, np.ones(n)
+
+
+def test_negativity_margin_identity():
+    # N(psi') - N(Phi+) = gap/(2d) + sum_m y_m h_m/(2s) (module docstring),
+    # a sum of two terms >= 0 that is 0 only at x = 0 and x = 1; the
+    # negativity verdict reads that predicate of x
+    for d, x in _margin_draws(np.random.default_rng(72), 15):
+        direct, identity = _negativity_margins(x)
+        verdict = _closed_forms(d, x[None])["verdict_negativity_advantage"][0]
+        if np.all(x == 0.0) or np.all(x == 1.0):
+            assert direct == 0 and identity == 0 and not verdict
+        else:
+            assert identity > 0 and verdict, (d, x.tolist())
+            assert abs(direct - identity) <= mpmath.mpf(10) ** -40 * identity, (d, x.tolist())
+
+
+def test_verdicts_true_at_strict_points_near_the_corner():
+    # 1 - x_i log-uniform in [1e-9, 1e-3], where N(psi') - N(Phi+) is
+    # O((1 - x)^2) and the two rounded negativities can tie or cross
+    rng = np.random.default_rng(2026)
+    for d in range(3, 9):
+        xs = 1.0 - 10.0 ** rng.uniform(-9.0, -3.0, (2000, d - 1))
+        cols = _closed_forms(d, xs)
+        for name in ("verdict_ceiling", "verdict_advantage", "verdict_negativity_advantage"):
+            assert cols[name].all(), (d, name)
 
 
 def test_choi_spectrum_closed_form():

@@ -1,5 +1,6 @@
 """Negativity, fully entangled fraction, and the fidelity ceiling."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -51,8 +52,10 @@ REF = damping_kraus_oracle(3, [0.5, 0.9])
 
 
 def test_negativity_product_state():
-    rho = DensityOperator(2, np.diag([0.5, 0.5, 0.0, 0.0]))
-    assert negativity(rho) == 0.0
+    # with no negative partial-transpose eigenvalue the sum is +0.0, not -0.0
+    for m in (np.diag([0.5, 0.5, 0.0, 0.0]), np.eye(4) / 4):
+        value = negativity(DensityOperator(2, m))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_negativity_phi_plus():

@@ -2,6 +2,7 @@
 negativity solver, and the qubit exact formula."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -144,11 +145,13 @@ def test_negativity_search_identity_channel():
 
 
 def test_negativity_search_entanglement_breaking():
-    # measure-and-prepare in the computational basis: outputs always separable
-    ch = kraus_validate([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    res = maximize_negativity_input(ch)
-    assert res.best_value == 0.0
-    assert res.upper == 0.0
+    # measure-and-prepare in the computational basis, and the fully
+    # depolarizing channel: outputs always separable, negativity +0.0
+    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])]
+    for ops in ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0.5 * np.array(p) for p in paulis]):
+        res = maximize_negativity_input(kraus_validate(ops))
+        assert res.best_value == 0.0 and math.copysign(1.0, res.best_value) == 1.0
+        assert res.upper == 0.0
 
 
 def test_negativity_search_beats_phi_plus_on_damping_family():

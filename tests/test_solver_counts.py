@@ -314,3 +314,9 @@ def test_fef_single_start_budget(fef_calls):
     assert not res.converged
     assert fef_calls["svd"] == DEFAULT_MAX_ITER
     assert fef_calls["qr"] == 0
+
+
+def test_fef_batch_empty_stack_budget(fef_calls):
+    # with no start climbing, the ascent returns before its first SVD
+    assert fef_batch(np.zeros((0, 9, 9), complex)) == []
+    assert fef_calls == {"svd": 0, "qr": 0}

@@ -6,16 +6,24 @@ list of adjoints) is trace preserving exactly when the channel is unital; it is
 represented by the same container with ``trace_preserving=False`` and may still
 be applied one-sided, which is needed for the dual Choi state.
 
-The one-sided action, the completeness check and the top eigenpair each run
-on stacks too: ``one_sided_stack`` maps n Kraus lists, held as one
-(n, K, d, d) array (``kraus_stack``), on n inputs, in real arithmetic when
-the lists and inputs are real; ``primal_dual_choi`` gives the Choi states of
-n lists and of their dual maps from one such call; ``check_completeness``
-takes one list or such a stack; ``top_eigenpairs`` solves a stack of
-Hermitian matrices with one ``eigh``. ``apply_one_sided``, ``KrausChannel``
-and ``top_choi_eigenpair`` are these with n = 1, and every member of a stack
-gets the bits it gets alone, so ``audit`` can run a chunk of channels as a
-few stacked calls.
+The Kraus-stack kernels are written once here, on stacks, and a function on
+one channel is the kernel's one-row case, so every member of a stack gets the
+bits it gets alone and ``audit`` can run a chunk of channels as a few stacked
+calls:
+- ``one_sided_stack`` maps n Kraus lists, held as one (n, K, d, d) array
+  (``kraus_stack``), on n inputs, in real arithmetic when the lists and
+  inputs are real; ``apply_one_sided`` is its one-row case, and
+  ``primal_dual_choi`` gives the Choi states of n lists and of their dual
+  maps from one such call;
+- ``completeness_residual`` (and ``check_completeness``) takes one list or
+  such a stack; ``KrausChannel`` checks its list with it;
+- ``top_eigenpairs`` solves a stack of Hermitian matrices with one ``eigh``;
+  ``top_choi_eigenpair`` is its one-row case;
+- ``haar_from_gaussian`` makes a stack of Haar unitaries with one QR, and
+  ``haar_dilation_kraus`` blocks the unitaries it makes from a stack of
+  Gaussian dilations into Kraus lists; ``random_channel`` is its one-row
+  case, and ``audit`` draws its channels with it.
+In the stacked paths Phi+'s coefficient matrix is written as I / sqrt(d).
 """
 
 from __future__ import annotations
@@ -162,7 +170,9 @@ def primal_dual_choi(kraus: np.ndarray) -> np.ndarray:
     dual maps (Kraus lists of adjoints), as one (2n, d^2, d^2) stack from one
     ``one_sided_stack`` call; each is the ``choi_state`` of its map alone."""
     both = np.concatenate((kraus, kraus.conj().swapaxes(-1, -2)))
-    return one_sided_stack(both, max_entangled(kraus.shape[-1]).coefficient_matrix()[None])
+    d = kraus.shape[-1]
+    # Phi+'s coefficient matrix, I / sqrt(d)
+    return one_sided_stack(both, np.eye(d)[None] / np.sqrt(d))
 
 
 def apply_one_sided(ch: KrausChannel, psi: PureBipartiteState) -> DensityOperator:
@@ -237,18 +247,21 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return haar_from_gaussian(complex_gaussian(d, rng))
 
 
-def random_channel(d: int, n_kraus: int, rng: np.random.Generator) -> KrausChannel:
-    """Random channel from a Haar unitary dilation: completeness by construction.
+def haar_dilation_kraus(z: np.ndarray, d: int) -> np.ndarray:
+    """Kraus lists of Haar dilations, shape (..., k, d, d), from a stack
+    (..., d k, d k) of complex Gaussian matrices: the first d columns of each
+    Haar unitary (``haar_from_gaussian``, one QR for the stack) form an
+    isometry whose k blocks of d rows are its d x d Kraus operators."""
+    return haar_from_gaussian(z)[..., :d].reshape(*z.shape[:-2], z.shape[-1] // d, d, d)
 
-    The first d columns of a Haar unitary on C^{d * n_kraus} form an isometry
-    whose d x d blocks are the Kraus operators.
-    """
+
+def random_channel(d: int, n_kraus: int, rng: np.random.Generator) -> KrausChannel:
+    """Random channel from a Haar unitary dilation on C^{d * n_kraus}
+    (``haar_dilation_kraus``): completeness by construction."""
     if n_kraus < 1:
         raise ValueError("need at least one Kraus operator")
-    u = haar_unitary(d * n_kraus, rng)
-    iso = u[:, :d]
-    ops = tuple(iso[i * d : (i + 1) * d, :] for i in range(n_kraus))
-    return KrausChannel(dim=d, kraus_ops=ops)
+    ops = haar_dilation_kraus(complex_gaussian(d * n_kraus, rng), d)
+    return KrausChannel(dim=d, kraus_ops=tuple(ops))
 
 
 def channel_to_dict(ch: KrausChannel) -> dict:

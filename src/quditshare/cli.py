@@ -35,6 +35,7 @@ from .channels import (
     check_completeness,
     complex_gaussian,
     completeness_residual,
+    haar_dilation_kraus,
     haar_from_gaussian,
     is_unital,
     kraus_stack,
@@ -59,10 +60,12 @@ from .errors import (
     ToolkitError,
 )
 from .jsonio import csv_cell, dumps_fixed, format_real, json_int, json_real, load_json
-from .measures import _mes_overlaps, fef, fef_batch, negativity, negativity_of_matrix
+from .measures import (DEFAULT_RESTARTS, _mes_overlaps, fef, fef_batch, negativity,
+                       negativity_of_matrix)
 from .states import (
     PureBipartiteState,
     fidelity_with,
+    kron_identity,
     load_state,
     max_entangled,
     random_pure_state,
@@ -363,10 +366,9 @@ def _audit_draws(d: int, seed: int, lo: int, hi: int):
 
     Channel i draws from default_rng([seed, i]) alone, in this order: its
     Kraus count k, the Gaussian of its Haar dilation on C^{dk}, its input
-    (``random_pure_state``), then the Gaussian of W. The first d columns of
-    the dilation form an isometry whose d x d blocks are the Kraus
-    operators, as in ``random_channel``; the dilations take one QR per Kraus
-    count, and the W one QR.
+    (``random_pure_state``), then the Gaussian of W. ``haar_dilation_kraus``
+    turns the dilations into Kraus lists with one QR per Kraus count, and
+    the W take one QR.
     """
     counts, dilations, inputs, rotations = [], [], [], []
     for i in range(lo, hi):
@@ -379,8 +381,7 @@ def _audit_draws(d: int, seed: int, lo: int, hi: int):
     kraus = [None] * len(counts)
     for k in sorted(set(counts)):
         rows = [r for r, count in enumerate(counts) if count == k]
-        iso = haar_from_gaussian(np.stack([dilations[r] for r in rows]))[..., :d]
-        for r, ops in zip(rows, iso.reshape(len(rows), k, d, d)):
+        for r, ops in zip(rows, haar_dilation_kraus(np.stack([dilations[r] for r in rows]), d)):
             kraus[r] = ops
     return kraus_stack(kraus), np.stack(inputs), haar_from_gaussian(np.stack(rotations))
 
@@ -406,7 +407,7 @@ def _audit_chunk(d: int, seed: int, lo: int, hi: int):
 
     # (W (x) I) rho (W (x) I)^dag against the output of the rotated input,
     # in steps that hold few stacks at once
-    wi = np.kron(w, np.eye(d)[None])
+    wi = kron_identity(w)
     rhs = wi @ rho
     wi = wi.conj()
     rhs = rhs @ wi.swapaxes(-1, -2)
@@ -443,7 +444,8 @@ def _audit_pauli(seed: int, lo: int, hi: int) -> np.ndarray:
         weights[row] = w
     kraus = np.sqrt(weights)[:, :, None, None] * _PAULIS
     check_completeness(kraus)
-    choi = one_sided_stack(kraus, max_entangled(2).coefficient_matrix()[None])
+    # Phi+'s coefficient matrix, I / sqrt(2)
+    choi = one_sided_stack(kraus, np.eye(2)[None] / np.sqrt(2))
     lam = np.linalg.eigvalsh(choi)[:, -1]
     # qubit_optimal_fidelity: (1 + 2 N(J)) / 2
     exact = (1.0 + 2.0 * negativity_of_matrix(choi, 2)) / 2.0
@@ -542,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="FEF ascent seed; used only for phiplus/STATE.json inputs at d >= 3, "
                    "when the identity's bracket stays open; fef_certified does not depend on it")
-    p.add_argument("--restarts", type=_int_at_least(1), default=32, metavar="N",
+    p.add_argument("--restarts", type=_int_at_least(1), default=DEFAULT_RESTARTS, metavar="N",
                    help="FEF ascent: at most N starts; seeded starts run only when the "
                    "identity's bracket stays open (phiplus/STATE.json inputs at d >= 3); "
                    "the dual-point search that may close it tries the least-squares "

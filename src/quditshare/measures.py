@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import complex_gaussian, haar_from_gaussian
-from .states import EIG_CLAMP, DensityOperator, partial_transpose_matrix
+from .states import EIG_CLAMP, DensityOperator, kron_identity, overlaps, partial_transpose_matrix
 
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 500
@@ -142,9 +142,9 @@ def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
     climbing with one stacked SVD; a start leaves at the first step whose gain
     is below DEFAULT_TOL, and the ascent returns once no start is climbing
     (at once for an empty stack). matmul against w[..., None] and vecdot
-    round as the start-by-start r @ w and np.vdot do (einsum and a GEMM do
-    not), so every start ends bit-identical to a run on its own. Returns the
-    per-start values, unitaries and converged flags.
+    round each start on its own (einsum and a GEMM do not), so every start
+    ends bit-identical to a run on its own. Returns the per-start values,
+    unitaries and converged flags.
     """
     n = w0.shape[0]
     w = w0.reshape(n, d * d).astype(complex)
@@ -196,15 +196,6 @@ def _seeded_starts(d: int, restarts: int, seed: int) -> np.ndarray:
 def _herm(m: np.ndarray) -> np.ndarray:
     """The Hermitian part of m; exactly Hermitian, as fl(x + y) = fl(y + x)."""
     return 0.5 * (m + m.conj().T)
-
-
-def _kron_parts(a: np.ndarray, b: np.ndarray):
-    """(A (x) I, I (x) B), entry [(i, k), (j, l)] at [i, k, j, l], exact."""
-    d = a.shape[0]
-    n = d * d
-    eye = np.eye(d)
-    return ((a[:, None, :, None] * eye[None, :, None, :]).reshape(n, n),
-            (eye[:, None, :, None] * b[None, :, None, :]).reshape(n, n))
 
 
 def _adjoint(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -280,9 +271,9 @@ def _certified(r: np.ndarray, w: np.ndarray, value: float, points: int) -> bool:
     descent (memory _POLISH_MEMORY, Armijo backtracking) lowers
     lambda_max(M(C)) smoothed as mu log tr exp(M(C) / mu), mu = _POLISH_MU,
     whose gradient L*(softmax of M(C)'s spectrum) takes one ``eigh``; every
-    point that fails, but the last allowed, takes that ``eigh``. Every point is a real combination of
-    exactly Hermitian matrices, so A and B are exactly Hermitian, as
-    ``_proves`` needs.
+    point that fails, but the last allowed, takes that ``eigh``. Every point
+    is a real combination of exactly Hermitian matrices, so A and B are
+    exactly Hermitian, as ``_proves`` needs.
     """
     d = w.shape[0]
     x = _herm((r @ w.reshape(-1)).reshape(d, d) @ w.conj().T)
@@ -293,8 +284,7 @@ def _certified(r: np.ndarray, w: np.ndarray, value: float, points: int) -> bool:
     def point(c):
         """(A, B, M) at C; M takes two roundings per entry after R_h."""
         a, b = x - c, _herm(w.conj().T @ c @ w).T
-        a_i, i_b = _kron_parts(a, b)
-        return a, b, rh - (a_i + i_b)
+        return a, b, rh - (kron_identity(a) + kron_identity(b, first=False))
 
     def trial(c):
         """(proved, smoothed lambda_max, gradient); no eigh, and None for
@@ -318,7 +308,7 @@ def _certified(r: np.ndarray, w: np.ndarray, value: float, points: int) -> bool:
     memory = []
     while grad is not None:
         direction = -_lbfgs_apply(grad, memory, 1.0 / (2 * d))
-        slope = np.vdot(grad, direction).real
+        slope = np.vecdot(grad.ravel(), direction.ravel()).real
         step = 1.0
         while True:
             c_new = c + step * direction
@@ -328,8 +318,8 @@ def _certified(r: np.ndarray, w: np.ndarray, value: float, points: int) -> bool:
             if f_new <= f + 1e-4 * step * slope:
                 break
             step *= 0.5
-        s, y = c_new - c, grad_new - grad
-        sy = np.vdot(s, y).real
+        s, y = (c_new - c).ravel(), (grad_new - grad).ravel()
+        sy = np.vecdot(s, y).real
         if sy > 0:
             memory = [*memory[1 - _POLISH_MEMORY:], (s, y, 1.0 / sy)]
         c, f, grad = c_new, f_new, grad_new
@@ -337,32 +327,30 @@ def _certified(r: np.ndarray, w: np.ndarray, value: float, points: int) -> bool:
 
 
 def _lbfgs_apply(grad: np.ndarray, memory: list, scale: float) -> np.ndarray:
-    """The L-BFGS two-loop product H grad for the pairs (s, y, 1 / s.y) in
-    ``memory``, oldest first; H_0 = (s.y / y.y) I from the newest pair, or
-    ``scale`` I when there is none."""
-    q = grad.copy()
+    """The L-BFGS two-loop product H grad for the pairs (s, y, 1 / s.y) of
+    flattened matrices in ``memory``, oldest first; H_0 = (s.y / y.y) I from
+    the newest pair, or ``scale`` I when there is none."""
+    q = grad.flatten()
     alphas = []
     for s, y, rho in reversed(memory):
-        alpha = rho * np.vdot(s, q).real
+        alpha = rho * np.vecdot(s, q).real
         q -= alpha * y
         alphas.append(alpha)
     if memory:
         s, y, _ = memory[-1]
-        scale = np.vdot(s, y).real / np.vdot(y, y).real
+        scale = np.vecdot(s, y).real / np.vecdot(y, y).real
     q *= scale
     for (s, y, rho), alpha in zip(memory, reversed(alphas)):
-        q += (alpha - rho * np.vdot(y, q).real) * s
-    return q
+        q += (alpha - rho * np.vecdot(y, q).real) * s
+    return q.reshape(grad.shape)
 
 
 def _mes_overlaps(mats: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """<Phi_W| rho |Phi_W>, clamped to [0, 1], where Phi_W = (W (x) I)|Phi+>,
-    for a stack of operators (n, d^2, d^2) and their unitaries (n, d, d), or
-    one (d, d) for all; matmul against v[..., None] and vecdot round as
-    ``fidelity_with``'s rho @ v and np.vdot do."""
+    """``overlaps`` of a stack of operators (n, d^2, d^2) with Phi_W =
+    (W (x) I)|Phi+>, whose amplitudes are W / sqrt(d), for their unitaries
+    (n, d, d), or one (d, d) for all."""
     d = ws.shape[-1]
-    v = ws.reshape(*ws.shape[:-2], d * d) / np.sqrt(d)
-    return np.clip(np.vecdot(v, np.matmul(mats, v[..., None])[..., 0]).real, 0.0, 1.0)
+    return overlaps(mats, ws.reshape(*ws.shape[:-2], d * d) / np.sqrt(d))
 
 
 def _fef_stack(mats: np.ndarray, restarts: int = 1, seed: int = 0) -> list[FefResult]:

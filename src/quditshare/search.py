@@ -4,19 +4,25 @@ The best input for the Phi+ overlap of the channel output is exact: the top
 eigenvector of the dual-map Choi state, with value its largest eigenvalue.
 
 The best output negativity over pure inputs (Vidal & Werner, PRA 65, 032314
-(2002)) is concave with a proved bracket. Write psi = vec(A), sigma = A^dag A,
-J the Choi state and M = -d J^Gamma. Then rho_psi^Gamma = -(A (x) I) M
-(A (x) I)^dag is unitarily equivalent to -K, K = (sqrt(sigma) (x) I) M
-(sqrt(sigma) (x) I), so N* = max over density matrices sigma of
-g(sigma) = tr K_+, attained by vec(sqrt(sigma)); g(sigma) = max tr(QM) over
-0 <= Q <= sigma (x) I is concave, so every local maximum is global.
+(2002)) is concave, and each iterate brackets it. Write psi = vec(A),
+sigma = A^dag A, J the Choi state and M = -d J^Gamma. Then rho_psi^Gamma =
+-(A (x) I) M (A (x) I)^dag is unitarily equivalent to -K,
+K = (sqrt(sigma) (x) I) M (sqrt(sigma) (x) I), so N* = max over density
+matrices sigma of g(sigma) = tr K_+, attained by vec(sqrt(sigma));
+g(sigma) = max tr(QM) over 0 <= Q <= sigma (x) I is concave, so every local
+maximum is global.
 
 Dual point: by SDP weak duality (Watrous, The Theory of Quantum Information,
 sec. 1.2), N* <= lambda_max(tr_B Y) for every Y >= M with Y >= 0. A full-rank
 sigma gives Y = (sigma^-1/2 (x) I) K_+ (sigma^-1/2 (x) I), with
 tr(sigma tr_B Y) = g(sigma). Float correction: for
-eps = max(0, -lambda_min(Y - M), -lambda_min(Y)), Y + eps I is exactly
-feasible, so upper = lambda_max(tr_B Y) + d eps bounds N* for any computed Y.
+eps = max(0, -lambda_min(Y - M), -lambda_min(Y)), Y + eps I is feasible as
+far as the computed eigenvalues tell, so upper = lambda_max(tr_B Y) + d eps
+bounds N* for any computed Y up to eigensolver rounding. eps and
+lambda_max(tr_B Y) come from floating-point eigensolves with no rounding
+margin, so ``upper`` may sit below N* by an amount of order d^2 u ||M||
+(u the unit roundoff). A rounding-proved ``upper`` waits for a
+rounding-proved bound helper like the Cholesky test of ``measures``.
 
 Iteration: from sigma = I/d, the plain step goes to tr_B K_+ / tr K_+, a
 Blahut-Arimoto style update that converges linearly at a rate set by the
@@ -39,7 +45,7 @@ import numpy as np
 from .channels import KrausChannel, apply_one_sided, choi_state, dual, top_choi_eigenpair
 from .errors import DimensionError, InvalidOperatorError
 from .measures import negativity
-from .states import PureBipartiteState, partial_transpose_matrix
+from .states import PureBipartiteState, kron_identity, partial_trace_matrix, partial_transpose
 
 NEG_DEFAULT_MAX_ITER = 2000
 NEG_DEFAULT_TOL = 1e-9
@@ -50,8 +56,9 @@ ANDERSON_DEPTH = 8  # iterates kept for Anderson mixing, at most d^2 - 1
 @dataclass(frozen=True, eq=False)
 class SearchResult:
     """Outcome of an input-state search: ``best_state`` reaches ``best_value``,
-    ``upper`` is a proved bound on the optimum, and ``trace`` holds the
-    negativity solver's (iteration, lower, upper), one per iteration."""
+    ``upper`` bounds the optimum up to eigensolver rounding (see the module
+    docstring), and ``trace`` holds the negativity solver's (iteration,
+    lower, upper), one per iteration."""
 
     best_state: PureBipartiteState
     best_value: float
@@ -87,7 +94,8 @@ def qubit_optimal_fidelity(ch: KrausChannel) -> float:
 def maximize_negativity_input(
     ch: KrausChannel, restarts: int | None = None, seed: int | None = None
 ) -> SearchResult:
-    """Best output negativity over pure inputs, with a proved bracket.
+    """Best output negativity over pure inputs, with a bracket that holds up
+    to eigensolver rounding.
 
     Runs the fixed point of the module docstring until [best lower, best upper]
     is within ``NEG_DEFAULT_TOL``, or an iterate has g = 0 (at I/d that is the
@@ -97,7 +105,7 @@ def maximize_negativity_input(
     monotone. ``restarts`` and ``seed`` are accepted and ignored.
     """
     d = ch.dim
-    m = -d * partial_transpose_matrix(choi_state(ch).matrix, d)
+    m = -d * partial_transpose(choi_state(ch))
     eye = np.eye(d)
     x = -np.log(d) * eye + 0j  # log sigma, sigma = I/d
     w, u = np.full(d, 1.0 / d), eye  # eigenpairs of sigma
@@ -107,12 +115,12 @@ def maximize_negativity_input(
     for it in range(NEG_DEFAULT_MAX_ITER):
         root = (u * np.sqrt(w)) @ u.conj().T
         inv_root = (u / np.sqrt(np.maximum(w, SIGMA_FLOOR))) @ u.conj().T
-        lifted = np.kron(root, eye)
+        lifted = kron_identity(root)
         lam, vec = np.linalg.eigh(lifted @ m @ lifted)
         k_plus = (vec * np.maximum(lam, 0.0)) @ vec.conj().T
-        t = np.einsum("ijkj->ik", k_plus.reshape(d, d, d, d))
+        t = partial_trace_matrix(k_plus, d)
         lower = float(np.trace(t).real)
-        lifted_inv = np.kron(inv_root, eye)
+        lifted_inv = kron_identity(inv_root)
         y = lifted_inv @ k_plus @ lifted_inv
         # one batched call: lambda_min of Y - M and of Y
         eps = max(0.0, -float(np.linalg.eigvalsh(np.stack((y - m, y)))[:, 0].min()))

@@ -8,6 +8,14 @@ index i * d + j. The partial transpose acts on the second factor and the
 partial trace keeps the first. Transposing the first factor instead would give
 rho^{T_A} = (rho^{T_B})^T, which has the same spectrum, so no measure here
 depends on the choice.
+
+The bipartite layout kernels are written once here, on raw arrays:
+``kron_identity`` (A (x) I or I (x) A), ``overlaps`` (<v|rho|v>, clamped),
+``partial_transpose_matrix`` and ``partial_trace_matrix``. The first three
+take a stack (..., d, d) or (..., d^2, d^2) as well as one matrix, and a
+function on one object (``partial_transpose``, ``partial_trace``,
+``fidelity_with``) is the kernel's one-row case, so a stacked caller gets the
+bits the one-object call gives.
 """
 
 from __future__ import annotations
@@ -135,12 +143,11 @@ class SchmidtDecomposition:
 
 
 def max_entangled(d: int) -> PureBipartiteState:
-    """The canonical maximally entangled state (1/sqrt(d)) sum_i |ii>."""
+    """The canonical maximally entangled state (1/sqrt(d)) sum_i |ii>: its
+    coefficient matrix is I / sqrt(d)."""
     if d < 2:
         raise DimensionError(f"dimension must be >= 2, got {d}")
-    amps = np.zeros(d * d, dtype=complex)
-    amps[:: d + 1] = 1.0 / np.sqrt(d)
-    return PureBipartiteState(d, amps)
+    return PureBipartiteState(d, (np.eye(d) / np.sqrt(d)).reshape(-1))
 
 
 def mes_from_unitary(w: np.ndarray) -> PureBipartiteState:
@@ -190,12 +197,38 @@ def schmidt(state: PureBipartiteState) -> SchmidtDecomposition:
     return SchmidtDecomposition(coefficients=s, left_basis=u.T, right_basis=vh)
 
 
+def kron_identity(a: np.ndarray, first: bool = True) -> np.ndarray:
+    """A (x) I, or I (x) A when ``first`` is False, for a d x d matrix or a
+    stack (..., d, d): entry [(i, k), (j, l)] at [..., i, k, j, l]. Each entry
+    is one product with 1 or 0, so it is exact, signed zeros included."""
+    d = a.shape[-1]
+    t = a[..., :, None, :, None] * np.eye(d)[:, None, :]
+    if not first:
+        # I (x) A is A (x) I with the factors swapped on both sides
+        t = t.swapaxes(-4, -3).swapaxes(-2, -1)
+    return t.reshape(*a.shape[:-2], d * d, d * d)
+
+
+def overlaps(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """<v| rho |v>, clamped to [0, 1], for operators (..., D, D) and vectors
+    (..., D), broadcast against each other. matmul against v[..., None] and
+    vecdot round each row on its own (einsum and a GEMM do not), so every
+    row is the one-row call's."""
+    return np.clip(np.vecdot(vecs, np.matmul(mats, vecs[..., None])[..., 0]).real, 0.0, 1.0)
+
+
 def partial_transpose_matrix(matrix: np.ndarray, d: int) -> np.ndarray:
     """Transpose of the second factor of a raw d^2 x d^2 matrix, or of each
     matrix in a stack (..., d^2, d^2) (result may be non-PSD)."""
     matrix = np.asarray(matrix)
     t = matrix.reshape(*matrix.shape[:-2], d, d, d, d).swapaxes(-1, -3)
     return t.reshape(matrix.shape)
+
+
+def partial_trace_matrix(matrix: np.ndarray, d: int) -> np.ndarray:
+    """Trace over the second factor of a raw d^2 x d^2 matrix: the d x d
+    reduced matrix on the first."""
+    return np.einsum("ijkj->ik", matrix.reshape(d, d, d, d))
 
 
 def partial_transpose(rho: DensityOperator) -> np.ndarray:
@@ -209,16 +242,13 @@ def partial_transpose(rho: DensityOperator) -> np.ndarray:
 
 def partial_trace(rho: DensityOperator) -> np.ndarray:
     """tr_B rho: the reduced matrix on the first (retained) factor."""
-    d = rho.dim
-    return np.einsum("ijkj->ik", rho.matrix.reshape(d, d, d, d))
+    return partial_trace_matrix(rho.matrix, rho.dim)
 
 
 def fidelity_with(rho: DensityOperator, phi: PureBipartiteState) -> float:
-    """<phi| rho |phi>, clamped to [0, 1]."""
+    """<phi| rho |phi>, clamped to [0, 1]: ``overlaps`` with one row."""
     if rho.dim != phi.dim:
         raise DimensionError(
             f"state dimension {phi.dim} does not match operator dimension {rho.dim}"
         )
-    v = phi.amplitudes
-    val = np.vdot(v, rho.matrix @ v)
-    return float(min(1.0, max(0.0, val.real)))
+    return float(overlaps(rho.matrix, phi.amplitudes))

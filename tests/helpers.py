@@ -36,6 +36,16 @@ def pt_second_oracle(mat, d):
     return out
 
 
+def partial_trace_oracle(mat, d):
+    """Trace over the second subsystem by explicit loops, summing j in order."""
+    out = np.zeros((d, d), dtype=mat.dtype)
+    for i in range(d):
+        for k in range(d):
+            for j in range(d):
+                out[i, k] += mat[i * d + j, k * d + j]
+    return out
+
+
 def negativity_oracle(mat, d):
     eigs = np.linalg.eigvalsh(pt_second_oracle(mat, d))
     return float(-eigs[eigs < 0].sum())

@@ -226,6 +226,19 @@ def test_random_channel_completeness():
             assert np.abs(acc - np.eye(d)).max() < 1e-12
 
 
+def test_random_channel_is_blocked_haar_dilation():
+    # the Kraus operators are the d x d blocks of the first d columns of
+    # haar_unitary(d k), drawn from an identically seeded generator
+    for d in (2, 3, 5):
+        for k in (1, 2, d + 1):
+            ch = random_channel(d, k, np.random.default_rng([d, k]))
+            u = haar_unitary(d * k, np.random.default_rng([d, k]))
+            expected = [u[i * d:(i + 1) * d, :d] for i in range(k)]
+            assert len(ch.kraus_ops) == k
+            for a, b in zip(ch.kraus_ops, expected):
+                assert np.array_equal(a.view(np.int64), np.ascontiguousarray(b).view(np.int64))
+
+
 def test_channel_json_roundtrip(tmp_path):
     rng = np.random.default_rng(26)
     ch = random_channel(3, 2, rng)

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -929,3 +930,17 @@ def test_cli_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_shared_kernels_have_one_spelling():
+    # A (x) I, <v|rho|v> and tr_B are written once, in states: no module
+    # spells them with np.kron, np.vdot or its own tr_B einsum
+    sources = {path.name: path.read_text()
+               for path in sorted(pathlib.Path(REPO_SRC, "quditshare").glob("*.py"))}
+    assert "states.py" in sources
+    for name, text in sources.items():
+        assert "np.kron" not in text, name
+        assert "np.vdot" not in text, name
+        if name != "states.py":
+            assert '"ijkj->ik"' not in text, name
+    assert '"ijkj->ik"' in sources["states.py"]

@@ -43,10 +43,10 @@ from quditshare.measures import (
     _ascend_unitaries,
     _certified,
     _herm,
-    _kron_parts,
     _proves,
     _seeded_starts,
 )
+from quditshare.states import kron_identity
 
 REF = damping_kraus_oracle(3, [0.5, 0.9])
 
@@ -142,7 +142,8 @@ def test_least_squares_point_reads_r_alone():
         r = rho.matrix / d
         w = _ascend_unitaries(r, d, np.eye(d, dtype=complex)[None])[1][0]
         x = _herm((r @ w.reshape(-1)).reshape(d, d) @ w.conj().T)
-        a_i, i_b = _kron_parts(0.5 * x, _herm(w.conj().T @ (0.5 * x) @ w).T)
+        a_i = kron_identity(0.5 * x)
+        i_b = kron_identity(_herm(w.conj().T @ (0.5 * x) @ w).T, first=False)
         rh = _herm(r)
         assert np.abs(_adjoint(rh - (a_i + i_b), w) - _adjoint(rh, w)).max() < 1e-13
 

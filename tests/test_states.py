@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import phi_plus_vector, random_unitary_oracle
+from helpers import partial_trace_oracle, phi_plus_vector, random_mixed, random_unitary_oracle
 from quditshare import (
     DensityOperator,
     DimensionError,
@@ -18,6 +18,7 @@ from quditshare import (
     random_pure_state,
     schmidt,
 )
+from quditshare.states import kron_identity, partial_trace_matrix
 
 
 def test_max_entangled_d2_amplitudes():
@@ -164,6 +165,64 @@ def test_partial_trace_of_mes_is_maximally_mixed():
     rho = pure_density(max_entangled(3))
     red = partial_trace(rho)
     assert np.abs(red - np.eye(3) / 3).max() < 1e-14
+
+
+def _bits(a):
+    """The raw 64-bit words of a real or complex array: equal bits, signed
+    zeros included."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _signed_zero_matrix(d, rng):
+    """A random complex d x d matrix with some real and imaginary parts set
+    to +0.0 and -0.0, so products with 0 produce zeros of both signs."""
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a.real[rng.random((d, d)) < 0.25] = -0.0
+    a.imag[rng.random((d, d)) < 0.25] = 0.0
+    a.imag[rng.random((d, d)) < 0.25] = -0.0
+    return a
+
+
+def test_kron_identity_matches_np_kron_bitwise():
+    # A (x) I and I (x) A, each entry one product with 1 or 0: the bits of
+    # np.kron, signed zeros included, on one matrix and on a stack
+    rng = np.random.default_rng(61)
+    for d in range(2, 8):
+        eye = np.eye(d)
+        for _ in range(20):
+            a = _signed_zero_matrix(d, rng)
+            for m in (a, a.real.copy()):
+                assert np.array_equal(_bits(kron_identity(m)), _bits(np.kron(m, eye)))
+                assert np.array_equal(_bits(kron_identity(m, first=False)),
+                                      _bits(np.kron(eye, m)))
+            stack = np.stack([a, _signed_zero_matrix(d, rng), -a.conj()])
+            assert np.array_equal(_bits(kron_identity(stack)), _bits(np.kron(stack, eye[None])))
+            assert np.array_equal(_bits(kron_identity(stack, first=False)),
+                                  _bits(np.kron(eye[None], stack)))
+
+
+def test_partial_trace_matrix_matches_loop_oracle():
+    rng = np.random.default_rng(63)
+    for d in range(2, 7):
+        for _ in range(5):
+            m = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+            assert np.array_equal(_bits(partial_trace_matrix(m, d)),
+                                  _bits(partial_trace_oracle(m, d)))
+        rho = random_mixed(d, rng)
+        oracle = partial_trace_oracle(rho.matrix, d)
+        assert np.array_equal(_bits(partial_trace(rho)), _bits(oracle))
+
+
+def test_fidelity_with_matches_clamped_vdot():
+    # the clamped <phi| rho @ phi> of np.vdot, bit for bit
+    rng = np.random.default_rng(65)
+    for d in range(2, 7):
+        for _ in range(20):
+            rho = random_mixed(d, rng, rank=int(rng.integers(1, d * d + 1)))
+            phi = random_pure_state(d, rng)
+            v = phi.amplitudes
+            expected = min(1.0, max(0.0, np.vdot(v, rho.matrix @ v).real))
+            assert np.array_equal(_bits(fidelity_with(rho, phi)), _bits(expected))
 
 
 def test_fidelity_projector_on_itself():

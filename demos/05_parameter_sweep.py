@@ -3,15 +3,17 @@
 Builds a sweep spec programmatically, runs it through the same machinery the
 ``quditshare sweep`` command uses, and summarizes the verdict landscape.
 Grid points violating the strict-parameter rules (here: the diagonal, where
-all x_i coincide) come back flagged 'skipped'.
+all x_i coincide) come back flagged 'skipped'. The table comes back as its
+columns, one array per output column.
 
 Run:  python demos/05_parameter_sweep.py
 """
 
-import collections
 import json
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from quditshare.cli import SweepSpec, main, parse_sweep_spec, run_sweep
 
@@ -26,18 +28,19 @@ SPEC = {
 spec = parse_sweep_spec(SPEC)
 assert isinstance(spec, SweepSpec)
 
-rows = run_sweep(spec)
-counts = collections.Counter(r["status"] for r in rows)
-print(f"grid points: {len(rows)}  ok: {counts['ok']}  skipped: {counts['skipped']}")
+table = run_sweep(spec)  # one array per output column
+ok = table["status"] == "ok"
+n_ok = int(ok.sum())
+print(f"grid points: {ok.size}  ok: {n_ok}  skipped: {ok.size - n_ok}")
 
-verdict_true = sum(1 for r in rows if r["status"] == "ok" and r["verdict_ceiling"])
-print(f"verdict_ceiling true on {verdict_true}/{counts['ok']} strict points")
+verdict_true = sum(table["verdict_ceiling"][ok])
+print(f"verdict_ceiling true on {verdict_true}/{n_ok} strict points")
 
 print("\nsmallest strictness gaps on the grid:")
-strict = sorted((r for r in rows if r["status"] == "ok"), key=lambda r: r["gap"])
-for r in strict[:5]:
-    print(f"  x=({r['x1']:.2f}, {r['x2']:.2f})  gap={r['gap']:.4f}  "
-          f"lambda_max={r['lambda_max']:.6f}  ceiling={r['fstar_bound']:.6f}")
+strict = sorted(np.flatnonzero(ok), key=lambda i: table["gap"][i])
+for i in strict[:5]:
+    print(f"  x=({table['x1'][i]:.2f}, {table['x2'][i]:.2f})  gap={table['gap'][i]:.4f}  "
+          f"lambda_max={table['lambda_max'][i]:.6f}  ceiling={table['fstar_bound'][i]:.6f}")
 
 # the full table, through the same entry point as `quditshare sweep SPEC.json --out FILE`
 tmp = Path(tempfile.gettempdir())

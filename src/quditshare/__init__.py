@@ -13,14 +13,16 @@ Library layers:
   from the identity, ``certified`` when a dual point, the least-squares
   one or (with restarts - 1 >= d^2) one polished from it, proves it within
   CERT_TOL of the optimum, and otherwise joined by seeded restarts that climb
-  as one stack; ``fef_batch`` gives ``fef(rho, restarts=1)`` for each
-  operator of a stack, and both run one routine on stacks of operators),
-  and the (tr rho + 2N)/d fidelity ceiling.
+  as one stack; ``fef_batch`` gives the array of ``fef(rho,
+  restarts=1).value`` over a stack of operators, with no bracket tried, and
+  both run one identity-start routine on stacks of operators), and the
+  (tr rho + 2N)/d fidelity ceiling.
 * :mod:`quditshare.damping` -- the level-damping channel family, its closed
   forms, and the advantage certificate.
 * :mod:`quditshare.search` -- input-state optimization (exact best-fidelity
-  input, the best output negativity by a certified fixed point with a proved
-  [lower, upper] bracket, qubit exact formula).
+  input, the best output negativity by a fixed point with a [lower, upper]
+  bracket, where ``upper`` is a bound only up to eigensolver rounding, qubit
+  exact formula).
 * :mod:`quditshare.cli` -- the ``quditshare`` command-line front end.
 """
 

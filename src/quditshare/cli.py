@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import math
 import re
 import sys
@@ -59,7 +58,8 @@ from .errors import (
     ParameterError,
     ToolkitError,
 )
-from .jsonio import csv_cell, dumps_fixed, format_real, json_int, json_real, load_json
+from .jsonio import (csv_cell, dump_fixed_items, dumps_fixed, format_real, json_int, json_real,
+                     load_json)
 from .measures import (DEFAULT_RESTARTS, _mes_overlaps, fef, fef_batch, negativity,
                        negativity_of_matrix)
 from .states import (
@@ -290,15 +290,17 @@ def _sweep_chunk_size(d: int) -> int:
     return max(1, CHUNK_BYTES // (4 * 8 * d**4))
 
 
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """One row per grid point, deterministic lexicographic order.
+def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
+    """The sweep table as its columns, one array per output column in output
+    order: d, x1..x{d-1}, status, then ``CERT_CSV_COLUMNS``. Rows run over
+    the grid in deterministic lexicographic order.
 
     The grid is one (n, d-1) array; a point outside the certificate's
-    hypotheses (``damping._hypotheses``) gives a 'skipped' row. The others
-    are certified in chunks of ``_sweep_chunk_size(d)`` whose dense
-    cross-checks are stacked; each row is the one its point gives alone, so
-    the table does not depend on the chunk size, and a failed cross-check
-    names its row.
+    hypotheses (``damping._hypotheses``) gives a 'skipped' row, whose
+    certificate cells are None. The others are certified in chunks of
+    ``_sweep_chunk_size(d)`` whose dense cross-checks are stacked; each row is
+    the one its point gives alone, so the table does not depend on the chunk
+    size, and a failed cross-check names its row.
     """
     d = spec.d
     mesh = np.meshgrid(*(np.linspace(start, stop, steps) for _, start, stop, steps in spec.axes),
@@ -306,29 +308,20 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     values = {**spec.fixed, **{name: g.reshape(-1) for (name, *_), g in zip(spec.axes, mesh)}}
     xs = np.column_stack(np.broadcast_arrays(*(values[f"x{i}"] for i in range(1, d))))
     strict = np.logical_and(*_hypotheses(xs))
-    names = [f"x{i}" for i in range(1, d)]
-    rows = [{"d": d, **dict(zip(names, x)), "status": "ok" if ok else "skipped",
-             **dict.fromkeys(CERT_CSV_COLUMNS)}
-            for x, ok in zip(xs.tolist(), strict.tolist())]
+    n = len(xs)
+    # d and the certificate columns hold Python objects, as the writers
+    # read no numpy int or bool; a skipped row's certificate cells are None
+    table = {"d": np.full(n, d, dtype=object), **{f"x{i}": xs[:, i - 1] for i in range(1, d)},
+             "status": np.where(strict, "ok", "skipped"),
+             **{column: np.full(n, None) for column in CERT_CSV_COLUMNS}}
     index = np.flatnonzero(strict)
     chunk = _sweep_chunk_size(d)
     for lo in range(0, index.size, chunk):
         part = index[lo:lo + chunk]
         certs = _certificates(d, xs[part], rows=part)
-        columns = [certs[field].tolist() for field in CERT_CSV_COLUMNS.values()]
-        for i, *cells in zip(part.tolist(), *columns):
-            rows[i].update(zip(CERT_CSV_COLUMNS, cells))
-    return rows
-
-
-def _rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = list(rows[0].keys())
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([csv_cell(row[k]) for k in header])
-    return buf.getvalue()
+        for column, field in CERT_CSV_COLUMNS.items():
+            table[column][part] = certs[field]
+    return table
 
 
 def cmd_sweep(args) -> int:
@@ -337,15 +330,20 @@ def cmd_sweep(args) -> int:
     fmt = args.format or spec.format
     if not out_path:
         raise ParameterError("no output path: set 'output_path' in the spec or pass --out")
-    rows = run_sweep(spec)
-    if fmt == "csv":
-        text = _rows_to_csv(rows)
-    else:
-        text = dumps_fixed(rows)
-    _write_text(text, out_path)
-    skipped = sum(1 for r in rows if r["status"] == "skipped")
-    print(f"rows: {len(rows)}")
-    print(f"skipped: {skipped}")
+    # the whole grid is certified before the file is opened, so a failed
+    # cross-check writes no table; the rows are then written one at a time
+    table = run_sweep(spec)
+    rows = zip(*table.values())
+    with open(out_path, "w") as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(table.keys())
+            writer.writerows([csv_cell(cell) for cell in row] for row in rows)
+        else:
+            dump_fixed_items((dict(zip(table, row)) for row in rows), fh)
+    status = table["status"]
+    print(f"rows: {status.size}")
+    print(f"skipped: {np.count_nonzero(status == 'skipped')}")
     print(f"written: {out_path}")
     return 0
 
@@ -470,24 +468,24 @@ def run_audit(d: int, n_channels: int, seed: int) -> dict:
     ``fef`` on that channel alone, so an audit with ``n_channels`` =
     worst_index + 1 replays the worst channel as its last one.
 
-    Each FEF is ``fef(rho, restarts=1)``: the identity start's ascent, which
-    climbs from Phi+ and so meets the floor check by construction. Channels
-    are audited in chunks of ``_audit_chunk_size(d)``: ``_audit_chunk``
-    builds a chunk's channels and runs its linear algebra as stacked calls.
-    ``fef_batch`` takes the chunk's stack of outputs as it is and gives its
-    FEFs from the one FEF routine; the floor is read by the stacked overlap
-    that gives every FEF value, and the ceiling takes one stacked
-    ``eigvalsh`` each for lambda_max and the partial-transpose negativity.
-    At d = 2 the Pauli check of the chunk's indices is stacked the same way.
-    Every deviation is bit for bit the one its channel gives alone, so the
-    report does not depend on the chunk size.
+    Each FEF is ``fef(rho, restarts=1).value``: the identity start's ascent,
+    which climbs from Phi+ and so meets the floor check by construction; no
+    certificate is read, so none is proved. Channels are audited in chunks
+    of ``_audit_chunk_size(d)``: ``_audit_chunk`` builds a chunk's channels
+    and runs its linear algebra as stacked calls. ``fef_batch`` takes the
+    chunk's stack of outputs as it is and gives their FEF values; the floor
+    is read by the stacked overlap that gives every FEF value, and the
+    ceiling takes one stacked ``eigvalsh`` each for lambda_max and the
+    partial-transpose negativity. At d = 2 the Pauli check of the chunk's
+    indices is stacked the same way. Every deviation is bit for bit the one
+    its channel gives alone, so the report does not depend on the chunk size.
     """
     chunk = _audit_chunk_size(d)
     parts = []
     for lo in range(0, n_channels, chunk):
         hi = min(lo + chunk, n_channels)
         rho, devs = _audit_chunk(d, seed, lo, hi)
-        part = [*devs.T, *_fef_deviations(rho, np.array([res.value for res in fef_batch(rho)]))]
+        part = [*devs.T, *_fef_deviations(rho, fef_batch(rho))]
         if d == 2:
             part.append(_audit_pauli(seed, lo, hi))
         parts.append(np.column_stack(part))

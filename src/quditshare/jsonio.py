@@ -52,6 +52,16 @@ def dumps_fixed(obj, indent=2) -> str:
     return _emit(obj, indent, 0) + "\n"
 
 
+def dump_fixed_items(items, fh, indent=2):
+    """Write ``dumps_fixed(list(items))`` to the text file ``fh``, one item
+    at a time, so the items need not all be held at once."""
+    opening = "[\n"
+    for item in items:
+        fh.write(f"{opening}{' ' * indent}{_emit(item, indent, 1)}")
+        opening = ",\n"
+    fh.write("[]\n" if opening == "[\n" else "\n]\n")
+
+
 def csv_cell(value) -> str:
     """Render one CSV cell: reals at 17 significant digits, bools lowercase."""
     if value is None:

@@ -42,17 +42,18 @@ eigensolves at order <= 25 for the default starts: above that numpy's
 ``eigh`` takes LAPACK's divide-and-conquer path, which runs threaded BLAS and
 spends CPU time out of proportion to its wall time.
 
-One routine computes the FEF of a stack (n, d^2, d^2) of operators of one
-d: at d = 2 every magic-basis eigensolve is one stacked ``eigh``; at d >= 3
-the identity starts climb as one stack, each against its own copy of
-rho / d, each bracket is then tried by ``_certified``, and an operator whose
-bracket stays open climbs its seeded starts as above. Every value is read
-from one stacked overlap <Phi_W|rho|Phi_W>, with no maximally entangled
-state built per result. ``fef`` is its one-operator case; ``fef_batch`` its
-case with one start (``fef(rho, restarts=1)``, no seeded start runs) on the
-stack ``audit`` holds. Each result is bit for bit the one-operator call's.
-The copies cost 16 d^4 bytes per operator, so callers with many operators
-pass them in batches (``audit`` passes one chunk of channels at a time).
+One routine, ``_identity_starts``, runs the identity start on a stack
+(n, d^2, d^2) of operators of one d: at d = 2 every magic-basis eigensolve
+is one stacked ``eigh``; at d >= 3 the starts climb as one stack, each
+against its own copy of rho / d. Every value is read from one stacked
+overlap <Phi_W|rho|Phi_W>, with no maximally entangled state built per
+result. ``fef`` runs it on its one operator, then tries the bracket and,
+when it stays open, climbs the seeded starts as above. ``fef_batch`` runs
+it on the stack ``audit`` holds and returns the values alone, each bit for
+bit ``fef(rho, restarts=1).value``; it tries no bracket, as ``audit`` reads
+no certificate. The copies cost 16 d^4 bytes per operator, so callers with
+many operators pass them in batches (``audit`` passes one chunk of channels
+at a time).
 """
 
 from __future__ import annotations
@@ -353,37 +354,18 @@ def _mes_overlaps(mats: np.ndarray, ws: np.ndarray) -> np.ndarray:
     return overlaps(mats, ws.reshape(*ws.shape[:-2], d * d) / np.sqrt(d))
 
 
-def _fef_stack(mats: np.ndarray, restarts: int = 1, seed: int = 0) -> list[FefResult]:
-    """``fef`` of each operator in a stack (n, d^2, d^2), each result bit for
-    bit the one-operator call's; the module docstring says how the stacks
-    are formed. ``restarts`` must be at least 1.
+def _identity_starts(mats: np.ndarray):
+    """The identity start of ``fef`` for each operator of a stack (n, d^2,
+    d^2) of one d: its ascent values against rho / d, its unitaries W and its
+    converged flags. At d = 2 every W is exact, from one stacked magic-basis
+    ``eigh``, and the values are None; at d >= 3 the starts climb as one
+    stack, each against its own copy of rho / d.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     n, d = mats.shape[0], math.isqrt(mats.shape[-1])
     if d == 2:
         _, vecs = np.linalg.eigh((_MAGIC.conj().T @ mats @ _MAGIC).real)
-        ws = (_MAGIC @ vecs[..., -1:]).reshape(n, 2, 2)
-        return [FefResult(value, w, True, True)
-                for value, w in zip(_mes_overlaps(mats, ws).tolist(), ws)]
-    # the ascent overwrites its stack, so each bracket reads rho / d anew
-    vals, ws, converged = _ascend_unitaries(mats / d, d, np.eye(d)[None].repeat(n, axis=0))
-    values = _mes_overlaps(mats, ws)
-    # the polish runs where it may spare a seeded stack of at least d^2 starts
-    points = _POLISH_POINTS if restarts - 1 >= d * d else 1
-    certified = [_certified(m / d, w, value, points)
-                 for m, w, value in zip(mats, ws, values.tolist())]
-    opened = [i for i, cert in enumerate(certified) if not cert] if restarts > 1 else []
-    for i in opened:
-        more = _ascend_unitaries(mats[i] / d, d, _seeded_starts(d, restarts, seed)[1:])
-        # the identity start first, then the seeded ones, as one stack of all orders them
-        best = int(np.argmax(np.concatenate((vals[i:i + 1], more[0]))))
-        if best:
-            ws[i], converged[i] = more[1][best - 1], more[2][best - 1]
-    if opened:
-        values[opened] = _mes_overlaps(mats[opened], ws[opened])
-    return [FefResult(value, w, bool(conv), cert)
-            for value, w, conv, cert in zip(values.tolist(), ws, converged, certified)]
+        return None, (_MAGIC @ vecs[..., -1:]).reshape(n, 2, 2), np.ones(n, dtype=bool)
+    return _ascend_unitaries(mats / d, d, np.eye(d)[None].repeat(n, axis=0))
 
 
 def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> FefResult:
@@ -407,13 +389,32 @@ def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -
     Deterministic for fixed (seed, restarts). Either way
     value >= <Phi+|rho|Phi+>, and ``restarts`` must be at least 1.
     """
-    return _fef_stack(rho.matrix[None], restarts, seed)[0]
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    d, mats = rho.dim, rho.matrix[None]
+    vals, ws, converged = _identity_starts(mats)
+    value = _mes_overlaps(mats, ws)
+    if d == 2:
+        return FefResult(value.item(), ws[0], True, True)
+    r = rho.matrix / d
+    # the polish runs where it may spare a seeded stack of at least d^2 starts
+    points = _POLISH_POINTS if restarts - 1 >= d * d else 1
+    certified = _certified(r, ws[0], value.item(), points)
+    if not certified and restarts > 1:
+        more = _ascend_unitaries(r, d, _seeded_starts(d, restarts, seed)[1:])
+        # the identity start first, then the seeded ones, as one stack of all orders them
+        best = int(np.argmax(np.concatenate((vals, more[0]))))
+        if best:
+            ws, converged = more[1][best - 1:best], more[2][best - 1:best]
+            value = _mes_overlaps(mats, ws)
+    return FefResult(value.item(), ws[0], bool(converged[0]), certified)
 
 
-def fef_batch(mats: np.ndarray) -> list[FefResult]:
-    """``fef(rho, restarts=1)`` of every operator in a stack (n, d^2, d^2) of
-    valid density matrices of one d, each result bit for bit the one-operator
-    call's; no seeded start runs. The ascent holds a copy of the stack, so
-    callers cut a long one into batches.
+def fef_batch(mats: np.ndarray) -> np.ndarray:
+    """The (n,) array of ``fef(rho, restarts=1).value`` for every operator in
+    a stack (n, d^2, d^2) of valid density matrices of one d, each bit for
+    bit the one-operator call's; no seeded start runs and no bracket is
+    tried. The ascent holds a copy of the stack, so callers cut a long one
+    into batches.
     """
-    return _fef_stack(mats)
+    return _mes_overlaps(mats, _identity_starts(mats)[1])

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
 import argparse
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from quditshare import (
 )
 from quditshare import channels, cli, damping, measures
 from quditshare.cli import main, parse_sweep_spec
-from quditshare.jsonio import dumps_fixed
+from quditshare.jsonio import dump_fixed_items, dumps_fixed
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -576,6 +578,53 @@ def test_sweep_single_point_matches_certify(tmp_path, capsys):
         assert rows[0][key] == cert[key]
     assert rows[0]["lambda_max"] == cert["lambda_max_closed"]
     assert rows[0]["fstar_bound"] == cert["fstar_bound_phiplus"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_grid_with_no_strict_point(tmp_path, capsys, fmt):
+    # x1 = 0 and x1 = 1 both leave the open interval, so no point is
+    # certified: the table is the header and two skipped rows, whose
+    # certificate cells are empty in CSV and null in JSON
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(dumps_fixed({"d": 3, "axes": {"x1": {"start": 0.0, "stop": 1.0,
+                                                              "steps": 2}},
+                                      "fixed": {"x2": 0.5}}))
+    out = tmp_path / f"grid.{fmt}"
+    assert main(["sweep", str(spec_path), "--out", str(out), "--format", fmt]) == 0
+    assert capsys.readouterr().out == f"rows: 2\nskipped: 2\nwritten: {out}\n"
+    columns = _readme_sweep_columns(3)
+    if fmt == "csv":
+        expected = "".join(f"{line}\n" for line in (
+            ",".join(columns), "3,0.0,0.5,skipped,,,,,,,,,", "3,1.0,0.5,skipped,,,,,,,,,"))
+    else:
+        expected = dumps_fixed([dict(zip(columns, [3, x1, 0.5, "skipped"]), **dict.fromkeys(
+            columns[4:])) for x1 in (0.0, 1.0)])
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_memory_per_point(tmp_path, capsys, fmt):
+    # the table is held as its columns and written one row at a time, so
+    # its memory peak on a 100 x 100 grid stays below 0.75 KB per point
+    axis = {"start": 0.0, "stop": 1.0, "steps": 100}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(dumps_fixed({"d": 3, "axes": {"x1": axis, "x2": axis}}))
+    argv = ["sweep", str(spec_path), "--out", str(tmp_path / f"grid.{fmt}"), "--format", fmt]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.splitlines()[:2] == ["rows: 10000", "skipped: 494"]
+    assert peak < 750 * 100 * 100
+
+
+@pytest.mark.parametrize("items", [[], [{}], [1.0, None], [{"a": [1, {"b": True}]}, "x", []]])
+def test_dump_fixed_items_writes_dumps_fixed_bytes(items):
+    fh = io.StringIO()
+    dump_fixed_items(iter(items), fh)
+    assert fh.getvalue() == dumps_fixed(items)
 
 
 README = os.path.join(os.path.dirname(REPO_SRC), "README.md")

@@ -43,6 +43,7 @@ from quditshare.measures import (
     _ascend_unitaries,
     _certified,
     _herm,
+    _identity_starts,
     _proves,
     _seeded_starts,
 )
@@ -372,19 +373,21 @@ def _check_fef_against_serial(rho, restarts, seed, starts):
     return res
 
 
-def _fef_bytes(res):
-    return res.value, res.maximizer_unitary.tobytes(), res.converged, res.certified
-
-
 def _check_batches_against_alone(rhos, singles):
-    """fef_batch on rhos, in batches of twice the size run_audit cuts, equals
-    fef(rho, restarts=1) on each operator alone: singles holds those results."""
+    """fef_batch on rhos, in batches of twice the size run_audit cuts, gives
+    fef(rho, restarts=1).value of each operator alone bit for bit, and its
+    identity starts end at the lone calls' maximizers and converged flags:
+    singles holds those results."""
     d = rhos[0].dim
     size = 2 * cli._audit_chunk_size(d)
     for lo in range(0, len(rhos), size):
-        got = fef_batch(np.stack([rho.matrix for rho in rhos[lo:lo + size]]))
-        assert [_fef_bytes(res) for res in got] == [
-            _fef_bytes(res) for res in singles[lo:lo + size]], (d, lo)
+        stack = np.stack([rho.matrix for rho in rhos[lo:lo + size]])
+        alone = singles[lo:lo + size]
+        values = fef_batch(stack)
+        assert values.tobytes() == np.array([res.value for res in alone]).tobytes(), (d, lo)
+        _, ws, converged = _identity_starts(stack)
+        assert [(w.tobytes(), bool(conv)) for w, conv in zip(ws, converged)] == [
+            (res.maximizer_unitary.tobytes(), res.converged) for res in alone], (d, lo)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -439,9 +442,8 @@ def test_fef_stacked_matches_serial_loop_at_iteration_cap():
     alone = [fef(f, restarts=1) for f in fast]
     assert all(r.converged for r in alone)
     assert {r.certified for r in alone} == {True, False}
-    got = fef_batch(np.stack([m.matrix for m in (fast[0], rho, *fast[1:])]))
-    assert [_fef_bytes(r) for r in got] == [
-        _fef_bytes(r) for r in (alone[0], fef(rho, restarts=1), *alone[1:])]
+    _check_batches_against_alone([fast[0], rho, *fast[1:]],
+                                 [alone[0], fef(rho, restarts=1), *alone[1:]])
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -81,8 +81,7 @@ def test_sweep_solver_budget(solver_calls, d):
     axis = {"start": 0.3, "stop": 0.7, "steps": 5}
     spec = cli.parse_sweep_spec({"d": d, "axes": {"x1": axis, f"x{d - 1}": axis},
                                  "fixed": {f"x{i}": 0.5 for i in range(2, d - 1)}})
-    rows = cli.run_sweep(spec)
-    strict = sum(row["status"] == "ok" for row in rows)
+    strict = np.count_nonzero(cli.run_sweep(spec)["status"] == "ok")
     chunks = -(-strict // cli._sweep_chunk_size(d))
     assert (strict, chunks) == ((20, 1) if d == 3 else (24, 3))
     assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 2 * chunks}
@@ -105,8 +104,7 @@ def test_sweep_builds_no_per_point_objects(monkeypatch, d):
     axis = {"start": 0.3, "stop": 0.7, "steps": 5}
     spec = cli.parse_sweep_spec({"d": d, "axes": {"x1": axis, f"x{d - 1}": axis},
                                  "fixed": {f"x{i}": 0.5 for i in range(2, d - 1)}})
-    rows = cli.run_sweep(spec)
-    assert sum(row["status"] == "ok" for row in rows) == (20 if d == 3 else 24)
+    assert np.count_nonzero(cli.run_sweep(spec)["status"] == "ok") == (20 if d == 3 else 24)
     assert built == {DampingParams: 0, PureBipartiteState: 0}
 
 
@@ -128,10 +126,22 @@ def test_fef_builds_no_per_result_objects(monkeypatch, d):
         original(self)
 
     monkeypatch.setattr(PureBipartiteState, "__post_init__", counted)
-    results = [fef(rho) for rho in rhos] + fef_batch(chunk)
+    results = [fef(rho) for rho in rhos]
+    values = fef_batch(chunk)
     if d == 3:
-        assert [res.certified for res in results[:2]] == [True, False]
-    assert len(results) == 8 and built == []
+        assert [res.certified for res in results] == [True, False]
+    assert values.shape == (6,) and built == []
+
+
+def test_audit_proves_no_certificate(monkeypatch):
+    # audit reads FEF values alone, so fef_batch tries no bracket: no dual
+    # point goes to a Cholesky, though one lone fef call at d = 3 sends one
+    calls = _count_calls(monkeypatch, ("cholesky",))
+    report = cli.run_audit(3, 40, 1)
+    assert report["pass"] and calls == {"cholesky": 0}
+    fef(apply_one_sided(random_channel(3, 2, np.random.default_rng(3)), max_entangled(3)),
+        restarts=1)
+    assert calls["cholesky"] >= 1
 
 
 def test_apply_one_sided_makes_no_solver_calls(solver_calls):
@@ -318,5 +328,6 @@ def test_fef_single_start_budget(fef_calls):
 
 def test_fef_batch_empty_stack_budget(fef_calls):
     # with no start climbing, the ascent returns before its first SVD
-    assert fef_batch(np.zeros((0, 9, 9), complex)) == []
+    values = fef_batch(np.zeros((0, 9, 9), complex))
+    assert isinstance(values, np.ndarray) and values.shape == (0,)
     assert fef_calls == {"svd": 0, "qr": 0}

@@ -6,13 +6,14 @@ order with 17-significant-digit reals, CSV uses '.' decimals, comma delimiter,
 and a header row. Exit codes: 0 success / all verdicts true, 1 verified-false
 or invariant violation, 2 usage or parameter error, 3 a dense linear-algebra
 routine failed (numpy.linalg.LinAlgError), a numerical cross-check failed
-(ArithmeticError: a closed form against its dense eigensolve, or an
-eigenvector's residual) or memory ran out (MemoryError), so no verdict was
+(ArithmeticError: a closed form against its symmetry-sector eigensolve, or
+an eigenvector's residual) or memory ran out (MemoryError), so no verdict was
 reached.
 Every error, a malformed command line included, leaves through ``main`` as
 one ``error: ...`` line on stderr; integer flags are bounded where they are
 parsed (seeds >= 0, ``--n`` and ``measures --restarts`` >= 1, ``audit --d`` in
-2..6).
+2..6), and the damping family's d, of ``certify --d`` and a sweep spec, in
+3..``damping.MAX_DIMENSION`` before anything of size d is built.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -81,7 +81,7 @@ AUDIT_TOLERANCES = {
 }
 
 MAX_SWEEP_POINTS = 10**6
-# bytes of the d^2 x d^2 stacks one audit or sweep chunk may hold at once
+# bytes of the stacks one audit or sweep chunk may hold at once
 CHUNK_BYTES = 1024 * 1024
 
 
@@ -233,9 +233,7 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
     except (TypeError, OverflowError) as exc:
         raise ParameterError(f"fixed components must be numbers: {exc}") from exc
     covered = set(axes_raw) | set(fixed)
-    # stops after a few misses, and finds none only when the spec itself names
-    # all d - 1 components, so a huge d costs nothing before it is rejected
-    missing = list(islice((f"x{i}" for i in range(1, d) if f"x{i}" not in covered), 4))
+    missing = [f"x{i}" for i in range(1, d) if f"x{i}" not in covered]
     if missing:
         more = " and more" if len(missing) > 3 else ""
         raise ParameterError(f"components {missing[:3]}{more} neither swept nor fixed")
@@ -282,12 +280,14 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
 
 
 def _sweep_chunk_size(d: int) -> int:
-    """Grid points per certificate chunk. At its peak a chunk holds about
-    four real d^2 x d^2 matrices per point: the Choi states, a one-sided
-    term or the partial transposes, and the eigensolver's copies. So the
-    chunk keeps its stacks within CHUNK_BYTES (8 points at d = 8, 404 at
-    d = 3), at least one."""
-    return max(1, CHUNK_BYTES // (4 * 8 * d**4))
+    """Grid points per certificate chunk. The symmetry-sector cross-check
+    holds O(d^2) numbers per point: the d x d block on span{|ii>} and the
+    eigensolver's copy, the d(d-1)/2 2x2 blocks, their eigenvalues and the
+    clamped copy, about 64 d^2 bytes in all (a tracemalloc peak of 37 to 48
+    d^2 bytes per point was measured at d = 3 and 8). So the chunk keeps its
+    stacks within CHUNK_BYTES (256 points at d = 8, 1,820 at d = 3), at
+    least one."""
+    return max(1, CHUNK_BYTES // (64 * d**2))
 
 
 def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
@@ -298,7 +298,7 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
     The grid is one (n, d-1) array; a point outside the certificate's
     hypotheses (``damping._hypotheses``) gives a 'skipped' row, whose
     certificate cells are None. The others are certified in chunks of
-    ``_sweep_chunk_size(d)`` whose dense cross-checks are stacked; each row is
+    ``_sweep_chunk_size(d)`` whose sector cross-checks are stacked; each row is
     the one its point gives alone, so the table does not depend on the chunk
     size, and a failed cross-check names its row.
     """

@@ -11,20 +11,42 @@ partial-transpose spectrum, and the negativity, which makes the family a
 machine-checkable witness that the best transmitted input can strictly beat
 every maximally entangled input even after trace-preserving local
 post-processing. The certificate assembles that inequality chain for one
-parameter point and cross-checks the Choi lambda_max and N(Phi+) against dense
+parameter point and cross-checks the Choi lambda_max and N(Phi+) against
 eigensolves.
 
 Every closed form below is written once, in ``_closed_forms``, on the rows
 of an (n, d-1) array of points, and ``_certificates`` adds the cross-check.
-It runs in real arithmetic: every Kraus entry (1, x_i, sqrt(1 - x_i^2)) is
-real, so the Choi state and its partial transpose are real symmetric, the
-same matrices as the complex ones, whose imaginary parts are exactly zero.
-One stacked ``check_completeness``, one real ``one_sided_stack`` and two
-stacked ``eigvalsh`` serve n points. ``advantage_certificate``,
-``damping_lambda_max``, ``damping_negativity`` and ``damping_gap`` are the
-case n = 1; ``sweep`` passes a chunk of its grid and writes its rows from
-the arrays. The real eigensolver may round the two ``*_numeric`` fields
-differently from a complex one in the last bit or two.
+The cross-check runs on the Choi state's symmetry sectors, never on a dense
+d^2 x d^2 matrix (symmetry reduction after Vollbrecht & Werner, PRA 64,
+062307 (2001)). Each Kraus operator carries a single phase charge under
+diagonal unitaries: A_0 = diag(a), a = (1, x_1, ..., x_{d-1}), is diagonal,
+and A_m has the one entry b_m = sqrt(1 - x_m^2) at (0, m). With
+Phi+ = sum_i |ii> / sqrt(d), (I (x) A_0)|Phi+> = sum_i a_i |ii> / sqrt(d)
+and (I (x) A_m)|Phi+> = b_m |m0> / sqrt(d), so the Choi state is
+
+    J = (sum_{i,j} a_i a_j |ii><jj| + sum_{m>=1} b_m^2 |m0><m0|) / d:
+
+one d x d block a a^T / d on span{|ii>}, and 1x1 blocks b_m^2 / d on the
+|m0>, which lie outside that span. The partial transpose maps |ii><jj| to
+|ij><ji| and fixes |m0><m0|, so J^T_B is the 1x1 blocks a_i^2 / d >= 0 on
+|ii> and, for each pair i < j, one 2x2 block on {|ij>, |ji>},
+
+    [[0, a_i a_j], [a_i a_j, b_j^2 if i = 0 else 0]] / d,
+
+and only these blocks can carry negative eigenvalues. So lambda_max is read
+from one stacked d x d ``eigvalsh`` and the 1x1 blocks, and N(Phi+) from one
+stacked 2x2 ``eigvalsh`` over the d(d-1)/2 blocks: O(d^2) memory and O(d^3)
+time per point, in place of O(d^4) and O(d^6) for the dense Choi state.
+The blocks are built from the Kraus entries (``_kraus_entries``), not from
+the closed forms, and completeness is checked on the same entries: each
+A_k^dag A_k is diagonal, so sum_k A_k^dag A_k = diag(a_0^2, a_m^2 + b_m^2).
+``_kraus_stack`` scatters those entries into the dense operators of
+``damping_channel``, so the family is written once. Every entry is real,
+and so is every block. ``advantage_certificate``, ``damping_lambda_max``,
+``damping_negativity`` and ``damping_gap`` are the case n = 1; ``sweep``
+passes a chunk of its grid and writes its rows from the arrays. The sector
+eigensolves may round the two ``*_numeric`` fields differently from a dense
+eigensolve of J in the last bit or two.
 
 The best input is closed form too. Write x~ = (1, x_1, ..., x_{d-1}) and
 s = |x~|^2 = 1 + sum x_i^2. The dual Choi state (Kraus list A_k^dag) is
@@ -103,24 +125,36 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import KrausChannel, apply_one_sided, check_completeness, one_sided_stack
+from .channels import KrausChannel, apply_one_sided, require_complete
 from .errors import ParameterError
-from .measures import DEFAULT_RESTARTS, fef, negativity_of_matrix
+from .measures import DEFAULT_RESTARTS, _negativity_of_spectra, fef
 from .states import PureBipartiteState
 
+# absolute, though N(Phi+) grows about linearly in d: at d = 1,000 the sector
+# eigensolves missed the closed forms by 1.1e-16 (lambda_max) and 5.7e-14
+# (N(Phi+)) at x = linspace(0.05, 0.95, 999) and random sorted points
 CLOSED_NUMERIC_TOL = 1e-10
+# the largest d the family admits. At d = 1,000 one certify takes about 7 s
+# and a 360 MB peak (2 vCPUs), nearly all of it writing psi_prime's d^2
+# [re, im] pairs (a 34 MB file); the cross-check itself takes about 0.3 s
+# and 41 MB. Both grow as d^2 or faster above it.
+MAX_DIMENSION = 1000
 
 
 def family_dimension(d) -> int:
-    """d as an int, or ParameterError unless it is an integer >= 3."""
+    """d as an int, or ParameterError unless it is an integer in
+    3..MAX_DIMENSION; nothing of size d is built before this check."""
     if int(d) != d or d < 3:
         raise ParameterError(f"dimension violated: d must be an integer >= 3, got {d}")
+    if d > MAX_DIMENSION:
+        raise ParameterError(
+            f"dimension violated: d must be at most MAX_DIMENSION = {MAX_DIMENSION}, got {d}")
     return int(d)
 
 
 @dataclass(frozen=True, eq=False)
 class DampingParams:
-    """Dimension d >= 3 and retention amplitudes x in the closed cube [0, 1]^{d-1}.
+    """Dimension d in 3..MAX_DIMENSION and retention amplitudes x in [0, 1]^{d-1}.
 
     Equal entries and the boundary values 0 and 1 are admitted; the
     certificate's open-interval and distinctness hypotheses are checked by
@@ -145,16 +179,23 @@ class DampingParams:
         object.__setattr__(self, "x", x)
 
 
+def _kraus_entries(xs: np.ndarray):
+    """The family's nonzero Kraus entries at n points xs (n, d-1): A_0's
+    diagonal a = (1, x_1, ..., x_{d-1}) as (n, d), and A_m's one entry
+    b_m = sqrt(1 - x_m^2), at (0, m), as (n, d-1)."""
+    return np.column_stack((np.ones(len(xs)), xs)), np.sqrt(1.0 - xs**2)
+
+
 def _kraus_stack(xs: np.ndarray) -> np.ndarray:
     """The family's Kraus lists at n points xs (n, d-1) as one real
-    (n, d, d, d) stack: A_0 = diag(1, x_1, ..., x_{d-1}), then
-    A_m = sqrt(1 - x_m^2) |0><m| for m = 1..d-1."""
-    n, d = xs.shape[0], xs.shape[1] + 1
+    (n, d, d, d) stack: ``_kraus_entries`` scattered into A_0 = diag(a) and
+    A_m = b_m |0><m| for m = 1..d-1."""
+    a, b = _kraus_entries(xs)
+    n, d = a.shape
     levels = np.arange(1, d)
     ops = np.zeros((n, d, d, d))
-    ops[:, 0, 0, 0] = 1.0
-    ops[:, 0, levels, levels] = xs
-    ops[:, levels, 0, levels] = np.sqrt(1.0 - xs**2)
+    ops[:, 0, np.arange(d), np.arange(d)] = a
+    ops[:, levels, 0, levels] = b
     return ops
 
 
@@ -305,11 +346,12 @@ def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
 
     ParameterError unless the point meets the theorem's hypotheses
     (``_hypotheses``; the open interval is checked first). The closed-form
-    Choi lambda_max and N(Phi+) are cross-checked against dense eigensolves
-    (within CLOSED_NUMERIC_TOL), else ArithmeticError. The best input
-    psi_prime and every field derived from it are the O(d) closed forms of
-    the module docstring, so no dual eigensolve, Schmidt SVD, output state or
-    unitary ascent is run. This is ``_certificates`` with one point.
+    Choi lambda_max and N(Phi+) are cross-checked against the eigensolves of
+    the Choi state's symmetry sectors (within CLOSED_NUMERIC_TOL), else
+    ArithmeticError. The best input psi_prime and every field derived from
+    it are the O(d) closed forms of the module docstring, so no dual
+    eigensolve, Schmidt SVD, output state or unitary ascent is run. This is
+    ``_certificates`` with one point.
     """
     inside, distinct = _hypotheses(p.x)
     if not inside:
@@ -327,26 +369,46 @@ def advantage_certificate(p: DampingParams) -> AdvantageCertificate:
 def _certificates(d: int, xs: np.ndarray, rows=None) -> dict:
     """The certificates of n points xs (n, d-1) of one d that meet the
     theorem's hypotheses (callers check ``_hypotheses``): the arrays of
-    ``_closed_forms`` and the two ``*_numeric`` ones of their stacked dense
-    cross-check.
+    ``_closed_forms`` and the two ``*_numeric`` ones of their stacked
+    cross-check on the Choi state's symmetry sectors.
 
-    The Kraus entries 1, x_i and sqrt(1 - x_i^2) are real, so the n Choi
-    states and their partial transposes are real symmetric: one stacked
-    ``check_completeness`` of the (n, d, d, d) Kraus stack, one real
-    ``one_sided_stack`` for the Choi states, one ``eigvalsh`` for their
-    lambda_max and one (``negativity_of_matrix``) for N(Phi+). Each value is
-    the one its point gives alone. A closed form that misses its eigensolve
-    by CLOSED_NUMERIC_TOL or more raises ArithmeticError naming the first
-    such point, by d and x in the form ``certify --x`` reads, and by
-    ``rows[k]``, its sweep row, when ``rows`` is given.
+    The sectors are the module docstring's, built from the Kraus entries a
+    and b of ``_kraus_entries``, not from the closed forms, and scaled by
+    Phi+'s coefficient 1/sqrt(d) (u = a / sqrt(d), w = b / sqrt(d)):
+    - completeness: each A_k^dag A_k is diagonal, so the check reads
+      a_0^2 and a_m^2 + b_m^2 against 1 (ChannelCompletenessError);
+    - lambda_max: the larger of the top eigenvalue of J's block u u^T on
+      span{|ii>}, from one stacked d x d ``eigvalsh``, and the largest 1x1
+      block w_m^2 on |m0>;
+    - N(Phi+): the negative sum of J^T_B's 2x2 blocks
+      [[0, u_i u_j], [u_i u_j, w_j^2 if i = 0 else 0]] on {|ij>, |ji>},
+      i < j, from one stacked 2x2 ``eigvalsh``; its 1x1 blocks u_i^2 on
+      |ii> are >= 0.
+    Each value is the one its point gives alone. A closed form that misses
+    its eigensolve by CLOSED_NUMERIC_TOL or more raises ArithmeticError
+    naming the first such point, by d and x in the form ``certify --x``
+    reads, and by ``rows[k]``, its sweep row, when ``rows`` is given.
     """
     cert = _closed_forms(d, xs)
-    kraus = _kraus_stack(xs)
-    check_completeness(kraus)
-    # Phi+'s coefficient matrix, I / sqrt(d)
-    choi = one_sided_stack(kraus, np.eye(d)[None] / np.sqrt(d))
-    lam = np.linalg.eigvalsh(choi)[:, -1]
-    neg = negativity_of_matrix(choi, d)
+    a, b = _kraus_entries(xs)
+    n = len(xs)
+    acc = a * a
+    acc[:, 1:] += b * b
+    dev = np.abs(acc - 1.0)
+    k, m = np.unravel_index(np.argmax(dev), dev.shape)
+    require_complete(float(dev[k, m]), (int(k), int(m), int(m)))
+    # Phi+'s coefficient 1 / sqrt(d), rounded as in I / sqrt(d), so each
+    # block entry has the bits of the dense Choi state's
+    scale = 1.0 / np.sqrt(d)
+    u, w = a * scale, b * scale
+    lam = np.maximum(np.linalg.eigvalsh(u[:, :, None] * u[:, None, :])[:, -1],
+                     (w * w).max(axis=1))
+    # np.triu_indices lists the pairs (0, j) first
+    i, j = np.triu_indices(d, 1)
+    blocks = np.zeros((n, i.size, 2, 2))
+    blocks[:, :, 0, 1] = blocks[:, :, 1, 0] = u[:, i] * u[:, j]
+    blocks[:, : d - 1, 1, 1] = w * w
+    neg = _negativity_of_spectra(np.linalg.eigvalsh(blocks).reshape(n, -1))
 
     miss = np.abs(np.column_stack((cert["lambda_max_closed"] - lam,
                                    cert["negativity_phiplus_closed"] - neg)))

@@ -107,12 +107,19 @@ def negativity_of_matrix(matrix: np.ndarray, d: int):
     for a stack (n, d^2, d^2), an array of the n negativities from one
     ``eigvalsh``."""
     eigs = np.linalg.eigvalsh(partial_transpose_matrix(matrix, d))
+    sums = _negativity_of_spectra(eigs.reshape(-1, d * d))
+    return float(sums[0]) if eigs.ndim == 1 else sums
+
+
+def _negativity_of_spectra(eigs: np.ndarray) -> np.ndarray:
+    """The negativities of the n partial-transpose spectra in the rows of
+    eigs (n, m), in any order: eigenvalues in (-EIG_CLAMP, 0) are clamped to
+    zero as eigensolver noise, and the rest of the negative ones summed."""
     eigs = np.where((eigs > -EIG_CLAMP) & (eigs < 0.0), 0.0, eigs)
-    # each matrix's negative eigenvalues are summed on their own: a sum over
+    # each row's negative eigenvalues are summed on their own: a sum over
     # a padded or masked row could group the terms differently; 0.0 - sum
     # gives +0.0, not -0.0, when there is none, and -sum otherwise
-    sums = [0.0 - row[row < 0.0].sum() for row in eigs.reshape(-1, d * d)]
-    return float(sums[0]) if eigs.ndim == 1 else np.array(sums)
+    return np.array([0.0 - row[row < 0.0].sum() for row in eigs])
 
 
 def negativity(rho: DensityOperator) -> float:

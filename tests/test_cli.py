@@ -264,7 +264,7 @@ def _perturb_closed_form(monkeypatch, closed_form, at):
 @pytest.mark.parametrize("closed_form, name", [
     ("damping_lambda_max", "lambda_max"), ("damping_negativity", "negativity")])
 def test_cross_check_failure_is_one_line_exit_3(capsys, monkeypatch, closed_form, name):
-    # a closed form the dense eigensolve contradicts reaches no verdict: the
+    # a closed form the sector eigensolve contradicts reaches no verdict: the
     # certificate's ArithmeticError leaves as exit 3 and one line. The public
     # scalar is the kernel's one-point case, so it carries the same error
     p = DampingParams(3, [0.2, 0.7])
@@ -291,7 +291,7 @@ def test_sweep_cross_check_failure_names_row(tmp_path, capsys, monkeypatch, clos
     # stops the sweep with exit 3 and one line that names the point's row in
     # grid order and its x, and certify with that x replays it alone. Three
     # points per chunk, so the row sits inside a chunk, after a skipped row
-    monkeypatch.setattr(cli, "CHUNK_BYTES", 3 * 4 * 8 * 4**4)
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 3 * 64 * 4**2)
     assert cli._sweep_chunk_size(4) == 3
     grid = [np.array([x1, 0.5, x3]) for x1 in np.linspace(0.1, 0.9, 5).tolist()
             for x3 in np.linspace(0.3, 0.7, 3).tolist()]
@@ -324,7 +324,7 @@ def test_sweep_csv_does_not_depend_on_chunks(tmp_path, capsys, monkeypatch):
     spec_path.write_text(dumps_fixed(spec))
     tables = []
     for points in (5, 1):
-        monkeypatch.setattr(cli, "CHUNK_BYTES", points * 4 * 8 * 8**4)
+        monkeypatch.setattr(cli, "CHUNK_BYTES", points * 64 * 8**2)
         assert cli._sweep_chunk_size(8) == points
         out = tmp_path / f"grid-{points}.csv"
         assert main(["sweep", str(spec_path), "--out", str(out)]) == 0
@@ -771,10 +771,31 @@ def test_sweep_rejects_oversized_grid(tmp_path, capsys):
 def test_sweep_huge_dimension_fails_fast(tmp_path, capsys):
     spec = {"d": 10**7, "axes": {"x1": {"start": 0.1, "stop": 0.9, "steps": 3}}}
     _assert_sweep_usage_error(tmp_path, capsys, spec)
-    # an eager scan would list ~10^7 missing names
+    # d is bounded before any component is looked at
     with pytest.raises(ParameterError) as info:
         parse_sweep_spec(spec)
+    assert str(info.value).startswith("dimension violated: d must be at most")
+    # at the bound the message names the first three missing components
+    with pytest.raises(ParameterError) as info:
+        parse_sweep_spec({**spec, "d": damping.MAX_DIMENSION})
     assert str(info.value) == "components ['x2', 'x3', 'x4'] and more neither swept nor fixed"
+
+
+def test_dimension_above_bound_is_usage_error(tmp_path, capsys):
+    # certify --d and a sweep spec's d one above MAX_DIMENSION exit 2 with
+    # one line, before any array of size d is built
+    d = damping.MAX_DIMENSION + 1
+    message = (f"error: dimension violated: d must be at most MAX_DIMENSION = "
+               f"{damping.MAX_DIMENSION}, got {d}\n")
+    x = ",".join(["0.5"] * (d - 1))
+    assert main(["certify", "--d", str(d), "--x", x]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    axes = {"x1": {"start": 0.1, "stop": 0.9, "steps": 3}}
+    spec = {"d": d, "axes": axes, "fixed": {f"x{i}": 0.5 for i in range(2, d)},
+            "output_path": str(tmp_path / "x.csv")}
+    assert _assert_sweep_usage_error(tmp_path, capsys, spec) == message
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_unwritable_output(tmp_path, capsys):

@@ -35,8 +35,16 @@ from quditshare import (
     schmidt,
     top_choi_eigenpair,
 )
-from quditshare.channels import one_sided_stack
-from quditshare.damping import _certificates, _closed_forms, _kraus_stack
+from quditshare.channels import completeness_residual, one_sided_stack
+from quditshare.damping import (
+    CLOSED_NUMERIC_TOL,
+    _certificates,
+    _closed_forms,
+    _hypotheses,
+    _kraus_stack,
+)
+from quditshare.errors import ChannelCompletenessError
+from quditshare.measures import negativity_of_matrix
 
 
 def test_channel_reference_point_operators():
@@ -368,8 +376,8 @@ def test_certificate_closed_numeric_agreement():
 
 
 def test_real_choi_stack_is_the_complex_choi_state():
-    # the cross-check's real Choi states are the complex ones bit for bit,
-    # whose imaginary parts are exactly zero
+    # the dense reference of the sector cross-check: its real Choi states
+    # are the complex ones bit for bit, whose imaginary parts are exactly zero
     rng = np.random.default_rng(70)
     for d in (3, 5, 8):
         params = [random_strict_params(d, rng) for _ in range(4)]
@@ -380,6 +388,56 @@ def test_real_choi_stack_is_the_complex_choi_state():
             choi = choi_state(damping_channel(p)).matrix
             assert np.array_equal(real, choi.real)
             assert not choi.imag.any()
+
+
+def test_sector_check_matches_dense_choi_reference():
+    # the cross-check's sector eigensolves against the dense d^2 x d^2 Choi
+    # state of the same Kraus entries, its two eigvalsh and
+    # negativity_of_matrix, within a few ulps of order d
+    rng = np.random.default_rng(72)
+    for d in range(3, 10):
+        xs = rng.uniform(0.02, 0.98, size=(200, d - 1))
+        assert np.logical_and(*_hypotheses(xs)).all()
+        cert = _certificates(d, xs)
+        choi = one_sided_stack(_kraus_stack(xs), np.eye(d)[None] / np.sqrt(d))
+        tol = 8 * d * np.finfo(float).eps
+        lam, neg = np.linalg.eigvalsh(choi)[:, -1], negativity_of_matrix(choi, d)
+        assert np.abs(cert["lambda_max_numeric"] - lam).max() <= tol
+        assert np.abs(cert["negativity_phiplus_numeric"] - neg).max() <= tol
+
+
+def test_sector_check_at_d_1000_meets_closed_forms():
+    # CLOSED_NUMERIC_TOL is absolute though N(Phi+) grows with d: at
+    # d = 1,000 the sector eigensolves stay far inside it
+    d = 1000
+    rng = np.random.default_rng(73)
+    for x in (np.linspace(0.05, 0.95, d - 1), np.sort(rng.uniform(0.01, 0.99, d - 1))):
+        cert = _certificates(d, x[None])
+        assert abs(cert["lambda_max_numeric"] - cert["lambda_max_closed"]).item() <= 1e-15
+        assert (abs(cert["negativity_phiplus_numeric"] - cert["negativity_phiplus_closed"]).item()
+                <= 1e-12 < CLOSED_NUMERIC_TOL)
+
+
+@pytest.mark.parametrize("which, at", [(0, (1, 2)), (1, (1, 0))])
+def test_corrupted_kraus_entry_fails_completeness(monkeypatch, which, at):
+    # the cross-check reads completeness from the same sparse entries as its
+    # blocks: one entry 1e-6 off (A_0's diagonal at level 2, or A_1's entry)
+    # raises with the residual and position the dense stack gives
+    original = damping._kraus_entries
+
+    def corrupted(xs):
+        entries = original(xs)
+        entries[which][at] += 1e-6
+        return entries
+
+    monkeypatch.setattr(damping, "_kraus_entries", corrupted)
+    xs = np.array([[0.2, 0.7], [0.3, 0.6], [0.4, 0.5]])
+    with pytest.raises(ChannelCompletenessError) as info:
+        _certificates(3, xs)
+    residual, position = completeness_residual(_kraus_stack(xs))
+    assert residual > 1e-7
+    assert (info.value.residual, info.value.position) == (residual, position)
+    assert position == ((1, 2, 2) if which == 0 else (1, 1, 1))
 
 
 def test_stacked_certificates_match_single_points():

@@ -44,10 +44,12 @@ from quditshare.measures import (
     _certified,
     _herm,
     _identity_starts,
+    _negativity_of_spectra,
     _proves,
     _seeded_starts,
+    negativity_of_matrix,
 )
-from quditshare.states import kron_identity
+from quditshare.states import EIG_CLAMP, kron_identity, partial_transpose_matrix
 
 REF = damping_kraus_oracle(3, [0.5, 0.9])
 
@@ -75,6 +77,32 @@ def test_negativity_matches_bruteforce_oracle():
         for _ in range(5):
             rho = random_mixed(d, rng)
             assert abs(negativity(rho) - negativity_oracle(rho.matrix, d)) < 1e-12
+
+
+def test_negativity_of_spectra_is_the_dense_rule():
+    # one clamp-and-sum rule serves the dense path and the damping
+    # certificate's sector path: on the spectra negativity_of_matrix solves
+    # it gives the same bits, a stack's and each matrix's alone
+    rng = np.random.default_rng(35)
+    for d in (2, 3, 4):
+        mats = np.stack([random_mixed(d, rng).matrix for _ in range(4)])
+        values = _negativity_of_spectra(np.linalg.eigvalsh(partial_transpose_matrix(mats, d)))
+        assert values.tobytes() == negativity_of_matrix(mats, d).tobytes()
+        assert values.tolist() == [negativity_of_matrix(m, d) for m in mats]
+    # a diagonal two-qubit matrix is its own partial transpose, with its
+    # diagonal, sorted, as spectrum: eigenvalues in (-EIG_CLAMP, 0) are
+    # clamped, -EIG_CLAMP is not, and with no negative one the result is +0.0
+    spectra = np.array([[-0.5, -0.5 * EIG_CLAMP, 0.0, 0.25],
+                        [-2 * EIG_CLAMP, -EIG_CLAMP, 0.0, 0.5],
+                        [-1e-13, -0.0, 0.0, 1e-13],
+                        [0.1, 0.2, 0.3, 0.4]])
+    values = _negativity_of_spectra(spectra)
+    assert values.tolist() == [0.5, 3 * EIG_CLAMP, 0.0, 0.0]
+    assert all(math.copysign(1.0, v) == 1.0 for v in values)
+    for row, value in zip(spectra, values):
+        dense = negativity_of_matrix(np.diag(row), 2)
+        assert math.copysign(1.0, dense) == 1.0
+        assert np.float64(dense).tobytes() == value.tobytes()
 
 
 def test_negativity_local_unitary_invariant():

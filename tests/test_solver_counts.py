@@ -68,7 +68,8 @@ def test_certificate_solver_budget(solver_calls, d):
     p = DampingParams(d, np.linspace(0.2, 0.9, d - 1))
     advantage_certificate(p)
     # psi_prime and its fields are closed forms; the two eigvalsh are the
-    # dense cross-check of the Choi lambda_max and N(Phi+)
+    # sector cross-check of the Choi lambda_max (one d x d block) and N(Phi+)
+    # (the 2x2 partial-transpose blocks)
     assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 2}
 
 
@@ -77,13 +78,14 @@ def test_sweep_solver_budget(solver_calls, d):
     # a sweep certifies its strict points in chunks, each cross-checked with
     # one stacked eigvalsh for lambda_max and one for N(Phi+): 2 per chunk,
     # however many points it holds (at d = 3 the diagonal is skipped and 20
-    # strict points take one chunk; at d = 8 only the centre is, and 24 take 3)
+    # strict points take one chunk; at d = 8 only the centre is, and 24 take
+    # one chunk of the 256 that fit)
     axis = {"start": 0.3, "stop": 0.7, "steps": 5}
     spec = cli.parse_sweep_spec({"d": d, "axes": {"x1": axis, f"x{d - 1}": axis},
                                  "fixed": {f"x{i}": 0.5 for i in range(2, d - 1)}})
     strict = np.count_nonzero(cli.run_sweep(spec)["status"] == "ok")
     chunks = -(-strict // cli._sweep_chunk_size(d))
-    assert (strict, chunks) == ((20, 1) if d == 3 else (24, 3))
+    assert (strict, chunks) == ((20, 1) if d == 3 else (24, 1))
     assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 2 * chunks}
 
 

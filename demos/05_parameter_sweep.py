@@ -3,8 +3,9 @@
 Builds a sweep spec programmatically, runs it through the same machinery the
 ``quditshare sweep`` command uses, and summarizes the verdict landscape.
 Grid points violating the strict-parameter rules (here: the diagonal, where
-all x_i coincide) come back flagged 'skipped'. The table comes back as its
-columns, one array per output column.
+all x_i coincide) come back flagged 'skipped'. ``run_sweep`` hands over the
+grid a chunk at a time: each chunk's points, the mask of its strict ones, and
+the certificate arrays of those.
 
 Run:  python demos/05_parameter_sweep.py
 """
@@ -28,19 +29,20 @@ SPEC = {
 spec = parse_sweep_spec(SPEC)
 assert isinstance(spec, SweepSpec)
 
-table = run_sweep(spec)  # one array per output column
-ok = table["status"] == "ok"
-n_ok = int(ok.sum())
-print(f"grid points: {ok.size}  ok: {n_ok}  skipped: {ok.size - n_ok}")
+chunks = []
+rows, skipped = run_sweep(spec, lambda xs, strict, certs: chunks.append((xs[strict], certs)))
+xs = np.concatenate([points for points, _ in chunks])
+certs = {field: np.concatenate([c[field] for _, c in chunks]) for field in chunks[0][1]}
+print(f"grid points: {rows}  ok: {len(xs)}  skipped: {skipped}")
 
-verdict_true = sum(table["verdict_ceiling"][ok])
-print(f"verdict_ceiling true on {verdict_true}/{n_ok} strict points")
+verdict_true = int(certs["verdict_ceiling"].sum())
+print(f"verdict_ceiling true on {verdict_true}/{len(xs)} strict points")
 
 print("\nsmallest strictness gaps on the grid:")
-strict = sorted(np.flatnonzero(ok), key=lambda i: table["gap"][i])
-for i in strict[:5]:
-    print(f"  x=({table['x1'][i]:.2f}, {table['x2'][i]:.2f})  gap={table['gap'][i]:.4f}  "
-          f"lambda_max={table['lambda_max'][i]:.6f}  ceiling={table['fstar_bound'][i]:.6f}")
+for i in np.argsort(certs["gap"], kind="stable")[:5]:
+    print(f"  x=({xs[i, 0]:.2f}, {xs[i, 1]:.2f})  gap={certs['gap'][i]:.4f}  "
+          f"lambda_max={certs['lambda_max_closed'][i]:.6f}  "
+          f"ceiling={certs['fstar_bound_phiplus'][i]:.6f}")
 
 # the full table, through the same entry point as `quditshare sweep SPEC.json --out FILE`
 tmp = Path(tempfile.gettempdir())

@@ -16,9 +16,7 @@ calls:
   ``primal_dual_choi`` gives the Choi states of n lists and of their dual
   maps from one such call;
 - ``completeness_residual`` (and ``check_completeness``) takes one list or
-  such a stack; ``KrausChannel`` checks its list with it, and
-  ``require_complete`` holds the tolerance test for a residual found
-  otherwise (the level-damping certificate reads it from sparse entries);
+  such a stack; ``KrausChannel`` checks its list with it;
 - ``top_eigenpairs`` solves a stack of Hermitian matrices with one ``eigh``;
   ``top_choi_eigenpair`` is its one-row case;
 - ``haar_from_gaussian`` makes a stack of Haar unitaries with one QR, and
@@ -61,12 +59,7 @@ def check_completeness(ops) -> None:
     """Raise ChannelCompletenessError, with the residual, unless one Kraus
     list, or every list of a stack, is trace preserving within
     COMPLETENESS_TOL (see ``completeness_residual``)."""
-    require_complete(*completeness_residual(ops))
-
-
-def require_complete(residual: float, pos: tuple) -> None:
-    """Raise ChannelCompletenessError unless ``residual``, the largest entry
-    of |sum_i A_i^dag A_i - I| (at ``pos``), is within COMPLETENESS_TOL."""
+    residual, pos = completeness_residual(ops)
     if residual > COMPLETENESS_TOL:
         raise ChannelCompletenessError(
             f"Kraus operators are not trace preserving: "

@@ -6,8 +6,9 @@ order with 17-significant-digit reals, CSV uses '.' decimals, comma delimiter,
 and a header row. Exit codes: 0 success / all verdicts true, 1 verified-false
 or invariant violation, 2 usage or parameter error, 3 a dense linear-algebra
 routine failed (numpy.linalg.LinAlgError), a numerical cross-check failed
-(ArithmeticError: a closed form against its symmetry-sector eigensolve, or
-an eigenvector's residual) or memory ran out (MemoryError), so no verdict was
+(ArithmeticError: a closed form against its symmetry-sector eigensolve,
+the damping family's completeness on its own Kraus entries, or an
+eigenvector's residual) or memory ran out (MemoryError), so no verdict was
 reached.
 Every error, a malformed command line included, leaves through ``main`` as
 one ``error: ...`` line on stderr; integer flags are bounded where they are
@@ -19,10 +20,12 @@ parsed (seeds >= 0, ``--n`` and ``measures --restarts`` >= 1, ``audit --d`` in
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import functools
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -58,8 +61,7 @@ from .errors import (
     ParameterError,
     ToolkitError,
 )
-from .jsonio import (csv_cell, dump_fixed_items, dumps_fixed, format_real, json_int, json_real,
-                     load_json)
+from .jsonio import RowWriter, dumps_fixed, format_real, json_int, json_real, load_json
 from .measures import (DEFAULT_RESTARTS, _mes_overlaps, fef, fef_batch, negativity,
                        negativity_of_matrix)
 from .states import (
@@ -280,48 +282,87 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
 
 
 def _sweep_chunk_size(d: int) -> int:
-    """Grid points per certificate chunk. The symmetry-sector cross-check
-    holds O(d^2) numbers per point: the d x d block on span{|ii>} and the
+    """Grid rows per sweep chunk. The symmetry-sector cross-check holds
+    O(d^2) numbers per point: the d x d block on span{|ii>} and the
     eigensolver's copy, the d(d-1)/2 2x2 blocks, their eigenvalues and the
     clamped copy, about 64 d^2 bytes in all (a tracemalloc peak of 37 to 48
     d^2 bytes per point was measured at d = 3 and 8). So the chunk keeps its
     stacks within CHUNK_BYTES (256 points at d = 8, 1,820 at d = 3), at
-    least one."""
+    least one. Once certified, a chunk also holds its rows' formatted cells
+    and text, 1 to 2 KB per row: a whole d = 3 sweep peaks at 2.8 MB (CSV)
+    or 3.7 MB (JSON) under tracemalloc, one at d = 8 at 0.9 MB, whatever
+    the grid's size."""
     return max(1, CHUNK_BYTES // (64 * d**2))
 
 
-def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
-    """The sweep table as its columns, one array per output column in output
-    order: d, x1..x{d-1}, status, then ``CERT_CSV_COLUMNS``. Rows run over
-    the grid in deterministic lexicographic order.
+def run_sweep(spec: SweepSpec, emit) -> tuple[int, int]:
+    """Certify the sweep grid a chunk at a time, and return the number of
+    rows and of skipped rows.
 
-    The grid is one (n, d-1) array; a point outside the certificate's
-    hypotheses (``damping._hypotheses``) gives a 'skipped' row, whose
-    certificate cells are None. The others are certified in chunks of
-    ``_sweep_chunk_size(d)`` whose sector cross-checks are stacked; each row is
-    the one its point gives alone, so the table does not depend on the chunk
-    size, and a failed cross-check names its row.
+    Rows run over the grid in lexicographic order, ``_sweep_chunk_size(d)``
+    consecutive rows per chunk. A chunk takes its points from their flat
+    indices, each axis's ``linspace`` value picked by ``np.unravel_index``,
+    so only the axes are held for the whole grid. Each chunk is passed on as
+    ``emit(xs, strict, certs)``: its points xs (n, d-1); the mask of those
+    that meet the certificate's hypotheses (``damping._hypotheses``), the
+    others being 'skipped' rows; and the ``damping._certificates`` arrays of
+    the strict points, whose stacked cross-check names a failing point by
+    its row. Each row is the one its point gives alone, so the rows do not
+    depend on the chunk size.
     """
     d = spec.d
-    mesh = np.meshgrid(*(np.linspace(start, stop, steps) for _, start, stop, steps in spec.axes),
-                       indexing="ij")
-    values = {**spec.fixed, **{name: g.reshape(-1) for (name, *_), g in zip(spec.axes, mesh)}}
-    xs = np.column_stack(np.broadcast_arrays(*(values[f"x{i}"] for i in range(1, d))))
-    strict = np.logical_and(*_hypotheses(xs))
-    n = len(xs)
-    # d and the certificate columns hold Python objects, as the writers
-    # read no numpy int or bool; a skipped row's certificate cells are None
-    table = {"d": np.full(n, d, dtype=object), **{f"x{i}": xs[:, i - 1] for i in range(1, d)},
-             "status": np.where(strict, "ok", "skipped"),
-             **{column: np.full(n, None) for column in CERT_CSV_COLUMNS}}
-    index = np.flatnonzero(strict)
+    axes = [np.linspace(start, stop, steps) for _, start, stop, steps in spec.axes]
+    shape = tuple(axis.size for axis in axes)
+    rows = math.prod(shape)
     chunk = _sweep_chunk_size(d)
-    for lo in range(0, index.size, chunk):
-        part = index[lo:lo + chunk]
-        certs = _certificates(d, xs[part], rows=part)
-        for column, field in CERT_CSV_COLUMNS.items():
-            table[column][part] = certs[field]
-    return table
+    skipped = 0
+    for lo in range(0, rows, chunk):
+        flat = np.arange(lo, min(lo + chunk, rows))
+        xs = np.empty((flat.size, d - 1))
+        for name, value in spec.fixed.items():
+            xs[:, int(name[1:]) - 1] = value
+        for (name, *_), axis, index in zip(spec.axes, axes, np.unravel_index(flat, shape)):
+            xs[:, int(name[1:]) - 1] = axis[index]
+        strict = np.logical_and(*_hypotheses(xs))
+        emit(xs, strict, _certificates(d, xs[strict], rows=flat[strict]))
+        skipped += flat.size - np.count_nonzero(strict)
+    return rows, skipped
+
+
+@contextlib.contextmanager
+def _output_file(path: str):
+    """The text file that writes ``path``. A path that names a regular file,
+    or nothing yet, is written through a new file beside it, .NAME.PID.tmp
+    (opened with "x", so its mode follows the umask), which replaces it once
+    the block ends and is deleted if the block raises: the path then holds
+    the whole output or what it held before. Any other existing path (a
+    symbolic link such as /dev/stdout, a FIFO) is opened and written
+    directly, never replaced."""
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "x")
+    except FileExistsError:
+        raise
+    except OSError as exc:
+        # a missing or unwritable directory: name the output, not the
+        # temporary file, as a direct open would
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_sweep(args) -> int:
@@ -330,20 +371,18 @@ def cmd_sweep(args) -> int:
     fmt = args.format or spec.format
     if not out_path:
         raise ParameterError("no output path: set 'output_path' in the spec or pass --out")
-    # the whole grid is certified before the file is opened, so a failed
-    # cross-check writes no table; the rows are then written one at a time
-    table = run_sweep(spec)
-    rows = zip(*table.values())
-    with open(out_path, "w") as fh:
-        if fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(table.keys())
-            writer.writerows([csv_cell(cell) for cell in row] for row in rows)
-        else:
-            dump_fixed_items((dict(zip(table, row)) for row in rows), fh)
-    status = table["status"]
-    print(f"rows: {status.size}")
-    print(f"skipped: {np.count_nonzero(status == 'skipped')}")
+    names = ["d", *(f"x{i}" for i in range(1, spec.d)), "status", *CERT_CSV_COLUMNS]
+    with _output_file(out_path) as fh:
+        writer = RowWriter(fh, names, fmt)
+
+        def emit(xs, strict, certs):
+            writer.write([np.full(len(xs), spec.d), *xs.T, np.where(strict, "ok", "skipped"),
+                          *((certs[field], strict) for field in CERT_CSV_COLUMNS.values())])
+
+        rows, skipped = run_sweep(spec, emit)
+        writer.close()
+    print(f"rows: {rows}")
+    print(f"skipped: {skipped}")
     print(f"written: {out_path}")
     return 0
 

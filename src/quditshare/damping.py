@@ -125,7 +125,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import KrausChannel, apply_one_sided, require_complete
+from .channels import COMPLETENESS_TOL, KrausChannel, apply_one_sided
 from .errors import ParameterError
 from .measures import DEFAULT_RESTARTS, _negativity_of_spectra, fef
 from .states import PureBipartiteState
@@ -376,7 +376,7 @@ def _certificates(d: int, xs: np.ndarray, rows=None) -> dict:
     and b of ``_kraus_entries``, not from the closed forms, and scaled by
     Phi+'s coefficient 1/sqrt(d) (u = a / sqrt(d), w = b / sqrt(d)):
     - completeness: each A_k^dag A_k is diagonal, so the check reads
-      a_0^2 and a_m^2 + b_m^2 against 1 (ChannelCompletenessError);
+      a_0^2 and a_m^2 + b_m^2 against 1, within COMPLETENESS_TOL;
     - lambda_max: the larger of the top eigenvalue of J's block u u^T on
       span{|ii>}, from one stacked d x d ``eigvalsh``, and the largest 1x1
       block w_m^2 on |m0>;
@@ -384,19 +384,29 @@ def _certificates(d: int, xs: np.ndarray, rows=None) -> dict:
       [[0, u_i u_j], [u_i u_j, w_j^2 if i = 0 else 0]] on {|ij>, |ji>},
       i < j, from one stacked 2x2 ``eigvalsh``; its 1x1 blocks u_i^2 on
       |ii> are >= 0.
-    Each value is the one its point gives alone. A closed form that misses
-    its eigensolve by CLOSED_NUMERIC_TOL or more raises ArithmeticError
-    naming the first such point, by d and x in the form ``certify --x``
-    reads, and by ``rows[k]``, its sweep row, when ``rows`` is given.
+    Each value is the one its point gives alone. A completeness residual
+    above COMPLETENESS_TOL, or a closed form that misses its eigensolve by
+    CLOSED_NUMERIC_TOL or more, raises ArithmeticError: the family's own
+    entries are at fault, not an input. It names the first such point, by d
+    and x in the form ``certify --x`` reads, and by ``rows[k]``, its sweep
+    row, when ``rows`` is given.
     """
+
+    def point(k):
+        text = f"d = {d}, x = {','.join(repr(v) for v in xs[k].tolist())}"
+        return text if rows is None else f"sweep row {rows[k]} ({text})"
+
     cert = _closed_forms(d, xs)
     a, b = _kraus_entries(xs)
     n = len(xs)
     acc = a * a
     acc[:, 1:] += b * b
     dev = np.abs(acc - 1.0)
-    k, m = np.unravel_index(np.argmax(dev), dev.shape)
-    require_complete(float(dev[k, m]), (int(k), int(m), int(m)))
+    bad = np.argwhere(dev > COMPLETENESS_TOL)
+    if bad.size:
+        k, m = bad[0]
+        raise ArithmeticError(f"Kraus operators are not trace preserving: residual "
+                              f"{dev[k, m].item()!r} at entry ({m}, {m}) at {point(k)}")
     # Phi+'s coefficient 1 / sqrt(d), rounded as in I / sqrt(d), so each
     # block entry has the bits of the dense Choi state's
     scale = 1.0 / np.sqrt(d)
@@ -408,19 +418,17 @@ def _certificates(d: int, xs: np.ndarray, rows=None) -> dict:
     blocks = np.zeros((n, i.size, 2, 2))
     blocks[:, :, 0, 1] = blocks[:, :, 1, 0] = u[:, i] * u[:, j]
     blocks[:, : d - 1, 1, 1] = w * w
-    neg = _negativity_of_spectra(np.linalg.eigvalsh(blocks).reshape(n, -1))
+    # n is 0 for a sweep chunk with no strict point, so no -1 in the shape
+    neg = _negativity_of_spectra(np.linalg.eigvalsh(blocks).reshape(n, 2 * i.size))
 
     miss = np.abs(np.column_stack((cert["lambda_max_closed"] - lam,
                                    cert["negativity_phiplus_closed"] - neg)))
     bad = np.argwhere(miss >= CLOSED_NUMERIC_TOL)
     if bad.size:
         k, j = bad[0]
-        point = f"d = {d}, x = {','.join(repr(v) for v in xs[k].tolist())}"
-        if rows is not None:
-            point = f"sweep row {rows[k]} ({point})"
         raise ArithmeticError(
             f"closed-form {('lambda_max', 'negativity')[j]} disagrees with eigensolve by "
-            f"{miss[k, j]:.3g} at {point}")
+            f"{miss[k, j]:.3g} at {point(k)}")
     return {**cert, "lambda_max_numeric": lam, "negativity_phiplus_numeric": neg}
 
 

@@ -7,6 +7,8 @@ emitted in insertion order.
 
 import json
 
+import numpy as np
+
 from .errors import ToolkitError
 
 
@@ -16,6 +18,13 @@ def format_real(x) -> str:
     if "." not in s and "e" not in s and "E" not in s and "n" not in s:
         s += ".0"
     return s
+
+
+def format_reals(values) -> list:
+    """``format_real`` of each float in ``values``, in one pass over the
+    list; a table's columns take it, as a call per cell would cost more."""
+    texts = [format(v, ".17g") for v in values]
+    return [s if "." in s or "e" in s or "E" in s or "n" in s else s + ".0" for s in texts]
 
 
 def _emit(obj, indent, level):
@@ -52,25 +61,65 @@ def dumps_fixed(obj, indent=2) -> str:
     return _emit(obj, indent, 0) + "\n"
 
 
-def dump_fixed_items(items, fh, indent=2):
-    """Write ``dumps_fixed(list(items))`` to the text file ``fh``, one item
-    at a time, so the items need not all be held at once."""
-    opening = "[\n"
-    for item in items:
-        fh.write(f"{opening}{' ' * indent}{_emit(item, indent, 1)}")
-        opening = ",\n"
-    fh.write("[]\n" if opening == "[\n" else "\n]\n")
+class RowWriter:
+    """Writes a table to the text file ``fh`` a block of rows at a time:
+    as CSV (a header row of ``names``, then one comma-delimited line per
+    row), or as the bytes ``dumps_fixed`` gives for the list of rows as
+    dicts keyed by ``names``. No name or cell may need CSV quoting.
 
+    ``write`` takes one block's columns and formats each in one pass: a
+    float array as ``format_real``, a bool array as true/false, an integer
+    array as digits, a str array as is (in JSON as a string). A column given
+    as a pair (values, where) holds values only for the rows where the bool
+    array ``where`` is true, in row order; its other cells are empty in CSV
+    and null in JSON. ``close`` ends the JSON list.
+    """
 
-def csv_cell(value) -> str:
-    """Render one CSV cell: reals at 17 significant digits, bools lowercase."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_real(value)
-    return str(value)
+    def __init__(self, fh, names, fmt: str):
+        self._fh = fh
+        self._json = fmt == "json"
+        self._rows = 0
+        if self._json:
+            keys = (json.dumps(name).replace("{", "{{").replace("}", "}}") for name in names)
+            self._template = "  {{\n" + ",\n".join(f"    {key}: {{}}" for key in keys) + "\n  }}"
+        else:
+            fh.write(",".join(names) + "\n")
+
+    def _cells(self, column) -> list:
+        values, where = column if isinstance(column, tuple) else (column, None)
+        kind = values.dtype.kind
+        if kind == "f":
+            texts = format_reals(values.tolist())
+        elif kind == "b":
+            texts = np.where(values, "true", "false").tolist()
+        elif kind in "iu":
+            texts = [str(v) for v in values.tolist()]
+        else:
+            texts = values.tolist()
+            if self._json:
+                quoted = {text: json.dumps(text) for text in set(texts)}
+                texts = [quoted[text] for text in texts]
+        if where is None or where.all():
+            return texts
+        cells = np.full(where.shape, "null" if self._json else "", dtype=object)
+        cells[where] = texts
+        return cells.tolist()
+
+    def write(self, columns) -> None:
+        cells = [self._cells(column) for column in columns]
+        n = len(cells[0])
+        if not n:
+            return
+        if self._json:
+            opening = ",\n" if self._rows else "[\n"
+            self._fh.write(opening + ",\n".join(map(self._template.format, *cells)))
+        else:
+            self._fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        self._rows += n
+
+    def close(self) -> None:
+        if self._json:
+            self._fh.write("\n]\n" if self._rows else "[]\n")
 
 
 def json_int(value, name: str) -> int:

@@ -7,8 +7,10 @@ import math
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,7 +33,7 @@ from quditshare import (
 )
 from quditshare import channels, cli, damping, measures
 from quditshare.cli import main, parse_sweep_spec
-from quditshare.jsonio import dump_fixed_items, dumps_fixed
+from quditshare.jsonio import RowWriter, dumps_fixed, format_real, format_reals
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -290,7 +292,8 @@ def test_sweep_cross_check_failure_names_row(tmp_path, capsys, monkeypatch, clos
     # a closed form the stacked cross-check contradicts at one grid point
     # stops the sweep with exit 3 and one line that names the point's row in
     # grid order and its x, and certify with that x replays it alone. Three
-    # points per chunk, so the row sits inside a chunk, after a skipped row
+    # rows per chunk, so the row sits inside a chunk, after a chunk that
+    # holds a skipped row and was written already
     monkeypatch.setattr(cli, "CHUNK_BYTES", 3 * 64 * 4**2)
     assert cli._sweep_chunk_size(4) == 3
     grid = [np.array([x1, 0.5, x3]) for x1 in np.linspace(0.1, 0.9, 5).tolist()
@@ -331,6 +334,124 @@ def test_sweep_csv_does_not_depend_on_chunks(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out.splitlines()[:2] == ["rows: 25", "skipped: 1"]
         tables.append(out.read_bytes())
     assert tables[0] == tables[1]
+
+
+def _corrupt_kraus_entry(monkeypatch, at):
+    """Move A_0's diagonal entry at level 2 by 1e-6 at the rows of xs where
+    ``at(xs)`` is true."""
+    original = damping._kraus_entries
+
+    def corrupted(xs):
+        a, b = original(xs)
+        a[:, 2] += np.where(at(xs), 1e-6, 0.0)
+        return a, b
+
+    monkeypatch.setattr(damping, "_kraus_entries", corrupted)
+
+
+def test_completeness_failure_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
+    # a completeness miss on the family's own Kraus entries is a failed
+    # numerical check, not a bad input: certify and sweep exit 3 with one
+    # line naming the residual, the entry and the point (in a sweep, its
+    # row), and the sweep writes no table
+    _corrupt_kraus_entry(monkeypatch, lambda xs: xs[:, 1] == 0.7)
+    residual = abs((0.7 + 1e-6) ** 2 + 0.51 - 1.0)
+    assert main(["certify", "--d", "3", "--x", "0.2,0.7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: numerical failure: Kraus operators are not trace preserving: "
+                            f"residual {residual!r} at entry (2, 2) at d = 3, x = 0.2,0.7\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text(dumps_fixed({"d": 3, "axes": {"x1": {"start": 0.1, "stop": 0.3, "steps": 3}},
+                                 "fixed": {"x2": 0.7}}))
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", str(spec), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: numerical failure: Kraus operators are not trace preserving: "
+                            f"residual {residual!r} at entry (2, 2) at sweep row 0 "
+                            "(d = 3, x = 0.1,0.7)\n")
+    assert sorted(os.listdir(tmp_path)) == ["spec.json"]
+
+
+# a d = 3 grid of 25 points whose diagonal rows 0, 6, 12, 18 and 24 are skipped
+DIAGONAL_SPEC = {"d": 3, "axes": {"x1": {"start": 0.1, "stop": 0.9, "steps": 5},
+                                  "x2": {"start": 0.1, "stop": 0.9, "steps": 5}}}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_bytes_do_not_depend_on_chunks(tmp_path, capsys, monkeypatch, fmt):
+    # the table is written a chunk at a time; with 1, 3, 6 or 25 rows per
+    # chunk, skipped rows fall inside chunks, first in them and alone in them
+    # (row 24 with 3 or 6), and every chunk size gives the same bytes
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(dumps_fixed(DIAGONAL_SPEC))
+    tables = []
+    for points in (1, 3, 6, 25):
+        monkeypatch.setattr(cli, "CHUNK_BYTES", points * 64 * 3**2)
+        assert cli._sweep_chunk_size(3) == points
+        out = tmp_path / f"grid-{points}.{fmt}"
+        assert main(["sweep", str(spec_path), "--out", str(out), "--format", fmt]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["rows: 25", "skipped: 5"]
+        tables.append(out.read_bytes())
+    assert tables[1:] == tables[:1] * 3
+    rows = json.loads(tables[0]) if fmt == "json" else tables[0].decode().splitlines()[1:]
+    assert len(rows) == 25
+
+
+@pytest.mark.parametrize("existing", [None, "an earlier table\n"])
+def test_failed_sweep_leaves_no_table(tmp_path, capsys, monkeypatch, existing):
+    # a cross-check that fails in the last chunk, after two chunks were
+    # written to the temporary file, leaves neither that file nor a table:
+    # the output path holds what it held before
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 10 * 64 * 3**2)
+    _perturb_closed_form(monkeypatch, "damping_lambda_max", lambda xs: (xs[:, 0] == 0.9)
+                         & (xs[:, 1] == 0.5))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(dumps_fixed(DIAGONAL_SPEC))
+    out = tmp_path / "grid.csv"
+    if existing is not None:
+        out.write_text(existing)
+    assert main(["sweep", str(spec_path), "--out", str(out)]) == 3
+    assert "at sweep row 22 " in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == sorted(["spec.json"] + (["grid.csv"] if existing else []))
+    if existing is not None:
+        assert out.read_text() == existing
+
+
+@pytest.mark.parametrize("kind", ["fifo", "symlink"])
+def test_sweep_writes_non_regular_path_in_place(tmp_path, capsys, kind):
+    # an output path that is not a regular file, a FIFO or a symbolic link,
+    # is written directly and stays what it was; no temporary file is left
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(dumps_fixed(DIAGONAL_SPEC))
+    plain = tmp_path / "grid.csv"
+    assert main(["sweep", str(spec_path), "--out", str(plain)]) == 0
+    out = tmp_path / kind
+    received = []
+    if kind == "fifo":
+        os.mkfifo(out)
+        reader = threading.Thread(target=lambda: received.append(out.read_bytes()))
+        reader.start()
+    else:
+        target = tmp_path / "target.csv"
+        target.write_text("an earlier table\n")
+        out.symlink_to(target)
+    try:
+        assert main(["sweep", str(spec_path), "--out", str(out)]) == 0
+    finally:
+        if kind == "fifo":
+            reader.join(timeout=30)
+    if kind == "fifo":
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+    else:
+        assert out.is_symlink() and os.readlink(out) == str(target)
+        received.append(target.read_bytes())
+    assert received == [plain.read_bytes()]
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["grid.csv", "spec.json", kind] + (["target.csv"] if kind == "symlink" else []))
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("routine, argv", [
@@ -602,13 +723,11 @@ def test_sweep_grid_with_no_strict_point(tmp_path, capsys, fmt):
     assert out.read_text() == expected
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_memory_per_point(tmp_path, capsys, fmt):
-    # the table is held as its columns and written one row at a time, so
-    # its memory peak on a 100 x 100 grid stays below 0.75 KB per point
-    axis = {"start": 0.0, "stop": 1.0, "steps": 100}
+def _sweep_peak(tmp_path, capsys, fmt, steps):
+    """The tracemalloc peak of a d = 3 sweep over a steps[0] x steps[1] grid."""
+    axes = {f"x{i}": {"start": 0.0, "stop": 1.0, "steps": n} for i, n in zip((1, 2), steps)}
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(dumps_fixed({"d": 3, "axes": {"x1": axis, "x2": axis}}))
+    spec_path.write_text(dumps_fixed({"d": 3, "axes": axes}))
     argv = ["sweep", str(spec_path), "--out", str(tmp_path / f"grid.{fmt}"), "--format", fmt]
     tracemalloc.start()
     try:
@@ -616,15 +735,63 @@ def test_sweep_memory_per_point(tmp_path, capsys, fmt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert capsys.readouterr().out.splitlines()[:2] == ["rows: 10000", "skipped: 494"]
-    assert peak < 750 * 100 * 100
+    assert capsys.readouterr().out.splitlines()[0] == f"rows: {math.prod(steps)}"
+    return peak
 
 
-@pytest.mark.parametrize("items", [[], [{}], [1.0, None], [{"a": [1, {"b": True}]}, "x", []]])
-def test_dump_fixed_items_writes_dumps_fixed_bytes(items):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_memory_per_point(tmp_path, capsys, fmt):
+    # the sweep holds one chunk and the grid's axes, never the table: a
+    # 10^5-point grid peaks where a 10^4-point grid does, within the axes'
+    # extra 7 KB and some slack, and far below 0.1 KB per point
+    small = _sweep_peak(tmp_path, capsys, fmt, (100, 100))
+    large = _sweep_peak(tmp_path, capsys, fmt, (1000, 100))
+    assert large < 1.1 * small
+    assert large < 100 * 10**5
+
+
+def _write_rows(fmt, names, rows, block):
+    """The text RowWriter writes for ``rows`` (dicts keyed by ``names``),
+    handed over ``block`` rows at a time; a None cell is left out of its
+    column's values and marked in its ``where`` mask."""
     fh = io.StringIO()
-    dump_fixed_items(iter(items), fh)
-    assert fh.getvalue() == dumps_fixed(items)
+    writer = RowWriter(fh, names, fmt)
+    for lo in range(0, len(rows), block):
+        columns = []
+        for name in names:
+            cells = [row[name] for row in rows[lo:lo + block]]
+            where = np.array([cell is not None for cell in cells])
+            values = np.array([cell for cell in cells if cell is not None])
+            columns.append(values if where.all() else (values, where))
+        writer.write(columns)
+    writer.close()
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("items", [
+    [],
+    [{"d": 3, "x1": 0.5, "status": "ok", "verdict": True}],
+    [{"a": 1.0, "b": None}, {"a": -0.0, "b": False}, {"a": 2.5, "b": None}],
+    [{"n": k, "x": x, "s": s, "v": v}
+     for k, (x, s, v) in enumerate(zip([0.1, 1e22, 5.0, 1e-300, 123456789.0, 2.0 / 3.0],
+                                       ["ok", "skipped", "a \"q\"", "ok", "b\\", "ok"],
+                                       [True, None, False, None, True, False]))],
+])
+def test_dump_fixed_items_writes_dumps_fixed_bytes(items):
+    # the sweep's JSON rows, written a block at a time from typed columns,
+    # are the bytes dumps_fixed gives for the rows as a list of dicts
+    names = list(items[0]) if items else ["d", "x1"]
+    for block in (1, 2, 4):
+        assert _write_rows("json", names, items, block) == dumps_fixed(items)
+
+
+def test_format_reals_is_format_real():
+    # the column formatter spells format_real's rule once more, for speed:
+    # both give the same text on every kind of float
+    values = [0.0, -0.0, 1.0, -3.0, 0.1, 2.0 / 3.0, 1e16, 1e17, 1e22, 123456789.0, 1e-300,
+              5e-324, float("inf"), float("-inf"), float("nan")]
+    values += np.random.default_rng(37).standard_normal(200).tolist()
+    assert format_reals(values) == [format_real(v) for v in values]
 
 
 README = os.path.join(os.path.dirname(REPO_SRC), "README.md")
@@ -799,14 +966,18 @@ def test_dimension_above_bound_is_usage_error(tmp_path, capsys):
 
 
 def test_sweep_unwritable_output(tmp_path, capsys):
-    for output_path in (str(tmp_path / "missing_dir" / "x.csv"), 1.5, 987654, ["x.csv"]):
+    missing = str(tmp_path / "missing_dir" / "x.csv")
+    for output_path in (missing, 1.5, 987654, ["x.csv"]):
         spec = {
             "d": 3,
             "axes": {"x1": {"start": 0.3, "stop": 0.3, "steps": 1}},
             "fixed": {"x2": 0.9},
             "output_path": output_path,
         }
-        _assert_sweep_usage_error(tmp_path, capsys, spec)
+        err = _assert_sweep_usage_error(tmp_path, capsys, spec)
+        if output_path == missing:
+            # the message names the output, not its temporary file
+            assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
 def test_audit_passes(capsys):

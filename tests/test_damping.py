@@ -43,7 +43,6 @@ from quditshare.damping import (
     _hypotheses,
     _kraus_stack,
 )
-from quditshare.errors import ChannelCompletenessError
 from quditshare.measures import negativity_of_matrix
 
 
@@ -422,7 +421,9 @@ def test_sector_check_at_d_1000_meets_closed_forms():
 def test_corrupted_kraus_entry_fails_completeness(monkeypatch, which, at):
     # the cross-check reads completeness from the same sparse entries as its
     # blocks: one entry 1e-6 off (A_0's diagonal at level 2, or A_1's entry)
-    # raises with the residual and position the dense stack gives
+    # is a failed numerical check, not a bad input, so it raises
+    # ArithmeticError naming the residual and position the dense stack
+    # gives: the point (its sweep row when rows are given) and the entry
     original = damping._kraus_entries
 
     def corrupted(xs):
@@ -432,12 +433,18 @@ def test_corrupted_kraus_entry_fails_completeness(monkeypatch, which, at):
 
     monkeypatch.setattr(damping, "_kraus_entries", corrupted)
     xs = np.array([[0.2, 0.7], [0.3, 0.6], [0.4, 0.5]])
-    with pytest.raises(ChannelCompletenessError) as info:
-        _certificates(3, xs)
     residual, position = completeness_residual(_kraus_stack(xs))
     assert residual > 1e-7
-    assert (info.value.residual, info.value.position) == (residual, position)
     assert position == ((1, 2, 2) if which == 0 else (1, 1, 1))
+    k, m, _ = position
+    x = ",".join(repr(v) for v in xs[k].tolist())
+    with pytest.raises(ArithmeticError) as info:
+        _certificates(3, xs)
+    assert str(info.value) == ("Kraus operators are not trace preserving: residual "
+                               f"{residual!r} at entry ({m}, {m}) at d = 3, x = {x}")
+    with pytest.raises(ArithmeticError) as info:
+        _certificates(3, xs, rows=np.array([4, 7, 9]))
+    assert str(info.value).endswith(f"at sweep row 7 (d = 3, x = {x})")
 
 
 def test_stacked_certificates_match_single_points():

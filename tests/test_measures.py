@@ -105,6 +105,49 @@ def test_negativity_of_spectra_is_the_dense_rule():
         assert np.float64(dense).tobytes() == value.tobytes()
 
 
+def _negativity_row_loop(eigs):
+    """The per-row rule the grouped sum replaced: clamp, then sum each
+    row's negative eigenvalues on their own."""
+    eigs = np.where((eigs > -EIG_CLAMP) & (eigs < 0.0), 0.0, eigs)
+    return np.array([0.0 - row[row < 0.0].sum() for row in eigs])
+
+
+def test_grouped_negativity_sum_is_the_row_loop():
+    # _negativity_of_spectra sums the rows with k negatives as one (rows, k)
+    # array; it gives the per-row loop's bits on ragged counts, rows with no
+    # negative (+0.0) or only clamped ones, rows longer than numpy's
+    # 128-term pairwise blocks, and the spectra sweep and audit hand it
+    rng = np.random.default_rng(36)
+    ragged = rng.standard_normal((400, 9)) * rng.choice([1.0, 1e-13, 0.0], size=(400, 9))
+    ragged[:50] = np.abs(ragged[:50])
+    ragged[50:60] = -rng.uniform(0.0, EIG_CLAMP, size=(10, 9))
+    # row r has 150 + 45 r negatives, then positives
+    long_rows = -np.abs(rng.standard_normal((12, 700)))
+    long_rows[np.arange(700) >= 150 + 45 * np.arange(12)[:, None]] *= -1.0
+    sweep = []
+    for d in (3, 8):
+        xs = np.sort(rng.uniform(0.05, 0.95, (200, d - 1)), axis=1)
+        u = np.column_stack((np.ones(len(xs)), xs)) / np.sqrt(d)
+        w = np.sqrt(1.0 - xs**2) / np.sqrt(d)
+        i, j = np.triu_indices(d, 1)
+        blocks = np.zeros((len(xs), i.size, 2, 2))
+        blocks[:, :, 0, 1] = blocks[:, :, 1, 0] = u[:, i] * u[:, j]
+        blocks[:, : d - 1, 1, 1] = w * w
+        sweep.append(np.linalg.eigvalsh(blocks).reshape(len(xs), d * (d - 1)))
+    audit = [np.linalg.eigvalsh(partial_transpose_matrix(
+        np.stack([random_mixed(d, rng).matrix for _ in range(30)]), d)) for d in (2, 3, 6)]
+    for eigs in (ragged, long_rows, *sweep, *audit, np.empty((0, 4))):
+        counts = np.count_nonzero(
+            np.where((eigs > -EIG_CLAMP) & (eigs < 0.0), 0.0, eigs) < 0.0, axis=1)
+        got = _negativity_of_spectra(eigs)
+        assert got.view(np.int64).tolist() == _negativity_row_loop(eigs).view(np.int64).tolist()
+        if eigs is ragged:
+            assert len(set(counts.tolist())) >= 5 and not counts[:60].any()
+            assert got[:60].view(np.int64).tolist() == [0] * 60
+        if eigs is long_rows:
+            assert counts.tolist() == list(range(150, 690, 45))
+
+
 def test_negativity_local_unitary_invariant():
     rng = np.random.default_rng(33)
     for _ in range(10):

@@ -75,17 +75,17 @@ def test_certificate_solver_budget(solver_calls, d):
 
 @pytest.mark.parametrize("d", [3, 8])
 def test_sweep_solver_budget(solver_calls, d):
-    # a sweep certifies its strict points in chunks, each cross-checked with
+    # a sweep certifies its grid in chunks of rows, each cross-checked with
     # one stacked eigvalsh for lambda_max and one for N(Phi+): 2 per chunk,
     # however many points it holds (at d = 3 the diagonal is skipped and 20
-    # strict points take one chunk; at d = 8 only the centre is, and 24 take
-    # one chunk of the 256 that fit)
+    # strict points of 25 rows take one chunk; at d = 8 only the centre is,
+    # and 24 take one chunk of the 256 rows that fit)
     axis = {"start": 0.3, "stop": 0.7, "steps": 5}
     spec = cli.parse_sweep_spec({"d": d, "axes": {"x1": axis, f"x{d - 1}": axis},
                                  "fixed": {f"x{i}": 0.5 for i in range(2, d - 1)}})
-    strict = np.count_nonzero(cli.run_sweep(spec)["status"] == "ok")
-    chunks = -(-strict // cli._sweep_chunk_size(d))
-    assert (strict, chunks) == ((20, 1) if d == 3 else (24, 1))
+    rows, skipped = cli.run_sweep(spec, lambda *chunk: None)
+    chunks = -(-rows // cli._sweep_chunk_size(d))
+    assert (rows - skipped, chunks) == ((20, 1) if d == 3 else (24, 1))
     assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 2 * chunks}
 
 
@@ -106,7 +106,8 @@ def test_sweep_builds_no_per_point_objects(monkeypatch, d):
     axis = {"start": 0.3, "stop": 0.7, "steps": 5}
     spec = cli.parse_sweep_spec({"d": d, "axes": {"x1": axis, f"x{d - 1}": axis},
                                  "fixed": {f"x{i}": 0.5 for i in range(2, d - 1)}})
-    assert np.count_nonzero(cli.run_sweep(spec)["status"] == "ok") == (20 if d == 3 else 24)
+    rows, skipped = cli.run_sweep(spec, lambda *chunk: None)
+    assert rows - skipped == (20 if d == 3 else 24)
     assert built == {DampingParams: 0, PureBipartiteState: 0}
 
 

@@ -17,8 +17,10 @@ calls:
   maps from one such call;
 - ``completeness_residual`` (and ``check_completeness``) takes one list or
   such a stack; ``KrausChannel`` checks its list with it;
-- ``top_eigenpairs`` solves a stack of Hermitian matrices with one ``eigh``;
-  ``top_choi_eigenpair`` is its one-row case;
+- ``top_eigenpairs`` solves a stack of Hermitian matrices with one ``eigh``
+  and checks each top eigenvector, for the paths that read one;
+  ``top_choi_eigenpair`` is its one-row case (``audit`` reads eigenvalues
+  alone, from one ``eigvalsh``);
 - ``haar_from_gaussian`` makes a stack of Haar unitaries with one QR, and
   ``haar_dilation_kraus`` blocks the unitaries it makes from a stack of
   Gaussian dilations into Kraus lists; ``random_channel`` is its one-row

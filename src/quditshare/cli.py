@@ -145,10 +145,15 @@ def cmd_measures(args) -> int:
         lam, vecs, _ = top_eigenpairs(primal_dual_choi(np.asarray(ch.kraus_ops)[None]))
         psi = PureBipartiteState(ch.dim, vecs[1])
         lambda_max_choi = float(lam[0])
+    elif args.input == "phiplus":
+        psi = max_entangled(ch.dim)
     else:
-        psi = max_entangled(ch.dim) if args.input == "phiplus" else load_state(args.input)
+        psi = load_state(args.input)
         lambda_max_choi = top_choi_eigenpair(ch).value
     rho = apply_one_sided(ch, psi)
+    if args.input == "phiplus":
+        # Phi+'s output is the channel's Choi state, so it is not built twice
+        lambda_max_choi = float(top_eigenpairs(rho.matrix[None])[0][0])
     phiplus_fidelity = fidelity_with(rho, max_entangled(ch.dim))
     if args.input == "psi_prime":
         # psi' is the top eigenvector of the dual Choi state sigma, so every
@@ -429,14 +434,14 @@ def _audit_chunk(d: int, seed: int, lo: int, hi: int):
     need no FEF (trace, dual-primal lambda_max, local-unitary covariance).
 
     The linear algebra runs on stacks: one ``check_completeness``, one
-    ``eigh`` (``top_eigenpairs``) for every primal and dual Choi state, and
-    ``one_sided_stack`` for the outputs. Each value is bit for bit the one
-    the channel gives alone.
+    ``eigvalsh`` for every primal and dual Choi state, whose top eigenvalues
+    are all the report reads of them, and ``one_sided_stack`` for the
+    outputs. Each value is bit for bit the one the channel gives alone.
     """
     kraus, psi, w = _audit_draws(d, seed, lo, hi)
     check_completeness(kraus)
 
-    lam = top_eigenpairs(primal_dual_choi(kraus))[0]
+    lam = np.linalg.eigvalsh(primal_dual_choi(kraus))[:, -1]
     dual_dev = np.abs(lam[:hi - lo] - lam[hi - lo:])
 
     rho = one_sided_stack(kraus, psi)
@@ -492,10 +497,20 @@ def _audit_pauli(seed: int, lo: int, hi: int) -> np.ndarray:
 def _audit_chunk_size(d: int) -> int:
     """Channels per audit chunk. At its peak a chunk holds about six complex
     d^2 x d^2 matrices per channel: the primal and dual Choi states with
-    their eigenvectors, or rho with the two sides of the covariance check,
-    or rho with the copies of ``fef_batch``. So the chunk keeps its stacks
-    within CHUNK_BYTES (8 channels at d = 6, 134 at d = 3), at least one."""
+    ``one_sided_stack``'s temporaries, or rho with the two sides of the
+    covariance check. So the chunk keeps its stacks within CHUNK_BYTES
+    (8 channels at d = 6, 134 at d = 3), at least one."""
     return max(1, CHUNK_BYTES // (6 * 16 * d**4))
+
+
+def _fef_batch_size(d: int) -> int:
+    """Outputs per ``fef_batch`` call of the audit: the batch holds the
+    outputs and the ascent's copy of them, two complex d^2 x d^2 matrices
+    per output, within CHUNK_BYTES (25 at d = 6, 52 at d = 5, 404 at d = 3),
+    at least one. That is about three chunks: a stack of identity starts
+    climbs until its slowest start stops, so each stack takes as many
+    channels as its memory allows."""
+    return max(1, CHUNK_BYTES // (2 * 16 * d**4))
 
 
 def run_audit(d: int, n_channels: int, seed: int) -> dict:
@@ -509,24 +524,30 @@ def run_audit(d: int, n_channels: int, seed: int) -> dict:
 
     Each FEF is ``fef(rho, restarts=1).value``: the identity start's ascent,
     which climbs from Phi+ and so meets the floor check by construction; no
-    certificate is read, so none is proved. Channels are audited in chunks
-    of ``_audit_chunk_size(d)``: ``_audit_chunk`` builds a chunk's channels
-    and runs its linear algebra as stacked calls. ``fef_batch`` takes the
-    chunk's stack of outputs as it is and gives their FEF values; the floor
+    certificate is read, so none is proved. Channels are audited in batches
+    of ``_fef_batch_size(d)``, each built in chunks of
+    ``_audit_chunk_size(d)``: ``_audit_chunk`` builds a chunk's channels and
+    runs its linear algebra as stacked calls, and its outputs fill the
+    batch's slice of one preallocated stack. ``fef_batch`` takes the
+    batch's stack of outputs as it is and gives their FEF values; the floor
     is read by the stacked overlap that gives every FEF value, and the
     ceiling takes one stacked ``eigvalsh`` each for lambda_max and the
-    partial-transpose negativity. At d = 2 the Pauli check of the chunk's
+    partial-transpose negativity. At d = 2 the Pauli check of the batch's
     indices is stacked the same way. Every deviation is bit for bit the one
-    its channel gives alone, so the report does not depend on the chunk size.
+    its channel gives alone, so the report depends on neither size.
     """
-    chunk = _audit_chunk_size(d)
+    batch, chunk = _fef_batch_size(d), _audit_chunk_size(d)
+    outputs = np.empty((min(batch, n_channels), d * d, d * d), dtype=complex)
     parts = []
-    for lo in range(0, n_channels, chunk):
-        hi = min(lo + chunk, n_channels)
-        rho, devs = _audit_chunk(d, seed, lo, hi)
+    for start in range(0, n_channels, batch):
+        stop = min(start + batch, n_channels)
+        rho, devs = outputs[:stop - start], np.empty((stop - start, 3))
+        for lo in range(0, stop - start, chunk):
+            hi = min(lo + chunk, stop - start)
+            rho[lo:hi], devs[lo:hi] = _audit_chunk(d, seed, start + lo, start + hi)
         part = [*devs.T, *_fef_deviations(rho, fef_batch(rho))]
         if d == 2:
-            part.append(_audit_pauli(seed, lo, hi))
+            part.append(_audit_pauli(seed, start, stop))
         parts.append(np.column_stack(part))
     # AUDIT_TOLERANCES lists the checks in report order, the qubit-only one last
     checks = {}

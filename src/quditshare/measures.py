@@ -52,8 +52,8 @@ when it stays open, climbs the seeded starts as above. ``fef_batch`` runs
 it on the stack ``audit`` holds and returns the values alone, each bit for
 bit ``fef(rho, restarts=1).value``; it tries no bracket, as ``audit`` reads
 no certificate. The copies cost 16 d^4 bytes per operator, so callers with
-many operators pass them in batches (``audit`` passes one chunk of channels
-at a time).
+many operators pass them in batches (``audit`` sizes each batch by the
+outputs and their copies alone).
 """
 
 from __future__ import annotations
@@ -163,44 +163,53 @@ def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
     Each iteration polar-projects the power steps of the starts still
     climbing with one stacked SVD; a start leaves at the first step whose gain
     is below DEFAULT_TOL, and the ascent returns once no start is climbing
-    (at once for an empty stack). matmul against w[..., None] and vecdot
-    round each start on its own (einsum and a GEMM do not), so every start
-    ends bit-identical to a run on its own. Returns the per-start values,
+    (at once for an empty stack). The climbing starts' w, y = R w, values
+    and operators are kept as compact stacks, and a start is written to the
+    results only when it leaves (or at DEFAULT_MAX_ITER), with its last
+    point that gained. matmul against w[..., None] and vecdot round each
+    start on its own (einsum and a GEMM do not), so every start ends
+    bit-identical to a run on its own. Returns the per-start values,
     unitaries and converged flags.
     """
     n = w0.shape[0]
     w = w0.reshape(n, d * d).astype(complex)
     y = np.matmul(r, w[..., None])[..., 0]
     val = np.vecdot(w, y).real
+    w_out, val_out = np.empty_like(w), np.empty_like(val)
     converged = np.zeros(n, dtype=bool)
-    active = np.arange(n)
+    index = np.arange(n)
     for _ in range(DEFAULT_MAX_ITER):
-        if not active.size:
+        if not index.size:
             break
-        u, _, vh = np.linalg.svd(y[active].reshape(-1, d, d))
+        u, _, vh = np.linalg.svd(y.reshape(-1, d, d))
         w_new = (u @ vh).reshape(-1, d * d)
         y_new = np.matmul(r, w_new[..., None])[..., 0]
         val_new = np.vecdot(w_new, y_new).real
-        old = val[active]
-        up = val_new > old
-        kept = active[up]
-        w[kept], y[kept], val[kept] = w_new[up], y_new[up], val_new[up]
-        done = ~up | (val_new - old < DEFAULT_TOL)
+        up = val_new > val
+        done = ~up | (val_new - val < DEFAULT_TOL)
         leaving = np.count_nonzero(done)
         if leaving:
-            converged[active[done]] = True
+            # a leaving start keeps its step only if the step gained
+            gained = up[done]
+            left = index[done]
+            w_out[left] = np.where(gained[:, None], w_new[done], w[done])
+            val_out[left] = np.where(gained, val_new[done], val[done])
+            converged[left] = True
             # the last staying starts take the leaving ones' places, so a
             # per-start r shrinks in place; the stacked SVD factors each
             # matrix on its own, so the order changes no result
-            stay = active.size - leaving
+            stay = index.size - leaving
             dst = np.flatnonzero(done[:stay])
             src = stay + np.flatnonzero(~done[stay:])
-            active[dst] = active[src]
-            active = active[:stay]
+            for stack in (index, w_new, y_new, val_new):
+                stack[dst] = stack[src]
+            index, w_new, y_new, val_new = index[:stay], w_new[:stay], y_new[:stay], val_new[:stay]
             if r.ndim == 3:
                 r[dst] = r[src]
                 r = r[:stay]
-    return val, w.reshape(n, d, d), converged
+        w, y, val = w_new, y_new, val_new
+    w_out[index], val_out[index] = w, val
+    return val_out, w_out.reshape(n, d, d), converged
 
 
 def _seeded_starts(d: int, restarts: int, seed: int) -> np.ndarray:
@@ -435,7 +444,9 @@ def fef_batch(mats: np.ndarray) -> np.ndarray:
     """The (n,) array of ``fef(rho, restarts=1).value`` for every operator in
     a stack (n, d^2, d^2) of valid density matrices of one d, each bit for
     bit the one-operator call's; no seeded start runs and no bracket is
-    tried. The ascent holds a copy of the stack, so callers cut a long one
-    into batches.
+    tried. The ascent holds a copy of the stack, so a batch costs two
+    complex d^2 x d^2 matrices per operator, and callers cut a long stack
+    into batches of that footprint. A stack climbs until its slowest start
+    stops, so larger batches take fewer iterations per operator.
     """
     return _mes_overlaps(mats, _identity_starts(mats)[1])

@@ -207,6 +207,20 @@ def test_measures_psi_prime(omega_file, capsys):
     assert report["fef_certified"] is True
 
 
+@pytest.mark.parametrize("which", ["psi_prime", "phiplus"])
+def test_measures_eigenvector_defect_is_one_line_exit_3(omega_file, capsys, monkeypatch, which):
+    # measures takes its Choi eigenpairs from top_eigenpairs, which checks
+    # each top eigenvector's residual (psi' is the dual's vector; the Phi+
+    # output is the channel's Choi state); at a zero tolerance no residual
+    # passes, and measures writes no report
+    monkeypatch.setattr(channels, "EIGVEC_DEFECT_TOL", 0.0)
+    assert main(["measures", omega_file, "--input", which]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: numerical failure: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("which", ["phiplus", "psi_prime", "state"])
 def test_measures_fstar_bound_is_the_library_bound(tmp_path, capsys, monkeypatch, which):
     # the report reads N(rho) once and forms fstar_upper_bound from it: the
@@ -1015,15 +1029,22 @@ def test_audit_names_the_worst_channel(capsys, monkeypatch):
         assert replay == check
 
 
-def test_audit_eigenvector_defect_is_one_line_exit_3(capsys, monkeypatch):
-    # every Choi state's top eigenvector is checked against its eigenvalue;
-    # at a zero tolerance no residual passes, and the audit reaches no verdict
-    monkeypatch.setattr(channels, "EIGVEC_DEFECT_TOL", 0.0)
-    assert main(["audit", "--d", "3", "--n", "4"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: numerical failure: ")
-    assert captured.err.count("\n") == 1
+@pytest.mark.parametrize("d, n", [(3, 150), (6, 30)])
+def test_audit_report_does_not_depend_on_chunking(monkeypatch, d, n):
+    # the same bytes from 2-channel chunks filling 7-output FEF batches (a
+    # chunk boundary inside every batch, which is no multiple of the chunk),
+    # from the default sizes (two chunks in one batch at d = 3; at d = 6 a
+    # batch boundary too) and from one chunk holding every channel
+    matrix = 16 * d**4
+    reports = []
+    for size, sizes in [(14 * matrix, (2, 7)), (cli.CHUNK_BYTES, None),
+                        (64 * cli.CHUNK_BYTES, None)]:
+        monkeypatch.setattr(cli, "CHUNK_BYTES", size)
+        if sizes:
+            assert (cli._audit_chunk_size(d), cli._fef_batch_size(d)) == sizes
+        reports.append(dumps_fixed(cli.run_audit(d, n, 5)))
+    assert cli._audit_chunk_size(d) >= n
+    assert reports[1:] == reports[:1] * 2
 
 
 def test_audit_checks_each_channel_completeness(capsys, monkeypatch):

@@ -445,12 +445,12 @@ def _check_fef_against_serial(rho, restarts, seed, starts):
 
 
 def _check_batches_against_alone(rhos, singles):
-    """fef_batch on rhos, in batches of twice the size run_audit cuts, gives
+    """fef_batch on rhos, in batches of twice the size run_audit passes it, gives
     fef(rho, restarts=1).value of each operator alone bit for bit, and its
     identity starts end at the lone calls' maximizers and converged flags:
     singles holds those results."""
     d = rhos[0].dim
-    size = 2 * cli._audit_chunk_size(d)
+    size = 2 * cli._fef_batch_size(d)
     for lo in range(0, len(rhos), size):
         stack = np.stack([rho.matrix for rho in rhos[lo:lo + size]])
         alone = singles[lo:lo + size]

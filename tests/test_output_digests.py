@@ -47,12 +47,12 @@ CASE_SEED = {2: 0, 3: 0, 4: 1}
 # bracket open, which the default 32 starts' polish closes, so the seeded
 # starts run
 LEAST_SQUARES_ONLY = (4, 4, 8, "7fd42d9eac573f712f4068057ca58341b15146e3fd9a38c80900ebb5d04153cb")
-AUDIT_SHA256 = "3787a7ca7975a2d64172bfd1d80b74d81f26bdd039f4c101af2e28cfab8418c6"
+AUDIT_SHA256 = "ffef043cc62930684949fd8d7c77198d491d4528285b10974f28e61906665737"
 # (d, --n, --seed, sha256) of more audit reports: the qubit Pauli check, and
-# a run across a chunk boundary
+# a run across chunk and FEF batch boundaries
 AUDIT_MORE = [
-    (2, 12, 3, "b92ebb4a56be0159578ba5354409dab9aa7d1cfd5cb7d1fad7eb39975ba6f57f"),
-    (6, 53, 11, "270093d88f973119ea6ce3d5599e96d254e6ab7c5d595630a6c2aa0e507c64b9"),
+    (2, 12, 3, "a4f8ef297d08f429f073ec7525e6ec3517900e15d55387a678263ff76466abff"),
+    (6, 53, 11, "64013de73ffb62a6fbb256c6106864c72272470e59691ecee8a951b93fa29203"),
 ]
 # "gap" is the O(d) pair sum of (x_i - x_j)^2, 0.54000000000000004 here,
 # the double nearest the exact 0.54

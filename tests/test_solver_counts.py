@@ -199,13 +199,17 @@ def test_fef_one_stacked_svd_per_iteration(fef_calls, d, restarts):
 
 
 def test_audit_one_stacked_svd_per_iteration(fef_calls):
-    # audit's channels of one chunk climb as one stack of identity starts: as
-    # many SVD calls as the slowest of them takes alone, and no QR beyond
-    # building the channels, as no seeded start runs, not even for the
-    # channels whose bracket stays open
-    d, n, seed = 4, 12, 3
-    assert n <= cli._audit_chunk_size(d)
-    rhos = [DensityOperator(d, m) for m in cli._audit_chunk(d, seed, 0, n)[0]]
+    # audit's channels of one FEF batch climb as one stack of identity starts,
+    # here filled from two memory chunks: as many SVD calls as the slowest of
+    # them takes alone, and no QR beyond building the channels, as no seeded
+    # start runs, not even for the channels whose bracket stays open
+    d, seed = 4, 3
+    chunk = cli._audit_chunk_size(d)
+    n = chunk + 8
+    assert n <= cli._fef_batch_size(d)
+    bounds = [(0, chunk), (chunk, n)]
+    rhos = [DensityOperator(d, m)
+            for lo, hi in bounds for m in cli._audit_chunk(d, seed, lo, hi)[0]]
     assert not all(fef(rho, restarts=1).certified for rho in rhos)
     identity = []
     for rho in rhos:
@@ -214,7 +218,8 @@ def test_audit_one_stacked_svd_per_iteration(fef_calls):
         identity.append(fef_calls["svd"] - before)
     assert max(identity) < sum(identity)
     before = dict(fef_calls)
-    cli._audit_chunk(d, seed, 0, n)
+    for lo, hi in bounds:
+        cli._audit_chunk(d, seed, lo, hi)
     building = {k: fef_calls[k] - before[k] for k in fef_calls}
     before = dict(fef_calls)
     assert cli.run_audit(d, n, seed)["pass"]
@@ -223,12 +228,13 @@ def test_audit_one_stacked_svd_per_iteration(fef_calls):
 
 
 def test_audit_chunk_solver_calls_do_not_grow_with_channels(monkeypatch):
-    # one chunk runs its linear algebra as stacked calls: one eigh for all
-    # primal and dual Choi states, one eigvalsh each for lambda_max and the
-    # partial-transpose negativity of the outputs, and one QR per Kraus
-    # count (2 and 3 both occur among the first 4 channels at this seed)
-    # plus one for the local unitaries. At d >= 3 the FEF at one restart
-    # tries the least-squares dual point alone, which takes no eigensolve
+    # one chunk runs its linear algebra as stacked calls: one eigvalsh for
+    # all primal and dual Choi states, whose eigenvectors the audit does not
+    # read, one eigvalsh each for lambda_max and the partial-transpose
+    # negativity of the outputs, and one QR per Kraus count (2 and 3 both
+    # occur among the first 4 channels at this seed) plus one for the local
+    # unitaries. At d >= 3 fef_batch tries no dual point, so the FEF takes
+    # no eigensolve
     d, seed = 3, 1
     assert 12 <= cli._audit_chunk_size(d)
     budgets = []
@@ -237,7 +243,7 @@ def test_audit_chunk_solver_calls_do_not_grow_with_channels(monkeypatch):
         assert cli.run_audit(d, n, seed)["pass"]
         budgets.append(calls)
         monkeypatch.undo()
-    assert budgets == [{"eigh": 1, "eigvalsh": 2, "qr": 3}] * 2
+    assert budgets == [{"eigh": 0, "eigvalsh": 3, "qr": 3}] * 2
 
 
 @pytest.mark.parametrize("case, restarts", [

@@ -14,7 +14,8 @@ calls:
   (``kraus_stack``), on n inputs, in real arithmetic when the lists and
   inputs are real; ``apply_one_sided`` is its one-row case, and
   ``primal_dual_choi`` gives the Choi states of n lists and of their dual
-  maps from one such call;
+  maps from one such call. It is ``branch_sum`` of the ``branch_vectors``
+  (I (x) K_i)|psi>, which ``audit`` also reads for lambda_max;
 - ``completeness_residual`` (and ``check_completeness``) takes one list or
   such a stack; ``KrausChannel`` checks its list with it;
 - ``top_eigenpairs`` solves a stack of Hermitian matrices with one ``eigh``
@@ -24,7 +25,8 @@ calls:
 - ``haar_from_gaussian`` makes a stack of Haar unitaries with one QR, and
   ``haar_dilation_kraus`` blocks the unitaries it makes from a stack of
   Gaussian dilations into Kraus lists; ``random_channel`` is its one-row
-  case, and ``audit`` draws its channels with it.
+  case, and ``audit`` draws its channels with it, from Gaussians that
+  ``ginibre_from_normals`` assembles from drawn normals.
 In the stacked paths Phi+'s coefficient matrix is written as I / sqrt(d).
 """
 
@@ -149,16 +151,30 @@ def one_sided_stack(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
     matrices, or (1, d, d) one input for all; returns the (n, d^2, d^2)
     outputs, each exactly Hermitian. When ``kraus`` and ``m`` are both real,
     so are the outputs (real symmetric); complex input gives complex output.
-
-    A list shorter than K is padded with zero operators (``kraus_stack``),
-    which is exact: the sum starts from +0 and never holds -0, so adding a
-    term of zeros leaves every bit. Each output is the one its list and
-    input give alone.
+    It is ``branch_sum`` of the ``branch_vectors``.
     """
+    return branch_sum(branch_vectors(kraus, m))
+
+
+def branch_vectors(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The (n, K, d^2) vectors (I (x) K_i)|psi> of ``one_sided_stack``'s
+    terms: row i of list r is vec(M_r K_i^T)."""
     n, count, d, _ = kraus.shape
-    v = np.matmul(m[:, None], kraus.swapaxes(-1, -2)).reshape(n, count, d * d)
+    return np.matmul(m[:, None], kraus.swapaxes(-1, -2)).reshape(n, count, d * d)
+
+
+def branch_sum(v: np.ndarray) -> np.ndarray:
+    """sum_i v_i v_i^dag of each stack of vectors (n, K, D), made exactly
+    Hermitian, shape (n, D, D).
+
+    A list padded with zero operators (``kraus_stack``) has zero vectors,
+    which is exact: the sum starts from +0 and never holds -0, so adding a
+    term of zeros leaves every bit. Each output is the one its vectors give
+    alone.
+    """
+    n, count, size = v.shape
     vc = v.conj()
-    out = np.zeros((n, d * d, d * d), dtype=v.dtype)
+    out = np.zeros((n, size, size), dtype=v.dtype)
     for j in range(count):
         out += v[:, j, :, None] * vc[:, j, None, :]
     # 0.5 (out + out^dag), in place
@@ -232,7 +248,16 @@ def top_choi_eigenpair(ch: KrausChannel) -> TopChoiEigenpair:
 
 def complex_gaussian(d: int, rng: np.random.Generator) -> np.ndarray:
     """d x d matrix of i.i.d. standard complex Gaussians (the Ginibre ensemble)."""
-    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    return ginibre_from_normals(rng.standard_normal(2 * d * d), d)
+
+
+def ginibre_from_normals(normals: np.ndarray, d: int) -> np.ndarray:
+    """Complex Gaussian d x d matrices (re + i im) / sqrt(2), shape (..., d, d),
+    from real standard normals (..., 2 d^2): of each row the first d^2 are
+    the real parts in row-major order, the rest the imaginary parts, the
+    order ``complex_gaussian`` draws them in."""
+    re, im = normals[..., :d * d], normals[..., d * d:]
+    return ((re + 1j * im) / np.sqrt(2)).reshape(*normals.shape[:-1], d, d)
 
 
 def haar_from_gaussian(z: np.ndarray) -> np.ndarray:

@@ -33,14 +33,15 @@ import numpy as np
 
 from .channels import (
     apply_one_sided,
+    branch_sum,
+    branch_vectors,
     channel_from_dict,
     check_completeness,
-    complex_gaussian,
     completeness_residual,
+    ginibre_from_normals,
     haar_dilation_kraus,
     haar_from_gaussian,
     is_unital,
-    kraus_stack,
     load_channel,
     one_sided_stack,
     primal_dual_choi,
@@ -70,7 +71,6 @@ from .states import (
     kron_identity,
     load_state,
     max_entangled,
-    random_pure_state,
 )
 
 AUDIT_TOLERANCES = {
@@ -403,48 +403,70 @@ _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1
 
 def _audit_draws(d: int, seed: int, lo: int, hi: int):
     """The random draws of channels lo..hi-1 of the audit: their Kraus lists
-    as one (n, K, d, d) stack, padded with zero operators to the longest,
-    their inputs' coefficient matrices and their local unitaries W.
+    as one (n, d, d, d) stack, padded with zero operators to d, the largest
+    Kraus count, their inputs' coefficient matrices and their local
+    unitaries W.
 
-    Channel i draws from default_rng([seed, i]) alone, in this order: its
-    Kraus count k, the Gaussian of its Haar dilation on C^{dk}, its input
-    (``random_pure_state``), then the Gaussian of W. ``haar_dilation_kraus``
-    turns the dilations into Kraus lists with one QR per Kraus count, and
-    the W take one QR.
+    Channel i draws from default_rng([seed, i]) alone: its Kraus count k,
+    then one block of 2 (d k)^2 + 4 d^2 standard normals, which hold in
+    turn the Gaussian of its Haar dilation on C^{d k}, its input (the
+    normals of ``random_pure_state``) and the Gaussian of W, the order and
+    values of separate draws. The channels of one Kraus count are assembled
+    as one stack, and ``haar_dilation_kraus`` turns their dilations into
+    Kraus lists with one QR; the W take one QR.
     """
-    counts, dilations, inputs, rotations = [], [], [], []
+    counts, normals = [], []
     for i in range(lo, hi):
         rng = np.random.default_rng([seed, i])
         k = int(rng.integers(2, d + 1))
         counts.append(k)
-        dilations.append(complex_gaussian(d * k, rng))
-        inputs.append(random_pure_state(d, rng).coefficient_matrix())
-        rotations.append(complex_gaussian(d, rng))
-    kraus = [None] * len(counts)
+        normals.append(rng.standard_normal(2 * (d * k) ** 2 + 4 * d * d))
+    n, m = hi - lo, d * d
+    kraus = np.zeros((n, d, d, d), dtype=complex)
+    inputs = np.empty((n, m), dtype=complex)
+    gaussians = np.empty((n, d, d), dtype=complex)
+    # sorted(set()), not np.unique, whose first call adds 1.7 MB of RSS
     for k in sorted(set(counts)):
         rows = [r for r, count in enumerate(counts) if count == k]
-        for r, ops in zip(rows, haar_dilation_kraus(np.stack([dilations[r] for r in rows]), d)):
-            kraus[r] = ops
-    return kraus_stack(kraus), np.stack(inputs), haar_from_gaussian(np.stack(rotations))
+        block = np.stack([normals[r] for r in rows])
+        dilation, amps, rotation = np.split(block, [2 * m * k * k, 2 * m * (k * k + 1)], axis=1)
+        kraus[rows, :k] = haar_dilation_kraus(ginibre_from_normals(dilation, d * k), d)
+        inputs[rows] = amps[:, :m] + 1j * amps[:, m:]
+        gaussians[rows] = ginibre_from_normals(rotation, d)
+    # one norm per row, each as random_pure_state takes it
+    inputs /= np.array([np.linalg.norm(v) for v in inputs])[:, None]
+    return kraus, inputs.reshape(n, d, d), haar_from_gaussian(gaussians)
 
 
 def _audit_chunk(d: int, seed: int, lo: int, hi: int):
     """Channels lo..hi-1 of the audit (``_audit_draws``): their outputs rho
-    as one (n, d^2, d^2) stack, and an (n, 3) array of the deviations that
-    need no FEF (trace, dual-primal lambda_max, local-unitary covariance).
+    as one (n, d^2, d^2) stack, an (n, 3) array of the deviations that need
+    no FEF (trace, dual-primal lambda_max, local-unitary covariance), and
+    lambda_max of each output.
 
     The linear algebra runs on stacks: one ``check_completeness``, one
     ``eigvalsh`` for every primal and dual Choi state, whose top eigenvalues
-    are all the report reads of them, and ``one_sided_stack`` for the
-    outputs. Each value is bit for bit the one the channel gives alone.
+    are all the report reads of them, the outputs as ``branch_sum`` of
+    their vectors v_i = (I (x) K_i)|psi>, and one ``eigvalsh`` of the K x K
+    Gram matrices <v_i|v_j> of those vectors: rho = sum_i v_i v_i^dag has
+    the Gram matrix's nonzero spectrum. The Kraus lists are padded to K = d
+    whatever the chunk holds, as a Gram matrix's eigensolve, unlike a sum
+    of zero terms, may round differently with more zero rows. Each value is
+    bit for bit the one the channel gives alone.
     """
     kraus, psi, w = _audit_draws(d, seed, lo, hi)
     check_completeness(kraus)
 
+    # the Choi states are solved at full size: in Gram form the dual's
+    # Gram matrix, tr(K_i K_j^dag) / d, is the transpose of the primal's,
+    # tr(K_i^dag K_j) / d, so the check would compare one matrix's spectrum
+    # with its transpose's and prove nothing of either eigensolve
     lam = np.linalg.eigvalsh(primal_dual_choi(kraus))[:, -1]
     dual_dev = np.abs(lam[:hi - lo] - lam[hi - lo:])
 
-    rho = one_sided_stack(kraus, psi)
+    v = branch_vectors(kraus, psi)
+    rho = branch_sum(v)
+    top = np.linalg.eigvalsh(v.conj() @ v.swapaxes(-1, -2))[:, -1]
     trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
 
     # (W (x) I) rho (W (x) I)^dag against the output of the rotated input,
@@ -458,17 +480,18 @@ def _audit_chunk(d: int, seed: int, lo: int, hi: int):
     lhs -= rhs
     lu_dev = np.abs(lhs).max(axis=(1, 2))
 
-    return rho, np.column_stack((trace_dev, dual_dev, lu_dev))
+    return rho, np.column_stack((trace_dev, dual_dev, lu_dev)), top
 
 
-def _fef_deviations(rho: np.ndarray, fef_values: np.ndarray):
-    """For a stack of outputs and their FEF values, how far each value falls
-    below the floor <Phi+|rho|Phi+> and rises above the ceiling
-    min(lambda_max, (1 + 2N) / d) of ``fstar_upper_bound``, clamped at 0."""
+def _fef_deviations(rho: np.ndarray, top: np.ndarray, fef_values: np.ndarray):
+    """For a stack of outputs, their lambda_max ``top`` and their FEF values,
+    how far each value falls below the floor <Phi+|rho|Phi+> and rises above
+    the ceiling min(lambda_max, (1 + 2N) / d) of ``fstar_upper_bound``,
+    clamped at 0."""
     d = math.isqrt(rho.shape[-1])
     floor = _mes_overlaps(rho, np.eye(d, dtype=complex))
     fstar = (1.0 + 2.0 * negativity_of_matrix(rho, d)) / d
-    ceiling = np.minimum(np.linalg.eigvalsh(rho)[:, -1], fstar)
+    ceiling = np.minimum(top, fstar)
     return np.maximum(0.0, floor - fef_values), np.maximum(0.0, fef_values - ceiling)
 
 
@@ -531,7 +554,7 @@ def run_audit(d: int, n_channels: int, seed: int) -> dict:
     batch's slice of one preallocated stack. ``fef_batch`` takes the
     batch's stack of outputs as it is and gives their FEF values; the floor
     is read by the stacked overlap that gives every FEF value, and the
-    ceiling takes one stacked ``eigvalsh`` each for lambda_max and the
+    ceiling reads the chunks' lambda_max and one stacked ``eigvalsh`` for the
     partial-transpose negativity. At d = 2 the Pauli check of the batch's
     indices is stacked the same way. Every deviation is bit for bit the one
     its channel gives alone, so the report depends on neither size.
@@ -542,10 +565,11 @@ def run_audit(d: int, n_channels: int, seed: int) -> dict:
     for start in range(0, n_channels, batch):
         stop = min(start + batch, n_channels)
         rho, devs = outputs[:stop - start], np.empty((stop - start, 3))
+        top = np.empty(stop - start)
         for lo in range(0, stop - start, chunk):
             hi = min(lo + chunk, stop - start)
-            rho[lo:hi], devs[lo:hi] = _audit_chunk(d, seed, start + lo, start + hi)
-        part = [*devs.T, *_fef_deviations(rho, fef_batch(rho))]
+            rho[lo:hi], devs[lo:hi], top[lo:hi] = _audit_chunk(d, seed, start + lo, start + hi)
+        part = [*devs.T, *_fef_deviations(rho, top, fef_batch(rho))]
         if d == 2:
             part.append(_audit_pauli(seed, start, stop))
         parts.append(np.column_stack(part))

@@ -13,34 +13,41 @@ maximally entangled states up to a global phase (Hill & Wootters, PRL 78, 5022
 At d >= 3 it is maximized over the manifold of maximally entangled states by
 a projected power iteration: every maximally entangled state is (W (x) I)|Phi+>
 for a unitary W, the overlap is a positive-semidefinite quadratic form in the
-entries of W, and alternating a power step with polar projection to the nearest
-unitary ascends that form monotonically. ``fef`` climbs from the identity
-first. The Lagrange multiplier at its maximizer gives a family of dual
-points of the semidefinite relaxation of that problem, all stationary there,
-and when a Cholesky factorization proves one point's bound within CERT_TOL
-of the value, the result is returned as ``certified``. One search tries
-points of the family: the least-squares point first, with no eigensolve,
-and, when ``restarts`` - 1 >= d^2, a short quasi-Newton polish from there,
-at most _POLISH_POINTS points with one ``eigh`` each. Only when the bracket
+entries of W, and polar projection of the power step R w to the nearest
+unitary ascends that form monotonically. That plain step converges only
+linearly, so the ascent takes safeguarded secant (depth-one Anderson) steps
+on the map x -> R polar(x) (``_ascend_unitaries``): a step is kept only when
+it raises the value, a secant step that gains less than DEFAULT_TOL is
+followed by a plain one, and a start stops only on a plain step that gains
+less than DEFAULT_TOL. ``fef`` climbs from the identity first. The Lagrange
+multiplier at its maximizer gives a family of dual points of the
+semidefinite relaxation of that problem, all stationary there, and when a
+Cholesky factorization proves one point's bound within CERT_TOL of the
+value, the result is returned as ``certified``. One search tries points
+of the family: the least-squares point first, with no eigensolve, and, when
+``restarts`` - 1 >= d^2, a short quasi-Newton polish from there, at most
+_POLISH_POINTS points with one ``eigh`` each. Only when the bracket
 stays open do the seeded starts run, as one stack: each iteration makes a
 single stacked SVD over the starts still climbing, and a start drops out
-when its own gain falls below DEFAULT_TOL. So every start takes the steps it
-would take alone, and the result is bit-for-bit the one a start-by-start
-loop gives. An uncertified result is a heuristic lower bound, reported together
-with the certified ceiling min(lambda_max, (tr rho + 2N)/d) (tr rho is 1
-unless ``unit_trace`` is False).
+when a plain step of its own gains less than DEFAULT_TOL. So every start
+takes the steps it would take alone, and the result is bit-for-bit the one
+a start-by-start loop gives. An uncertified result is a heuristic lower
+bound, reported together with the certified ceiling
+min(lambda_max, (tr rho + 2N)/d) (tr rho is 1 unless ``unit_trace`` is
+False).
 
 The polish runs only where it may spare a seeded stack of at least d^2
 starts (restarts - 1 >= d^2): the 32 default starts of ``measures`` at
 d <= 5; fewer starts try the least-squares point alone.
 On the benchmark's measures corpus at d = 3, 4, 5 (seeds 1, 5, 7; 2 vCPUs,
-numpy 2.4.6) the least-squares point closes 174 / 150 / 118 of 192 brackets
-in a median 0.14 / 0.14 / 0.15 ms, the polish 17 / 34 / 51 more in 0.55 /
-0.81 / 1.3 ms, and a search that fails takes 2.1 / 2.7 / 4.2 ms, against
-20 / 18 / 20 ms for the 31 seeded starts. The rule also keeps the polish's
-eigensolves at order <= 25 for the default starts: above that numpy's
-``eigh`` takes LAPACK's divide-and-conquer path, which runs threaded BLAS and
-spends CPU time out of proportion to its wall time.
+numpy 2.4.6) the least-squares point closes 175 / 154 / 119 of 192 brackets
+in a median 0.11 / 0.11 / 0.13 ms, the polish 17 / 31 / 53 more in 0.56 /
+0.70 / 1.3 ms, and the search fails on 0 / 7 / 20, taking 2.5 ms at d = 4
+and 4.2 ms at d = 5, against 9.7 and 10 ms for the 31 seeded starts. The
+rule also keeps the polish's eigensolves at order <= 25 for the default
+starts: above that numpy's ``eigh`` takes LAPACK's divide-and-conquer path,
+which runs threaded BLAS and spends CPU time out of proportion to its wall
+time.
 
 One routine, ``_identity_starts``, runs the identity start on a stack
 (n, d^2, d^2) of operators of one d: at d = 2 every magic-basis eigensolve
@@ -160,14 +167,34 @@ def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
     r is one operator shared by every start, shape (d^2, d^2), or one per
     start, shape (n, d^2, d^2), which is overwritten: a leaving start's
     operator is replaced by that of a start still climbing.
-    Each iteration polar-projects the power steps of the starts still
-    climbing with one stacked SVD; a start leaves at the first step whose gain
-    is below DEFAULT_TOL, and the ascent returns once no start is climbing
-    (at once for an empty stack). The climbing starts' w, y = R w, values
-    and operators are kept as compact stacks, and a start is written to the
-    results only when it leaves (or at DEFAULT_MAX_ITER), with its last
-    point that gained. matmul against w[..., None] and vecdot round each
-    start on its own (einsum and a GEMM do not), so every start ends
+
+    Each iteration polar-projects one input x per climbing start with one
+    stacked SVD, w_new = polar(x), and takes y_new = R w_new. The plain step
+    takes x = y = R w of the start's point, a fixed-point iteration of
+    G(x) = R polar(x). A depth-one Anderson (secant) step on G (Walker & Ni,
+    SIAM J. Numer. Anal. 49, 1715 (2011)) takes x = y - gamma (y - y_prev),
+    gamma = Re<df, f> / <df, df>, where f = y - x_y is the residual of the
+    step that gave y, and y - y_prev and df are how y and f changed over the
+    last kept step; a start's first step is from input w0, as polar(w0) =
+    w0. gamma is 0, a plain step, when <df, df> is 0: at a start and after
+    a cleared history. It is also 0 when gamma >= 1: for a residual that
+    changes by a factor rho per step, gamma = rho / (rho - 1), so gamma >= 1
+    means rho > 1, a mode the start climbs away from (a saddle), and the
+    secant step would head back to it.
+
+    A step is kept only if it raises the value, so the ascent is monotone.
+    A secant step that gains less than DEFAULT_TOL, or loses, keeps any
+    gain, clears the start's history (its next step is plain), and the
+    start climbs on; a start leaves at the first plain step that gains less
+    than DEFAULT_TOL, keeping that step only if it gained, so a converged
+    start is one whose plain step gains less than DEFAULT_TOL, as without
+    the secant steps. DEFAULT_MAX_ITER counts iterations, one stacked SVD
+    each, and the ascent returns once no start is climbing (at once for an
+    empty stack). The climbing starts' w, y, f, history, values and
+    operators are kept as compact stacks, and a start is written to the
+    results only when it leaves (or at DEFAULT_MAX_ITER). matmul against
+    w[..., None] and vecdot round each start on its own (einsum and a GEMM
+    do not), and gamma and every update are per start, so every start ends
     bit-identical to a run on its own. Returns the per-start values,
     unitaries and converged flags.
     """
@@ -175,25 +202,45 @@ def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
     w = w0.reshape(n, d * d).astype(complex)
     y = np.matmul(r, w[..., None])[..., 0]
     val = np.vecdot(w, y).real
+    # polar(w0) = w0, so the start is the step from input w0 to output y
+    f = y - w
+    dy, df = np.zeros_like(y), np.zeros_like(y)
     w_out, val_out = np.empty_like(w), np.empty_like(val)
     converged = np.zeros(n, dtype=bool)
     index = np.arange(n)
     for _ in range(DEFAULT_MAX_ITER):
         if not index.size:
             break
-        u, _, vh = np.linalg.svd(y.reshape(-1, d, d))
+        # gamma is 0, a plain step (x = y), with no history (df = dy = 0)
+        # and where gamma >= 1 models a mode the start climbs away from
+        den = np.vecdot(df, df).real
+        gamma = np.vecdot(df, f).real / np.where(den > 0, den, np.inf)
+        gamma[gamma >= 1.0] = 0.0
+        x = y - gamma[:, None] * dy
+        u, _, vh = np.linalg.svd(x.reshape(-1, d, d))
         w_new = (u @ vh).reshape(-1, d * d)
         y_new = np.matmul(r, w_new[..., None])[..., 0]
         val_new = np.vecdot(w_new, y_new).real
         up = val_new > val
-        done = ~up | (val_new - val < DEFAULT_TOL)
+        small = ~up | (val_new - val < DEFAULT_TOL)
+        f_new = y_new - x
+        dy, df = y_new - y, f_new - f
+        # a start keeps its point where the step lost
+        if not up.all():
+            lost = ~up
+            for new, old in ((w_new, w), (y_new, y), (f_new, f), (val_new, val)):
+                new[lost] = old[lost]
+        # a step that gains less than DEFAULT_TOL clears its start's history
+        if small.any():
+            dy[small] = 0.0
+            df[small] = 0.0
+        w, y, f, val = w_new, y_new, f_new, val_new
+        # only a plain step ends a start
+        done = small & (gamma == 0)
         leaving = np.count_nonzero(done)
         if leaving:
-            # a leaving start keeps its step only if the step gained
-            gained = up[done]
             left = index[done]
-            w_out[left] = np.where(gained[:, None], w_new[done], w[done])
-            val_out[left] = np.where(gained, val_new[done], val[done])
+            w_out[left], val_out[left] = w[done], val[done]
             converged[left] = True
             # the last staying starts take the leaving ones' places, so a
             # per-start r shrinks in place; the stacked SVD factors each
@@ -201,13 +248,13 @@ def _ascend_unitaries(r: np.ndarray, d: int, w0: np.ndarray):
             stay = index.size - leaving
             dst = np.flatnonzero(done[:stay])
             src = stay + np.flatnonzero(~done[stay:])
-            for stack in (index, w_new, y_new, val_new):
+            for stack in (index, w, y, f, dy, df, val):
                 stack[dst] = stack[src]
-            index, w_new, y_new, val_new = index[:stay], w_new[:stay], y_new[:stay], val_new[:stay]
+            index, w, y, f, dy, df, val = (
+                stack[:stay] for stack in (index, w, y, f, dy, df, val))
             if r.ndim == 3:
                 r[dst] = r[src]
                 r = r[:stay]
-        w, y, val = w_new, y_new, val_new
     w_out[index], val_out[index] = w, val
     return val_out, w_out.reshape(n, d, d), converged
 

@@ -82,3 +82,15 @@ def random_mixed(d, rng, rank=None):
     g = rng.standard_normal((d * d, rank)) + 1j * rng.standard_normal((d * d, rank))
     m = g @ g.conj().T
     return DensityOperator(d, m / m.trace().real)
+
+
+def near_saddle_state():
+    """A d = 3 state whose FEF ascent from the identity runs to
+    DEFAULT_MAX_ITER: 0.999 P_asym / 3 + 0.001 sigma, sigma a random
+    full-rank state. Phi+ is a stationary point of P_asym / 3 that is not
+    its maximum, so the identity start climbs away from a saddle, by gains
+    that grow only slowly."""
+    d = 3
+    swap = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]
+    sigma = random_mixed(d, np.random.default_rng(5)).matrix
+    return DensityOperator(d, 0.999 * (np.eye(d * d) - swap) / 6 + 0.001 * sigma)

@@ -1008,10 +1008,10 @@ def test_audit_names_the_worst_channel(capsys, monkeypatch):
     built = cli._audit_chunk
 
     def faulty(d, seed, lo, hi):
-        rho, devs = built(d, seed, lo, hi)
+        rho, devs, top = built(d, seed, lo, hi)
         if lo <= 5 < hi:
             devs[5 - lo, 0] = 1e-6
-        return rho, devs
+        return rho, devs, top
 
     argv = ["audit", "--d", "3", "--seed", "7"]
     monkeypatch.setattr(cli, "_audit_chunk", faulty)
@@ -1045,6 +1045,19 @@ def test_audit_report_does_not_depend_on_chunking(monkeypatch, d, n):
         reports.append(dumps_fixed(cli.run_audit(d, n, 5)))
     assert cli._audit_chunk_size(d) >= n
     assert reports[1:] == reports[:1] * 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_audit_gram_lambda_max_is_each_channels_own(d):
+    # a chunk takes each output's lambda_max from the K x K Gram matrix of
+    # its vectors (I (x) K_i)|psi>: it agrees with the d^2 x d^2 eigensolve
+    # of the output within rounding, and, as every Kraus list is padded to
+    # d operators, it is the channel's own bits in any chunk
+    n = 30
+    rho, _, top = cli._audit_chunk(d, 4, 0, n)
+    assert np.abs(top - np.linalg.eigvalsh(rho)[:, -1]).max() < 1e-14
+    alone = [cli._audit_chunk(d, 4, i, i + 1)[2][0] for i in range(n)]
+    assert top.tolist() == alone
 
 
 def test_audit_checks_each_channel_completeness(capsys, monkeypatch):

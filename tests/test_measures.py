@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     damping_kraus_oracle,
+    near_saddle_state,
     negativity_oracle,
     random_mixed,
     random_unitary_oracle,
@@ -377,8 +378,16 @@ def test_best_input_fef_equals_lambda_max():
 
 
 def _serial_starts(rho, restarts, seed):
-    """The start-by-start FEF ascent that fef's stacked ascent replaced, kept
-    as written: per start (value, unitary, converged), np.vdot for the value."""
+    """The FEF ascent start by start, the rule fef's stacked ascent runs:
+    per start (value, unitary, converged), np.vdot for every inner product.
+
+    A start keeps its point's y = R w and the residual f = y - x of the
+    step that gave it (the start itself is the step from input w0), and
+    the last kept point's (y, f) as its history. With a history the next
+    input is the secant step y - gamma (y - y_prev), else y itself (a plain
+    step). A step is kept when it gains; an extrapolated step that gains
+    less than DEFAULT_TOL clears the history, and a plain one ends the
+    start."""
     d = rho.dim
     r = rho.matrix / d
     out = []
@@ -392,21 +401,36 @@ def _serial_starts(rho, restarts, seed):
             diag = np.diagonal(t)
             w = (q * np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)).reshape(-1)
         y = r @ w
+        f = y - w
         val = float(np.vdot(w, y).real)
+        history = None
         converged = False
         for _ in range(DEFAULT_MAX_ITER):
-            u, _, vh = np.linalg.svd(y.reshape(d, d))
+            gamma, x = 0.0, y
+            if history is not None:
+                y_prev, f_prev = history
+                df = f - f_prev
+                den = float(np.vdot(df, df).real)
+                if den > 0:
+                    gamma = float(np.vdot(df, f).real) / den
+                # gamma >= 1 models a mode that grows: the secant step would
+                # head back to the point the start climbs away from
+                if gamma >= 1.0:
+                    gamma = 0.0
+                x = y - gamma * (y - y_prev)
+            u, _, vh = np.linalg.svd(x.reshape(d, d))
             w_new = (u @ vh).reshape(-1)
             y_new = r @ w_new
             val_new = float(np.vdot(w_new, y_new).real)
-            if val_new > val:
-                gain = val_new - val
-                w, y, val = w_new, y_new, val_new
-            else:
-                gain = 0.0
-            if gain < DEFAULT_TOL:
-                converged = True
-                break
+            up, gain = val_new > val, val_new - val
+            if up:
+                history = (y, f)
+                w, y, f, val = w_new, y_new, y_new - x, val_new
+            if not up or gain < DEFAULT_TOL:
+                if not gamma:
+                    converged = True
+                    break
+                history = None
         out.append((val, w.reshape(d, d), converged))
     return out
 
@@ -499,7 +523,7 @@ def test_fef_stacked_matches_serial_loop_at_iteration_cap():
     # steps; with 2 and 8 starts it sits in the stack beside converged starts,
     # and in a batch beside the identity starts of fast outputs, which the
     # stack leaves behind
-    rho = random_mixed(3, np.random.default_rng(1728), rank=4)
+    rho = near_saddle_state()
     starts = _serial_starts(rho, 8, seed=0)
     assert not starts[0][2]
     rng = np.random.default_rng(1738)
@@ -515,6 +539,39 @@ def test_fef_stacked_matches_serial_loop_at_iteration_cap():
     assert {r.certified for r in alone} == {True, False}
     _check_batches_against_alone([fast[0], rho, *fast[1:]],
                                  [alone[0], fef(rho, restarts=1), *alone[1:]])
+
+
+def _plain_gains(r, ws):
+    """Per start, the gain of one plain step from W against r (one (d^2, d^2)
+    for all, or one per start): the SVD of R W, polar-projected."""
+    d = ws.shape[-1]
+    w = ws.reshape(len(ws), d * d)
+    y = np.matmul(r, w[..., None])[..., 0]
+    u, _, vh = np.linalg.svd(y.reshape(-1, d, d))
+    w_new = (u @ vh).reshape(len(ws), d * d)
+    return np.vecdot(w_new, np.matmul(r, w_new[..., None])[..., 0]).real - np.vecdot(w, y).real
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_converged_starts_leave_on_a_plain_step(d):
+    # a start leaves only when a plain step gains less than DEFAULT_TOL, never
+    # on a secant step that fails: one more plain step from a converged
+    # start's W gains less than DEFAULT_TOL, and W is unitary. Checked on an
+    # audit batch of identity starts, each at least its Phi+ overlap, and on
+    # a 32-start seeded stack
+    rho = cli._audit_chunk(d, 5, 0, cli._fef_batch_size(d))[0]
+    r = rho / d
+    eye = np.eye(d, dtype=complex).reshape(-1)
+    floor = np.vecdot(eye, np.matmul(r, eye[:, None])[..., 0]).real
+    vals, ws, converged = _identity_starts(rho)
+    assert (vals >= floor).all()
+    _, seeded, seeded_converged = _ascend_unitaries(r[0], d, _seeded_starts(d, 32, d))
+    stacks = [(r[converged], ws[converged]), (r[0], seeded[seeded_converged])]
+    for r_, ws in stacks:
+        assert len(ws) >= 8
+        assert (_plain_gains(r_, ws) < DEFAULT_TOL).all()
+        defect = ws @ ws.conj().swapaxes(-1, -2) - np.eye(d)
+        assert np.abs(defect).max() < 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -28,10 +28,10 @@ from quditshare.jsonio import dumps_fixed
 # (d, input, fef_certified, sha256 of the report)
 MEASURES = [
     (2, "phiplus", True, "98a7283f9dde9de3196f939ef2c02f9243cde46c62deac6470a7709d873181bc"),
-    (3, "phiplus", False, "86b2cb95548b9866ecd0a467724b98add05f069b047af04915093276830e1927"),
-    (3, "state", True, "5d067b28ee34bc9501da8e37613ecb0e5a377296f6b76f83bf6b5a1f5b397aeb"),
-    (4, "phiplus", True, "bd077de15042a37b324be94d9ffef1f85250eaa38f02c0b5a11fcbe745ead83b"),
-    (4, "state", False, "974cebc91b3e58153006cb6680733c32b6021ae767692b377534741164a7b8d3"),
+    (3, "phiplus", False, "d008faa5bab45a464cb6814438cc807a0ebc543e68fb39d40e97a11ae7f7d788"),
+    (3, "state", True, "4bcb1f6b2242e63baeb22f39c791d11fc833481c08397b3d075834064782aa08"),
+    (4, "phiplus", True, "fde7c2655d1f6c029d459be8fb85eecb3e4b47730d7e2d0b23c56da614c71659"),
+    (4, "state", False, "7cdc73d7fdee52fa77f0ea10b5946757b726567fafa9ae622b9d4858efaec4d7"),
 ]
 # (d, sha256) of the psi_prime report on case CASE_SEED[d]: the input is the
 # dual Choi state's top eigenvector, and no FEF ascent runs
@@ -39,14 +39,18 @@ PSI_PRIME = [
     (3, "3bf82ce9095658a47a230997f082e3c25a3af3f0f8f5d2158c3a02f3a66fee64"),
     (4, "2a680d04afcafcebd4418384862077a8411271e9cf8b7f273f9a7bb88f2ecca0"),
 ]
-# the case seed per d: at d = 3 the phiplus bracket stays open and the state
-# file's closes, at d = 4 the other way round; at d = 2 the FEF is exact
+# the case seed per d: at d = 3 the state file's bracket closes, at d = 4
+# the phiplus bracket closes and the state file's stays open; at d = 2 the
+# FEF is exact
 CASE_SEED = {2: 0, 3: 0, 4: 1}
+# the d = 3 phiplus report is pinned on a case of its own, whose bracket
+# stays open: case 0's closes
+OPEN_PHIPLUS_CASE = 105
 # (d, case seed, --restarts, sha256) of a phiplus report whose ascent tries
 # the least-squares dual point alone (restarts - 1 < d^2): it leaves the
 # bracket open, which the default 32 starts' polish closes, so the seeded
 # starts run
-LEAST_SQUARES_ONLY = (4, 4, 8, "7fd42d9eac573f712f4068057ca58341b15146e3fd9a38c80900ebb5d04153cb")
+LEAST_SQUARES_ONLY = (4, 4, 8, "0bb43606a11559819e902fd021ff9f04fd70332beebe964ac1b0ccf53e3de4ef")
 AUDIT_SHA256 = "ffef043cc62930684949fd8d7c77198d491d4528285b10974f28e61906665737"
 # (d, --n, --seed, sha256) of more audit reports: the qubit Pauli check, and
 # a run across chunk and FEF batch boundaries
@@ -90,7 +94,8 @@ def _measures(tmp_path, d, case_seed, which, *flags):
 
 @pytest.mark.parametrize("d, which, certified, digest", MEASURES)
 def test_measures_digest(tmp_path, d, which, certified, digest):
-    assert _measures(tmp_path, d, CASE_SEED[d], which) == (certified, digest)
+    case_seed = OPEN_PHIPLUS_CASE if (d, which) == (3, "phiplus") else CASE_SEED[d]
+    assert _measures(tmp_path, d, case_seed, which) == (certified, digest)
 
 
 @pytest.mark.parametrize("d, digest", PSI_PRIME)

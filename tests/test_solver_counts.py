@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import random_mixed
+from helpers import near_saddle_state, random_mixed
 
 from quditshare import (
     DampingParams,
@@ -117,7 +117,7 @@ def test_fef_builds_no_per_result_objects(monkeypatch, d):
     # entangled state built and validated per result: not by fef, on a
     # bracket that closes and on one that stays open, nor by a fef_batch
     # chunk of audit outputs
-    rng = np.random.default_rng(40 + d)
+    rng = np.random.default_rng(54 + d)
     rhos = [apply_one_sided(random_channel(d, 2, rng), random_pure_state(d, rng)),
             random_mixed(d, rng)]
     chunk = cli._audit_chunk(d, 0, 0, 6)[0]
@@ -326,10 +326,7 @@ def test_measures_psi_prime_runs_no_fef(tmp_path, capsys, monkeypatch, d, unital
 
 def test_fef_single_start_budget(fef_calls):
     # one start takes no QR; this state's identity start runs to the cap
-    rng = np.random.default_rng(1728)
-    g = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
-    m = g @ g.conj().T
-    res = fef(DensityOperator(3, m / m.trace().real), restarts=1)
+    res = fef(near_saddle_state(), restarts=1)
     assert not res.converged
     assert fef_calls["svd"] == DEFAULT_MAX_ITER
     assert fef_calls["qr"] == 0

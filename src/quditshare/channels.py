@@ -11,11 +11,12 @@ one channel is the kernel's one-row case, so every member of a stack gets the
 bits it gets alone and ``audit`` can run a chunk of channels as a few stacked
 calls:
 - ``one_sided_stack`` maps n Kraus lists, held as one (n, K, d, d) array
-  (``kraus_stack``), on n inputs, in real arithmetic when the lists and
-  inputs are real; ``apply_one_sided`` is its one-row case, and
-  ``primal_dual_choi`` gives the Choi states of n lists and of their dual
-  maps from one such call. It is ``branch_sum`` of the ``branch_vectors``
-  (I (x) K_i)|psi>, which ``audit`` also reads for lambda_max;
+  (a shorter list padded with zero operators), on n inputs, in real
+  arithmetic when the lists and inputs are real; ``apply_one_sided`` is its
+  one-row case, and ``primal_dual_choi`` gives the Choi states of n lists
+  and of their dual maps from one such call. It is ``branch_sum`` of the
+  ``branch_vectors`` (I (x) K_i)|psi>, which ``audit`` also reads for
+  lambda_max;
 - ``completeness_residual`` (and ``check_completeness``) takes one list or
   such a stack; ``KrausChannel`` checks its list with it;
 - ``top_eigenpairs`` solves a stack of Hermitian matrices with one ``eigh``
@@ -134,17 +135,6 @@ def dual(ch: KrausChannel) -> KrausChannel:
     )
 
 
-def kraus_stack(lists) -> np.ndarray:
-    """n Kraus lists on one C^d as one (n, K, d, d) array, K the length of
-    the longest; a shorter list is padded with zero operators, which
-    ``one_sided_stack`` adds exactly."""
-    d = lists[0][0].shape[-1]
-    stack = np.zeros((len(lists), max(len(ops) for ops in lists), d, d), dtype=complex)
-    for row, ops in zip(stack, lists):
-        row[:len(ops)] = ops
-    return stack
-
-
 def one_sided_stack(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
     """sum_i (I (x) K_i) |psi><psi| (I (x) K_i^dag) for a stack: ``kraus``
     (n, K, d, d) holds n Kraus lists, ``m`` (n, d, d) the inputs' coefficient
@@ -167,10 +157,9 @@ def branch_sum(v: np.ndarray) -> np.ndarray:
     """sum_i v_i v_i^dag of each stack of vectors (n, K, D), made exactly
     Hermitian, shape (n, D, D).
 
-    A list padded with zero operators (``kraus_stack``) has zero vectors,
-    which is exact: the sum starts from +0 and never holds -0, so adding a
-    term of zeros leaves every bit. Each output is the one its vectors give
-    alone.
+    A list padded with zero operators has zero vectors, which is exact: the
+    sum starts from +0 and never holds -0, so adding a term of zeros leaves
+    every bit. Each output is the one its vectors give alone.
     """
     n, count, size = v.shape
     vc = v.conj()

@@ -34,6 +34,16 @@ too. If g(I/d) = 0, concavity gives g = 0 everywhere. An eigenvalue of sigma
 near 0 grows back only geometrically, so at a rank-deficient optimum the
 iterate can settle on a wrong face: ``converged`` is then False, the bracket
 loose.
+
+Cost: an iteration makes one eigh of K, one batched eigvalsh for
+lambda_min(Y - M) and lambda_min(Y), and one batched eigh of tr_B Y and the
+step's target; each but the last also makes the eigh of the next x, and
+each but the first and the last one least-squares solve for the Anderson
+coefficients. k iterations and the final negativity check make 3k - 1 eigh,
+k + 1 eigvalsh and k - 2 lstsq. When M is real (the damping family, or any
+channel with a real Choi state) the loop runs in real arithmetic, as
+``one_sided_stack`` does for real inputs: sigma, K and Y are then real
+symmetric.
 """
 
 from __future__ import annotations
@@ -106,45 +116,61 @@ def maximize_negativity_input(
     """
     d = ch.dim
     m = -d * partial_transpose(choi_state(ch))
-    eye = np.eye(d)
-    x = -np.log(d) * eye + 0j  # log sigma, sigma = I/d
-    w, u = np.full(d, 1.0 / d), eye  # eigenpairs of sigma
+    if not m.imag.any():
+        # a real M keeps every iterate real symmetric
+        m = np.ascontiguousarray(m.real)
+    x = np.diag(np.full(d, -np.log(d))).astype(m.dtype)  # log sigma, sigma = I/d
+    w, u = np.full(d, 1.0 / d), np.eye(d)  # eigenpairs of sigma
     best_lower, best_upper = -np.inf, np.inf
-    history, xs, fs = [], [], []  # fs: the steps taken from the iterates xs
-    depth = min(ANDERSON_DEPTH, d * d - 1)
+    history = []
+    scales = np.empty((2, d))  # sigma's eigenvalues to the powers 1/2 and -1/2
+    ys = np.empty((2, d * d, d * d), m.dtype)  # Y - M and Y
+    ts = np.empty((2, d, d), m.dtype)  # tr_B Y and t
+    # Anderson history: the differences of the last iterates x and of the
+    # steps f taken from them, as rows of real views; a ring, so once full
+    # the least-squares columns come in ring order, not by age
+    depth = min(ANDERSON_DEPTH, d * d - 1) - 1
+    size = x.reshape(-1).view(float).size
+    dxs, dfs = np.empty((depth, size)), np.empty((depth, size))
     for it in range(NEG_DEFAULT_MAX_ITER):
-        root = (u * np.sqrt(w)) @ u.conj().T
-        inv_root = (u / np.sqrt(np.maximum(w, SIGMA_FLOOR))) @ u.conj().T
-        lifted = kron_identity(root)
+        np.sqrt(w, out=scales[0])
+        np.reciprocal(np.sqrt(np.maximum(w, SIGMA_FLOOR)), out=scales[1])
+        roots = (u * scales[:, None, :]) @ u.conj().T  # sigma^1/2 and sigma^-1/2
+        lifted, lifted_inv = kron_identity(roots)
         lam, vec = np.linalg.eigh(lifted @ m @ lifted)
         k_plus = (vec * np.maximum(lam, 0.0)) @ vec.conj().T
-        t = partial_trace_matrix(k_plus, d)
+        t = ts[1]
+        t[...] = partial_trace_matrix(k_plus, d)
         lower = float(np.trace(t).real)
-        lifted_inv = kron_identity(inv_root)
-        y = lifted_inv @ k_plus @ lifted_inv
+        np.matmul(lifted_inv @ k_plus, lifted_inv, out=ys[1])
+        np.subtract(ys[1], m, out=ys[0])
         # one batched call: lambda_min of Y - M and of Y
-        eps = max(0.0, -float(np.linalg.eigvalsh(np.stack((y - m, y)))[:, 0].min()))
+        eps = max(0.0, -float(np.linalg.eigvalsh(ys)[:, 0].min()))
         # and one eigh for tr_B Y and for the step's target t / lower
-        tw, tu = np.linalg.eigh(np.stack((inv_root @ t @ inv_root, t)))
+        np.matmul(roots[1] @ t, roots[1], out=ts[0])
+        tw, tu = np.linalg.eigh(ts)
         upper = float(tw[0, -1]) + d * eps
         history.append((it, lower, upper))
         if lower > best_lower:
-            best_lower, best_root = lower, root
+            best_lower, best_root = lower, roots[0]
         best_upper = min(best_upper, upper)
         if best_upper - best_lower <= NEG_DEFAULT_TOL or lower <= 0.0:
             break
         log_target = (tu[1] * np.log(np.maximum(tw[1] / lower, SIGMA_FLOOR))) @ tu[1].conj().T
-        xs, fs = (xs + [x])[-depth:], (fs + [log_target - x])[-depth:]
+        xv, fv = x.reshape(-1).view(float), (log_target - x).reshape(-1).view(float)
         x = log_target
-        if len(xs) > 1:
+        if it:
             # Anderson mixing; real coefficients keep x Hermitian
-            dx, df = np.diff(xs, axis=0), np.diff(fs, axis=0)
-            coef = np.linalg.lstsq(df.reshape(len(df), -1).view(float).T,
-                                   fs[-1].reshape(-1).view(float), rcond=None)[0]
-            x = x - np.tensordot(coef, dx + df, axes=1)
+            np.subtract(xv, xv_prev, out=dxs[(it - 1) % depth])
+            np.subtract(fv, fv_prev, out=dfs[(it - 1) % depth])
+            kept = min(it, depth)
+            coef = np.linalg.lstsq(dfs[:kept].T, fv, rcond=None)[0]
+            x = x - (coef @ (dxs[:kept] + dfs[:kept]).view(x.dtype)).reshape(d, d)
+        xv_prev, fv_prev = xv, fv
         wx, u = np.linalg.eigh(x)
-        shift = wx.max() + np.log(np.exp(wx - wx.max()).sum())  # so that tr exp(x) = 1
-        x, w = x - shift * eye, np.exp(wx - shift)
+        shift = wx[-1] + np.log(np.exp(wx - wx[-1]).sum())  # so that tr exp(x) = 1
+        x.flat[::d + 1] -= shift
+        w = np.exp(wx - shift)
     state = PureBipartiteState(d, best_root.reshape(-1))
     return SearchResult(
         best_state=state,

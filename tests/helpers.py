@@ -76,6 +76,16 @@ def random_unitary_oracle(d, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def padded_kraus_stack(lists):
+    """n Kraus lists on one C^d as one (n, K, d, d) array, K the length of
+    the longest; a shorter list is padded with zero operators."""
+    d = lists[0][0].shape[-1]
+    stack = np.zeros((len(lists), max(len(ops) for ops in lists), d, d), dtype=complex)
+    for row, ops in zip(stack, lists):
+        row[:len(ops)] = ops
+    return stack
+
+
 def random_mixed(d, rng, rank=None):
     """A random density operator of the given rank (full rank by default)."""
     rank = rank or d * d

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     damping_kraus_oracle,
     one_sided_oracle,
+    padded_kraus_stack,
     phi_plus_vector,
     random_unitary_oracle,
 )
@@ -35,7 +36,7 @@ from quditshare import (
     save_channel,
     top_choi_eigenpair,
 )
-from quditshare.channels import check_completeness, kraus_stack, one_sided_stack, top_eigenpairs
+from quditshare.channels import check_completeness, one_sided_stack, top_eigenpairs
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -308,7 +309,7 @@ def test_stacked_kernel_matches_apply_one_sided(d):
     chans.append(dual(nonunital))
     assert not chans[-1].trace_preserving
     states = [random_pure_state(d, rng) for _ in chans]
-    stack = kraus_stack([ch.kraus_ops for ch in chans])
+    stack = padded_kraus_stack([ch.kraus_ops for ch in chans])
     assert stack.shape == (len(chans), d + 1, d, d)
     outs = one_sided_stack(stack, np.stack([psi.coefficient_matrix() for psi in states]))
     for ch, psi, out in zip(chans, states, outs):
@@ -323,8 +324,8 @@ def test_stacked_checks_cover_every_member():
     # a stack fails completeness when any one list does, at that list's index
     rng = np.random.default_rng(8)
     lists = [random_channel(3, k, rng).kraus_ops for k in (2, 3, 1)]
-    check_completeness(kraus_stack(lists))
-    bad = kraus_stack([*lists, (0.9 * np.eye(3),)])
+    check_completeness(padded_kraus_stack(lists))
+    bad = padded_kraus_stack([*lists, (0.9 * np.eye(3),)])
     with pytest.raises(ChannelCompletenessError) as err:
         check_completeness(bad)
     assert err.value.position[0] == 3

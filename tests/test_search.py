@@ -229,8 +229,9 @@ def _trace_channels():
 
 @pytest.mark.parametrize("ch", _trace_channels())
 def test_negativity_search_trace_bracket(ch):
-    # every iterate's upper is a proved bound, so it sits above every lower;
-    # lower itself need not rise monotonically
+    # every iterate's upper bounds the optimum up to eigensolver rounding, so
+    # on these channels it sits above every lower; lower itself need not rise
+    # monotonically
     res = maximize_negativity_input(ch)
     iterations = [i for i, _, _ in res.trace]
     lowers = [lo for _, lo, _ in res.trace]
@@ -241,6 +242,48 @@ def test_negativity_search_trace_bracket(ch):
     assert res.upper == min(uppers)
     assert abs(max(lowers) - res.best_value) < 1e-12
     assert res.upper - res.best_value <= 1e-9
+
+
+def _record_solver_dtypes(monkeypatch):
+    seen = {"eigh": [], "eigvalsh": []}
+    for name, dtypes in seen.items():
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _original=original, _dtypes=dtypes, **kwargs):
+            _dtypes.append(np.asarray(a).dtype)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return seen
+
+
+def test_negativity_search_runs_in_the_channels_field(monkeypatch):
+    # a damping channel's M = -d J^Gamma is real, so every eigensolve of the
+    # loop is real symmetric; a Haar-random channel's is complex. The last
+    # eigvalsh is the final negativity check on the (complex) output
+    d = 3
+    damping = damping_channel(DampingParams(d, [0.5, 0.9]))
+    haar = random_channel(d, 2, np.random.default_rng(4))
+    results = {}
+    for ch, field in ((damping, np.float64), (haar, np.complex128)):
+        seen = _record_solver_dtypes(monkeypatch)
+        results[field] = maximize_negativity_input(ch)
+        monkeypatch.undo()
+        assert seen["eigh"] and set(seen["eigh"]) == {np.dtype(field)}
+        assert len(seen["eigvalsh"]) > 1 and set(seen["eigvalsh"][:-1]) == {np.dtype(field)}
+    # the output-rotated copy V K_i is complex and locally-unitarily
+    # equivalent: the same iterations, the same value within rounding
+    v = haar_unitary(d, np.random.default_rng(9))
+    rotated = KrausChannel(dim=d, kraus_ops=tuple(v @ k for k in damping.kraus_ops))
+    seen = _record_solver_dtypes(monkeypatch)
+    res = maximize_negativity_input(rotated)
+    assert set(seen["eigh"]) == {np.dtype(np.complex128)}
+    real = results[np.float64]
+    assert res.converged and real.converged
+    assert len(res.trace) == len(real.trace)
+    assert abs(res.best_value - real.best_value) <= 1e-12
+    for r in (res, real, results[np.complex128]):
+        assert r.best_state.amplitudes.dtype == np.complex128
 
 
 def test_negativity_search_reaches_pool_references():

@@ -155,15 +155,23 @@ def test_apply_one_sided_makes_no_solver_calls(solver_calls):
     assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 0}
 
 
-def test_negativity_solver_budget(solver_calls):
-    # one fixed point, no restarts: per iteration one eigh of K, one batched
-    # eigvalsh for lambda_min of Y - M and of Y, one batched eigh of tr_B Y
-    # and the step target, and the eigh of the next log sigma; the final
-    # negativity check makes one more
-    res = maximize_negativity_input(damping_channel(DampingParams(3, [0.5, 0.9])))
-    assert res.converged
-    assert solver_calls["svd"] == 0
-    assert solver_calls["eigh"] + solver_calls["eigvalsh"] <= 4 * len(res.trace)
+def test_negativity_solver_budget(monkeypatch):
+    # one fixed point, no restarts: each of the k iterations takes one eigh
+    # of K, one batched eigvalsh for lambda_min of Y - M and of Y, and one
+    # batched eigh of tr_B Y and the step target; each but the last takes the
+    # eigh of the next log sigma, and each but the first and the last one
+    # Anderson least-squares solve. The final negativity check makes one
+    # more eigvalsh
+    channels = [(damping_channel(DampingParams(3, [0.5, 0.9])), 6),
+                (random_channel(3, 2, np.random.default_rng(4)), 9)]
+    for ch, iterations in channels:
+        calls = _count_calls(monkeypatch, ("svd", "eigh", "eigvalsh", "lstsq"))
+        res = maximize_negativity_input(ch)
+        monkeypatch.undo()
+        assert res.converged
+        k = len(res.trace)
+        assert k == iterations
+        assert calls == {"svd": 0, "eigh": 3 * k - 1, "eigvalsh": k + 1, "lstsq": k - 2}
 
 
 @pytest.mark.parametrize("d, restarts", [(2, 8), (3, 32), (5, 5), (7, 4)])

@@ -13,16 +13,17 @@ calls:
 - ``one_sided_stack`` maps n Kraus lists, held as one (n, K, d, d) array
   (a shorter list padded with zero operators), on n inputs, in real
   arithmetic when the lists and inputs are real; ``apply_one_sided`` is its
-  one-row case, and ``primal_dual_choi`` gives the Choi states of n lists
-  and of their dual maps from one such call. It is ``branch_sum`` of the
-  ``branch_vectors`` (I (x) K_i)|psi>, which ``audit`` also reads for
-  lambda_max;
+  one-row case. It is ``branch_sum`` of the ``branch_vectors``
+  (I (x) K_i)|psi>, which ``audit`` also reads, for each output's
+  lambda_max and, at |psi> = |Phi+>, for its dual-primal bound;
 - ``completeness_residual`` (and ``check_completeness``) takes one list or
   such a stack; ``KrausChannel`` checks its list with it;
 - ``top_eigenpairs`` solves a stack of Hermitian matrices with one ``eigh``
   and checks each top eigenvector, for the paths that read one;
-  ``top_choi_eigenpair`` is its one-row case (``audit`` reads eigenvalues
-  alone, from one ``eigvalsh``);
+  ``top_choi_eigenpair`` is its one-row case. The dual map's Choi state is
+  SWAP conj(J) SWAP for the channel's J, as the dual's branch vectors at
+  Phi+ are SWAP conj of J's, entry for entry; so the best input psi', its
+  top eigenvector, is read off J's one ``eigh``;
 - ``haar_from_gaussian`` makes a stack of Haar unitaries with one QR, and
   ``haar_dilation_kraus`` blocks the unitaries it makes from a stack of
   Gaussian dilations into Kraus lists; ``random_channel`` is its one-row
@@ -172,16 +173,6 @@ def branch_sum(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def primal_dual_choi(kraus: np.ndarray) -> np.ndarray:
-    """The Choi states of n Kraus lists (n, K, d, d), then those of their
-    dual maps (Kraus lists of adjoints), as one (2n, d^2, d^2) stack from one
-    ``one_sided_stack`` call; each is the ``choi_state`` of its map alone."""
-    both = np.concatenate((kraus, kraus.conj().swapaxes(-1, -2)))
-    d = kraus.shape[-1]
-    # Phi+'s coefficient matrix, I / sqrt(d)
-    return one_sided_stack(both, np.eye(d)[None] / np.sqrt(d))
-
-
 def apply_one_sided(ch: KrausChannel, psi: PureBipartiteState) -> DensityOperator:
     """sum_i (I (x) K_i) |psi><psi| (I (x) K_i^dag): ``one_sided_stack``
     with n = 1."""
@@ -201,6 +192,14 @@ def choi_state(ch: KrausChannel) -> DensityOperator:
     return apply_one_sided(ch, max_entangled(ch.dim))
 
 
+def _canonical_phase(v: np.ndarray) -> np.ndarray:
+    """Each vector of a stack (n, D) times the phase that makes its
+    largest-magnitude amplitude (the first, on a tie) real positive."""
+    top = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+    # hypot rounds as the scalar abs does; numpy's complex abs on arrays may not
+    return v * (top / np.hypot(top.real, top.imag)).conj()[:, None]
+
+
 def top_eigenpairs(mats: np.ndarray):
     """Largest eigenvalue, its eigenvector and a degeneracy flag of each
     Hermitian matrix in a stack (n, D, D), D >= 2, from one ``eigh``.
@@ -214,10 +213,7 @@ def top_eigenpairs(mats: np.ndarray):
     eigs, vecs = np.linalg.eigh(mats)
     lam = eigs[:, -1]
     degenerate = eigs[:, -1] - eigs[:, -2] < DEGENERACY_GAP
-    v = vecs[:, :, -1]
-    top = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
-    # hypot rounds as the scalar abs does; numpy's complex abs on arrays may not
-    v = v * (top / np.hypot(top.real, top.imag)).conj()[:, None]
+    v = _canonical_phase(vecs[:, :, -1])
     r = np.matmul(mats, v[..., None])[..., 0] - lam[:, None] * v
     worst = np.sqrt(np.vecdot(r, r).real.max())
     if worst >= EIGVEC_DEFECT_TOL:
@@ -232,6 +228,27 @@ def top_choi_eigenpair(ch: KrausChannel) -> TopChoiEigenpair:
     the next one."""
     lam, v, degenerate = top_eigenpairs(choi_state(ch).matrix[None])
     return TopChoiEigenpair(float(lam[0]), PureBipartiteState(ch.dim, v[0]),
+                            bool(degenerate[0]))
+
+
+def _swap_conj(v: np.ndarray, d: int) -> np.ndarray:
+    """SWAP conj(v) of each vector of a stack (..., d^2) on C^d (x) C^d:
+    SWAP transposes the coefficient matrix."""
+    return v.conj().reshape(*v.shape[:-1], d, d).swapaxes(-1, -2).reshape(v.shape)
+
+
+def _dual_top_choi_eigenpair(ch: KrausChannel) -> TopChoiEigenpair:
+    """``top_choi_eigenpair(dual(ch))`` from the eigh of ch's own Choi state
+    J alone: the dual map's Choi state is SWAP conj(J) SWAP, its branch
+    vectors (I (x) K_i^dag)|Phi+> being SWAP conj of J's, so it has J's
+    spectrum and the top eigenvector SWAP conj(v) for J's v. That keeps
+    each amplitude's magnitude and conjugates v's top amplitude, real
+    positive up to rounding, in place; the phase rule is applied again,
+    which also settles two amplitudes of one magnitude that meet ``argmax``
+    in the other order after SWAP."""
+    lam, v, degenerate = top_eigenpairs(choi_state(ch).matrix[None])
+    w = _canonical_phase(_swap_conj(v, ch.dim))
+    return TopChoiEigenpair(float(lam[0]), PureBipartiteState(ch.dim, w[0]),
                             bool(degenerate[0]))
 
 

@@ -134,10 +134,10 @@ from .states import PureBipartiteState
 # eigensolves missed the closed forms by 1.1e-16 (lambda_max) and 5.7e-14
 # (N(Phi+)) at x = linspace(0.05, 0.95, 999) and random sorted points
 CLOSED_NUMERIC_TOL = 1e-10
-# the largest d the family admits. At d = 1,000 one certify takes about 7 s
-# and a 360 MB peak (2 vCPUs), nearly all of it writing psi_prime's d^2
-# [re, im] pairs (a 34 MB file); the cross-check itself takes about 0.3 s
-# and 41 MB. Both grow as d^2 or faster above it.
+# the largest d the family admits. A certify's time and peak memory grow as
+# d^2 or faster, nearly all of them spent writing psi_prime's d^2 [re, im]
+# pairs, the cross-check taking a small part; at this d one run already
+# takes seconds and hundreds of MB (CHANGES.md records the measurements)
 MAX_DIMENSION = 1000
 
 

@@ -38,13 +38,11 @@ False).
 
 The polish runs only where it may spare a seeded stack of at least d^2
 starts (restarts - 1 >= d^2): the 32 default starts of ``measures`` at
-d <= 5; fewer starts try the least-squares point alone.
-On the benchmark's measures corpus at d = 3, 4, 5 (seeds 1, 5, 7; 2 vCPUs,
-numpy 2.4.6) the least-squares point closes 175 / 154 / 119 of 192 brackets
-in a median 0.11 / 0.11 / 0.13 ms, the polish 17 / 31 / 53 more in 0.56 /
-0.70 / 1.3 ms, and the search fails on 0 / 7 / 20, taking 2.5 ms at d = 4
-and 4.2 ms at d = 5, against 9.7 and 10 ms for the 31 seeded starts. The
-rule also keeps the polish's eigensolves at order <= 25 for the default
+d <= 5; fewer starts try the least-squares point alone. The least-squares
+point, with no eigensolve, closes most brackets, and the polish costs a
+fraction of the seeded stack it may spare, even where it fails (CHANGES.md
+records the counts and times measured on the benchmark's measures corpus).
+The rule also keeps the polish's eigensolves at order <= 25 for the default
 starts: above that numpy's ``eigh`` takes LAPACK's divide-and-conquer path,
 which runs threaded BLAS and spends CPU time out of proportion to its wall
 time.

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_one_sided, choi_state, dual, top_choi_eigenpair
+from .channels import KrausChannel, _dual_top_choi_eigenpair, apply_one_sided, choi_state
 from .errors import DimensionError, InvalidOperatorError
 from .measures import negativity
 from .states import PureBipartiteState, kron_identity, partial_trace_matrix, partial_transpose
@@ -81,9 +81,10 @@ def best_phiplus_fidelity_input(ch: KrausChannel) -> SearchResult:
     """Exact maximizer of <Phi+| rho_{psi,ch} |Phi+> over pure inputs psi.
 
     The overlap equals <psi| rho_{Phi+, dual} |psi>, so the maximum is the top
-    dual-Choi eigenpair; no heuristics involved.
+    dual-Choi eigenpair; no heuristics involved. It is read off the
+    channel's own Choi state, whose spectrum the dual's shares.
     """
-    top = top_choi_eigenpair(dual(ch))
+    top = _dual_top_choi_eigenpair(ch)
     return SearchResult(best_state=top.state, best_value=top.value, upper=top.value)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     damping_kraus_oracle,
@@ -36,7 +38,13 @@ from quditshare import (
     save_channel,
     top_choi_eigenpair,
 )
-from quditshare.channels import check_completeness, one_sided_stack, top_eigenpairs
+from quditshare.channels import (
+    _dual_top_choi_eigenpair,
+    branch_vectors,
+    check_completeness,
+    one_sided_stack,
+    top_eigenpairs,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -209,6 +217,48 @@ def test_dual_primal_lambda_max_identity():
             b = top_choi_eigenpair(dual(ch)).value
             worst = max(worst, abs(a - b))
     assert worst < 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=st.integers(2, 6), counts=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_dual_branch_vectors_are_swapped_conjugates(d, counts, seed):
+    # the dual map's branch vectors (I (x) K_i^dag)|Phi+> are SWAP conj of
+    # the channel's, entry for entry, in any stack of lists padded with zero
+    # operators: the dual's Choi state is SWAP conj(J) SWAP as computed, not
+    # only in exact arithmetic (array_equal, as conj turns a padded +0j into -0j)
+    rng = np.random.default_rng(seed)
+    stack = padded_kraus_stack([random_channel(d, k, rng).kraus_ops for k in counts])
+    n, count = stack.shape[:2]
+    phi = np.eye(d)[None] / np.sqrt(d)
+    v = branch_vectors(stack, phi)
+    swapped = v.conj().reshape(n, count, d, d).swapaxes(-1, -2).reshape(n, count, d * d)
+    assert np.array_equal(branch_vectors(stack.conj().swapaxes(-1, -2), phi), swapped)
+
+
+def _tied_unitary():
+    # a unitary channel whose Choi vector (|01> + i|10>) / sqrt(2) has two
+    # amplitudes of the top magnitude, which SWAP exchanges
+    return kraus_validate([[[0, 1j], [1, 0]]])
+
+
+@pytest.mark.parametrize("ch", [
+    pytest.param(random_channel(3, 2, np.random.default_rng(24)), id="random-3"),
+    pytest.param(random_channel(4, 4, np.random.default_rng(25)), id="random-4"),
+    pytest.param(damping_channel(DampingParams(3, [0.5, 0.9])), id="damping-3"),
+    pytest.param(_tied_unitary(), id="tied"),
+])
+def test_dual_top_eigenpair_read_off_the_channels_choi_state(ch):
+    # the dual's top eigenpair, from one eigh of the channel's own Choi
+    # state, is the dense dual's, with the same phase rule: on the tied
+    # channel SWAP moves the top amplitude, so the phase is set again
+    top, dense = _dual_top_choi_eigenpair(ch), top_choi_eigenpair(dual(ch))
+    assert abs(top.value - dense.value) < 1e-12
+    assert top.degenerate is dense.degenerate is False
+    amps = top.state.amplitudes
+    assert np.abs(amps - dense.state.amplitudes).max() < 1e-10
+    lead = amps[np.argmax(np.abs(amps))]
+    assert lead.real > 0 and abs(lead.imag) <= 1e-15
 
 
 def test_haar_unitary_is_unitary():

@@ -15,21 +15,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import one_sided_oracle, phi_plus_vector
 
 from quditshare import (
     DampingParams,
     ParameterError,
     apply_one_sided,
+    best_phiplus_fidelity_input,
     damping_channel,
-    dual,
     fstar_upper_bound,
+    haar_unitary,
     kraus_validate,
     max_entangled,
     negativity,
     random_channel,
     random_pure_state,
     save_channel,
-    top_choi_eigenpair,
 )
 from quditshare import channels, cli, damping, measures
 from quditshare.cli import main, parse_sweep_spec
@@ -229,7 +230,7 @@ def test_measures_fstar_bound_is_the_library_bound(tmp_path, capsys, monkeypatch
     ch = random_channel(4, 3, rng)
     channel = tmp_path / "channel.json"
     save_channel(ch, channel)
-    psi = {"phiplus": max_entangled(4), "psi_prime": top_choi_eigenpair(dual(ch)).state,
+    psi = {"phiplus": max_entangled(4), "psi_prime": best_phiplus_fidelity_input(ch).best_state,
            "state": random_pure_state(4, rng)}[which]
     state = tmp_path / "state.json"
     state.write_text(dumps_fixed(
@@ -999,6 +1000,26 @@ def test_audit_passes(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is True
     assert report["checks"]["dual_primal_lambda_max"]["max_violation"] < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_audit_dual_primal_bound_is_sound(d):
+    # the bound holds for any list in place of the adjoints: for each one
+    # below it is at least the dense |lambda_max(J') - lambda_max(J)|, and
+    # it is exactly 0 for the adjoints themselves. Scaling the dominant
+    # operator's adjoint by 1 + 1e-6 moves lambda_max by about 1.8e-6, and
+    # sum_i |e_i| alone is about 0.95e-6, so the bound needs its norm factor
+    rng = np.random.default_rng(60 + d)
+    kraus = np.stack([np.sqrt(0.9) * haar_unitary(d, rng), np.sqrt(0.1) * haar_unitary(d, rng)])
+    adjoints = kraus.conj().swapaxes(-1, -2)
+    noise = rng.standard_normal((2, d, d, 2)) @ np.array([1.0, 1j])
+    other = random_channel(d, 2, rng).kraus_ops
+    lam = np.linalg.eigvalsh(one_sided_oracle(kraus, phi_plus_vector(d), d))[-1]
+    assert cli._dual_primal_bound(kraus[None], adjoints[None]).tolist() == [0.0]
+    for perturbed in (adjoints * np.array([1 + 1e-6, 1.0])[:, None, None],
+                      adjoints + 1e-6 * noise, np.conj(other).swapaxes(-1, -2)):
+        dense = np.linalg.eigvalsh(one_sided_oracle(perturbed, phi_plus_vector(d), d))[-1]
+        assert cli._dual_primal_bound(kraus[None], perturbed[None])[0] >= abs(dense - lam)
 
 
 def test_audit_names_the_worst_channel(capsys, monkeypatch):

@@ -34,10 +34,11 @@ MEASURES = [
     (4, "state", False, "7cdc73d7fdee52fa77f0ea10b5946757b726567fafa9ae622b9d4858efaec4d7"),
 ]
 # (d, sha256) of the psi_prime report on case CASE_SEED[d]: the input is the
-# dual Choi state's top eigenvector, and no FEF ascent runs
+# dual Choi state's top eigenvector, read off the channel's Choi state, and
+# no FEF ascent runs
 PSI_PRIME = [
-    (3, "3bf82ce9095658a47a230997f082e3c25a3af3f0f8f5d2158c3a02f3a66fee64"),
-    (4, "2a680d04afcafcebd4418384862077a8411271e9cf8b7f273f9a7bb88f2ecca0"),
+    (3, "5a9a281c6c9c56907b39deaf8c31176678baf61ad9c96e028194f65cecf013e2"),
+    (4, "f4fd7052c356ebc8f4c658ef0ce77c0b842c6fcfe7bd863195b3bcca5b9c0a2b"),
 ]
 # the case seed per d: at d = 3 the state file's bracket closes, at d = 4
 # the phiplus bracket closes and the state file's stays open; at d = 2 the
@@ -51,12 +52,12 @@ OPEN_PHIPLUS_CASE = 105
 # bracket open, which the default 32 starts' polish closes, so the seeded
 # starts run
 LEAST_SQUARES_ONLY = (4, 4, 8, "0bb43606a11559819e902fd021ff9f04fd70332beebe964ac1b0ccf53e3de4ef")
-AUDIT_SHA256 = "ffef043cc62930684949fd8d7c77198d491d4528285b10974f28e61906665737"
+AUDIT_SHA256 = "0643a5a7abcac6342484a78b12e4645200b54f5689e150511a474d76e72f9ec9"
 # (d, --n, --seed, sha256) of more audit reports: the qubit Pauli check, and
 # a run across chunk and FEF batch boundaries
 AUDIT_MORE = [
-    (2, 12, 3, "a4f8ef297d08f429f073ec7525e6ec3517900e15d55387a678263ff76466abff"),
-    (6, 53, 11, "64013de73ffb62a6fbb256c6106864c72272470e59691ecee8a951b93fa29203"),
+    (2, 12, 3, "7f0823f7c6c089400dbec99644da62217bc0fe64b90b5c9ab5dd29eb285f1891"),
+    (6, 53, 11, "55a3326b1853b23879a8cce50e47e3be305b02b30eaa51fe05cc2f13702ba3d4"),
 ]
 # "gap" is the O(d) pair sum of (x_i - x_j)^2, 0.54000000000000004 here,
 # the double nearest the exact 0.54

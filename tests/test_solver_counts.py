@@ -236,13 +236,13 @@ def test_audit_one_stacked_svd_per_iteration(fef_calls):
 
 
 def test_audit_chunk_solver_calls_do_not_grow_with_channels(monkeypatch):
-    # one chunk runs its linear algebra as stacked calls: one eigvalsh for
-    # all primal and dual Choi states, whose eigenvectors the audit does not
-    # read, one eigvalsh each for lambda_max and the partial-transpose
+    # one chunk runs its linear algebra as stacked calls: one eigvalsh each
+    # for lambda_max (of the Gram matrices) and the partial-transpose
     # negativity of the outputs, and one QR per Kraus count (2 and 3 both
     # occur among the first 4 channels at this seed) plus one for the local
-    # unitaries. At d >= 3 fef_batch tries no dual point, so the FEF takes
-    # no eigensolve
+    # unitaries. The dual-primal check reads the Kraus lists' branch
+    # vectors, so no Choi state is solved. At d >= 3 fef_batch tries no dual
+    # point, so the FEF takes no eigensolve
     d, seed = 3, 1
     assert 12 <= cli._audit_chunk_size(d)
     budgets = []
@@ -251,7 +251,7 @@ def test_audit_chunk_solver_calls_do_not_grow_with_channels(monkeypatch):
         assert cli.run_audit(d, n, seed)["pass"]
         budgets.append(calls)
         monkeypatch.undo()
-    assert budgets == [{"eigh": 0, "eigvalsh": 3, "qr": 3}] * 2
+    assert budgets == [{"eigh": 0, "eigvalsh": 2, "qr": 3}] * 2
 
 
 @pytest.mark.parametrize("case, restarts", [
@@ -313,7 +313,8 @@ def test_fef_qubit_closed_form_budget(fef_calls, solver_calls):
 @pytest.mark.parametrize("unital", [True, False])
 def test_measures_psi_prime_runs_no_fef(tmp_path, capsys, monkeypatch, d, unital):
     # the best input's Phi+ overlap is its FEF, so no FEF routine runs and the
-    # two report fields carry the same bytes
+    # two report fields carry the same bytes; psi' and lambda_max_choi come
+    # from one eigh of the channel's Choi state alone
     rng = np.random.default_rng(10 * d + unital)
     if unital:
         ch = kraus_validate([np.sqrt(p) * haar_unitary(d, rng) for p in (0.5, 0.3, 0.2)])
@@ -322,11 +323,14 @@ def test_measures_psi_prime_runs_no_fef(tmp_path, capsys, monkeypatch, d, unital
     assert is_unital(ch) is unital
     path = tmp_path / "channel.json"
     save_channel(ch, path)
-    seen = []
+    seen, shapes = [], []
     monkeypatch.setattr(cli, "fef", lambda rho, **kw: seen.append(kw))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
     assert cli.main(["measures", str(path), "--input", "psi_prime"]) == 0
     report = json.loads(capsys.readouterr().out, parse_float=str)
     assert seen == []
+    assert shapes == [(1, d * d, d * d)]
     assert report["fef_value"] == report["phiplus_fidelity"]
     assert report["fef_converged"] is True
     assert report["fef_certified"] is True

@@ -1,15 +1,18 @@
 """Kraus-channel algebra: validation, dual map, unitality, one-sided action on
 bipartite states, Choi states, and seeded random channel generation.
 
-A channel acts on the second (transmitted) subsystem only. The dual map (Kraus
-list of adjoints) is trace preserving exactly when the channel is unital; it is
-represented by the same container with ``trace_preserving=False`` and may still
-be applied one-sided, which is needed for the dual Choi state.
+A channel acts on the second (transmitted) subsystem only. Its Kraus list is
+one read-only complex (K, d, d) array, ``KrausChannel.kraus_ops``, the stack
+every kernel below takes as it is. The dual map (Kraus list of adjoints,
+``kraus_ops.conj().mT``) is trace preserving exactly when the channel is
+unital; it is represented by the same container with
+``trace_preserving=False`` and may still be applied one-sided, which is
+needed for the dual Choi state.
 
 The Kraus-stack kernels are written once here, on stacks, and a function on
-one channel is the kernel's one-row case, so every member of a stack gets the
-bits it gets alone and ``audit`` can run a chunk of channels as a few stacked
-calls:
+one channel is the kernel's one-row case (``kraus_ops[None]``), so every
+member of a stack gets the bits it gets alone and ``audit`` can run a chunk
+of channels as a few stacked calls:
 - ``one_sided_stack`` maps n Kraus lists, held as one (n, K, d, d) array
   (a shorter list padded with zero operators), on n inputs, in real
   arithmetic when the lists and inputs are real; ``apply_one_sided`` is its
@@ -23,7 +26,7 @@ calls:
   ``top_choi_eigenpair`` is its one-row case. The dual map's Choi state is
   SWAP conj(J) SWAP for the channel's J, as the dual's branch vectors at
   Phi+ are SWAP conj of J's, entry for entry; so the best input psi', its
-  top eigenvector, is read off J's one ``eigh``;
+  top eigenvector, is read off J's one ``eigh`` (``_psi_prime``);
 - ``haar_from_gaussian`` makes a stack of Haar unitaries with one QR, and
   ``haar_dilation_kraus`` blocks the unitaries it makes from a stack of
   Gaussian dilations into Kraus lists; ``random_channel`` is its one-row
@@ -77,32 +80,36 @@ def check_completeness(ops) -> None:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Ordered Kraus operators on C^d.
+    """Ordered Kraus operators on C^d, held as one read-only complex
+    (K, d, d) array ``kraus_ops``, the stack the kernels take.
 
-    ``trace_preserving=True`` enforces completeness at construction; dual maps
-    of nonunital channels carry ``trace_preserving=False`` and skip the check.
+    The constructor takes any sequence of d x d operators (a list, a tuple
+    or an array) and stacks a copy. ``trace_preserving=True`` enforces
+    completeness at construction; dual maps of nonunital channels carry
+    ``trace_preserving=False`` and skip the check.
     """
 
     dim: int
-    kraus_ops: tuple
+    kraus_ops: np.ndarray
     trace_preserving: bool = True
 
     def __post_init__(self):
         if self.dim < 2:
             raise DimensionError(f"channel dimension must be >= 2, got {self.dim}")
-        ops = tuple(np.array(a, dtype=complex) for a in self.kraus_ops)
-        if not ops:
+        if not len(self.kraus_ops):
             raise InvalidOperatorError("channel needs at least one Kraus operator")
-        for a in ops:
-            if a.shape != (self.dim, self.dim):
+        for a in self.kraus_ops:
+            if np.shape(a) != (self.dim, self.dim):
                 raise DimensionError(
-                    f"Kraus operator shape {a.shape} does not match dim {self.dim}"
+                    f"Kraus operator shape {np.shape(a)} does not match dim {self.dim}"
                 )
-            if not np.isfinite(a).all():
-                raise InvalidOperatorError("Kraus operator has a non-finite entry")
-            a.setflags(write=False)
+        # a copy in C order, also of a transposed view such as the dual's
+        ops = np.array(self.kraus_ops, dtype=complex, order="C")
+        if not np.isfinite(ops).all():
+            raise InvalidOperatorError("Kraus operator has a non-finite entry")
         if self.trace_preserving:
             check_completeness(ops)
+        ops.setflags(write=False)
         object.__setattr__(self, "kraus_ops", ops)
 
 
@@ -115,23 +122,22 @@ class TopChoiEigenpair(NamedTuple):
 def kraus_validate(ops) -> KrausChannel:
     """Validate a raw Kraus list into a channel whose dimension is read from
     the first operator, or raise with the residual."""
-    arrs = [np.asarray(a, dtype=complex) for a in ops]
-    if not arrs:
+    if not len(ops):
         raise InvalidOperatorError("empty Kraus list")
-    return KrausChannel(dim=arrs[0].shape[0], kraus_ops=tuple(arrs))
+    return KrausChannel(dim=np.shape(ops[0])[0], kraus_ops=ops)
 
 
 def is_unital(ch: KrausChannel) -> bool:
     """True iff sum_i A_i A_i^dag equals the identity within tolerance: the
     completeness residual of the adjoint list."""
-    return completeness_residual(np.asarray(ch.kraus_ops).conj().mT)[0] < UNITAL_TOL
+    return completeness_residual(ch.kraus_ops.conj().mT)[0] < UNITAL_TOL
 
 
 def dual(ch: KrausChannel) -> KrausChannel:
     """Adjoint map with Kraus list {A_i^dag}; trace preserving iff ch is unital."""
     return KrausChannel(
         dim=ch.dim,
-        kraus_ops=tuple(a.conj().T for a in ch.kraus_ops),
+        kraus_ops=ch.kraus_ops.conj().mT,
         trace_preserving=is_unital(ch),
     )
 
@@ -178,7 +184,7 @@ def apply_one_sided(ch: KrausChannel, psi: PureBipartiteState) -> DensityOperato
     with n = 1."""
     if ch.dim != psi.dim:
         raise DimensionError(f"channel dim {ch.dim} does not match state dim {psi.dim}")
-    out = one_sided_stack(np.asarray(ch.kraus_ops)[None], psi.coefficient_matrix()[None])
+    out = one_sided_stack(ch.kraus_ops[None], psi.coefficient_matrix()[None])
     # Hermitian and PSD by construction from a validated channel and state
     return DensityOperator._trusted(ch.dim, out[0], unit_trace=ch.trace_preserving)
 
@@ -237,19 +243,16 @@ def _swap_conj(v: np.ndarray, d: int) -> np.ndarray:
     return v.conj().reshape(*v.shape[:-1], d, d).swapaxes(-1, -2).reshape(v.shape)
 
 
-def _dual_top_choi_eigenpair(ch: KrausChannel) -> TopChoiEigenpair:
-    """``top_choi_eigenpair(dual(ch))`` from the eigh of ch's own Choi state
-    J alone: the dual map's Choi state is SWAP conj(J) SWAP, its branch
-    vectors (I (x) K_i^dag)|Phi+> being SWAP conj of J's, so it has J's
-    spectrum and the top eigenvector SWAP conj(v) for J's v. That keeps
-    each amplitude's magnitude and conjugates v's top amplitude, real
-    positive up to rounding, in place; the phase rule is applied again,
-    which also settles two amplitudes of one magnitude that meet ``argmax``
-    in the other order after SWAP."""
-    lam, v, degenerate = top_eigenpairs(choi_state(ch).matrix[None])
-    w = _canonical_phase(_swap_conj(v, ch.dim))
-    return TopChoiEigenpair(float(lam[0]), PureBipartiteState(ch.dim, w[0]),
-                            bool(degenerate[0]))
+def _psi_prime(v: np.ndarray, d: int) -> PureBipartiteState:
+    """The best input psi', the dual map's top Choi eigenvector, from the top
+    eigenvector v (d^2,) of the channel's own Choi state J: the dual's Choi
+    state is SWAP conj(J) SWAP, its branch vectors (I (x) K_i^dag)|Phi+>
+    being SWAP conj of J's, so it has J's spectrum and the top eigenvector
+    SWAP conj(v). That keeps each amplitude's magnitude and conjugates v's
+    top amplitude, real positive up to rounding, in place; the phase rule is
+    applied again, which also settles two amplitudes of one magnitude that
+    meet ``argmax`` in the other order after SWAP."""
+    return PureBipartiteState(d, _canonical_phase(_swap_conj(v, d)[None])[0])
 
 
 def complex_gaussian(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -294,26 +297,21 @@ def random_channel(d: int, n_kraus: int, rng: np.random.Generator) -> KrausChann
     if n_kraus < 1:
         raise ValueError("need at least one Kraus operator")
     ops = haar_dilation_kraus(complex_gaussian(d * n_kraus, rng), d)
-    return KrausChannel(dim=d, kraus_ops=tuple(ops))
+    return KrausChannel(dim=d, kraus_ops=ops)
 
 
 def channel_to_dict(ch: KrausChannel) -> dict:
     """JSON-ready form: {"d": int, "kraus": [[[[re, im], ...], ...], ...]}."""
-    kraus = [
-        [[[float(e.real), float(e.imag)] for e in row] for row in np.asarray(a)]
-        for a in ch.kraus_ops
-    ]
-    return {"d": ch.dim, "kraus": kraus}
+    ops = ch.kraus_ops
+    return {"d": ch.dim, "kraus": np.stack((ops.real, ops.imag), -1).tolist()}
 
 
 def channel_from_dict(data: dict) -> KrausChannel:
     """Parse and validate the channel JSON schema (completeness enforced)."""
     try:
         d = json_int(data["d"], "d")
-        ops = tuple(
-            np.array([[json_complex(e, "Kraus entry") for e in row] for row in mat])
-            for mat in data["kraus"]
-        )
+        ops = [np.array([[json_complex(e, "Kraus entry") for e in row] for row in mat])
+               for mat in data["kraus"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidOperatorError(f"malformed channel data: {exc}") from exc
     return KrausChannel(dim=d, kraus_ops=ops)

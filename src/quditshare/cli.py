@@ -32,13 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    _dual_top_choi_eigenpair,
+    _psi_prime,
     _swap_conj,
     apply_one_sided,
     branch_sum,
     branch_vectors,
     channel_from_dict,
     check_completeness,
+    choi_state,
     completeness_residual,
     ginibre_from_normals,
     haar_dilation_kraus,
@@ -46,7 +47,6 @@ from .channels import (
     is_unital,
     load_channel,
     one_sided_stack,
-    top_choi_eigenpair,
     top_eigenpairs,
 )
 from .damping import (
@@ -139,20 +139,19 @@ def cmd_validate(args) -> int:
 
 def cmd_measures(args) -> int:
     ch = load_channel(args.channel)
-    if args.input == "psi_prime":
-        # one eigh of the channel's Choi state: psi' is the dual's top
-        # eigenvector, read off it, and lambda_max_choi its top eigenvalue
-        top = _dual_top_choi_eigenpair(ch)
-        psi, lambda_max_choi = top.state, top.value
-    elif args.input == "phiplus":
-        psi = max_entangled(ch.dim)
-    else:
+    if args.input not in ("phiplus", "psi_prime"):
         psi = load_state(args.input)
-        lambda_max_choi = top_choi_eigenpair(ch).value
-    rho = apply_one_sided(ch, psi)
+    # every input reads lambda_max_choi off one eigh of the Choi state J:
+    # J is Phi+'s output, and psi', the dual's top eigenvector, is read off
+    # J's top eigenvector
+    choi = choi_state(ch)
+    lam, v, _ = top_eigenpairs(choi.matrix[None])
     if args.input == "phiplus":
-        # Phi+'s output is the channel's Choi state, so it is not built twice
-        lambda_max_choi = float(top_eigenpairs(rho.matrix[None])[0][0])
+        rho = choi
+    elif args.input == "psi_prime":
+        rho = apply_one_sided(ch, _psi_prime(v[0], ch.dim))
+    else:
+        rho = apply_one_sided(ch, psi)
     phiplus_fidelity = fidelity_with(rho, max_entangled(ch.dim))
     if args.input == "psi_prime":
         # psi' is the top eigenvector of the dual Choi state sigma, so every
@@ -175,7 +174,7 @@ def cmd_measures(args) -> int:
         # fstar_upper_bound(rho): rho has unit trace, as the channel file is
         # validated trace preserving
         "fstar_upper_bound": (1.0 + 2.0 * neg) / ch.dim,
-        "lambda_max_choi": lambda_max_choi,
+        "lambda_max_choi": float(lam[0]),
     }
     _write_text(dumps_fixed(report), args.out)
     return 0
@@ -534,11 +533,13 @@ def _audit_pauli(seed: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _audit_chunk_size(d: int) -> int:
-    """Channels per audit chunk. At its peak, in the local-unitary
-    covariance check, a chunk holds about six complex d^2 x d^2 matrices per
-    channel: rho, the two sides of the check and ``one_sided_stack``'s
-    temporaries. So the chunk keeps its stacks within CHUNK_BYTES
-    (8 channels at d = 6, 134 at d = 3), at least one."""
+    """Channels per audit chunk: CHUNK_BYTES over six complex d^2 x d^2
+    matrices per channel (8 channels at d = 6, 134 at d = 3), at least one.
+    The six are rho, the two sides of the local-unitary covariance check
+    and ``one_sided_stack``'s temporaries; the chunk's Kraus stack and draws
+    add about one more, so the measured peak is 6.3 to 7.2 x 16 d^4 bytes
+    per channel (higher at smaller d) and a chunk may exceed CHUNK_BYTES by
+    up to a fifth."""
     return max(1, CHUNK_BYTES // (6 * 16 * d**4))
 
 

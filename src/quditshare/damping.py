@@ -201,7 +201,7 @@ def _kraus_stack(xs: np.ndarray) -> np.ndarray:
 
 def damping_channel(p: DampingParams) -> KrausChannel:
     """Kraus operators of the family."""
-    return KrausChannel(dim=p.d, kraus_ops=tuple(_kraus_stack(p.x[None])[0]))
+    return KrausChannel(dim=p.d, kraus_ops=_kraus_stack(p.x[None])[0])
 
 
 def _pair_sum(xs: np.ndarray) -> np.ndarray:

@@ -13,16 +13,16 @@ from .errors import ToolkitError
 
 
 def format_real(x) -> str:
-    """17-significant-digit decimal form of a float, always a JSON float."""
-    s = format(float(x), ".17g")
-    if "." not in s and "e" not in s and "E" not in s and "n" not in s:
-        s += ".0"
-    return s
+    """17-significant-digit decimal form of a float, always a JSON float:
+    ``format_reals`` of the one value."""
+    return format_reals([float(x)])[0]
 
 
 def format_reals(values) -> list:
-    """``format_real`` of each float in ``values``, in one pass over the
-    list; a table's columns take it, as a call per cell would cost more."""
+    """The 17-significant-digit decimal form of each float in ``values``,
+    with ".0" added where it would read as an integer, so each is a JSON
+    float; one pass over the list, which a table's columns take, as a call
+    per cell would cost more."""
     texts = [format(v, ".17g") for v in values]
     return [s if "." in s or "e" in s or "E" in s or "n" in s else s + ".0" for s in texts]
 

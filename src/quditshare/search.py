@@ -52,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _dual_top_choi_eigenpair, apply_one_sided, choi_state
+from .channels import (KrausChannel, _psi_prime, apply_one_sided, choi_state,
+                       top_choi_eigenpair)
 from .errors import DimensionError, InvalidOperatorError
 from .measures import negativity
 from .states import PureBipartiteState, kron_identity, partial_trace_matrix, partial_transpose
@@ -82,10 +83,12 @@ def best_phiplus_fidelity_input(ch: KrausChannel) -> SearchResult:
 
     The overlap equals <psi| rho_{Phi+, dual} |psi>, so the maximum is the top
     dual-Choi eigenpair; no heuristics involved. It is read off the
-    channel's own Choi state, whose spectrum the dual's shares.
+    channel's own Choi state J, whose spectrum the dual's shares: the value
+    is ``top_choi_eigenpair(ch)``'s, the state ``_psi_prime`` of its vector.
     """
-    top = _dual_top_choi_eigenpair(ch)
-    return SearchResult(best_state=top.state, best_value=top.value, upper=top.value)
+    top = top_choi_eigenpair(ch)
+    return SearchResult(best_state=_psi_prime(top.state.amplitudes, ch.dim),
+                        best_value=top.value, upper=top.value)
 
 
 def qubit_optimal_fidelity(ch: KrausChannel) -> float:

@@ -39,7 +39,7 @@ from quditshare import (
     top_choi_eigenpair,
 )
 from quditshare.channels import (
-    _dual_top_choi_eigenpair,
+    _psi_prime,
     branch_vectors,
     check_completeness,
     one_sided_stack,
@@ -252,10 +252,10 @@ def test_dual_top_eigenpair_read_off_the_channels_choi_state(ch):
     # the dual's top eigenpair, from one eigh of the channel's own Choi
     # state, is the dense dual's, with the same phase rule: on the tied
     # channel SWAP moves the top amplitude, so the phase is set again
-    top, dense = _dual_top_choi_eigenpair(ch), top_choi_eigenpair(dual(ch))
+    top, dense = top_choi_eigenpair(ch), top_choi_eigenpair(dual(ch))
     assert abs(top.value - dense.value) < 1e-12
     assert top.degenerate is dense.degenerate is False
-    amps = top.state.amplitudes
+    amps = _psi_prime(top.state.amplitudes, ch.dim).amplitudes
     assert np.abs(amps - dense.state.amplitudes).max() < 1e-10
     lead = amps[np.argmax(np.abs(amps))]
     assert lead.real > 0 and abs(lead.imag) <= 1e-15
@@ -322,6 +322,69 @@ def test_channel_rejects_non_finite_entries(bad, trace_preserving):
     op[1, 0] = bad
     with pytest.raises(InvalidOperatorError, match="non-finite"):
         KrausChannel(dim=2, kraus_ops=(op,), trace_preserving=trace_preserving)
+
+
+def _omega():
+    return damping_channel(DampingParams(3, [0.5, 0.9]))
+
+
+@pytest.mark.parametrize("make, count", [
+    pytest.param(lambda: KrausChannel(dim=2, kraus_ops=(np.eye(2),)), 1, id="KrausChannel"),
+    pytest.param(lambda: KrausChannel(dim=3, kraus_ops=_omega().kraus_ops.copy()), 3,
+                 id="KrausChannel-array"),
+    pytest.param(lambda: kraus_validate([[[0, 1], [1, 0]]]), 1, id="kraus_validate"),
+    pytest.param(lambda: random_channel(3, 4, np.random.default_rng(5)), 4, id="random_channel"),
+    pytest.param(_omega, 3, id="damping_channel"),
+    pytest.param(lambda: dual(_omega()), 3, id="dual"),
+    pytest.param(lambda: channel_from_dict(channel_to_dict(_omega())), 3,
+                 id="channel_from_dict"),
+])
+def test_kraus_ops_is_a_readonly_complex_stack(make, count):
+    # every way to a channel holds its Kraus list as the one (K, d, d)
+    # complex array the kernels take, C-contiguous and read-only
+    ch = make()
+    ops = ch.kraus_ops
+    assert type(ops) is np.ndarray and ops.dtype == complex
+    assert ops.shape == (count, ch.dim, ch.dim)
+    assert ops.flags.c_contiguous and not ops.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ops[0, 0, 0] = 2.0
+
+
+def test_kraus_stack_is_a_copy_of_the_input():
+    src = np.stack([np.eye(2, dtype=complex)])
+    ch = KrausChannel(dim=2, kraus_ops=src)
+    src[0, 0, 0] = 0.0
+    assert ch.kraus_ops[0, 0, 0] == 1.0
+
+
+@pytest.mark.parametrize("ops", [
+    pytest.param([np.eye(2), np.eye(3)], id="square"),
+    pytest.param([np.eye(2), np.ones((2, 3))], id="rectangular"),
+    pytest.param([np.eye(2), np.ones(4)], id="flat"),
+])
+def test_ragged_kraus_list_raises_dimension_error(ops):
+    with pytest.raises(DimensionError, match="does not match dim 2"):
+        KrausChannel(dim=2, kraus_ops=ops, trace_preserving=False)
+    with pytest.raises(DimensionError, match="does not match dim 2"):
+        kraus_validate(ops)
+
+
+@pytest.mark.parametrize("ops", [[], (), np.zeros((0, 2, 2))], ids=["list", "tuple", "array"])
+def test_empty_kraus_list_raises_invalid_operator(ops):
+    with pytest.raises(InvalidOperatorError):
+        KrausChannel(dim=2, kraus_ops=ops)
+    with pytest.raises(InvalidOperatorError):
+        kraus_validate(ops)
+
+
+@pytest.mark.parametrize("ch", [
+    pytest.param(random_channel(3, 2, np.random.default_rng(8)), id="random"),
+    pytest.param(_omega(), id="damping"),
+])
+def test_dual_stack_is_the_adjoint_stack_bit_for_bit(ch):
+    # zeros included: conj turns +0j into -0j, and the dual keeps that sign
+    assert dual(ch).kraus_ops.tobytes() == ch.kraus_ops.conj().mT.tobytes()
 
 
 def test_apply_one_sided_within_completeness_tolerance():

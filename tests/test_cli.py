@@ -208,12 +208,18 @@ def test_measures_psi_prime(omega_file, capsys):
     assert report["fef_certified"] is True
 
 
-@pytest.mark.parametrize("which", ["psi_prime", "phiplus"])
-def test_measures_eigenvector_defect_is_one_line_exit_3(omega_file, capsys, monkeypatch, which):
-    # measures takes its Choi eigenpairs from top_eigenpairs, which checks
-    # each top eigenvector's residual (psi' is the dual's vector; the Phi+
-    # output is the channel's Choi state); at a zero tolerance no residual
-    # passes, and measures writes no report
+@pytest.mark.parametrize("which", ["psi_prime", "phiplus", "state"])
+def test_measures_eigenvector_defect_is_one_line_exit_3(omega_file, tmp_path, capsys,
+                                                        monkeypatch, which):
+    # measures takes its Choi eigenpair from top_eigenpairs, whatever the
+    # input, which checks the top eigenvector's residual (psi' is read off
+    # it; the Phi+ output is the channel's Choi state); at a zero tolerance
+    # no residual passes, and measures writes no report
+    if which == "state":
+        state = tmp_path / "state.json"
+        state.write_text(dumps_fixed({"d": 3, "amplitudes": [[0.6, 0.0]] + [[0.0, 0.0]] * 7
+                                      + [[0.8, 0.0]]}))
+        which = str(state)
     monkeypatch.setattr(channels, "EIGVEC_DEFECT_TOL", 0.0)
     assert main(["measures", omega_file, "--input", which]) == 3
     captured = capsys.readouterr()
@@ -470,7 +476,7 @@ def test_sweep_writes_non_regular_path_in_place(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("routine, argv", [
-    ("apply_one_sided", ["measures", "OMEGA"]),
+    ("choi_state", ["measures", "OMEGA"]),
     ("advantage_certificate", ["certify", "--d", "3", "--x", "0.5,0.9"]),
 ])
 def test_memory_failure_is_one_line_exit_3(omega_file, capsys, monkeypatch, routine, argv):

@@ -31,10 +31,13 @@ from quditshare import (
     random_channel,
     random_pure_state,
     save_channel,
+    top_choi_eigenpair,
 )
+from quditshare.jsonio import dumps_fixed
 from quditshare.measures import (
     _POLISH_POINTS,
     DEFAULT_MAX_ITER,
+    FefResult,
     _ascend_unitaries,
     _seeded_starts,
 )
@@ -334,6 +337,37 @@ def test_measures_psi_prime_runs_no_fef(tmp_path, capsys, monkeypatch, d, unital
     assert report["fef_value"] == report["phiplus_fidelity"]
     assert report["fef_converged"] is True
     assert report["fef_certified"] is True
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("which", ["phiplus", "psi_prime", "state"])
+def test_measures_makes_one_choi_eigensolve(tmp_path, capsys, monkeypatch, which, d):
+    # every input reads lambda_max_choi off one Choi state J and one eigh of
+    # it: J is Phi+'s output, psi' is read off J's top eigenvector, and a
+    # state file's input is applied to the channel; with the FEF stubbed no
+    # other eigh runs
+    rng = np.random.default_rng(70 + d)
+    ch = random_channel(d, 2, rng)
+    path = tmp_path / "channel.json"
+    save_channel(ch, path)
+    if which == "state":
+        state = tmp_path / "state.json"
+        amps = random_pure_state(d, rng).amplitudes
+        state.write_text(dumps_fixed(
+            {"d": d, "amplitudes": [[float(a.real), float(a.imag)] for a in amps]}))
+        which = str(state)
+    result = FefResult(0.5, np.eye(d), True, False)
+    monkeypatch.setattr(cli, "fef", lambda rho, **kw: result)
+    chois, shapes = [], []
+    choi_state = cli.choi_state
+    monkeypatch.setattr(cli, "choi_state", lambda c: chois.append(c) or choi_state(c))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    assert cli.main(["measures", str(path), "--input", which]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(chois) == 1
+    assert shapes == [(1, d * d, d * d)]
+    assert report["lambda_max_choi"] == top_choi_eigenpair(ch).value
 
 
 def test_fef_single_start_budget(fef_calls):

@@ -282,43 +282,59 @@ def _adjoint(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return g4.trace(axis1=1, axis2=3) - w @ g4.trace(axis1=0, axis2=2).T @ w.conj().T
 
 
+def _cholesky_proves(a: np.ndarray, shift: float, scale: float) -> bool:
+    """True when a Cholesky proves A + shift I >= 0 for every A of a stack
+    (..., n, n) of Hermitian matrices, ``a`` their computed images, exactly
+    Hermitian (the Cholesky reads one triangle only); ``a`` is overwritten.
+
+    The Cholesky is of B = a + (shift - mu) I, mu = 4 (n + 4) u ``scale``, u
+    the unit roundoff, and must run to completion for every matrix. After
+    Rump's verification of positive definiteness (BIT 46, 433 (2006)), a
+    completed floating-point Cholesky of a Hermitian B of order n leaves
+    B + c tr(B) I >= 0, where c = sqrt(2) gamma_{2n+2}, gamma_k =
+    k u / (1 - k u): Rump's real-arithmetic gamma_{n+1}, as a complex inner
+    product of length k rounds like a real one of length 2k in each part.
+    So A + shift I >= 0 whenever mu >= c tr(B) + e, with e a bound on the
+    spectral norm of B's rounding error B - (A + (shift - mu) I); the
+    caller's ``scale`` makes it so. c < 0.71 * 4 (n + 4) u for every n, so
+    scale >= 3 tr(B) / 4 + e / (4 (n + 4) u) is enough.
+    """
+    n = a.shape[-1]
+    # a writable view of every diagonal, whatever a's strides
+    np.einsum("...ii->...i", a)[...] += shift - 4 * (n + 4) * _UNIT_ROUNDOFF * scale
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _proves(neg_m: np.ndarray, tau: float, ab_abs: float, value: float,
             r_abs: float) -> bool:
-    """True when a Cholesky proves lambda_max(M) <= t0 = (value + CERT_TOL
-    - tau) / d, where M = R_h - A (x) I - I (x) B for a dual point (A, B) of
-    exactly Hermitian matrices with tr A + tr B <= tau and
+    """True when ``_cholesky_proves`` shows lambda_max(M) <= t0 = (value +
+    CERT_TOL - tau) / d, where M = R_h - A (x) I - I (x) B for a dual point
+    (A, B) of exactly Hermitian matrices with tr A + tr B <= tau and
     sum |A_ij| + sum |B_ij| <= ab_abs, r_abs = sum |R_h,ij|, and ``neg_m``,
     which is overwritten, is -M formed from rho, A and B in at most six
     roundings per entry, R = rho / d and R_h among them: then no maximally
     entangled state beats ``value`` by more than CERT_TOL
     (``_certified`` gives the bound).
 
-    The Cholesky is of t I - M, t = t0 - mu, and must run to completion,
-    after Rump's verification of positive definiteness (BIT 46, 433 (2006)):
-    a completed floating-point Cholesky of a Hermitian matrix of order
-    n = d^2 leaves it within c tr of positive semidefinite, where
-    c = sqrt(2) gamma_{2n+2}, gamma_k = k u / (1 - k u): Rump's
-    real-arithmetic gamma_{n+1}, as a complex inner product of length k
-    rounds like a real one of length 2k in each part. Forming t I - M from
-    -M costs one more rounding per entry, so seven in all, on terms of
-    absolute entry sum at most 2 S. The margin
+    The Cholesky is of t I - M, t = t0 - mu. Forming it from -M costs one
+    more rounding per entry, so seven in all, on terms of absolute entry sum
+    at most 2 S. The margin
 
         mu = 4 (n + 4) u S,  S = n |t0| + |value| + r_abs + d ab_abs,
 
-    u the unit roundoff, covers both (and the rounding of t0) for every
-    n >= 1: S bounds the absolute entry sum, so the trace and the Frobenius
-    norm, of every term of t I - M.
+    n = d^2, covers c tr + e (see ``_cholesky_proves``), and the rounding
+    of t0, for every n >= 1: S bounds the absolute entry sum, so the trace
+    and the Frobenius norm, of every term of t I - M, so c tr + e <=
+    (2 sqrt(2) (n + 1) + 14) u S <= mu.
     """
     n = neg_m.shape[0]
     d = math.isqrt(n)
     t0 = (value + CERT_TOL - tau) / d
-    scale = n * abs(t0) + abs(value) + r_abs + d * ab_abs
-    neg_m.flat[::n + 1] += t0 - 4 * (n + 4) * _UNIT_ROUNDOFF * scale
-    try:
-        np.linalg.cholesky(neg_m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _cholesky_proves(neg_m, t0, n * abs(t0) + abs(value) + r_abs + d * ab_abs)
 
 
 def _certified(r: np.ndarray, w: np.ndarray, value: float, points: int) -> bool:

@@ -43,6 +43,7 @@ from quditshare.measures import (
     _adjoint,
     _ascend_unitaries,
     _certified,
+    _cholesky_proves,
     _herm,
     _identity_starts,
     _negativity_of_spectra,
@@ -671,3 +672,24 @@ def test_dual_test_margin_covers_rounding():
     shifted.flat[::n + 1] += t0
     np.linalg.cholesky(shifted)
     assert not _proves(-m, 0.0, 0.0, value, np.abs(m).sum())
+
+
+def test_cholesky_margin_refuses_an_indefinite_difference():
+    # the pair test of the negativity search's bound: H - M for float H and
+    # M whose exact difference has a negative Rayleigh quotient (checked in
+    # rationals) at the top eigenvector of -(H - M), though a float Cholesky
+    # of H - M with no margin completes. The shared helper refuses it, with a
+    # scale that bounds the trace and the Frobenius norms of H and M
+    n = 4
+    rng = np.random.default_rng(60)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = rng.standard_normal((n, n))
+    m = 0.5 * (m + m.T)
+    h = m + (q * np.array([0.0, 0.1, 0.2, 0.3])) @ q.T
+    h = 0.5 * (h + h.T)
+    v = [Fraction(x) for x in np.linalg.eigh(h - m)[1][:, 0]]
+    quad = sum(v[i] * (Fraction(h[i, j]) - Fraction(m[i, j])) * v[j]
+               for i in range(n) for j in range(n))
+    assert quad < 0
+    np.linalg.cholesky(h - m)
+    assert not _cholesky_proves(h - m, 0.0, np.abs(h).sum() + np.abs(m).sum())

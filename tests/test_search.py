@@ -32,6 +32,7 @@ from quditshare import (
     random_pure_state,
     top_choi_eigenpair,
 )
+from quditshare.search import NEG_DEFAULT_MAX_ITER
 
 POOL_FILE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "negsearch_pool.json"
@@ -229,9 +230,10 @@ def _trace_channels():
 
 @pytest.mark.parametrize("ch", _trace_channels())
 def test_negativity_search_trace_bracket(ch):
-    # every iterate's upper bounds the optimum up to eigensolver rounding, so
-    # on these channels it sits above every lower; lower itself need not rise
-    # monotonically
+    # every iterate's candidate bound sits above every lower on these
+    # channels; lower itself need not rise monotonically. The best candidate
+    # closes the bracket and is proved with no fallback, so upper is exactly
+    # its candidate bound
     res = maximize_negativity_input(ch)
     iterations = [i for i, _, _ in res.trace]
     lowers = [lo for _, lo, _ in res.trace]
@@ -239,13 +241,13 @@ def test_negativity_search_trace_bracket(ch):
     assert iterations == list(range(len(iterations)))
     assert min(uppers) >= max(lowers)
     assert res.converged
-    assert res.upper == min(uppers)
+    assert res.fallbacks == 0 and res.upper == min(uppers)
     assert abs(max(lowers) - res.best_value) < 1e-12
     assert res.upper - res.best_value <= 1e-9
 
 
 def _record_solver_dtypes(monkeypatch):
-    seen = {"eigh": [], "eigvalsh": []}
+    seen = {"eigh": [], "eigvalsh": [], "cholesky": []}
     for name, dtypes in seen.items():
         original = getattr(np.linalg, name)
 
@@ -259,8 +261,9 @@ def _record_solver_dtypes(monkeypatch):
 
 def test_negativity_search_runs_in_the_channels_field(monkeypatch):
     # a damping channel's M = -d J^Gamma is real, so every eigensolve of the
-    # loop is real symmetric; a Haar-random channel's is complex. The last
-    # eigvalsh is the final negativity check on the (complex) output
+    # loop, and the Cholesky tests that prove its bound, are real symmetric;
+    # a Haar-random channel's are complex. The one eigvalsh is the final
+    # negativity check on the (complex) output
     d = 3
     damping = damping_channel(DampingParams(d, [0.5, 0.9]))
     haar = random_channel(d, 2, np.random.default_rng(4))
@@ -270,7 +273,8 @@ def test_negativity_search_runs_in_the_channels_field(monkeypatch):
         results[field] = maximize_negativity_input(ch)
         monkeypatch.undo()
         assert seen["eigh"] and set(seen["eigh"]) == {np.dtype(field)}
-        assert len(seen["eigvalsh"]) > 1 and set(seen["eigvalsh"][:-1]) == {np.dtype(field)}
+        assert seen["cholesky"] and set(seen["cholesky"]) == {np.dtype(field)}
+        assert seen["eigvalsh"] == [np.dtype(np.complex128)]
     # the output-rotated copy V K_i is complex and locally-unitarily
     # equivalent: the same iterations, the same value within rounding
     v = haar_unitary(d, np.random.default_rng(9))
@@ -308,6 +312,23 @@ def test_negativity_search_reaches_pool_references():
         assert len(res.trace) <= 16, label
         direct = negativity(apply_one_sided(ch, res.best_state))
         assert abs(res.best_value - direct) <= 1e-12, label
+
+
+@pytest.mark.parametrize("ch", [
+    pytest.param(random_channel(3, 3, np.random.default_rng(33)), id="random-3-3-33"),
+    pytest.param(dual(random_channel(3, 3, np.random.default_rng(33))), id="dual-3-3-33"),
+    pytest.param(dual(random_channel(4, 2, np.random.default_rng(29))), id="dual-4-2-29"),
+])
+def test_negativity_search_open_bracket_stays_near(ch):
+    # three searches that run all NEG_DEFAULT_MAX_ITER iterations with the
+    # bracket open: upper, proved or a fallback, is the bound of one real
+    # candidate. Picking a candidate by lambda_max alone, with no rounding
+    # allowance and with clipped iterates among them, gave uppers of 1.7 to
+    # 3.9 on such duals, above the first iterate's bound
+    res = maximize_negativity_input(ch)
+    assert not res.converged and len(res.trace) == NEG_DEFAULT_MAX_ITER
+    assert res.best_value <= res.upper <= res.best_value + 5e-3
+    assert res.upper <= res.trace[0][2]
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -58,7 +58,7 @@ def _count_calls(monkeypatch, names):
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    return _count_calls(monkeypatch, ("svd", "eigh", "eigvalsh"))
+    return _count_calls(monkeypatch, ("svd", "eigh", "eigvalsh", "cholesky"))
 
 
 @pytest.fixture
@@ -73,7 +73,7 @@ def test_certificate_solver_budget(solver_calls, d):
     # psi_prime and its fields are closed forms; the two eigvalsh are the
     # sector cross-check of the Choi lambda_max (one d x d block) and N(Phi+)
     # (the 2x2 partial-transpose blocks)
-    assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 2}
+    assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 2, "cholesky": 0}
 
 
 @pytest.mark.parametrize("d", [3, 8])
@@ -89,7 +89,7 @@ def test_sweep_solver_budget(solver_calls, d):
     rows, skipped = cli.run_sweep(spec, lambda *chunk: None)
     chunks = -(-rows // cli._sweep_chunk_size(d))
     assert (rows - skipped, chunks) == ((20, 1) if d == 3 else (24, 1))
-    assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 2 * chunks}
+    assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 2 * chunks, "cholesky": 0}
 
 
 @pytest.mark.parametrize("d", [3, 8])
@@ -155,26 +155,28 @@ def test_apply_one_sided_makes_no_solver_calls(solver_calls):
     ch = damping_channel(DampingParams(4, [0.3, 0.6, 0.9]))
     apply_one_sided(ch, max_entangled(4))
     apply_one_sided(random_channel(3, 2, rng), random_pure_state(3, rng))
-    assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 0}
+    assert solver_calls == {"svd": 0, "eigh": 0, "eigvalsh": 0, "cholesky": 0}
 
 
 def test_negativity_solver_budget(monkeypatch):
     # one fixed point, no restarts: each of the k iterations takes one eigh
-    # of K, one batched eigvalsh for lambda_min of Y - M and of Y, and one
-    # batched eigh of tr_B Y and the step target; each but the last takes the
-    # eigh of the next log sigma, and each but the first and the last one
-    # Anderson least-squares solve. The final negativity check makes one
-    # more eigvalsh
+    # of K and one batched eigh of tr_B Y and the step target; each but the
+    # last takes the eigh of the next log sigma, and each but the first and
+    # the last one Anderson least-squares solve. The candidate that closes
+    # the bracket is proved once, by one batched Cholesky of the pair
+    # (Y - M, Y) and one of order d; the only eigvalsh is the final
+    # negativity check
     channels = [(damping_channel(DampingParams(3, [0.5, 0.9])), 6),
                 (random_channel(3, 2, np.random.default_rng(4)), 9)]
     for ch, iterations in channels:
-        calls = _count_calls(monkeypatch, ("svd", "eigh", "eigvalsh", "lstsq"))
+        calls = _count_calls(monkeypatch, ("svd", "eigh", "eigvalsh", "lstsq", "cholesky"))
         res = maximize_negativity_input(ch)
         monkeypatch.undo()
-        assert res.converged
+        assert res.converged and res.fallbacks == 0
         k = len(res.trace)
         assert k == iterations
-        assert calls == {"svd": 0, "eigh": 3 * k - 1, "eigvalsh": k + 1, "lstsq": k - 2}
+        assert calls == {"svd": 0, "eigh": 3 * k - 1, "eigvalsh": 1, "lstsq": k - 2,
+                         "cholesky": 2}
 
 
 @pytest.mark.parametrize("d, restarts", [(2, 8), (3, 32), (5, 5), (7, 4)])
@@ -306,7 +308,7 @@ def test_fef_qubit_closed_form_budget(fef_calls, solver_calls):
         assert fef(rho, restarts=restarts).converged
     after = {**fef_calls, **solver_calls}
     assert {k: after[k] - before[k] for k in after} == {
-        "svd": 0, "qr": 0, "eigh": 2, "eigvalsh": 0}
+        "svd": 0, "qr": 0, "eigh": 2, "eigvalsh": 0, "cholesky": 0}
     # the restarts check still runs first
     with pytest.raises(ValueError):
         fef(rho, restarts=0)

@@ -21,8 +21,8 @@ Library layers:
   forms, and the advantage certificate.
 * :mod:`quditshare.search` -- input-state optimization (exact best-fidelity
   input, the best output negativity by a fixed point with a [lower, upper]
-  bracket, where ``upper`` is a bound only up to eigensolver rounding, qubit
-  exact formula).
+  bracket, whose ``upper`` is proved unless ``fallbacks`` says otherwise,
+  qubit exact formula).
 * :mod:`quditshare.cli` -- the ``quditshare`` command-line front end.
 """
 

@@ -11,7 +11,7 @@ needed for the dual Choi state.
 
 The Kraus-stack kernels are written once here, on stacks, and a function on
 one channel is the kernel's one-row case (``kraus_ops[None]``), so every
-member of a stack gets the bits it gets alone and ``audit`` can run a chunk
+member of a stack gets the bits it gets alone and ``audit`` can run a batch
 of channels as a few stacked calls:
 - ``one_sided_stack`` maps n Kraus lists, held as one (n, K, d, d) array
   (a shorter list padded with zero operators), on n inputs, in real
@@ -96,7 +96,7 @@ class KrausChannel:
     def __post_init__(self):
         if self.dim < 2:
             raise DimensionError(f"channel dimension must be >= 2, got {self.dim}")
-        if not len(self.kraus_ops):
+        if not _kraus_count(self.kraus_ops):
             raise InvalidOperatorError("channel needs at least one Kraus operator")
         for a in self.kraus_ops:
             if np.shape(a) != (self.dim, self.dim):
@@ -119,12 +119,24 @@ class TopChoiEigenpair(NamedTuple):
     degenerate: bool
 
 
+def _kraus_count(ops) -> int:
+    """len(ops), or a DimensionError naming the shape of an object that is
+    no sequence of operators, such as a bare number."""
+    try:
+        return len(ops)
+    except TypeError:
+        raise DimensionError(f"Kraus list shape {np.shape(ops)} is not (K, d, d)") from None
+
+
 def kraus_validate(ops) -> KrausChannel:
     """Validate a raw Kraus list into a channel whose dimension is read from
     the first operator, or raise with the residual."""
-    if not len(ops):
+    if not _kraus_count(ops):
         raise InvalidOperatorError("empty Kraus list")
-    return KrausChannel(dim=np.shape(ops[0])[0], kraus_ops=ops)
+    shape = np.shape(ops[0])
+    if len(shape) != 2:
+        raise DimensionError(f"Kraus operator shape {shape} is not (d, d)")
+    return KrausChannel(dim=shape[0], kraus_ops=ops)
 
 
 def is_unital(ch: KrausChannel) -> bool:

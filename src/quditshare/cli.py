@@ -83,7 +83,7 @@ AUDIT_TOLERANCES = {
 }
 
 MAX_SWEEP_POINTS = 10**6
-# bytes of the stacks one audit or sweep chunk may hold at once
+# bytes of the stacks a sweep chunk or an audit batch's FEF ascent may hold at once
 CHUNK_BYTES = 1024 * 1024
 
 
@@ -470,7 +470,7 @@ def _audit_chunk(d: int, seed: int, lo: int, hi: int):
     ``branch_sum`` of their vectors v_i = (I (x) K_i)|psi>, and one
     ``eigvalsh`` of the K x K Gram matrices <v_i|v_j> of those vectors:
     rho = sum_i v_i v_i^dag has the Gram matrix's nonzero spectrum. The
-    Kraus lists are padded to K = d whatever the chunk holds, as a Gram
+    Kraus lists are padded to K = d whatever channels lo..hi-1 hold, as a Gram
     matrix's eigensolve, unlike a sum of zero terms, may round differently
     with more zero rows. Each value is bit for bit the one the channel
     gives alone.
@@ -532,24 +532,16 @@ def _audit_pauli(seed: int, lo: int, hi: int) -> np.ndarray:
     return np.where(lam < 0.5, 0.0, np.abs(lam - exact))
 
 
-def _audit_chunk_size(d: int) -> int:
-    """Channels per audit chunk: CHUNK_BYTES over six complex d^2 x d^2
-    matrices per channel (8 channels at d = 6, 134 at d = 3), at least one.
-    The six are rho, the two sides of the local-unitary covariance check
-    and ``one_sided_stack``'s temporaries; the chunk's Kraus stack and draws
-    add about one more, so the measured peak is 6.3 to 7.2 x 16 d^4 bytes
-    per channel (higher at smaller d) and a chunk may exceed CHUNK_BYTES by
-    up to a fifth."""
-    return max(1, CHUNK_BYTES // (6 * 16 * d**4))
-
-
 def _fef_batch_size(d: int) -> int:
-    """Outputs per ``fef_batch`` call of the audit: the batch holds the
-    outputs and the ascent's copy of them, two complex d^2 x d^2 matrices
-    per output, within CHUNK_BYTES (25 at d = 6, 52 at d = 5, 404 at d = 3),
-    at least one. That is about three chunks: a stack of identity starts
-    climbs until its slowest start stops, so each stack takes as many
-    channels as its memory allows."""
+    """Channels per audit batch: CHUNK_BYTES over two complex d^2 x d^2
+    matrices per channel, the outputs and the FEF ascent's copy of them
+    (25 at d = 6, 52 at d = 5, 404 at d = 3), at least one. A stack of
+    identity starts climbs until its slowest start stops, so each batch takes
+    as many channels as the ascent's memory allows. Building a batch with
+    ``_audit_chunk`` holds more, about seven such matrices per channel (the
+    outputs, the two sides of the local-unitary check, ``one_sided_stack``'s
+    temporaries, the Kraus stack and draws), so the audit's peak is about
+    3.5 CHUNK_BYTES whatever the number of channels."""
     return max(1, CHUNK_BYTES // (2 * 16 * d**4))
 
 
@@ -565,30 +557,23 @@ def run_audit(d: int, n_channels: int, seed: int) -> dict:
     Each FEF is ``fef(rho, restarts=1).value``: the identity start's ascent,
     which climbs from Phi+ and so meets the floor check by construction; no
     certificate is read, so none is proved. Channels are audited in batches
-    of ``_fef_batch_size(d)``, each built in chunks of
-    ``_audit_chunk_size(d)``: ``_audit_chunk`` builds a chunk's channels and
-    runs its linear algebra as stacked calls, and its outputs fill the
-    batch's slice of one preallocated stack. ``fef_batch`` takes the
-    batch's stack of outputs as it is and gives their FEF values; the floor
-    is read by the stacked overlap that gives every FEF value, and the
-    ceiling reads the chunks' lambda_max and one stacked ``eigvalsh`` for the
+    of ``_fef_batch_size(d)``: ``_audit_chunk`` builds a batch's channels and
+    runs its linear algebra as stacked calls, and ``fef_batch`` climbs the
+    batch's stack of outputs as one stack of identity starts. The floor is
+    read by the stacked overlap that gives every FEF value, and the ceiling
+    reads the batch's lambda_max and one stacked ``eigvalsh`` for the
     partial-transpose negativity. At d = 2 the Pauli check of the batch's
     indices is stacked the same way. Every deviation is bit for bit the one
-    its channel gives alone, so the report depends on neither size.
+    its channel gives alone, so the report does not depend on the batch size.
     """
-    batch, chunk = _fef_batch_size(d), _audit_chunk_size(d)
-    outputs = np.empty((min(batch, n_channels), d * d, d * d), dtype=complex)
+    batch = _fef_batch_size(d)
     parts = []
-    for start in range(0, n_channels, batch):
-        stop = min(start + batch, n_channels)
-        rho, devs = outputs[:stop - start], np.empty((stop - start, 3))
-        top = np.empty(stop - start)
-        for lo in range(0, stop - start, chunk):
-            hi = min(lo + chunk, stop - start)
-            rho[lo:hi], devs[lo:hi], top[lo:hi] = _audit_chunk(d, seed, start + lo, start + hi)
+    for lo in range(0, n_channels, batch):
+        hi = min(lo + batch, n_channels)
+        rho, devs, top = _audit_chunk(d, seed, lo, hi)
         part = [*devs.T, *_fef_deviations(rho, top, fef_batch(rho))]
         if d == 2:
-            part.append(_audit_pauli(seed, start, stop))
+            part.append(_audit_pauli(seed, lo, hi))
         parts.append(np.column_stack(part))
     # AUDIT_TOLERANCES lists the checks in report order, the qubit-only one last
     checks = {}

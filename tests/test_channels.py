@@ -358,15 +358,23 @@ def test_kraus_stack_is_a_copy_of_the_input():
     assert ch.kraus_ops[0, 0, 0] == 1.0
 
 
-@pytest.mark.parametrize("ops", [
-    pytest.param([np.eye(2), np.eye(3)], id="square"),
-    pytest.param([np.eye(2), np.ones((2, 3))], id="rectangular"),
-    pytest.param([np.eye(2), np.ones(4)], id="flat"),
+_RAGGED = "does not match dim 2"
+
+
+@pytest.mark.parametrize("ops, channel_match, validate_match", [
+    pytest.param([np.eye(2), np.eye(3)], _RAGGED, _RAGGED, id="square"),
+    pytest.param([np.eye(2), np.ones((2, 3))], _RAGGED, _RAGGED, id="rectangular"),
+    pytest.param([np.eye(2), np.ones(4)], _RAGGED, _RAGGED, id="flat"),
+    # kraus_validate reads d from the first operator, and a scalar has none
+    pytest.param([1.0], _RAGGED, r"Kraus operator shape \(\) is not \(d, d\)",
+                 id="scalar-operator"),
+    pytest.param(5, r"Kraus list shape \(\) is not \(K, d, d\)",
+                 r"Kraus list shape \(\) is not \(K, d, d\)", id="scalar-list"),
 ])
-def test_ragged_kraus_list_raises_dimension_error(ops):
-    with pytest.raises(DimensionError, match="does not match dim 2"):
+def test_ragged_kraus_list_raises_dimension_error(ops, channel_match, validate_match):
+    with pytest.raises(DimensionError, match=channel_match):
         KrausChannel(dim=2, kraus_ops=ops, trace_preserving=False)
-    with pytest.raises(DimensionError, match="does not match dim 2"):
+    with pytest.raises(DimensionError, match=validate_match):
         kraus_validate(ops)
 
 

@@ -1056,22 +1056,22 @@ def test_audit_names_the_worst_channel(capsys, monkeypatch):
         assert replay == check
 
 
-@pytest.mark.parametrize("d, n", [(3, 150), (6, 30)])
+@pytest.mark.parametrize("d, n", [(2, 130), (3, 150), (6, 30)])
 def test_audit_report_does_not_depend_on_chunking(monkeypatch, d, n):
-    # the same bytes from 2-channel chunks filling 7-output FEF batches (a
-    # chunk boundary inside every batch, which is no multiple of the chunk),
-    # from the default sizes (two chunks in one batch at d = 3; at d = 6 a
-    # batch boundary too) and from one chunk holding every channel
+    # the same bytes from 2-channel batches, from 7-channel batches (the last
+    # one partial, as no n here is a multiple of 7), from the default size
+    # (a batch boundary at d = 6) and from one batch holding every channel;
+    # at d = 2 the Pauli column is built per batch too
     matrix = 16 * d**4
     reports = []
-    for size, sizes in [(14 * matrix, (2, 7)), (cli.CHUNK_BYTES, None),
+    for size, batch in [(4 * matrix, 2), (14 * matrix, 7), (cli.CHUNK_BYTES, None),
                         (64 * cli.CHUNK_BYTES, None)]:
         monkeypatch.setattr(cli, "CHUNK_BYTES", size)
-        if sizes:
-            assert (cli._audit_chunk_size(d), cli._fef_batch_size(d)) == sizes
+        if batch:
+            assert cli._fef_batch_size(d) == batch
         reports.append(dumps_fixed(cli.run_audit(d, n, 5)))
-    assert cli._audit_chunk_size(d) >= n
-    assert reports[1:] == reports[:1] * 2
+    assert cli._fef_batch_size(d) >= n
+    assert reports[1:] == reports[:1] * 3
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])

@@ -212,17 +212,13 @@ def test_fef_one_stacked_svd_per_iteration(fef_calls, d, restarts):
 
 
 def test_audit_one_stacked_svd_per_iteration(fef_calls):
-    # audit's channels of one FEF batch climb as one stack of identity starts,
-    # here filled from two memory chunks: as many SVD calls as the slowest of
+    # audit's channels of one FEF batch, built by one _audit_chunk call, climb
+    # as one stack of identity starts: as many SVD calls as the slowest of
     # them takes alone, and no QR beyond building the channels, as no seeded
     # start runs, not even for the channels whose bracket stays open
-    d, seed = 4, 3
-    chunk = cli._audit_chunk_size(d)
-    n = chunk + 8
+    d, seed, n = 4, 3, 50
     assert n <= cli._fef_batch_size(d)
-    bounds = [(0, chunk), (chunk, n)]
-    rhos = [DensityOperator(d, m)
-            for lo, hi in bounds for m in cli._audit_chunk(d, seed, lo, hi)[0]]
+    rhos = [DensityOperator(d, m) for m in cli._audit_chunk(d, seed, 0, n)[0]]
     assert not all(fef(rho, restarts=1).certified for rho in rhos)
     identity = []
     for rho in rhos:
@@ -231,9 +227,10 @@ def test_audit_one_stacked_svd_per_iteration(fef_calls):
         identity.append(fef_calls["svd"] - before)
     assert max(identity) < sum(identity)
     before = dict(fef_calls)
-    for lo, hi in bounds:
-        cli._audit_chunk(d, seed, lo, hi)
+    cli._audit_chunk(d, seed, 0, n)
     building = {k: fef_calls[k] - before[k] for k in fef_calls}
+    # one QR per Kraus count (2, 3 and 4 all occur) and one for the local unitaries
+    assert building == {"svd": 0, "qr": 4}
     before = dict(fef_calls)
     assert cli.run_audit(d, n, seed)["pass"]
     assert {k: fef_calls[k] - before[k] for k in fef_calls} == {
@@ -241,7 +238,7 @@ def test_audit_one_stacked_svd_per_iteration(fef_calls):
 
 
 def test_audit_chunk_solver_calls_do_not_grow_with_channels(monkeypatch):
-    # one chunk runs its linear algebra as stacked calls: one eigvalsh each
+    # one batch runs its linear algebra as stacked calls: one eigvalsh each
     # for lambda_max (of the Gram matrices) and the partial-transpose
     # negativity of the outputs, and one QR per Kraus count (2 and 3 both
     # occur among the first 4 channels at this seed) plus one for the local
@@ -249,7 +246,7 @@ def test_audit_chunk_solver_calls_do_not_grow_with_channels(monkeypatch):
     # vectors, so no Choi state is solved. At d >= 3 fef_batch tries no dual
     # point, so the FEF takes no eigensolve
     d, seed = 3, 1
-    assert 12 <= cli._audit_chunk_size(d)
+    assert 12 <= cli._fef_batch_size(d)
     budgets = []
     for n in (4, 12):
         calls = _count_calls(monkeypatch, ("eigh", "eigvalsh", "qr"))

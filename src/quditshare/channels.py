@@ -18,7 +18,7 @@ of channels as a few stacked calls:
   arithmetic when the lists and inputs are real; ``apply_one_sided`` is its
   one-row case. It is ``branch_sum`` of the ``branch_vectors``
   (I (x) K_i)|psi>, which ``audit`` also reads, for each output's
-  lambda_max and, at |psi> = |Phi+>, for its dual-primal bound;
+  lambda_max;
 - ``completeness_residual`` (and ``check_completeness``) takes one list or
   such a stack; ``KrausChannel`` checks its list with it;
 - ``top_eigenpairs`` solves a stack of Hermitian matrices with one ``eigh``

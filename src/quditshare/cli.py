@@ -33,7 +33,6 @@ import numpy as np
 
 from .channels import (
     _psi_prime,
-    _swap_conj,
     apply_one_sided,
     branch_sum,
     branch_vectors,
@@ -64,8 +63,7 @@ from .errors import (
     ToolkitError,
 )
 from .jsonio import RowWriter, dumps_fixed, format_real, json_int, json_real, load_json
-from .measures import (DEFAULT_RESTARTS, _mes_overlaps, fef, fef_batch, negativity,
-                       negativity_of_matrix)
+from .measures import DEFAULT_RESTARTS, fef, fef_batch, negativity, negativity_of_matrix
 from .states import (
     fidelity_with,
     kron_identity,
@@ -75,9 +73,7 @@ from .states import (
 
 AUDIT_TOLERANCES = {
     "trace_preservation": 1e-12,
-    "dual_primal_lambda_max": 1e-9,
     "local_unitary_covariance": 1e-12,
-    "fef_floor": 1e-12,
     "fef_ceiling": 1e-9,
     "qubit_pauli_equality": 1e-10,
 }
@@ -434,41 +430,14 @@ def _audit_draws(d: int, seed: int, lo: int, hi: int):
     return kraus, inputs.reshape(n, d, d), haar_from_gaussian(gaussians)
 
 
-def _dual_primal_bound(kraus: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
-    """For n Kraus lists (n, K, d, d) and n lists ``adjoints`` of the same
-    shape, a bound on |lambda_max(J') - lambda_max(J)| of each pair, J the
-    Choi state of the Kraus list and J' that of ``adjoints``, which the
-    audit passes as the dual map's list; no Choi state is built.
-
-    With the branch vectors v_i = (I (x) K_i)|Phi+> of J, v'_i of J' and
-    e_i = v'_i - SWAP conj(v_i), J' - SWAP conj(J) SWAP is
-    sum_i (e_i v'_i^dag + SWAP conj(v_i) e_i^dag), whose 2-norm is at most
-    sum_i |e_i| (|v'_i| + |v_i|); SWAP conj(J) SWAP has J's spectrum, so by
-    Weyl's inequality the sum bounds the two lambda_max's distance. A list
-    padded with zero operators adds zero terms. For the adjoints of
-    ``kraus`` every e_i is exactly zero: vec(K_i^dag) is SWAP conj(vec(K_i))
-    entry for entry.
-    """
-    d = kraus.shape[-1]
-    # Phi+'s coefficient matrix, I / sqrt(d)
-    phi = np.eye(d)[None] / np.sqrt(d)
-    v, v_dual = branch_vectors(kraus, phi), branch_vectors(adjoints, phi)
-    e, norm_dual, norm = (np.linalg.norm(x, axis=-1)
-                          for x in (v_dual - _swap_conj(v, d), v_dual, v))
-    return (e * (norm_dual + norm)).sum(axis=1)
-
-
 def _audit_chunk(d: int, seed: int, lo: int, hi: int):
     """Channels lo..hi-1 of the audit (``_audit_draws``): their outputs rho
-    as one (n, d^2, d^2) stack, an (n, 3) array of the deviations that need
-    no FEF (trace, dual-primal lambda_max, local-unitary covariance), and
-    lambda_max of each output.
+    as one (n, d^2, d^2) stack, an (n, 2) array of the deviations that need
+    no FEF (trace, local-unitary covariance), and lambda_max of each output.
 
     The linear algebra runs on stacks: one ``check_completeness``, the
-    dual-primal bound of ``_dual_primal_bound`` from the Kraus lists'
-    branch vectors, with no Choi state built or solved, the outputs as
-    ``branch_sum`` of their vectors v_i = (I (x) K_i)|psi>, and one
-    ``eigvalsh`` of the K x K Gram matrices <v_i|v_j> of those vectors:
+    outputs as ``branch_sum`` of their vectors v_i = (I (x) K_i)|psi>, and
+    one ``eigvalsh`` of the K x K Gram matrices <v_i|v_j> of those vectors:
     rho = sum_i v_i v_i^dag has the Gram matrix's nonzero spectrum. The
     Kraus lists are padded to K = d whatever channels lo..hi-1 hold, as a Gram
     matrix's eigensolve, unlike a sum of zero terms, may round differently
@@ -477,7 +446,6 @@ def _audit_chunk(d: int, seed: int, lo: int, hi: int):
     """
     kraus, psi, w = _audit_draws(d, seed, lo, hi)
     check_completeness(kraus)
-    dual_dev = _dual_primal_bound(kraus, kraus.conj().swapaxes(-1, -2))
 
     v = branch_vectors(kraus, psi)
     rho = branch_sum(v)
@@ -495,19 +463,16 @@ def _audit_chunk(d: int, seed: int, lo: int, hi: int):
     lhs -= rhs
     lu_dev = np.abs(lhs).max(axis=(1, 2))
 
-    return rho, np.column_stack((trace_dev, dual_dev, lu_dev)), top
+    return rho, np.column_stack((trace_dev, lu_dev)), top
 
 
 def _fef_deviations(rho: np.ndarray, top: np.ndarray, fef_values: np.ndarray):
     """For a stack of outputs, their lambda_max ``top`` and their FEF values,
-    how far each value falls below the floor <Phi+|rho|Phi+> and rises above
-    the ceiling min(lambda_max, (1 + 2N) / d) of ``fstar_upper_bound``,
-    clamped at 0."""
+    how far each value rises above the ceiling min(lambda_max, (1 + 2N) / d)
+    of ``fstar_upper_bound``, clamped at 0."""
     d = math.isqrt(rho.shape[-1])
-    floor = _mes_overlaps(rho, np.eye(d, dtype=complex))
     fstar = (1.0 + 2.0 * negativity_of_matrix(rho, d)) / d
-    ceiling = np.minimum(top, fstar)
-    return np.maximum(0.0, floor - fef_values), np.maximum(0.0, fef_values - ceiling)
+    return np.maximum(0.0, fef_values - np.minimum(top, fstar))
 
 
 def _audit_pauli(seed: int, lo: int, hi: int) -> np.ndarray:
@@ -554,14 +519,20 @@ def run_audit(d: int, n_channels: int, seed: int) -> dict:
     ``fef`` on that channel alone, so an audit with ``n_channels`` =
     worst_index + 1 replays the worst channel as its last one.
 
-    Each FEF is ``fef(rho, restarts=1).value``: the identity start's ascent,
-    which climbs from Phi+ and so meets the floor check by construction; no
-    certificate is read, so none is proved. Channels are audited in batches
-    of ``_fef_batch_size(d)``: ``_audit_chunk`` builds a batch's channels and
-    runs its linear algebra as stacked calls, and ``fef_batch`` climbs the
-    batch's stack of outputs as one stack of identity starts. The floor is
-    read by the stacked overlap that gives every FEF value, and the ceiling
-    reads the batch's lambda_max and one stacked ``eigvalsh`` for the
+    The checks are identities every channel meets, each of which a fault in
+    the code under it would break: the output's unit trace (the one-sided
+    kernel), covariance under a local unitary on the kept side (a kernel
+    acting on the wrong factor), the FEF ceiling (an ascent that leaves the
+    maximally entangled states, or a wrong lambda_max or partial transpose)
+    and, at d = 2, the Pauli channels' closed form (the negativity and
+    lambda_max against an exact formula).
+
+    Each FEF is ``fef(rho, restarts=1).value``: the identity start's ascent;
+    no certificate is read, so none is proved. Channels are audited in
+    batches of ``_fef_batch_size(d)``: ``_audit_chunk`` builds a batch's
+    channels and runs its linear algebra as stacked calls, and ``fef_batch``
+    climbs the batch's stack of outputs as one stack of identity starts. The
+    ceiling reads the batch's lambda_max and one stacked ``eigvalsh`` for the
     partial-transpose negativity. At d = 2 the Pauli check of the batch's
     indices is stacked the same way. Every deviation is bit for bit the one
     its channel gives alone, so the report does not depend on the batch size.
@@ -571,7 +542,7 @@ def run_audit(d: int, n_channels: int, seed: int) -> dict:
     for lo in range(0, n_channels, batch):
         hi = min(lo + batch, n_channels)
         rho, devs, top = _audit_chunk(d, seed, lo, hi)
-        part = [*devs.T, *_fef_deviations(rho, top, fef_batch(rho))]
+        part = [*devs.T, _fef_deviations(rho, top, fef_batch(rho))]
         if d == 2:
             part.append(_audit_pauli(seed, lo, hi))
         parts.append(np.column_stack(part))

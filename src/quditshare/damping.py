@@ -206,8 +206,9 @@ def damping_channel(p: DampingParams) -> KrausChannel:
 
 def _pair_sum(xs: np.ndarray) -> np.ndarray:
     """sum_{i<j} x_i x_j of each row of xs in O(d), as
-    sum_j x_j (x_1 + ... + x_{j-1})."""
-    return np.vecdot(xs[:, 1:], np.cumsum(xs, axis=1)[:, :-1])
+    sum_j x_j (x_1 + ... + x_{j-1}). Not ``np.vecdot``: its BLAS dot
+    rounds by the CPU kernel and by the row's place in memory."""
+    return (xs[:, 1:] * np.cumsum(xs, axis=1)[:, :-1]).sum(axis=1)
 
 
 def _closed_forms(d: int, xs: np.ndarray) -> dict:
@@ -215,7 +216,8 @@ def _closed_forms(d: int, xs: np.ndarray) -> dict:
     as in the module docstring: one array per ``AdvantageCertificate`` field
     but the two ``*_numeric`` ones and ``params``, row k for the point
     xs[k]; ``psi_prime`` is the (n, d) array of its amplitudes on |ii>. Sums
-    and dots run along rows, so a row does not depend on the rows beside it.
+    run along rows in numpy, never a BLAS dot, so a row does not depend on
+    the rows beside it or on the CPU kernel.
     """
     y = xs**2
     sq = y.sum(axis=1)
@@ -224,7 +226,7 @@ def _closed_forms(d: int, xs: np.ndarray) -> dict:
     neg = (sq + _pair_sum(xs)) / d
     # damping_gap says why this pair sum of squared differences cannot cancel
     z = xs - xs[:, :1]
-    gap = (d - 1) * np.vecdot(z, z) - z.sum(axis=1) ** 2
+    gap = (d - 1) * (z * z).sum(axis=1) - z.sum(axis=1) ** 2
     root_s = np.sqrt(s)
     lo, hi = xs.min(axis=1), xs.max(axis=1)
     spread = (1.0 - lo) / root_s

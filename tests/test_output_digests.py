@@ -12,8 +12,9 @@ covers `--input phiplus` at d = 2, where the FEF is the magic-basis eigensolve.
 The `audit` cases are d = 3 at the default seed, d = 2 with its Pauli check,
 and d = 6 at 53 channels, which run in several chunks, so the stacked
 per-chunk path has to give the per-channel bytes. Recorded with
-numpy 2.4 on x86-64 Linux; another LAPACK build may round differently and
-move the digests without any change to this package.
+numpy 2.4 on x86-64 Linux, on OpenBLAS's `SkylakeX` kernel; another LAPACK
+build or kernel may round differently and move the digests without any
+change to this package.
 """
 
 import hashlib
@@ -52,16 +53,17 @@ OPEN_PHIPLUS_CASE = 105
 # bracket open, which the default 32 starts' polish closes, so the seeded
 # starts run
 LEAST_SQUARES_ONLY = (4, 4, 8, "0bb43606a11559819e902fd021ff9f04fd70332beebe964ac1b0ccf53e3de4ef")
-AUDIT_SHA256 = "0643a5a7abcac6342484a78b12e4645200b54f5689e150511a474d76e72f9ec9"
+AUDIT_SHA256 = "d35e1103f4ce76a363d3bbb074b505fb95b6ba2d52b4b1918f8a85c8a2e18bc4"
 # (d, --n, --seed, sha256) of more audit reports: the qubit Pauli check, and
 # a run across chunk and FEF batch boundaries
 AUDIT_MORE = [
-    (2, 12, 3, "7f0823f7c6c089400dbec99644da62217bc0fe64b90b5c9ab5dd29eb285f1891"),
-    (6, 53, 11, "55a3326b1853b23879a8cce50e47e3be305b02b30eaa51fe05cc2f13702ba3d4"),
+    (2, 12, 3, "e67a789bda804ae6b4621b3f2ec8ef2882307e066336d592dd12391e71d66e35"),
+    (6, 53, 11, "45cc9416394bf89b270141ab31ea734147cf426137dc270b056384bbabbdf68e"),
 ]
-# "gap" is the O(d) pair sum of (x_i - x_j)^2, 0.54000000000000004 here,
-# the double nearest the exact 0.54
-CERTIFY_SHA256 = "59c0d507bfa553466383e47f04efd602ed8073d98195df03ad635ffd7c1b2188"
+# "gap" is the O(d) pair sum of (x_i - x_j)^2, 0.53999999999999981 here,
+# two ulps below the exact 0.54: the closed forms sum in numpy, not a BLAS
+# dot, so these bits do not depend on the OpenBLAS kernel
+CERTIFY_SHA256 = "3137d82f8e81fcc3f2d1960ed117848ebb6bc893a3a8a0ae0a2010f8a5dc0b8b"
 SWEEP_SPEC = {"d": 4, "axes": {"x1": {"start": 0.1, "stop": 0.9, "steps": 5},
                                "x3": {"start": 0.3, "stop": 0.7, "steps": 3}},
               "fixed": {"x2": 0.5}}

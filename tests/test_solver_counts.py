@@ -242,9 +242,8 @@ def test_audit_chunk_solver_calls_do_not_grow_with_channels(monkeypatch):
     # for lambda_max (of the Gram matrices) and the partial-transpose
     # negativity of the outputs, and one QR per Kraus count (2 and 3 both
     # occur among the first 4 channels at this seed) plus one for the local
-    # unitaries. The dual-primal check reads the Kraus lists' branch
-    # vectors, so no Choi state is solved. At d >= 3 fef_batch tries no dual
-    # point, so the FEF takes no eigensolve
+    # unitaries. No check solves a Choi state. At d >= 3 fef_batch tries no
+    # dual point, so the FEF takes no eigensolve
     d, seed = 3, 1
     assert 12 <= cli._fef_batch_size(d)
     budgets = []

@@ -28,10 +28,11 @@ of channels as a few stacked calls:
   Phi+ are SWAP conj of J's, entry for entry; so the best input psi', its
   top eigenvector, is read off J's one ``eigh`` (``_psi_prime``);
 - ``haar_from_gaussian`` makes a stack of Haar unitaries with one QR, and
-  ``haar_dilation_kraus`` blocks the unitaries it makes from a stack of
-  Gaussian dilations into Kraus lists; ``random_channel`` is its one-row
-  case, and ``audit`` draws its channels with it, from Gaussians that
-  ``ginibre_from_normals`` assembles from drawn normals.
+  ``haar_dilation_kraus`` blocks the first d columns of the unitaries of a
+  stack of Gaussian dilations into Kraus lists, with one QR of those
+  columns alone; ``random_channel`` is its one-row case, and ``audit``
+  draws its channels with it, from Gaussians that ``ginibre_from_normals``
+  assembles from drawn normals.
 In the stacked paths Phi+'s coefficient matrix is written as I / sqrt(d).
 """
 
@@ -55,10 +56,11 @@ DEGENERACY_GAP = 1e-10
 def completeness_residual(ops) -> tuple[float, tuple]:
     """Max-abs entry of sum_i A_i^dag A_i - I and its position (i, j), for
     one Kraus list (K, d, d); over a stack (n, K, d, d) of lists, the largest
-    and its position (list, i, j)."""
+    and its position (list, i, j); inf or NaN, without warnings, on overflow."""
     ops = np.asarray(ops)
-    # a sum over an outer axis adds the terms in order, as a loop would
-    acc = (ops.conj().mT @ ops).sum(axis=-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a sum over an outer axis adds the terms in order, as a loop would
+        acc = (ops.conj().mT @ ops).sum(axis=-3)
     dev = np.abs(acc - np.eye(ops.shape[-1]))
     pos = np.unravel_index(np.argmax(dev), dev.shape)
     return float(dev[pos]), tuple(map(int, pos))
@@ -67,9 +69,9 @@ def completeness_residual(ops) -> tuple[float, tuple]:
 def check_completeness(ops) -> None:
     """Raise ChannelCompletenessError, with the residual, unless one Kraus
     list, or every list of a stack, is trace preserving within
-    COMPLETENESS_TOL (see ``completeness_residual``)."""
+    COMPLETENESS_TOL (see ``completeness_residual``); a NaN residual fails."""
     residual, pos = completeness_residual(ops)
-    if residual > COMPLETENESS_TOL:
+    if not residual <= COMPLETENESS_TOL:
         raise ChannelCompletenessError(
             f"Kraus operators are not trace preserving: "
             f"residual {residual:.6g} at entry {pos}",
@@ -282,8 +284,9 @@ def ginibre_from_normals(normals: np.ndarray, d: int) -> np.ndarray:
 
 
 def haar_from_gaussian(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a stack (..., d, d) of complex Gaussian matrices:
-    QR with the phases of R's diagonal moved into Q, one batched QR call."""
+    """Haar unitaries from a stack (..., d, d) of complex Gaussian matrices,
+    or their first d columns from a stack (..., m, d) of first columns: QR
+    with the phases of R's diagonal moved into Q, one batched QR call."""
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
@@ -298,9 +301,10 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 def haar_dilation_kraus(z: np.ndarray, d: int) -> np.ndarray:
     """Kraus lists of Haar dilations, shape (..., k, d, d), from a stack
     (..., d k, d k) of complex Gaussian matrices: the first d columns of each
-    Haar unitary (``haar_from_gaussian``, one QR for the stack) form an
-    isometry whose k blocks of d rows are its d x d Kraus operators."""
-    return haar_from_gaussian(z)[..., :d].reshape(*z.shape[:-2], z.shape[-1] // d, d, d)
+    Haar unitary (``haar_from_gaussian``) form an isometry whose k blocks of
+    d rows are its d x d Kraus operators. They, and R's first d diagonal
+    entries, depend on z's first d columns alone, so only those are factored."""
+    return haar_from_gaussian(z[..., :d]).reshape(*z.shape[:-2], z.shape[-1] // d, d, d)
 
 
 def random_channel(d: int, n_kraus: int, rng: np.random.Generator) -> KrausChannel:

@@ -66,7 +66,6 @@ from .jsonio import RowWriter, dumps_fixed, format_real, json_int, json_real, lo
 from .measures import DEFAULT_RESTARTS, fef, fef_batch, negativity, negativity_of_matrix
 from .states import (
     fidelity_with,
-    kron_identity,
     load_state,
     max_entangled,
 )
@@ -405,7 +404,7 @@ def _audit_draws(d: int, seed: int, lo: int, hi: int):
     normals of ``random_pure_state``) and the Gaussian of W, the order and
     values of separate draws. The channels of one Kraus count are assembled
     as one stack, and ``haar_dilation_kraus`` turns their dilations into
-    Kraus lists with one QR; the W take one QR.
+    Kraus lists with one QR of the d columns each keeps; the W take one QR.
     """
     counts, normals = [], []
     for i in range(lo, hi):
@@ -439,10 +438,11 @@ def _audit_chunk(d: int, seed: int, lo: int, hi: int):
     outputs as ``branch_sum`` of their vectors v_i = (I (x) K_i)|psi>, and
     one ``eigvalsh`` of the K x K Gram matrices <v_i|v_j> of those vectors:
     rho = sum_i v_i v_i^dag has the Gram matrix's nonzero spectrum. The
-    Kraus lists are padded to K = d whatever channels lo..hi-1 hold, as a Gram
-    matrix's eigensolve, unlike a sum of zero terms, may round differently
-    with more zero rows. Each value is bit for bit the one the channel
-    gives alone.
+    covariance check compares (I (x) K_i)(W (x) I)|psi> with (W (x) I) v_i:
+    equal branches give covariant outputs. The Kraus lists are padded to
+    K = d whatever channels lo..hi-1 hold, as a Gram matrix's eigensolve,
+    unlike a sum of zero terms, may round differently with more zero rows.
+    Each value is bit for bit the one the channel gives alone.
     """
     kraus, psi, w = _audit_draws(d, seed, lo, hi)
     check_completeness(kraus)
@@ -452,15 +452,10 @@ def _audit_chunk(d: int, seed: int, lo: int, hi: int):
     top = np.linalg.eigvalsh(v.conj() @ v.swapaxes(-1, -2))[:, -1]
     trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
 
-    # (W (x) I) rho (W (x) I)^dag against the output of the rotated input,
-    # in steps that hold few stacks at once
-    wi = kron_identity(w)
-    rhs = wi @ rho
-    wi = wi.conj()
-    rhs = rhs @ wi.swapaxes(-1, -2)
-    del wi
-    lhs = one_sided_stack(kraus, w @ psi)
-    lhs -= rhs
+    # each branch (I (x) K_i)(W (x) I)|psi> against (W (x) I)(I (x) K_i)|psi>:
+    # W acts on the rows of each branch's d x d coefficient matrix
+    rot = np.matmul(w[:, None], v.reshape(*v.shape[:2], d, d)).reshape(v.shape)
+    lhs = branch_vectors(kraus, w @ psi) - rot
     lu_dev = np.abs(lhs).max(axis=(1, 2))
 
     return rho, np.column_stack((trace_dev, lu_dev)), top
@@ -503,10 +498,9 @@ def _fef_batch_size(d: int) -> int:
     (25 at d = 6, 52 at d = 5, 404 at d = 3), at least one. A stack of
     identity starts climbs until its slowest start stops, so each batch takes
     as many channels as the ascent's memory allows. Building a batch with
-    ``_audit_chunk`` holds more, about seven such matrices per channel (the
-    outputs, the two sides of the local-unitary check, ``one_sided_stack``'s
-    temporaries, the Kraus stack and draws), so the audit's peak is about
-    3.5 CHUNK_BYTES whatever the number of channels."""
+    ``_audit_chunk`` holds more, about three such matrices per channel at
+    its peak (the outputs and ``branch_sum``'s temporaries), so the audit's
+    peak is about 1.5 CHUNK_BYTES whatever the number of channels."""
     return max(1, CHUNK_BYTES // (2 * 16 * d**4))
 
 
@@ -543,6 +537,7 @@ def run_audit(d: int, n_channels: int, seed: int) -> dict:
         hi = min(lo + batch, n_channels)
         rho, devs, top = _audit_chunk(d, seed, lo, hi)
         part = [*devs.T, _fef_deviations(rho, top, fef_batch(rho))]
+        del rho  # the next batch is built without this one's outputs
         if d == 2:
             part.append(_audit_pauli(seed, lo, hi))
         parts.append(np.column_stack(part))

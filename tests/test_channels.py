@@ -42,6 +42,9 @@ from quditshare.channels import (
     _psi_prime,
     branch_vectors,
     check_completeness,
+    ginibre_from_normals,
+    haar_dilation_kraus,
+    haar_from_gaussian,
     one_sided_stack,
     top_eigenpairs,
 )
@@ -290,6 +293,17 @@ def test_random_channel_is_blocked_haar_dilation():
                 assert np.array_equal(a.view(np.int64), np.ascontiguousarray(b).view(np.int64))
 
 
+@pytest.mark.parametrize("d, k", [(d, k) for d in range(2, 7) for k in range(1, d + 1)])
+def test_haar_dilation_kraus_factors_only_the_kept_columns(d, k):
+    # the first d columns of a QR, and the phases of R's first d diagonal
+    # entries, depend on the first d columns of the Gaussian alone: factoring
+    # those gives the bits of the full unitary's first d columns
+    normals = np.random.default_rng([d, k]).standard_normal((7, 2 * (d * k) ** 2))
+    z = ginibre_from_normals(normals, d * k)
+    full = haar_from_gaussian(z)[..., :d].reshape(7, k, d, d)
+    assert np.array_equal(haar_dilation_kraus(z, d).view(np.int64), full.view(np.int64))
+
+
 def test_channel_json_roundtrip(tmp_path):
     rng = np.random.default_rng(26)
     ch = random_channel(3, 2, rng)
@@ -322,6 +336,15 @@ def test_channel_rejects_non_finite_entries(bad, trace_preserving):
     op[1, 0] = bad
     with pytest.raises(InvalidOperatorError, match="non-finite"):
         KrausChannel(dim=2, kraus_ops=(op,), trace_preserving=trace_preserving)
+
+
+def test_channel_rejects_an_overflowing_completeness_residual():
+    # |1e200 (1 + i)|^2 overflows, and the residual it leaves is NaN or inf,
+    # never within the tolerance
+    op = np.eye(2, dtype=complex)
+    op[0, 0] = 1e200 + 1e200j
+    with pytest.raises(ChannelCompletenessError):
+        KrausChannel(dim=2, kraus_ops=(op,))
 
 
 def _omega():

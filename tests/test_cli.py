@@ -153,6 +153,26 @@ def test_non_finite_kraus_entry_is_usage_error(tmp_path, capsys, command, bad):
     assert captured.err == "error: Kraus operator has a non-finite entry\n"
 
 
+def test_overflowing_kraus_entry_is_not_trace_preserving(tmp_path):
+    # |1e200 + 1e200 i|^2 overflows to a NaN completeness residual, which a
+    # "residual > tolerance" test let through as trace preserving; numpy's
+    # overflow warnings stay off stderr
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps({"d": 2, "kraus": [[[[1e200, 1e200], [0, 0]],
+                                                   [[0, 0], [1, 0]]]]}))
+    validate = _run_cli(["validate", str(path)])
+    assert validate.returncode == 1
+    assert validate.stdout.splitlines()[-1].startswith(
+        "invalid: not trace preserving (residual ")
+    assert validate.stderr == ""
+    measures = _run_cli(["measures", str(path)])
+    assert measures.returncode == 2
+    assert measures.stdout == ""
+    assert measures.stderr.startswith("error: Kraus operators are not trace preserving")
+    assert measures.stderr.count("\n") == 1
+    assert "RuntimeWarning" not in validate.stderr + measures.stderr
+
+
 @pytest.mark.parametrize("command", ["validate", "measures"])
 @pytest.mark.parametrize(
     "entry", [["nan", 0], ["inf", 0], ["1", 0], [True, 0], [1, False], [1, 0, 99]])
@@ -1056,6 +1076,21 @@ def test_audit_passes(capsys):
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         assert list(report["checks"]) == names + extra
+
+
+def test_audit_covariance_catches_a_kernel_on_the_wrong_factor(capsys, monkeypatch):
+    # branch vectors (K_i (x) I)|psi> = vec(K_i M) in place of
+    # (I (x) K_i)|psi>: the outputs keep unit trace, so the trace check
+    # passes, but W on the kept side no longer commutes with the channel
+    def first_factor(kraus, m):
+        n, count, d, _ = kraus.shape
+        return np.matmul(kraus, m[:, None]).reshape(n, count, d * d)
+
+    monkeypatch.setattr(cli, "branch_vectors", first_factor)
+    assert main(["audit", "--d", "3", "--n", "10", "--seed", "7"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["local_unitary_covariance"]["pass"] is False
+    assert checks["trace_preservation"]["pass"] is True
 
 
 def test_audit_names_the_worst_channel(capsys, monkeypatch):

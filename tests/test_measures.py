@@ -656,15 +656,17 @@ def test_polished_point_keeps_its_rounding_margin():
 def test_dual_test_margin_covers_rounding():
     # a dual point (A, B) = (0, 0) at d = 2 whose M = R has, in exact
     # arithmetic, a Rayleigh quotient above t0 = (value + CERT_TOL) / d: it
-    # proves nothing. Rounding in forming t0 I - M hides that from a
+    # proves nothing. Rounding in forming t0 and t0 I - M hides that from a
     # Cholesky with no margin, which completes; the margin refuses it.
-    d, n, value = 2, 4, 0.25
-    q, _ = np.linalg.qr(np.random.default_rng(14).standard_normal((n, n)))
-    h = (q * np.array([0.0, 0.1, 0.2, 0.3])) @ q.T
+    # t0 I - M rounds to a block diagonal matrix whose top block is
+    # [[a^2, a b], [a b, b^2 + ulp(b^2)]] with a = 1/2, which a float
+    # Cholesky factors exactly, so every BLAS kernel completes it; v = (b, -a)
+    d, n, value = 2, 4, 0.5
+    a, b = 0.5, 0.2500111721456051
+    m = np.zeros((n, n))
+    m[:2, :2] = [[5.000000025123801e-09, -a * b], [-a * b, 0.18749441880238063]]
+    v = [Fraction(x) for x in (b, -a, 0.0, 0.0)]
     t0 = (value + CERT_TOL) / d
-    r = t0 * np.eye(n) - h
-    m = 0.5 * (r + r.T)
-    v = [Fraction(x) for x in np.linalg.eigh(m)[1][:, -1]]
     quad = sum(v[i] * Fraction(m[i, j]) * v[j] for i in range(n) for j in range(n))
     exact_t0 = (Fraction(value) + Fraction(CERT_TOL)) / d
     assert quad > exact_t0 * sum(x * x for x in v)
@@ -679,15 +681,25 @@ def test_cholesky_margin_refuses_an_indefinite_difference():
     # M whose exact difference has a negative Rayleigh quotient (checked in
     # rationals) at the top eigenvector of -(H - M), though a float Cholesky
     # of H - M with no margin completes. The shared helper refuses it, with a
-    # scale that bounds the trace and the Frobenius norms of H and M
+    # scale that bounds the trace and the Frobenius norms of H and M.
+    # H is the symmetric part of M + Q diag(0, 0.1, 0.2, 0.3) Q^T for an
+    # orthogonal Q and a symmetric Gaussian M, and v the eigenvector, held
+    # as literals so that no LAPACK kernel's rounding moves them
     n = 4
-    rng = np.random.default_rng(60)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    m = rng.standard_normal((n, n))
-    m = 0.5 * (m + m.T)
-    h = m + (q * np.array([0.0, 0.1, 0.2, 0.3])) @ q.T
-    h = 0.5 * (h + h.T)
-    v = [Fraction(x) for x in np.linalg.eigh(h - m)[1][:, 0]]
+    h = np.array([
+        [-0.34998057626675344, 0.49950777646367456, -0.1090493518774242, -1.2129196971450642],
+        [0.49950777646367456, 0.08865660793006153, 0.574039719689942, -0.9953300437640542],
+        [-0.1090493518774242, 0.574039719689942, 1.6435822518844383, 0.6335903324652951],
+        [-1.2129196971450642, -0.9953300437640542, 0.6335903324652951, 0.695961314195812],
+    ])
+    m = np.array([
+        [-0.4824733156440579, 0.5755736592459342, -0.158080206046818, -1.2756590161708825],
+        [0.5755736592459342, -0.0148111279589886, 0.6575462721154951, -1.0412841231252097],
+        [-0.158080206046818, 0.6575462721154951, 1.4285482467242112, 0.65450754208006],
+        [-1.2756590161708825, -1.0412841231252097, 0.65450754208006, 0.5469557946223937],
+    ])
+    v = [Fraction(x) for x in
+         (0.5682331118125736, 0.689678662194979, 0.09560713352840797, -0.43853591594215474)]
     quad = sum(v[i] * (Fraction(h[i, j]) - Fraction(m[i, j])) * v[j]
                for i in range(n) for j in range(n))
     assert quad < 0

@@ -53,12 +53,12 @@ OPEN_PHIPLUS_CASE = 105
 # bracket open, which the default 32 starts' polish closes, so the seeded
 # starts run
 LEAST_SQUARES_ONLY = (4, 4, 8, "0bb43606a11559819e902fd021ff9f04fd70332beebe964ac1b0ccf53e3de4ef")
-AUDIT_SHA256 = "d35e1103f4ce76a363d3bbb074b505fb95b6ba2d52b4b1918f8a85c8a2e18bc4"
+AUDIT_SHA256 = "61d27c9240858b14e44d1ce1d8b1ce4331b57091c65ac51a1424722355717be5"
 # (d, --n, --seed, sha256) of more audit reports: the qubit Pauli check, and
 # a run across chunk and FEF batch boundaries
 AUDIT_MORE = [
-    (2, 12, 3, "e67a789bda804ae6b4621b3f2ec8ef2882307e066336d592dd12391e71d66e35"),
-    (6, 53, 11, "45cc9416394bf89b270141ab31ea734147cf426137dc270b056384bbabbdf68e"),
+    (2, 12, 3, "635fa8bbe6a6614d592fce1875ca975fc3ee0c454cd8f1742c75d67a1d1ef856"),
+    (6, 53, 11, "3aec5fc909eae35f696fa0972256a3b642bee0ea630dbe1569f28c907fb8ca7b"),
 ]
 # "gap" is the O(d) pair sum of (x_i - x_j)^2, 0.53999999999999981 here,
 # two ulps below the exact 0.54: the closed forms sum in numpy, not a BLAS

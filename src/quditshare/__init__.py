@@ -19,23 +19,20 @@ Library layers:
   (tr rho + 2N)/d fidelity ceiling.
 * :mod:`quditshare.damping` -- the level-damping channel family, its closed
   forms, and the advantage certificate.
-* :mod:`quditshare.search` -- input-state optimization (exact best-fidelity
-  input, the best output negativity by a fixed point with a [lower, upper]
-  bracket, whose ``upper`` is proved unless ``fallbacks`` says otherwise,
-  qubit exact formula).
+* :mod:`quditshare.search` -- input-state optimization (the best output
+  negativity by a fixed point with a [lower, upper] bracket, whose ``upper``
+  is proved unless ``fallbacks`` says otherwise, qubit exact formula).
 * :mod:`quditshare.cli` -- the ``quditshare`` command-line front end.
 """
 
 from .channels import (
     KrausChannel,
-    TopChoiEigenpair,
     apply_one_sided,
     channel_from_dict,
     channel_to_dict,
     choi_state,
     completeness_residual,
     dual,
-    haar_unitary,
     is_unital,
     kraus_validate,
     load_channel,
@@ -49,10 +46,6 @@ from .damping import (
     advantage_certificate,
     certificate_to_dict,
     damping_channel,
-    damping_gap,
-    damping_lambda_max,
-    damping_negativity,
-    damping_pt_spectrum,
     fef_by_ascent,
 )
 from .errors import (
@@ -71,7 +64,6 @@ from .measures import (
 )
 from .search import (
     SearchResult,
-    best_phiplus_fidelity_input,
     maximize_negativity_input,
     qubit_optimal_fidelity,
 )
@@ -107,27 +99,20 @@ __all__ = [
     "SchmidtDecomposition",
     "SearchResult",
     "ToolkitError",
-    "TopChoiEigenpair",
     "advantage_certificate",
     "apply_one_sided",
-    "best_phiplus_fidelity_input",
     "certificate_to_dict",
     "channel_from_dict",
     "channel_to_dict",
     "choi_state",
     "completeness_residual",
     "damping_channel",
-    "damping_gap",
-    "damping_lambda_max",
-    "damping_negativity",
-    "damping_pt_spectrum",
     "dual",
     "fef",
     "fef_batch",
     "fef_by_ascent",
     "fidelity_with",
     "fstar_upper_bound",
-    "haar_unitary",
     "is_unital",
     "kraus_validate",
     "load_channel",

@@ -293,11 +293,6 @@ def haar_from_gaussian(z: np.ndarray) -> np.ndarray:
     return q * phases[..., None, :]
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary drawn from rng."""
-    return haar_from_gaussian(complex_gaussian(d, rng))
-
-
 def haar_dilation_kraus(z: np.ndarray, d: int) -> np.ndarray:
     """Kraus lists of Haar dilations, shape (..., k, d, d), from a stack
     (..., d k, d k) of complex Gaussian matrices: the first d columns of each

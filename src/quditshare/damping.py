@@ -42,11 +42,10 @@ the closed forms, and completeness is checked on the same entries: each
 A_k^dag A_k is diagonal, so sum_k A_k^dag A_k = diag(a_0^2, a_m^2 + b_m^2).
 ``_kraus_stack`` scatters those entries into the dense operators of
 ``damping_channel``, so the family is written once. Every entry is real,
-and so is every block. ``advantage_certificate``, ``damping_lambda_max``,
-``damping_negativity`` and ``damping_gap`` are the case n = 1; ``sweep``
-passes a chunk of its grid and writes its rows from the arrays. The sector
-eigensolves may round the two ``*_numeric`` fields differently from a dense
-eigensolve of J in the last bit or two.
+and so is every block. ``advantage_certificate`` is the case n = 1;
+``sweep`` passes a chunk of its grid and writes its rows from the arrays.
+The sector eigensolves may round the two ``*_numeric`` fields differently
+from a dense eigensolve of J in the last bit or two.
 
 The best input is closed form too. Write x~ = (1, x_1, ..., x_{d-1}) and
 s = |x~|^2 = 1 + sum x_i^2. The dual Choi state (Kraus list A_k^dag) is
@@ -84,11 +83,9 @@ Both ceiling verdicts read one identity. With N = N(Choi) =
                             = sum_{i<j} (x_i - x_j)^2 / d^2 = gap / d^2,
 
 and ``fef_psi_prime`` = s/d is lambda_max, so lambda_max and the best
-input's fidelity exceed the ceiling exactly when some x_i differ.
-``damping_gap`` reports the pair sum in O(d) as (d-1) sum z_i^2 - (sum z_i)^2
-with z = x - x_1, which is exactly 0.0 when all x_i are equal and positive
-otherwise, unless every difference is below about 1e-154 and its square
-underflows (its docstring says why).
+input's fidelity exceed the ceiling exactly when some x_i differ. The
+reported ``gap`` is 0.0 when all x_i are equal and positive otherwise,
+unless every difference is below about 1e-154 (``_closed_forms`` says why).
 
 The negativity verdict reads a second identity. Write y_m = x_m^2,
 c_m = 1 - y_m and h_m = sqrt(c_m^2 + 4) - 2 = c_m^2 / (sqrt(c_m^2 + 4) + 2),
@@ -121,6 +118,8 @@ strict rows from its mask.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -142,13 +141,14 @@ MAX_DIMENSION = 1000
 
 
 def family_dimension(d) -> int:
-    """d as an int, or ParameterError unless it is an integer in
-    3..MAX_DIMENSION; nothing of size d is built before this check."""
-    if int(d) != d or d < 3:
-        raise ParameterError(f"dimension violated: d must be an integer >= 3, got {d}")
+    """d as an int, or ParameterError unless it is an integral real (not "3",
+    inf or nan) in 3..MAX_DIMENSION; nothing of size d is built before it."""
+    # abs(d) < inf, not math.isfinite(d), which overflows on ints past 1e308
+    if not (isinstance(d, numbers.Real) and abs(d) < math.inf and int(d) == d) or d < 3:
+        raise ParameterError(f"dimension violated: d must be an integer >= 3, got {d!r}")
     if d > MAX_DIMENSION:
         raise ParameterError(
-            f"dimension violated: d must be at most MAX_DIMENSION = {MAX_DIMENSION}, got {d}")
+            f"dimension violated: d must be at most MAX_DIMENSION = {MAX_DIMENSION}, got {d!r}")
     return int(d)
 
 
@@ -218,13 +218,23 @@ def _closed_forms(d: int, xs: np.ndarray) -> dict:
     xs[k]; ``psi_prime`` is the (n, d) array of its amplitudes on |ii>. Sums
     run along rows in numpy, never a BLAS dot, so a row does not depend on
     the rows beside it or on the CPU kernel.
+
+    ``gap``, the pair sum sum_{i<j} (x_i - x_j)^2, is shift invariant, so it
+    is computed in O(d) as (d-1) sum z_i^2 - (sum z_i)^2 with z = x - x_1:
+    exactly zero when all x_i are equal. Otherwise fl(x_i - x_1) is nonzero
+    for some i, and since z_1 = 0 the exact value for the rounded z is at
+    least sum z_i^2 (the pairs with x_1), a 1/(d-1) share of the first term,
+    while the two sums round by O(d u) of that term: the result is positive
+    unless every difference is below about 1e-154, where its square
+    underflows. The expanded form (d-2) sum x_i^2 - 2 sum_{i<j} x_i x_j
+    cancels and can come out <= 0 at distinct x.
     """
     y = xs**2
     sq = y.sum(axis=1)
     s = 1.0 + sq
     lam = s / d
     neg = (sq + _pair_sum(xs)) / d
-    # damping_gap says why this pair sum of squared differences cannot cancel
+    # the docstring says why this pair sum of squared differences cannot cancel
     z = xs - xs[:, :1]
     gap = (d - 1) * (z * z).sum(axis=1) - z.sum(axis=1) ** 2
     root_s = np.sqrt(s)
@@ -249,44 +259,6 @@ def _closed_forms(d: int, xs: np.ndarray) -> dict:
         "verdict_advantage": (hi > lo) & (spread > 0.0),
         "verdict_negativity_advantage": (hi > 0.0) & (lo < 1.0),
     }
-
-
-def damping_lambda_max(p: DampingParams) -> float:
-    """Largest Choi-state eigenvalue, (1 + sum x_i^2) / d."""
-    return _closed_forms(p.d, p.x[None])["lambda_max_closed"].item()
-
-
-def damping_negativity(p: DampingParams) -> float:
-    """Choi-state negativity, (sum x_i^2 + sum_{i<j} x_i x_j) / d."""
-    return _closed_forms(p.d, p.x[None])["negativity_phiplus_closed"].item()
-
-
-def damping_pt_spectrum(p: DampingParams) -> np.ndarray:
-    """Partial-transpose spectrum of the Choi state, sorted ascending.
-
-    Multiset: 1/d with multiplicity d, +-x_i^2/d, and +-x_i x_j/d for i < j.
-    """
-    d = p.d
-    pairs = np.outer(p.x, p.x)[np.triu_indices(d - 1)] / d
-    return np.sort(np.concatenate((np.full(d, 1.0 / d), pairs, -pairs)))
-
-
-def damping_gap(p: DampingParams) -> float:
-    """sum_{i<j} (x_i - x_j)^2 = d^2 (lambda_max - (1 + 2N)/d) for the Choi
-    state: positive exactly when the largest Choi eigenvalue exceeds the
-    maximally-entangled-input fidelity ceiling.
-
-    Computed in O(d) as (d-1) sum z_i^2 - (sum z_i)^2 with z = x - x_1, which
-    is the same pair sum, as it is shift invariant. When all x_i are equal, z
-    is exactly zero and so is the result. Otherwise fl(x_i - x_1) is nonzero
-    for some i, and since z_1 = 0 the exact value for the rounded z is at
-    least sum z_i^2 (the pairs with x_1), a 1/(d-1) share of the first term,
-    while the two sums round by O(d u) of that term: the result is positive
-    unless every difference is below about 1e-154, where its square
-    underflows. The expanded form (d-2) sum x_i^2 - 2 sum_{i<j} x_i x_j
-    cancels and can come out <= 0 at distinct x.
-    """
-    return _closed_forms(p.d, p.x[None])["gap"].item()
 
 
 @dataclass(frozen=True, eq=False)

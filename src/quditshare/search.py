@@ -1,7 +1,8 @@
 """Optimization over transmitted input states.
 
-The best input for the Phi+ overlap of the channel output is exact: the top
-eigenvector of the dual-map Choi state, with value its largest eigenvalue.
+The best input for the Phi+ overlap of the channel output needs no search:
+it is ``top_choi_eigenpair(dual(ch)).state``, the dual Choi state's top
+eigenvector, with value its largest eigenvalue.
 
 The best output negativity over pure inputs (Vidal & Werner, PRA 65, 032314
 (2002)) is concave, and each iterate brackets it. Write psi = vec(A),
@@ -72,8 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (KrausChannel, _psi_prime, apply_one_sided, choi_state,
-                       top_choi_eigenpair)
+from .channels import KrausChannel, apply_one_sided, choi_state
 from .errors import DimensionError, InvalidOperatorError
 from .measures import _UNIT_ROUNDOFF, _cholesky_proves, _herm, negativity
 from .states import PureBipartiteState, kron_identity, partial_trace_matrix, partial_transpose
@@ -103,19 +103,6 @@ class SearchResult:
     converged: bool = True
     trace: tuple | None = None
     fallbacks: int = 0
-
-
-def best_phiplus_fidelity_input(ch: KrausChannel) -> SearchResult:
-    """Exact maximizer of <Phi+| rho_{psi,ch} |Phi+> over pure inputs psi.
-
-    The overlap equals <psi| rho_{Phi+, dual} |psi>, so the maximum is the top
-    dual-Choi eigenpair; no heuristics involved. It is read off the
-    channel's own Choi state J, whose spectrum the dual's shares: the value
-    is ``top_choi_eigenpair(ch)``'s, the state ``_psi_prime`` of its vector.
-    """
-    top = top_choi_eigenpair(ch)
-    return SearchResult(best_state=_psi_prime(top.state.amplitudes, ch.dim),
-                        best_value=top.value, upper=top.value)
 
 
 def qubit_optimal_fidelity(ch: KrausChannel) -> float:

@@ -1,4 +1,5 @@
-"""Shared test utilities: independent oracles and seeded samplers.
+"""Shared test utilities: independent oracles, seeded samplers, and
+``closed_form_row``, which reads the library's closed-form kernel.
 
 Oracle functions here are written directly against numpy so they stay
 independent of the library code paths they check.
@@ -6,7 +7,7 @@ independent of the library code paths they check.
 
 import numpy as np
 
-from quditshare import DampingParams, DensityOperator
+from quditshare import DampingParams, DensityOperator, damping
 
 
 def phi_plus_vector(d):
@@ -59,6 +60,20 @@ def damping_kraus_oracle(d, x):
         a[0, m] = np.sqrt(1.0 - float(x[m - 1]) ** 2)
         ops.append(a)
     return ops
+
+
+def closed_form_row(p):
+    """The point p's row of ``damping._closed_forms``, the kernel that
+    ``certify`` and ``sweep`` read, looked up at each call: field -> value."""
+    return {name: col[0] for name, col in damping._closed_forms(p.d, p.x[None]).items()}
+
+
+def pt_spectrum_oracle(p):
+    """Partial-transpose spectrum of the family's Choi state, sorted
+    ascending: 1/d with multiplicity d, +-x_i^2/d, and +-x_i x_j/d for i < j."""
+    d = p.d
+    pairs = np.outer(p.x, p.x)[np.triu_indices(d - 1)] / d
+    return np.sort(np.concatenate((np.full(d, 1.0 / d), pairs, -pairs)))
 
 
 def random_strict_params(d, rng):

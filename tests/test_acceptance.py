@@ -12,22 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_strict_params
+from helpers import closed_form_row, pt_spectrum_oracle, random_strict_params
 from quditshare import (
     DampingParams,
     DensityOperator,
     PureBipartiteState,
     apply_one_sided,
     damping_channel,
-    damping_gap,
-    damping_lambda_max,
-    damping_negativity,
-    damping_pt_spectrum,
     dual,
     fef,
     fidelity_with,
     fstar_upper_bound,
-    haar_unitary,
     kraus_validate,
     max_entangled,
     negativity,
@@ -36,6 +31,7 @@ from quditshare import (
     schmidt,
     top_choi_eigenpair,
 )
+from quditshare.channels import complex_gaussian, haar_from_gaussian
 from quditshare.cli import main
 from quditshare.jsonio import dumps_fixed
 
@@ -77,7 +73,7 @@ def test_criterion_01_lambda_max_closed_vs_eigensolve(strict_samples, choi_cache
     for d in DIMS:
         for p, rho in zip(strict_samples[d], choi_cache[d]):
             lam = float(np.linalg.eigvalsh(rho.matrix)[-1])
-            worst = max(worst, abs(lam - damping_lambda_max(p)))
+            worst = max(worst, abs(lam - closed_form_row(p)["lambda_max_closed"]))
     elapsed = time.monotonic() - t0
     _report(
         "criterion 1: closed-form vs numeric lambda_max (< 1e-10, < 60 s)",
@@ -91,9 +87,10 @@ def test_criterion_02_negativity_and_pt_spectrum(strict_samples, choi_cache):
     worst_spec = 0.0
     for d in DIMS:
         for p, rho in zip(strict_samples[d], choi_cache[d]):
-            worst_neg = max(worst_neg, abs(negativity(rho) - damping_negativity(p)))
+            closed = closed_form_row(p)["negativity_phiplus_closed"]
+            worst_neg = max(worst_neg, abs(negativity(rho) - closed))
             numeric = np.sort(np.linalg.eigvalsh(partial_transpose(rho)))
-            worst_spec = max(worst_spec, np.abs(numeric - damping_pt_spectrum(p)).max())
+            worst_spec = max(worst_spec, np.abs(numeric - pt_spectrum_oracle(p)).max())
     _report(
         "criterion 2: closed-form vs numeric negativity and PT spectrum (< 1e-10)",
         worst_neg < 1e-10 and worst_spec < 1e-10,
@@ -106,20 +103,21 @@ def test_criterion_03_strict_ceiling_inequality(strict_samples):
     min_margin = np.inf
     for d in DIMS:
         for p in strict_samples[d]:
-            lam = damping_lambda_max(p)
-            bound = (1.0 + 2.0 * damping_negativity(p)) / d
+            row = closed_form_row(p)
+            lam = row["lambda_max_closed"]
+            bound = (1.0 + 2.0 * row["negativity_phiplus_closed"]) / d
             margin = lam - bound
             min_margin = min(min_margin, margin)
             ok = ok and margin > 0.0
     boundary_ok = True
     for d in DIMS:
-        gap = abs(damping_gap(DampingParams(d, [0.6] * (d - 1))))
+        gap = abs(closed_form_row(DampingParams(d, [0.6] * (d - 1)))["gap"])
         boundary_ok = boundary_ok and gap < 1e-12
-    ref = DampingParams(3, [0.5, 0.9])
+    ref = closed_form_row(DampingParams(3, [0.5, 0.9]))
     ref_ok = (
-        abs(damping_lambda_max(ref) - 0.6866666666666666) < 1e-10
-        and abs((1 + 2 * damping_negativity(ref)) / 3 - 0.6688888888888889) < 1e-10
-        and abs(damping_gap(ref) - 0.16) < 1e-12
+        abs(ref["lambda_max_closed"] - 0.6866666666666666) < 1e-10
+        and abs((1 + 2 * ref["negativity_phiplus_closed"]) / 3 - 0.6688888888888889) < 1e-10
+        and abs(ref["gap"] - 0.16) < 1e-12
     )
     _report(
         "criterion 3: lambda_max strictly above the (1+2N)/d ceiling; zero gap at the "
@@ -141,7 +139,7 @@ def test_criterion_04_best_input_fef_equals_lambda_max():
             spread = schmidt(top.state).spread
             min_spread = min(min_spread, spread)
             val = fef(apply_one_sided(ch, top.state), restarts=4).value
-            worst = max(worst, abs(val - damping_lambda_max(p)))
+            worst = max(worst, abs(val - closed_form_row(p)["lambda_max_closed"]))
     _report(
         "criterion 4: FEF of the best-input output equals lambda_max (< 1e-6), "
         "best input never maximally entangled (spread > 1e-8)",
@@ -178,7 +176,8 @@ def test_criterion_06_negativity_advantage_of_best_input():
             p = random_strict_params(d, rng)
             ch = damping_channel(p)
             psi = top_choi_eigenpair(dual(ch)).state
-            margin = negativity(apply_one_sided(ch, psi)) - damping_negativity(p)
+            closed = closed_form_row(p)["negativity_phiplus_closed"]
+            margin = negativity(apply_one_sided(ch, psi)) - closed
             min_margin = min(min_margin, margin)
             ok = ok and margin > 0.0
     _report(
@@ -263,7 +262,8 @@ def test_criterion_09_measure_invariants():
                 v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
                 psi = PureBipartiteState(d, v / np.linalg.norm(v))
                 rho = apply_one_sided(ch, psi)
-            u, w = haar_unitary(d, rng), haar_unitary(d, rng)
+            u = haar_from_gaussian(complex_gaussian(d, rng))
+            w = haar_from_gaussian(complex_gaussian(d, rng))
             big = np.kron(u, w)
             rotated = DensityOperator(d, big @ rho.matrix @ big.conj().T)
 

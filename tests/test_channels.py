@@ -26,7 +26,6 @@ from quditshare import (
     choi_state,
     damping_channel,
     dual,
-    haar_unitary,
     is_unital,
     kraus_validate,
     load_channel,
@@ -42,6 +41,7 @@ from quditshare.channels import (
     _psi_prime,
     branch_vectors,
     check_completeness,
+    complex_gaussian,
     ginibre_from_normals,
     haar_dilation_kraus,
     haar_from_gaussian,
@@ -267,7 +267,7 @@ def test_dual_top_eigenpair_read_off_the_channels_choi_state(ch):
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(22)
     for d in (2, 3, 6):
-        u = haar_unitary(d, rng)
+        u = haar_from_gaussian(complex_gaussian(d, rng))
         assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-12
 
 
@@ -281,12 +281,12 @@ def test_random_channel_completeness():
 
 
 def test_random_channel_is_blocked_haar_dilation():
-    # the Kraus operators are the d x d blocks of the first d columns of
-    # haar_unitary(d k), drawn from an identically seeded generator
+    # the Kraus operators are the d x d blocks of the first d columns of the
+    # Haar unitary of order d k drawn from an identically seeded generator
     for d in (2, 3, 5):
         for k in (1, 2, d + 1):
             ch = random_channel(d, k, np.random.default_rng([d, k]))
-            u = haar_unitary(d * k, np.random.default_rng([d, k]))
+            u = haar_from_gaussian(complex_gaussian(d * k, np.random.default_rng([d, k])))
             expected = [u[i * d:(i + 1) * d, :d] for i in range(k)]
             assert len(ch.kraus_ops) == k
             for a, b in zip(ch.kraus_ops, expected):

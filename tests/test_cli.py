@@ -16,11 +16,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import closed_form_row
 from quditshare import (
     DampingParams,
     ParameterError,
     apply_one_sided,
-    best_phiplus_fidelity_input,
     damping_channel,
     fstar_upper_bound,
     kraus_validate,
@@ -29,6 +29,7 @@ from quditshare import (
     random_channel,
     random_pure_state,
     save_channel,
+    top_choi_eigenpair,
 )
 from quditshare import channels, cli, damping, measures
 from quditshare.cli import main, parse_sweep_spec
@@ -254,7 +255,8 @@ def test_measures_fstar_bound_is_the_library_bound(tmp_path, capsys, monkeypatch
     ch = random_channel(4, 3, rng)
     channel = tmp_path / "channel.json"
     save_channel(ch, channel)
-    psi = {"phiplus": max_entangled(4), "psi_prime": best_phiplus_fidelity_input(ch).best_state,
+    psi_prime = channels._psi_prime(top_choi_eigenpair(ch).state.amplitudes, 4)
+    psi = {"phiplus": max_entangled(4), "psi_prime": psi_prime,
            "state": random_pure_state(4, rng)}[which]
     state = tmp_path / "state.json"
     state.write_text(dumps_fixed(
@@ -286,12 +288,9 @@ def test_linalg_failure_is_one_line_exit_3(omega_file, capsys, monkeypatch):
     assert captured.err == "error: numerical failure: SVD did not converge\n"
 
 
-def _perturb_closed_form(monkeypatch, closed_form, at):
-    """Make the certificate kernel's closed form that the public scalar
-    ``closed_form`` reads 1e-9 off, at the rows of xs where ``at(xs)`` is
-    true."""
-    field = {"damping_lambda_max": "lambda_max_closed",
-             "damping_negativity": "negativity_phiplus_closed"}[closed_form]
+def _perturb_closed_form(monkeypatch, field, at):
+    """Make the certificate kernel's closed-form ``field`` 1e-9 off, at the
+    rows of xs where ``at(xs)`` is true."""
     original = damping._closed_forms
 
     def perturbed(d, xs):
@@ -302,16 +301,16 @@ def _perturb_closed_form(monkeypatch, closed_form, at):
     monkeypatch.setattr(damping, "_closed_forms", perturbed)
 
 
-@pytest.mark.parametrize("closed_form, name", [
-    ("damping_lambda_max", "lambda_max"), ("damping_negativity", "negativity")])
-def test_cross_check_failure_is_one_line_exit_3(capsys, monkeypatch, closed_form, name):
+@pytest.mark.parametrize("field, name", [
+    ("lambda_max_closed", "lambda_max"), ("negativity_phiplus_closed", "negativity")])
+def test_cross_check_failure_is_one_line_exit_3(capsys, monkeypatch, field, name):
     # a closed form the sector eigensolve contradicts reaches no verdict: the
-    # certificate's ArithmeticError leaves as exit 3 and one line. The public
-    # scalar is the kernel's one-point case, so it carries the same error
+    # certificate's ArithmeticError leaves as exit 3 and one line. The
+    # point's kernel row carries the same error
     p = DampingParams(3, [0.2, 0.7])
-    exact = getattr(damping, closed_form)(p)
-    _perturb_closed_form(monkeypatch, closed_form, lambda xs: True)
-    assert getattr(damping, closed_form)(p) == exact + 1e-9
+    exact = closed_form_row(p)[field]
+    _perturb_closed_form(monkeypatch, field, lambda xs: True)
+    assert closed_form_row(p)[field] == exact + 1e-9
     assert main(["certify", "--d", "3", "--x", "0.2,0.7"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -325,9 +324,9 @@ CROSS_CHECK_SPEC = {"d": 4, "axes": {"x1": {"start": 0.1, "stop": 0.9, "steps": 
                     "fixed": {"x2": 0.5}}
 
 
-@pytest.mark.parametrize("closed_form, name", [
-    ("damping_lambda_max", "lambda_max"), ("damping_negativity", "negativity")])
-def test_sweep_cross_check_failure_names_row(tmp_path, capsys, monkeypatch, closed_form, name):
+@pytest.mark.parametrize("field, name", [
+    ("lambda_max_closed", "lambda_max"), ("negativity_phiplus_closed", "negativity")])
+def test_sweep_cross_check_failure_names_row(tmp_path, capsys, monkeypatch, field, name):
     # a closed form the stacked cross-check contradicts at one grid point
     # stops the sweep with exit 3 and one line that names the point's row in
     # grid order and its x, and certify with that x replays it alone. Three
@@ -339,7 +338,7 @@ def test_sweep_cross_check_failure_names_row(tmp_path, capsys, monkeypatch, clos
             for x3 in np.linspace(0.3, 0.7, 3).tolist()]
     row = 10
     bad = grid[row]
-    _perturb_closed_form(monkeypatch, closed_form, lambda xs: (xs == bad).all(axis=1))
+    _perturb_closed_form(monkeypatch, field, lambda xs: (xs == bad).all(axis=1))
     out = tmp_path / "grid.csv"
     spec = tmp_path / "spec.json"
     spec.write_text(dumps_fixed(CROSS_CHECK_SPEC))
@@ -492,7 +491,7 @@ def test_failed_sweep_leaves_no_table(tmp_path, capsys, monkeypatch, existing):
     # written to the temporary file, leaves neither that file nor a table:
     # the output path holds what it held before
     monkeypatch.setattr(cli, "CHUNK_BYTES", 10 * 64 * 3**2)
-    _perturb_closed_form(monkeypatch, "damping_lambda_max", lambda xs: (xs[:, 0] == 0.9)
+    _perturb_closed_form(monkeypatch, "lambda_max_closed", lambda xs: (xs[:, 0] == 0.9)
                          & (xs[:, 1] == 0.5))
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(dumps_fixed(DIAGONAL_SPEC))

@@ -1,5 +1,6 @@
 """Level-damping family: construction, closed forms, and the certificate."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    closed_form_row,
     damping_kraus_oracle,
     negativity_oracle,
     one_sided_oracle,
     phi_plus_vector,
+    pt_spectrum_oracle,
     random_strict_params,
 )
 from quditshare import (
@@ -23,10 +26,6 @@ from quditshare import (
     choi_state,
     damping,
     damping_channel,
-    damping_gap,
-    damping_lambda_max,
-    damping_negativity,
-    damping_pt_spectrum,
     dual,
     fef_by_ascent,
     fidelity_with,
@@ -86,6 +85,15 @@ def test_params_reject_wrong_length_and_dim():
         DampingParams(2, [0.5])
 
 
+@pytest.mark.parametrize("d", [float("inf"), float("nan"), None, "3"])
+def test_params_reject_a_dimension_that_is_no_integral_real(d):
+    # int(d) must not raise OverflowError, ValueError or TypeError past the
+    # check, and "3" must not read as 3 in the message
+    message = f"d must be an integer >= 3, got {re.escape(repr(d))}$"
+    with pytest.raises(ParameterError, match=message):
+        DampingParams(d, [0.5, 0.6])
+
+
 @pytest.mark.parametrize("bad_first", [False, True])
 def test_params_reject_non_finite(bad_first):
     # NaN fails every range comparison, so it needs its own clause
@@ -102,8 +110,9 @@ def test_relaxed_params_accept_cube():
         with pytest.raises(ParameterError, match=r"range violated: x_i must lie in \[0, 1\]"):
             DampingParams(3, bad)
     p = DampingParams(3, [1.0, 1.0])
-    assert abs(damping_lambda_max(p) - 1.0) < 1e-15
-    assert abs(damping_negativity(p) - 1.0) < 1e-15  # (d-1)/2 at the identity limit
+    row = closed_form_row(p)
+    assert abs(row["lambda_max_closed"] - 1.0) < 1e-15
+    assert abs(row["negativity_phiplus_closed"] - 1.0) < 1e-15  # (d-1)/2 at the identity limit
     # at x = (1, 1) the family is the identity channel: its Choi state is Phi+
     phi = phi_plus_vector(3)
     choi = choi_state(damping_channel(p)).matrix
@@ -118,20 +127,20 @@ def test_channel_completeness_d4():
 
 
 def test_lambda_max_reference_values():
-    assert abs(damping_lambda_max(DampingParams(3, [0.5, 0.9])) - 2.06 / 3) < 1e-15
-    p4 = DampingParams(4, [0.3, 0.6, 0.9])
-    assert abs(damping_lambda_max(p4) - (1 + 0.09 + 0.36 + 0.81) / 4) < 1e-15
+    p3, p4 = DampingParams(3, [0.5, 0.9]), DampingParams(4, [0.3, 0.6, 0.9])
+    assert abs(closed_form_row(p3)["lambda_max_closed"] - 2.06 / 3) < 1e-15
+    assert abs(closed_form_row(p4)["lambda_max_closed"] - (1 + 0.09 + 0.36 + 0.81) / 4) < 1e-15
 
 
 def test_negativity_reference_values():
-    assert abs(damping_negativity(DampingParams(3, [0.5, 0.9])) - 1.51 / 3) < 1e-15
-    p4 = DampingParams(4, [0.3, 0.6, 0.9])
+    p3, p4 = DampingParams(3, [0.5, 0.9]), DampingParams(4, [0.3, 0.6, 0.9])
+    assert abs(closed_form_row(p3)["negativity_phiplus_closed"] - 1.51 / 3) < 1e-15
     expected = (1.26 + 0.18 + 0.27 + 0.54) / 4
-    assert abs(damping_negativity(p4) - expected) < 1e-15
+    assert abs(closed_form_row(p4)["negativity_phiplus_closed"] - expected) < 1e-15
 
 
 def test_pt_spectrum_reference_point():
-    spec = damping_pt_spectrum(DampingParams(3, [0.5, 0.9]))
+    spec = pt_spectrum_oracle(DampingParams(3, [0.5, 0.9]))
     expected = np.sort(
         [1 / 3] * 3 + [0.25 / 3, -0.25 / 3, 0.81 / 3, -0.81 / 3, 0.45 / 3, -0.45 / 3]
     )
@@ -143,7 +152,7 @@ def test_pt_spectrum_sums_to_one():
     rng = np.random.default_rng(61)
     for d in (3, 4, 5):
         p = random_strict_params(d, rng)
-        assert abs(damping_pt_spectrum(p).sum() - 1.0) < 1e-12
+        assert abs(pt_spectrum_oracle(p).sum() - 1.0) < 1e-12
 
 
 def test_pt_spectrum_matches_pair_loop():
@@ -157,24 +166,24 @@ def test_pt_spectrum_matches_pair_loop():
                 vals += [xi * xi / d, -xi * xi / d]
             for i, j in combinations(range(d - 1), 2):
                 vals += [x[i] * x[j] / d, -x[i] * x[j] / d]
-            assert np.array_equal(damping_pt_spectrum(DampingParams(d, x)), np.sort(vals))
+            assert np.array_equal(pt_spectrum_oracle(DampingParams(d, x)), np.sort(vals))
 
 
 def test_pt_spectrum_near_ppt_at_small_x():
     eps = 1e-3
     p = DampingParams(3, [eps, 2 * eps])
-    neg_part = damping_pt_spectrum(p)
+    neg_part = pt_spectrum_oracle(p)
     neg_part = -neg_part[neg_part < 0].sum()
     assert neg_part < 10 * eps**2
     assert abs(neg_part - (eps**2 + 4 * eps**2 + 2 * eps**2) / 3) < 1e-15
 
 
 def test_gap_values():
-    assert abs(damping_gap(DampingParams(3, [0.5, 0.9])) - 0.16) < 1e-12
-    assert abs(damping_gap(DampingParams(3, [0.1, 0.9])) - 0.64) < 1e-12
+    assert abs(closed_form_row(DampingParams(3, [0.5, 0.9]))["gap"] - 0.16) < 1e-12
+    assert abs(closed_form_row(DampingParams(3, [0.1, 0.9]))["gap"] - 0.64) < 1e-12
     for d in (3, 4, 5):
         equal = DampingParams(d, [0.4] * (d - 1))
-        assert damping_gap(equal) == 0.0
+        assert closed_form_row(equal)["gap"] == 0.0
 
 
 def test_gap_positive_iff_distinct():
@@ -182,7 +191,7 @@ def test_gap_positive_iff_distinct():
     for d in (3, 4, 5, 6):
         for _ in range(20):
             p = random_strict_params(d, rng)
-            assert damping_gap(p) > 0.0
+            assert closed_form_row(p)["gap"] > 0.0
 
 
 def _exact_gap(x):
@@ -210,7 +219,7 @@ def test_gap_matches_exact_pair_sum():
     # on many of these distinct draws; the pair sum keeps its sign and its
     # relative accuracy
     for d, x in _gap_draws(np.random.default_rng(66), 300):
-        gap, exact = damping_gap(DampingParams(d, x)), _exact_gap(x)
+        gap, exact = closed_form_row(DampingParams(d, x))["gap"], _exact_gap(x)
         if np.all(x == x[0]):
             assert gap == 0.0 and exact == 0
         else:
@@ -233,9 +242,11 @@ def test_ceiling_identity_is_exact_on_rational_x():
             gap = sum((a - b) ** 2 for a, b in combinations(x, 2))
             assert lam - (1 + 2 * neg) / d == gap / d**2
             p = DampingParams(d, [float(v) for v in x])
-            for got, exact in ((damping_lambda_max(p), lam), (damping_negativity(p), neg)):
+            row = closed_form_row(p)
+            for got, exact in ((row["lambda_max_closed"], lam),
+                               (row["negativity_phiplus_closed"], neg)):
                 assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact
-            assert abs(Fraction(damping_gap(p)) - gap) <= Fraction(1e-14) * max(gap, 1)
+            assert abs(Fraction(row["gap"]) - gap) <= Fraction(1e-14) * max(gap, 1)
 
 
 def test_ceiling_verdicts_read_the_gap():
@@ -331,8 +342,9 @@ def test_closed_forms_match_dense_oracles():
             ops = damping_kraus_oracle(d, p.x)
             rho = one_sided_oracle(ops, phi_plus_vector(d), d)
             lam = np.linalg.eigvalsh(rho)[-1]
-            assert abs(damping_lambda_max(p) - lam) < 1e-10
-            assert abs(damping_negativity(p) - negativity_oracle(rho, d)) < 1e-10
+            row = closed_form_row(p)
+            assert abs(row["lambda_max_closed"] - lam) < 1e-10
+            assert abs(row["negativity_phiplus_closed"] - negativity_oracle(rho, d)) < 1e-10
 
 
 def test_monotone_limit_toward_identity():
@@ -341,8 +353,9 @@ def test_monotone_limit_toward_identity():
     lams, negs = [], []
     for t in np.linspace(0.0, 1.0, 11):
         p = DampingParams(d, x0 + t * (1.0 - x0))
-        lams.append(damping_lambda_max(p))
-        negs.append(damping_negativity(p))
+        row = closed_form_row(p)
+        lams.append(row["lambda_max_closed"])
+        negs.append(row["negativity_phiplus_closed"])
     assert all(b >= a for a, b in zip(lams, lams[1:]))
     assert all(b >= a for a, b in zip(negs, negs[1:]))
     assert abs(lams[-1] - 1.0) < 1e-12

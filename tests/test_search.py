@@ -10,19 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import negativity_oracle
+from helpers import closed_form_row, negativity_oracle
 from quditshare import (
     DampingParams,
     DimensionError,
     InvalidOperatorError,
     KrausChannel,
     apply_one_sided,
-    best_phiplus_fidelity_input,
     damping_channel,
-    damping_negativity,
     dual,
     fidelity_with,
-    haar_unitary,
     kraus_validate,
     max_entangled,
     maximize_negativity_input,
@@ -32,6 +29,7 @@ from quditshare import (
     random_pure_state,
     top_choi_eigenpair,
 )
+from quditshare.channels import _psi_prime, complex_gaussian, haar_from_gaussian
 from quditshare.search import NEG_DEFAULT_MAX_ITER
 
 POOL_FILE = os.path.join(
@@ -46,32 +44,33 @@ def _amplitude_damping(gamma):
 
 
 def test_best_input_identity_channel():
-    res = best_phiplus_fidelity_input(kraus_validate([np.eye(3)]))
-    assert abs(res.best_value - 1.0) < 1e-12
-    overlap = abs(np.vdot(res.best_state.amplitudes, max_entangled(3).amplitudes))
+    top = top_choi_eigenpair(kraus_validate([np.eye(3)]))
+    assert abs(top.value - 1.0) < 1e-12
+    psi_prime = _psi_prime(top.state.amplitudes, 3)
+    overlap = abs(np.vdot(psi_prime.amplitudes, max_entangled(3).amplitudes))
     assert abs(overlap - 1.0) < 1e-10
 
 
 def test_best_input_damping_family():
     ch = damping_channel(DampingParams(3, [0.5, 0.9]))
-    res = best_phiplus_fidelity_input(ch)
-    assert abs(res.best_value - 2.06 / 3) < 1e-12
+    top = top_choi_eigenpair(ch)
+    assert abs(top.value - 2.06 / 3) < 1e-12
     # value really is the Phi+ overlap of the corresponding output
-    out = apply_one_sided(ch, res.best_state)
-    assert abs(fidelity_with(out, max_entangled(3)) - res.best_value) < 1e-10
+    out = apply_one_sided(ch, _psi_prime(top.state.amplitudes, 3))
+    assert abs(fidelity_with(out, max_entangled(3)) - top.value) < 1e-10
 
 
 def test_best_input_amplitude_damping():
-    res = best_phiplus_fidelity_input(_amplitude_damping(0.36))
-    assert abs(res.best_value - 0.82) < 1e-12
+    assert abs(top_choi_eigenpair(_amplitude_damping(0.36)).value - 0.82) < 1e-12
 
 
 def test_best_input_value_equals_primal_lambda_max():
+    # the dual's Choi state, whose top eigenvalue is the best Phi+ overlap,
+    # has the channel's own lambda_max
     rng = np.random.default_rng(71)
     for d in (2, 3, 4):
         ch = random_channel(d, 2, rng)
-        res = best_phiplus_fidelity_input(ch)
-        assert abs(res.best_value - top_choi_eigenpair(ch).value) < 1e-10
+        assert abs(top_choi_eigenpair(dual(ch)).value - top_choi_eigenpair(ch).value) < 1e-10
 
 
 def test_qubit_formula_identity():
@@ -136,7 +135,8 @@ def test_negativity_search_identity_channel():
     # sigma = I/d, and the dual bound closes on it at iteration 0
     rng = np.random.default_rng(29)
     channels = [kraus_validate([np.eye(3)])]
-    channels += [kraus_validate([haar_unitary(d, rng)]) for d in (2, 3, 4, 5)]
+    channels += [kraus_validate([haar_from_gaussian(complex_gaussian(d, rng))])
+                 for d in (2, 3, 4, 5)]
     for ch in channels:
         res = maximize_negativity_input(ch)
         assert len(res.trace) == 1 and res.trace[0][0] == 0
@@ -160,9 +160,10 @@ def test_negativity_search_beats_phi_plus_on_damping_family():
         p = DampingParams(d, [0.5, 0.9] if d == 3 else np.linspace(0.2, 0.9, d - 1))
         ch = damping_channel(p)
         res = maximize_negativity_input(ch)
-        psi_prime = best_phiplus_fidelity_input(ch).best_state
+        psi_prime = _psi_prime(top_choi_eigenpair(ch).state.amplitudes, d)
         # N(Phi+) in closed form and N(psi'); the optimum beats both
-        floor = max(damping_negativity(p), negativity(apply_one_sided(ch, psi_prime)))
+        floor = max(closed_form_row(p)["negativity_phiplus_closed"],
+                    negativity(apply_one_sided(ch, psi_prime)))
         assert res.best_value > floor
         assert res.upper - res.best_value <= 1e-9
 
@@ -277,7 +278,7 @@ def test_negativity_search_runs_in_the_channels_field(monkeypatch):
         assert seen["eigvalsh"] == [np.dtype(np.complex128)]
     # the output-rotated copy V K_i is complex and locally-unitarily
     # equivalent: the same iterations, the same value within rounding
-    v = haar_unitary(d, np.random.default_rng(9))
+    v = haar_from_gaussian(complex_gaussian(d, np.random.default_rng(9)))
     rotated = KrausChannel(dim=d, kraus_ops=tuple(v @ k for k in damping.kraus_ops))
     seen = _record_solver_dtypes(monkeypatch)
     res = maximize_negativity_input(rotated)

@@ -23,7 +23,6 @@ from quditshare import (
     damping_channel,
     fef,
     fef_batch,
-    haar_unitary,
     is_unital,
     kraus_validate,
     max_entangled,
@@ -33,6 +32,7 @@ from quditshare import (
     save_channel,
     top_choi_eigenpair,
 )
+from quditshare.channels import complex_gaussian, haar_from_gaussian
 from quditshare.jsonio import dumps_fixed
 from quditshare.measures import (
     _POLISH_POINTS,
@@ -189,7 +189,8 @@ def test_fef_one_stacked_svd_per_iteration(fef_calls, d, restarts):
     rng = np.random.default_rng(d)
     rho = apply_one_sided(random_channel(d, 2, rng), random_pure_state(d, rng))
     starts = [np.eye(d, dtype=complex)]
-    starts += [haar_unitary(d, np.random.default_rng([0, k])) for k in range(1, restarts)]
+    starts += [haar_from_gaussian(complex_gaussian(d, np.random.default_rng([0, k])))
+               for k in range(1, restarts)]
     iterations = []
     for w0 in starts:
         before = fef_calls["svd"]
@@ -318,7 +319,8 @@ def test_measures_psi_prime_runs_no_fef(tmp_path, capsys, monkeypatch, d, unital
     # from one eigh of the channel's Choi state alone
     rng = np.random.default_rng(10 * d + unital)
     if unital:
-        ch = kraus_validate([np.sqrt(p) * haar_unitary(d, rng) for p in (0.5, 0.3, 0.2)])
+        ch = kraus_validate([np.sqrt(p) * haar_from_gaussian(complex_gaussian(d, rng))
+                             for p in (0.5, 0.3, 0.2)])
     else:
         ch = random_channel(d, 2, rng)
     assert is_unital(ch) is unital

@@ -11,11 +11,11 @@ Library layers:
 * :mod:`quditshare.measures` -- negativity, fully entangled fraction
   (``fef``: exact at d = 2 from the magic basis; at d >= 3 a unitary ascent
   from the identity, ``certified`` when a dual point, the least-squares
-  one or (with restarts - 1 >= d^2) one polished from it, proves it within
-  CERT_TOL of the optimum, and otherwise joined by seeded restarts that climb
-  as one stack; ``fef_batch`` gives the array of ``fef(rho,
-  restarts=1).value`` over a stack of operators, with no bracket tried, and
-  both run one identity-start routine on stacks of operators), and the
+  one or one polished from it, proves it within CERT_TOL of the optimum,
+  and otherwise joined by seeded restarts that climb as one stack;
+  ``fef_batch`` gives the array of ``fef(rho, restarts=1).value`` over a
+  stack of operators, with no bracket tried, and both run one
+  identity-start routine on stacks of operators), and the
   (tr rho + 2N)/d fidelity ceiling.
 * :mod:`quditshare.damping` -- the level-damping channel family, its closed
   forms, and the advantage certificate.

@@ -597,8 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=_int_at_least(1), default=DEFAULT_RESTARTS, metavar="N",
                    help="FEF ascent: at most N starts; seeded starts run only when the "
                    "identity's bracket stays open (phiplus/STATE.json inputs at d >= 3); "
-                   "the dual-point search that may close it tries the least-squares "
-                   "point, and polishes it only when N - 1 >= d^2")
+                   "fef_certified does not depend on it")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_measures)
 

@@ -25,27 +25,22 @@ semidefinite relaxation of that problem, all stationary there, and when a
 Cholesky factorization proves one point's bound within CERT_TOL of the
 value, the result is returned as ``certified``. One search tries points
 of the family: the least-squares point first, with no eigensolve, and, when
-``restarts`` - 1 >= d^2, a short quasi-Newton polish from there, at most
-_POLISH_POINTS points with one ``eigh`` each. Only when the bracket
-stays open do the seeded starts run, as one stack: each iteration makes a
-single stacked SVD over the starts still climbing, and a start drops out
-when a plain step of its own gains less than DEFAULT_TOL. So every start
-takes the steps it would take alone, and the result is bit-for-bit the one
-a start-by-start loop gives. An uncertified result is a heuristic lower
-bound, reported together with the certified ceiling
-min(lambda_max, (tr rho + 2N)/d) (tr rho is 1 unless ``unit_trace`` is
-False).
+it leaves the bracket open, a short quasi-Newton polish from there, at most
+_POLISH_POINTS points with one ``eigh`` each, whatever ``restarts`` is.
+Only when the bracket stays open do the seeded starts run, as one stack:
+each iteration makes a single stacked SVD over the starts still climbing,
+and a start drops out when a plain step of its own gains less than
+DEFAULT_TOL. So every start takes the steps it would take alone, and the
+result is bit-for-bit the one a start-by-start loop gives. An uncertified
+result is a heuristic lower bound, reported together with the certified
+ceiling min(lambda_max, (tr rho + 2N)/d) (tr rho is 1 unless
+``unit_trace`` is False).
 
-The polish runs only where it may spare a seeded stack of at least d^2
-starts (restarts - 1 >= d^2): the 32 default starts of ``measures`` at
-d <= 5; fewer starts try the least-squares point alone. The least-squares
-point, with no eigensolve, closes most brackets, and the polish costs a
-fraction of the seeded stack it may spare, even where it fails (CHANGES.md
-records the counts and times measured on the benchmark's measures corpus).
-The rule also keeps the polish's eigensolves at order <= 25 for the default
-starts: above that numpy's ``eigh`` takes LAPACK's divide-and-conquer path,
-which runs threaded BLAS and spends CPU time out of proportion to its wall
-time.
+A polish that fails adds at most _POLISH_POINTS - 1 eigensolves of order
+d^2 to the seeded stack's cost (CHANGES.md records the counts and times).
+From order 26 on numpy's ``eigh`` takes LAPACK's divide-and-conquer path,
+which runs threaded BLAS, so at d >= 6 the polish may spend more process
+CPU than wall time; a single BLAS thread avoids that.
 
 One routine, ``_identity_starts``, runs the identity start on a stack
 (n, d^2, d^2) of operators of one d: at d = 2 every magic-basis eigensolve
@@ -77,8 +72,8 @@ DEFAULT_TOL = 1e-9
 # a certified FEF value is within CERT_TOL of the optimum
 CERT_TOL = 1e-8
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
-# the dual-point search of _certified when it polishes: points tried at
-# most, smoothing temperature of lambda_max, L-BFGS memory
+# the dual-point search of _certified: points tried at most, smoothing
+# temperature of lambda_max, L-BFGS memory
 _POLISH_POINTS = 16
 _POLISH_MU = 1e-3
 _POLISH_MEMORY = 6
@@ -97,8 +92,8 @@ class FefResult:
     ``converged``: the winning start stopped on a gain below DEFAULT_TOL
     rather than at DEFAULT_MAX_ITER. ``certified``: no maximally entangled
     state beats ``value`` by more than CERT_TOL (always true at d = 2); at
-    d >= 3 the least-squares or, when restarts - 1 >= d^2, a polished dual
-    point proved it for the identity start's value, and no seeded start ran.
+    d >= 3 the least-squares or a polished dual point proved it for the
+    identity start's value, and no seeded start ran.
     """
 
     value: float
@@ -337,10 +332,10 @@ def _proves(neg_m: np.ndarray, tau: float, ab_abs: float, value: float,
     return _cholesky_proves(neg_m, t0, n * abs(t0) + abs(value) + r_abs + d * ab_abs)
 
 
-def _certified(r: np.ndarray, w: np.ndarray, value: float, points: int) -> bool:
+def _certified(r: np.ndarray, w: np.ndarray, value: float) -> bool:
     """True when a dual point proves that no maximally entangled state beats
     ``value`` by more than CERT_TOL, r = rho / d, w the ascent's unitary;
-    at most ``points`` points are tried, each proved by ``_proves``.
+    at most _POLISH_POINTS points are tried, each proved by ``_proves``.
 
     Relaxing ww^dag to X >= 0 with both marginals I (WW^dag = W^dag W = I)
     gives, for any Hermitian A and B (Nemirovski, Math. Program. 109, 283
@@ -387,7 +382,7 @@ def _certified(r: np.ndarray, w: np.ndarray, value: float, points: int) -> bool:
         tau = a.trace().real + b.trace().real
         if _proves(-m, tau, np.abs(a).sum() + np.abs(b).sum(), value, r_abs):
             return True, None, None
-        if tried == points:
+        if tried == _POLISH_POINTS:
             return False, None, None
         lam, vecs = np.linalg.eigh(m)
         weights = np.exp((lam - lam[-1]) / _POLISH_MU)
@@ -469,15 +464,15 @@ def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -
     ``restarts``/``seed`` are not used; the value is the overlap of that
     maximizer, equal to the top eigenvalue up to rounding.
     At d >= 3 the identity start ascends alone first. If a dual point closes
-    the bracket (``_certified``: the least-squares point, and, when
-    ``restarts`` - 1 >= d^2, the polish from it), its result is returned with
-    ``certified`` true: no maximally entangled state beats ``value`` by more
-    than CERT_TOL. Otherwise the other ``restarts`` - 1 starts, Haar unitaries
-    drawn from default_rng([seed, k]) for k >= 1, ascend together as one
-    stack against rho, and the first start with the highest value wins, with
-    ``certified`` false. So ``restarts`` is a cap on the starts, and an open
-    bracket gives the same result as ascending all starts at once.
-    Deterministic for fixed (seed, restarts). Either way
+    the bracket (``_certified``: the least-squares point, then the polish
+    from it), its result is returned with ``certified`` true: no maximally
+    entangled state beats ``value`` by more than CERT_TOL. Otherwise the
+    other ``restarts`` - 1 starts, Haar unitaries drawn from
+    default_rng([seed, k]) for k >= 1, ascend together as one stack against
+    rho, and the first start with the highest value wins, with
+    ``certified`` false. So ``restarts`` only caps the starts, never
+    ``certified``, and an open bracket gives the same result as ascending
+    all starts at once. Deterministic for fixed (seed, restarts). Either way
     value >= <Phi+|rho|Phi+>, and ``restarts`` must be at least 1.
     """
     if restarts < 1:
@@ -488,9 +483,7 @@ def fef(rho: DensityOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -
     if d == 2:
         return FefResult(value.item(), ws[0], True, True)
     r = rho.matrix / d
-    # the polish runs where it may spare a seeded stack of at least d^2 starts
-    points = _POLISH_POINTS if restarts - 1 >= d * d else 1
-    certified = _certified(r, ws[0], value.item(), points)
+    certified = _certified(r, ws[0], value.item())
     if not certified and restarts > 1:
         more = _ascend_unitaries(r, d, _seeded_starts(d, restarts, seed)[1:])
         # the identity start first, then the seeded ones, as one stack of all orders them

@@ -57,7 +57,8 @@ class PureBipartiteState:
             raise DimensionError(
                 f"amplitude vector has length {amps.size}, expected {self.dim ** 2}"
             )
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):  # an overflow reads inf, rejected below
+            norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN/inf amplitudes
             raise InvalidOperatorError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
@@ -87,10 +88,14 @@ class DensityOperator:
         # every comparison with NaN is false, so the checks below would pass it
         if not np.isfinite(mat).all():
             raise InvalidOperatorError("matrix has a non-finite entry")
-        if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
+        # an overflow reads inf or NaN, which the checks reject, with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            asymmetry = np.abs(mat - mat.conj().T).max()
+            trace = mat.trace().real
+        if not asymmetry <= HERMITIAN_TOL:
             raise InvalidOperatorError("matrix is not Hermitian within tolerance")
-        if self.unit_trace and abs(mat.trace().real - 1.0) > TRACE_TOL:
-            raise InvalidOperatorError(f"trace {mat.trace().real} deviates from 1")
+        if self.unit_trace and not abs(trace - 1.0) <= TRACE_TOL:
+            raise InvalidOperatorError(f"trace {trace} deviates from 1")
         eigs = np.linalg.eigvalsh(mat)
         if eigs[0] < PSD_FLOOR:
             raise InvalidOperatorError(f"minimum eigenvalue {eigs[0]} below PSD floor")

@@ -174,6 +174,17 @@ def test_overflowing_kraus_entry_is_not_trace_preserving(tmp_path):
     assert "RuntimeWarning" not in validate.stderr + measures.stderr
 
 
+def test_overflowing_state_amplitude_is_one_line(omega_file, tmp_path):
+    # the norm of an amplitude 1e200 overflows to inf, which the norm check
+    # rejects; numpy's overflow warning stays off stderr
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"d": 3, "amplitudes": [[1e200, 0]] + [[0, 0]] * 8}))
+    res = _run_cli(["measures", omega_file, "--input", str(path)])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: state norm inf deviates from 1 beyond 1e-12\n"
+
+
 @pytest.mark.parametrize("command", ["validate", "measures"])
 @pytest.mark.parametrize(
     "entry", [["nan", 0], ["inf", 0], ["1", 0], [True, 0], [1, False], [1, 0, 99]])

@@ -34,12 +34,11 @@ from quditshare import (
     random_pure_state,
     top_choi_eigenpair,
 )
-from quditshare import cli
+from quditshare import cli, measures
 from quditshare.measures import (
     CERT_TOL,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    _POLISH_POINTS,
     _adjoint,
     _ascend_unitaries,
     _certified,
@@ -491,9 +490,9 @@ def test_fef_stacked_matches_serial_loop(d):
     # 60 channel outputs per d: enough that an inner product rounding one ulp
     # differently (einsum in place of vecdot) changes some result here, through
     # a different step or stop decision or a different winner among near ties.
-    # At 32 starts the polish runs for d <= 5 and closes all 60 outputs at
-    # d = 3, so a full-rank mixed state, whose relaxation gap no dual point
-    # closes, keeps the open path taken there.
+    # The dual-point search closes all 60 outputs at d = 3, so a full-rank
+    # mixed state, whose relaxation gap no dual point closes, keeps the open
+    # path taken there.
     rng = np.random.default_rng(600 + d)
     seed = d
     rhos = []
@@ -529,7 +528,9 @@ def test_fef_stacked_matches_serial_loop_at_iteration_cap():
     assert not starts[0][2]
     rng = np.random.default_rng(1738)
     fast = [apply_one_sided(random_channel(3, 2, rng), random_pure_state(3, rng))
-            for _ in range(3)]
+            for _ in range(2)]
+    # a full-rank mixed state, whose relaxation gap no dual point closes
+    fast.append(random_mixed(3, np.random.default_rng(6)))
     for restarts in (1, 2, 8):
         assert _stacked_ascent_bytes(rho, restarts, 0) == _serial_fef(rho, starts[:restarts])
         res = _check_fef_against_serial(rho, restarts, 0, starts)
@@ -576,30 +577,35 @@ def test_converged_starts_leave_on_a_plain_step(d):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(d=st.integers(3, 5), seed=st.integers(0, 2**32 - 1), mixed=st.booleans(),
-       polish=st.booleans())
-def test_fef_certificate_is_sound(d, seed, mixed, polish):
+@given(d=st.integers(3, 5), seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
+def test_fef_certificate_is_sound(d, seed, mixed):
     # a certified value is within CERT_TOL of the optimum, so no start of a
-    # much larger search climbs above it by more. 2 starts try the
-    # least-squares point alone, as audit's do; d^2 + 1 are the fewest at
-    # which the polish runs, so certificates of both budgets are drawn
+    # much larger search climbs above it by more. Certificates of the
+    # least-squares point and of the polish are both drawn
     rng = np.random.default_rng(seed)
     if mixed:
         rho = random_mixed(d, rng)
     else:
         rho = apply_one_sided(random_channel(d, int(rng.integers(1, d + 2)), rng),
                               random_pure_state(d, rng))
-    res = fef(rho, restarts=d * d + 1 if polish else 2)
+    res = fef(rho, restarts=2)
     if res.certified:
         vals, _, _ = _ascend_unitaries(rho.matrix / d, d, _seeded_starts(d, 64, seed))
         assert vals.max() <= res.value + CERT_TOL
 
 
+def _least_squares_certified(monkeypatch, r, w, value):
+    """``_certified`` with the least-squares point alone tried."""
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "_POLISH_POINTS", 1)
+        return _certified(r, w, value)
+
+
 @pytest.mark.parametrize("d", [4, 5])
-def test_polished_certificates_are_sound(d):
+def test_polished_certificates_are_sound(monkeypatch, d):
     # of 24 channel outputs, the polish closes some brackets the
-    # least-squares point alone leaves open, and no start of a 64-start
-    # search beats those by more than CERT_TOL either
+    # least-squares point alone leaves open, whatever the restarts, and no
+    # start of a 64-start search beats those by more than CERT_TOL either
     rng = np.random.default_rng(700 + d)
     polished = 0
     for _ in range(24):
@@ -608,10 +614,10 @@ def test_polished_certificates_are_sound(d):
         r = rho.matrix / d
         w = _ascend_unitaries(r, d, np.eye(d, dtype=complex)[None])[1][0]
         value = fidelity_with(rho, mes_from_unitary(w))
-        if _certified(r, w, value, 1) or not _certified(r, w, value, _POLISH_POINTS):
+        if _least_squares_certified(monkeypatch, r, w, value) or not _certified(r, w, value):
             continue
         polished += 1
-        res = fef(rho, restarts=d * d + 1)
+        res = fef(rho, restarts=2)
         assert res.certified and res.value == value
         vals, _, _ = _ascend_unitaries(r, d, _seeded_starts(d, 64, 1))
         assert vals.max() <= value + CERT_TOL
@@ -642,15 +648,15 @@ def _diagonal_family_point(excess):
     return rho.matrix / d, np.eye(d, dtype=complex), value
 
 
-def test_polished_point_keeps_its_rounding_margin():
+def test_polished_point_keeps_its_rounding_margin(monkeypatch):
     # lambda_max of the least-squares point, the best of the family, misses
-    # t0 by 1e-15, so neither budget closes the bracket; the margin, about
-    # 5e-15 here, would hide that if it were added to t0 instead of
-    # subtracted
+    # t0 by 1e-15, so neither that point alone nor the polish closes the
+    # bracket; the margin, about 5e-15 here, would hide that if it were added
+    # to t0 instead of subtracted
     for excess in (1e-15, 1e-10, -1e-10):
         point = _diagonal_family_point(excess)
-        for points in (1, _POLISH_POINTS):
-            assert _certified(*point, points) is (excess < 0)
+        assert _least_squares_certified(monkeypatch, *point) is (excess < 0)
+        assert _certified(*point) is (excess < 0)
 
 
 def test_dual_test_margin_covers_rounding():

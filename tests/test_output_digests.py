@@ -7,8 +7,10 @@ d = 4 grid with one component fixed and one skipped point, the form of the
 benchmark's certify workload, pinned as CSV and as JSON. The `measures` cases
 cover `--input phiplus`, `psi_prime` and a state file at d = 3 and 4, and both FEF
 paths: the identity's bracket closed (`fef_certified` true) and open (seeded
-restarts ran), and one report at 8 starts, where no dual polish runs; one more
-covers `--input phiplus` at d = 2, where the FEF is the magic-basis eigensolve.
+restarts ran). One more report's bracket only the polish closes, and it is
+pinned at 8 and 32 starts and two seeds, which must not move it, as no seeded
+start runs once the bracket is closed. One more covers `--input phiplus` at
+d = 2, where the FEF is the magic-basis eigensolve.
 The `audit` cases are d = 3 at the default seed, d = 2 with its Pauli check,
 and d = 6 at 53 channels, which run in several chunks, so the stacked
 per-chunk path has to give the per-channel bytes. Recorded with
@@ -48,11 +50,10 @@ CASE_SEED = {2: 0, 3: 0, 4: 1}
 # the d = 3 phiplus report is pinned on a case of its own, whose bracket
 # stays open: case 0's closes
 OPEN_PHIPLUS_CASE = 105
-# (d, case seed, --restarts, sha256) of a phiplus report whose ascent tries
-# the least-squares dual point alone (restarts - 1 < d^2): it leaves the
-# bracket open, which the default 32 starts' polish closes, so the seeded
-# starts run
-LEAST_SQUARES_ONLY = (4, 4, 8, "0bb43606a11559819e902fd021ff9f04fd70332beebe964ac1b0ccf53e3de4ef")
+# (d, case seed, sha256) of a phiplus report whose bracket the least-squares
+# dual point leaves open and the polish from it closes: no seeded start runs,
+# so the report is the same at every --restarts and --seed
+POLISHED = (4, 4, "08d79ba15346029c2b51f24d02d551cb49223e46a2086be7aac8dbe06422064b")
 AUDIT_SHA256 = "61d27c9240858b14e44d1ce1d8b1ce4331b57091c65ac51a1424722355717be5"
 # (d, --n, --seed, sha256) of more audit reports: the qubit Pauli check, and
 # a run across chunk and FEF batch boundaries
@@ -106,11 +107,12 @@ def test_measures_psi_prime_digest(tmp_path, d, digest):
     assert _measures(tmp_path, d, CASE_SEED[d], "psi_prime") == (True, digest)
 
 
-def test_measures_least_squares_only_digest(tmp_path):
-    d, case_seed, restarts, digest = LEAST_SQUARES_ONLY
-    assert _measures(tmp_path, d, case_seed, "phiplus")[0] is True
-    assert _measures(tmp_path, d, case_seed, "phiplus", "--restarts", str(restarts)) == (
-        False, digest)
+def test_measures_polished_digest_does_not_depend_on_restarts_or_seed(tmp_path):
+    d, case_seed, digest = POLISHED
+    for restarts in ("8", "32"):
+        for seed in ("0", "5"):
+            flags = ["--restarts", restarts, "--seed", seed]
+            assert _measures(tmp_path, d, case_seed, "phiplus", *flags) == (True, digest), flags
 
 
 def test_audit_digest(tmp_path):

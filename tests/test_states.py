@@ -273,6 +273,22 @@ def test_density_operator_invariants_enforced():
                 DensityOperator(2, bad, unit_trace=unit_trace)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_entries_are_invalid_operators_without_warnings():
+    # each check overflows to inf or NaN, which it rejects with no numpy
+    # warning: the pure state's norm, the Hermitian check's difference and
+    # the trace's sum
+    with pytest.raises(InvalidOperatorError, match="norm inf"):
+        PureBipartiteState(2, [1e200, 0, 0, 0])
+    asymmetric = np.zeros((4, 4))
+    asymmetric[0, 1], asymmetric[1, 0], asymmetric[3, 3] = 1e308, -1e308, 1.0
+    with pytest.raises(InvalidOperatorError, match="not Hermitian"):
+        DensityOperator(2, asymmetric)
+    for diagonal in ([1e308, 1e308, 0, 0], [1e308, 1e308, -1e308, -1e308]):
+        with pytest.raises(InvalidOperatorError, match="trace (inf|nan)"):
+            DensityOperator(2, np.diag(diagonal))
+
+
 def test_library_built_operators_meet_public_invariants():
     # pure_density and apply_one_sided skip the checks; their outputs must
     # still pass the public constructor
